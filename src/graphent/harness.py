@@ -23,14 +23,16 @@ from .errors import DomainError, GraphEntropyError
 from .graph import Graph, distance_matrix, generate_gnp_connected, generate_graph
 from .inequalities import (
     BoundReport,
-    connected_functional_bounds,
+    _combine,
+    _Combination,
+    _conn_report,
+    _thm3_report,
+    _thm6_report,
     jensen_gap_bound,
     ordering_bound,
     thm1_refined_bound,
-    thm3_partition_vs_functional,
     thm4_scaled_dominance,
     thm5_additive_dominance,
-    thm6_convex_combination,
 )
 from .measures import (
     Distribution,
@@ -302,19 +304,25 @@ def _cell(
 
 @dataclass
 class _FamilyData:
+    """One (graph, family) row: its distribution plus the alpha-independent
+    functionals its cells read, built once here instead of once per cell."""
+
     label: str
     dist: Distribution | None
     fv: FunctionalValues | None = None
     fv_second: FunctionalValues | None = None
     spec: FunctionalSpec | None = None
-    weights: tuple[float, float] | None = None
+    # f + f_second, the dominating functional of thm4_cor
+    dominating: FunctionalValues | None = None
+    # c1 f + c2 f_second with sampled weights, for thm6/thm6_avg
+    combination: _Combination | None = None
     error: str | None = None
 
 
 def _family_rows(
-    cfg: SweepConfig, g: Graph, gi: int, distances, part
+    cfg: SweepConfig, g: Graph, gi: int, distances, pdist: Distribution
 ) -> list[_FamilyData]:
-    rows = [_FamilyData(label="orbit", dist=partition_distribution(part))]
+    rows = [_FamilyData(label="orbit", dist=pdist)]
     for ti, template in enumerate(cfg.functional_specs):
         try:
             spec_a = _sample_spec(
@@ -339,7 +347,8 @@ def _family_rows(
                 fv=fv_a,
                 fv_second=fv_b,
                 spec=spec_a,
-                weights=(float(w[0]), float(w[1])),
+                dominating=_combine_values(fv_a, fv_b),
+                combination=_combine(fv_a, fv_b, float(w[0]), float(w[1])),
             )
         )
     return rows
@@ -366,11 +375,11 @@ def _error_cell(
 def _reports_for_cell(
     theorem: str,
     variant: str,
-    g: Graph,
     part,
+    pdist: Distribution,
     fam: _FamilyData,
     alpha: float,
-    distances,
+    eta: int,
 ) -> BoundReport | None:
     if theorem == "ordering":
         return ordering_bound(fam.dist, alpha)
@@ -382,16 +391,17 @@ def _reports_for_cell(
         return thm1_refined_bound(fam.dist, alpha, variant, use_epsilon=True)
     if fam.fv is None:
         return None
+    # Corpus graphs with functional values are connected and share one
+    # vertex set, so the evaluators below skip the wrappers' checks.
     if theorem == "thm3":
-        return thm3_partition_vs_functional(g, part, fam.fv, alpha)
+        return _thm3_report(part, pdist, fam.fv, alpha, 2.0)
     if theorem == "thm4":
         d2 = distribution_from_values(fam.fv_second)
         psi = float(np.max(fam.dist.p / d2.p))
         return thm4_scaled_dominance(fam.dist, d2, psi, alpha)
     if theorem == "thm4_cor":
-        dominating = _combine_values(fam.fv, fam.fv_second)
-        d2 = distribution_from_values(dominating)
-        totals = (math.exp(fam.fv.total_log), math.exp(dominating.total_log))
+        d2 = distribution_from_values(fam.dominating)
+        totals = (math.exp(fam.fv.total_log), math.exp(fam.dominating.total_log))
         return thm4_scaled_dominance(
             fam.dist, d2, None, alpha, derive_psi_from=totals
         )
@@ -402,25 +412,17 @@ def _reports_for_cell(
             phi = _PHI_FLOOR
         return thm5_additive_dominance(fam.dist, d2, phi, alpha, variant)
     if theorem in ("thm6", "thm6_avg"):
-        c1, c2 = fam.weights
-        return thm6_convex_combination(
-            g,
-            fam.fv,
-            fam.fv_second,
-            c1,
-            c2,
-            alpha,
-            variant,
-            symmetric=theorem == "thm6_avg",
+        return _thm6_report(
+            fam.combination, alpha, variant, theorem == "thm6_avg", 2.0
         )
     if theorem == "conn_linear":
         if fam.spec.kind != "linear":
             return None
-        return connected_functional_bounds(g, fam.spec, alpha, variant, distances)
+        return _conn_report(fam.spec, fam.fv, eta, alpha, variant)
     if theorem == "conn_exp":
         if fam.spec.kind != "exponential":
             return None
-        return connected_functional_bounds(g, fam.spec, alpha, variant, distances)
+        return _conn_report(fam.spec, fam.fv, eta, alpha, variant)
     raise DomainError(f"unknown theorem id {theorem!r}")
 
 
@@ -459,7 +461,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     for gi, (graph_id, g) in enumerate(corpus):
         distances = distance_matrix(g)
         part = vertex_orbits(g)
-        for fam in _family_rows(cfg, g, gi, distances, part):
+        pdist = partition_distribution(part)
+        for fam in _family_rows(cfg, g, gi, distances, pdist):
             for alpha in cfg.alpha_grid:
                 for theorem in cfg.theorems:
                     if theorem in FUNCTIONAL_THEOREMS and fam.fv is None and fam.error is None:
@@ -478,7 +481,8 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                             continue
                         try:
                             report = _reports_for_cell(
-                                theorem, variant, g, part, fam, alpha, distances
+                                theorem, variant, part, pdist, fam, alpha,
+                                distances.eta,
                             )
                         except GraphEntropyError as exc:
                             cells.append(

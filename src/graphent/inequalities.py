@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .graph import DistanceData, Graph, distance_matrix, generate_graph
@@ -40,6 +39,7 @@ from .measures import (
     distribution_stats,
     exponential_functional_values,
     linear_functional_values,
+    log2_power_sum,
     partition_distribution,
     renyi_entropy,
     shannon_entropy,
@@ -302,7 +302,7 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     """
     _check_alpha(alpha)
     p = d.p
-    x = np.exp((alpha - 1.0) * np.log(p))
+    x = np.exp((alpha - 1.0) * d.log_p)
     diff = np.subtract.outer(x, x) ** 2
     weight = np.outer(p, p) / np.outer(x, x)
     sum_term = float((weight * diff).sum())
@@ -417,15 +417,27 @@ def thm3_partition_vs_functional(
         raise DomainError("thm3 needs a connected graph")
     if part.total != g.n or fv.size != g.n:
         raise DomainError("partition/functional sizes must match the graph")
+    return _thm3_report(part, partition_distribution(part), fv, alpha, base)
+
+
+def _thm3_report(
+    part: OrbitPartition,
+    pdist: Distribution,
+    fv: FunctionalValues,
+    alpha: float,
+    base: float,
+) -> BoundReport:
+    """thm3 on validated inputs; pdist is partition_distribution(part)."""
+    n = part.total
     k = part.k
     sizes = sorted(part.sizes)
     smallest_logs = np.sort(fv.log_values)[:k]
     met = all(
         math.log(sizes[i]) < float(smallest_logs[i]) for i in range(k)
     )
-    h_gamma = _to_base(renyi_entropy(partition_distribution(part), alpha), base)
+    h_gamma = _to_base(renyi_entropy(pdist, alpha), base)
     h_f = _to_base(renyi_entropy(distribution_from_values(fv), alpha), base)
-    log_ratio = (fv.total_log - math.log(g.n)) / math.log(base)
+    log_ratio = (fv.total_log - math.log(n)) / math.log(base)
     if alpha < 1.0:
         direction = "upper"
         bound = h_f + (alpha / (1.0 - alpha)) * log_ratio
@@ -442,7 +454,7 @@ def thm3_partition_vs_functional(
         precondition_met=met,
         params={
             "k": k,
-            "X_size": g.n,
+            "X_size": n,
             "log2_S": fv.total_log / LN2,
             "h_functional": h_f,
             "log_base": base,
@@ -519,7 +531,7 @@ def thm5_additive_dominance(
         raise DomainError("phi must be positive")
     met = bool(np.all(d1.p <= d2.p + phi + 1e-15))
     n = d1.size
-    power_sum_2 = float(math.exp(logsumexp(alpha * np.log(d2.p))))
+    power_sum_2 = 2.0 ** log2_power_sum(d2, alpha)
     h1 = _to_base(renyi_entropy(d1, alpha), base)
     h2 = _to_base(renyi_entropy(d2, alpha), base)
     factor = _penalty_factor(variant, base)
@@ -570,31 +582,74 @@ def thm6_convex_combination(
         raise DomainError("combination weights c1, c2 must be positive")
     if fv1.size != g.n or fv2.size != g.n:
         raise DomainError("functional value sets must live on the graph's vertices")
+    return _thm6_report(
+        _combine(fv1, fv2, c1, c2), alpha, variant, symmetric, base
+    )
+
+
+@dataclass(frozen=True)
+class _Combination:
+    """The alpha-independent part of thm6: f = c1*f1 + c2*f2 and the shares
+    A_i = c_i S_i / S, with t_i = ln(c_i S_i)."""
+
+    fv1: FunctionalValues
+    fv2: FunctionalValues
+    c1: float
+    c2: float
+    t1: float
+    t2: float
+    a1: float
+    a2: float
+    combined: FunctionalValues
+
+
+def _combine(
+    fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
+) -> _Combination:
+    """Build thm6's combination from positive weights on one vertex set."""
     t1 = math.log(c1) + fv1.total_log
     t2 = math.log(c2) + fv2.total_log
     t_sum = float(np.logaddexp(t1, t2))
-    a1, a2 = math.exp(t1 - t_sum), math.exp(t2 - t_sum)
     combined = FunctionalValues(
         log_values=np.logaddexp(
             math.log(c1) + fv1.log_values, math.log(c2) + fv2.log_values
         )
     )
-    h_f = _to_base(renyi_entropy(distribution_from_values(combined), alpha), base)
-    d1 = distribution_from_values(fv1)
-    d2 = distribution_from_values(fv2)
+    return _Combination(
+        fv1=fv1,
+        fv2=fv2,
+        c1=float(c1),
+        c2=float(c2),
+        t1=t1,
+        t2=t2,
+        a1=math.exp(t1 - t_sum),
+        a2=math.exp(t2 - t_sum),
+        combined=combined,
+    )
+
+
+def _thm6_report(
+    comb: _Combination, alpha: float, variant: str, symmetric: bool, base: float
+) -> BoundReport:
+    """thm6 on a validated combination."""
+    t1, t2, a1, a2 = comb.t1, comb.t2, comb.a1, comb.a2
+    h_f = _to_base(
+        renyi_entropy(distribution_from_values(comb.combined), alpha), base
+    )
+    d1 = distribution_from_values(comb.fv1)
+    d2 = distribution_from_values(comb.fv2)
     h1 = _to_base(renyi_entropy(d1, alpha), base)
     h2 = _to_base(renyi_entropy(d2, alpha), base)
-    # log power sums, natural log
-    tp1 = float(logsumexp(alpha * np.log(d1.p)))
-    tp2 = float(logsumexp(alpha * np.log(d2.p)))
+    # ln(sum p2^alpha) - ln(sum p1^alpha)
+    dtp = (log2_power_sum(d2, alpha) - log2_power_sum(d1, alpha)) * LN2
     factor = _penalty_factor(variant, base)
     log_a1 = _logb(a1, base)
     log_a2 = _logb(a2, base)
     if alpha < 1.0:
         direction = "upper"
-        z21 = math.exp(alpha * (t2 - t1) + tp2 - tp1)
+        z21 = math.exp(alpha * (t2 - t1) + dtp)
         if symmetric:
-            z12 = math.exp(alpha * (t1 - t2) + tp1 - tp2)
+            z12 = math.exp(alpha * (t1 - t2) - dtp)
             bound = (
                 0.5 * (h1 + h2)
                 + (alpha / (2.0 * (1.0 - alpha))) * (log_a1 + log_a2)
@@ -608,9 +663,9 @@ def thm6_convex_combination(
             )
     else:
         direction = "lower"
-        w21 = math.exp((t2 - t1) + (tp2 - tp1) / alpha)
+        w21 = math.exp((t2 - t1) + dtp / alpha)
         if symmetric:
-            w12 = math.exp((t1 - t2) + (tp1 - tp2) / alpha)
+            w12 = math.exp((t1 - t2) - dtp / alpha)
             bound = (
                 0.5 * (h1 + h2)
                 - (alpha / (2.0 * (alpha - 1.0))) * (log_a1 + log_a2)
@@ -630,12 +685,12 @@ def thm6_convex_combination(
         bound,
         direction,
         params={
-            "c1": float(c1),
-            "c2": float(c2),
+            "c1": comb.c1,
+            "c2": comb.c2,
             "A1": a1,
             "A2": a2,
-            "S1_log2": fv1.total_log / LN2,
-            "S2_log2": fv2.total_log / LN2,
+            "S1_log2": comb.fv1.total_log / LN2,
+            "S2_log2": comb.fv2.total_log / LN2,
             "h1": h1,
             "h2": h2,
             "log_base": base,
@@ -840,16 +895,31 @@ def connected_functional_bounds(
     if not g.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
     d = distances if distances is not None else distance_matrix(g)
-    coeffs = _resolved_coeffs(spec, d.eta)
-    c_max, c_min = float(coeffs.max()), float(coeffs.min())
     if spec.kind == "linear":
         fv = linear_functional_values(g, spec, distances=d)
+    else:
+        fv = exponential_functional_values(g, spec, distances=d)
+    return _conn_report(spec, fv, d.eta, alpha, variant)
+
+
+def _conn_report(
+    spec: FunctionalSpec,
+    fv: FunctionalValues,
+    eta: int,
+    alpha: float,
+    variant: str,
+) -> BoundReport:
+    """Connected-graph interval for validated inputs; fv holds spec's values
+    on a connected graph of diameter eta."""
+    n = fv.size
+    coeffs = _resolved_coeffs(spec, eta)
+    c_max, c_min = float(coeffs.max()), float(coeffs.min())
+    if spec.kind == "linear":
         theorem_id = "conn_linear"
         half_width = (alpha / abs(1.0 - alpha)) * math.log2(c_max / c_min)
         met = True
         params: dict[str, Any] = {}
     else:
-        fv = exponential_functional_values(g, spec, distances=d)
         theorem_id = "conn_exp"
         spread = c_max - c_min
         log2_beta = math.log2(spec.beta)
@@ -858,13 +928,11 @@ def connected_functional_bounds(
             met = True
         else:
             met = spec.beta >= 1.0
-        half_width = (alpha * (g.n - 1) * spread / abs(1.0 - alpha)) * log2_beta
+        half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
         params = {"X": spread, "beta": spec.beta}
     h = renyi_entropy(distribution_from_values(fv), alpha)
-    center = math.log2(g.n)
-    params.update(
-        {"n": g.n, "eta": d.eta, "c_max": c_max, "c_min": c_min}
-    )
+    center = math.log2(n)
+    params.update({"n": n, "eta": eta, "c_max": c_max, "c_min": c_min})
     if not met:
         params["reason"] = "literal form needs beta >= 1"
     return _report(

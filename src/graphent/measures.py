@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .graph import DistanceData, Graph, distance_matrix, sphere_counts_matrix
@@ -34,9 +34,18 @@ FUNCTIONAL_KINDS = ("linear", "exponential")
 
 @dataclass(frozen=True)
 class Distribution:
-    """Strictly positive probability vector."""
+    """Strictly positive probability vector.
+
+    Everything derived from p alone (log p, Shannon entropy, rho/epsilon)
+    is computed on first use and kept, and power sums are memoized per
+    alpha. Each is a pure function of the read-only p, so concurrent first
+    uses can only store equal values.
+    """
 
     p: np.ndarray
+    _log2_power_sums: dict[float, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float).reshape(-1)
@@ -54,6 +63,24 @@ class Distribution:
     @property
     def size(self) -> int:
         return int(self.p.size)
+
+    @cached_property
+    def log_p(self) -> np.ndarray:
+        """Natural log of p, read-only."""
+        out = np.log(self.p)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _shannon(self) -> float:
+        return float(-np.dot(self.p, np.log2(self.p))) + 0.0
+
+    @cached_property
+    def _stats(self) -> "DistributionStats":
+        p = self.p
+        return DistributionStats(
+            rho=float(p.max() / p.min()), epsilon=float(p.max() - p.min())
+        )
 
 
 @dataclass(frozen=True)
@@ -107,7 +134,7 @@ class FunctionalValues:
             raise DomainError("functional values must be finite and positive")
         arr.setflags(write=False)
         object.__setattr__(self, "log_values", arr)
-        object.__setattr__(self, "total_log", float(logsumexp(arr)))
+        object.__setattr__(self, "total_log", logsumexp(arr))
         linear = None
         if float(np.abs(arr).max()) < SAFE_LOG_RANGE:
             linear = np.exp(arr)
@@ -127,8 +154,27 @@ class FunctionalValues:
 
     @property
     def total(self) -> float:
-        """sum f(v) in linear space; may overflow to inf for extreme inputs."""
-        return float(math.exp(self.total_log))
+        """sum f(v) in linear space; inf when it overflows a float."""
+        try:
+            return math.exp(self.total_log)
+        except OverflowError:
+            return math.inf
+
+    @cached_property
+    def distribution(self) -> Distribution:
+        """p(v) = exp(ln f(v) - ln sum f), validated once and kept."""
+        return Distribution(p=np.exp(self.log_values - self.total_log))
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """ln(sum exp(a)), shifted by the max so no term overflows.
+
+    A non-finite max (an inf entry, or all entries -inf) is returned as is.
+    """
+    m = float(a.max())
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.exp(a - m).sum()))
 
 
 def default_coefficients(eta: int) -> tuple[float, ...]:
@@ -182,12 +228,12 @@ def exponential_functional_values(
 
 def distribution_from_values(fv: FunctionalValues) -> Distribution:
     """Normalize via log-sum-exp: p(v) = exp(ln f(v) - ln sum f)."""
-    return Distribution(p=np.exp(fv.log_values - fv.total_log))
+    return fv.distribution
 
 
 def shannon_entropy(d: Distribution) -> float:
     """H = -sum p log2 p, in bits."""
-    return float(-np.dot(d.p, np.log2(d.p))) + 0.0
+    return d._shannon
 
 
 def renyi_entropy(d: Distribution, alpha: float) -> float:
@@ -200,17 +246,20 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if abs(alpha - 1.0) <= ALPHA_ONE_BAND:
         return shannon_entropy(d)
-    log_power_sum = float(logsumexp(alpha * np.log(d.p)))
-    return log_power_sum / ((1.0 - alpha) * LN2) + 0.0
+    return log2_power_sum(d, alpha) / (1.0 - alpha) + 0.0
 
 
 def log2_power_sum(d: Distribution, alpha: float) -> float:
-    """log2(sum p^alpha), the quantity the bound catalog keeps reusing."""
-    return float(logsumexp(alpha * np.log(d.p))) / LN2
+    """log2(sum p^alpha), the quantity the bound catalog keeps reusing.
+
+    Memoized on d per alpha.
+    """
+    value = d._log2_power_sums.get(alpha)
+    if value is None:
+        value = logsumexp(alpha * d.log_p) / LN2
+        d._log2_power_sums[alpha] = value
+    return value
 
 
 def distribution_stats(d: Distribution) -> DistributionStats:
-    p = d.p
-    return DistributionStats(
-        rho=float(p.max() / p.min()), epsilon=float(p.max() - p.min())
-    )
+    return d._stats

@@ -14,6 +14,16 @@ def run(args, stdin=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    """numpy is the only runtime dependency, so cold start never pays for scipy."""
+    code = "import sys, graphent, graphent.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestGen:
     def test_star_edge_list(self):
         code, out, _ = run(["gen", "star", "4"])

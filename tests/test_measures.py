@@ -22,6 +22,7 @@ from graphent import (
     shannon_entropy,
     vertex_orbits,
 )
+from graphent.measures import logsumexp
 
 # frozen via an independent high-precision evaluation
 SHANNON_QUARTER = 0.8112781244591328
@@ -65,6 +66,62 @@ class TestDistribution:
         assert np.allclose(p6.p, [1 / 3] * 3, atol=1e-15)
         k4 = partition_distribution(vertex_orbits(generate_graph("complete", 4)))
         assert k4.p.tolist() == [1.0]
+
+
+def lse_reference(values):
+    """ln(sum exp(x)) with an exactly rounded sum of the shifted terms."""
+    m = max(values)
+    return m + math.log(math.fsum(math.exp(x - m) for x in values))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("center", [0.0, 700.0, -700.0, 1e5, -1e5])
+    def test_matches_fsum_reference(self, center):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            size = int(rng.integers(1, 13))
+            # spread keeps the result at least 1 away from zero when centered
+            # at 0, so the relative tolerance is meaningful
+            a = center + rng.uniform(1.0, 40.0, size=size)
+            want = lse_reference(a.tolist())
+            assert math.isclose(logsumexp(a), want, rel_tol=1e-15, abs_tol=0.0)
+
+    def test_single_element_is_identity(self):
+        for x in (-1e5, -700.0, 0.0, 3.25, 700.0, 1e5):
+            assert logsumexp(np.array([x])) == x
+
+    def test_all_equal_entries(self):
+        for x in (-1e5, -700.0, 0.0, 700.0, 1e5):
+            for size in (2, 5, 12):
+                got = logsumexp(np.full(size, x))
+                assert math.isclose(got, x + math.log(size), rel_tol=1e-15)
+
+    def test_non_finite_max_returned_unchanged(self):
+        assert logsumexp(np.array([1.0, math.inf])) == math.inf
+        assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+
+class TestMemoizedDerivedValues:
+    def test_interleaved_alphas_match_fresh_distribution(self):
+        p = probs([3, 1, 4, 1, 5, 9, 2, 6]).p
+        d = Distribution(p=p)
+        for alpha in (0.5, 2.0, 0.25, 3.0, 0.5, 1.1, 2.0, 0.25, 0.9, 3.0):
+            got = renyi_entropy(d, alpha)
+            fresh = renyi_entropy(Distribution(p=p.copy()), alpha)
+            assert got == fresh
+
+    def test_p_stays_read_only(self):
+        d = dist(0.25, 0.75)
+        renyi_entropy(d, 2.0)
+        shannon_entropy(d)
+        with pytest.raises(ValueError):
+            d.p[0] = 0.5
+        with pytest.raises(ValueError):
+            d.log_p[0] = 0.0
+
+    def test_functional_distribution_built_once(self):
+        fv = FunctionalValues.from_values([6, 4, 4, 4])
+        assert distribution_from_values(fv) is distribution_from_values(fv)
 
 
 class TestFunctionals:
@@ -149,6 +206,11 @@ class TestDistributionFromValues:
     def test_uniform(self):
         d = distribution_from_values(FunctionalValues.from_values([7, 7, 7]))
         assert np.allclose(d.p, 1 / 3, atol=1e-15)
+
+    def test_total_overflows_to_inf(self):
+        fv = FunctionalValues(log_values=np.array([800.0, 1.0]))
+        assert fv.total == math.inf
+        assert fv.total_log == pytest.approx(800.0, abs=1e-12)
 
     def test_huge_log_values_no_overflow(self):
         fv = FunctionalValues(log_values=np.array([1000.0, 1000.0]))
