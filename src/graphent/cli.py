@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GraphEntropyError
 from .graph import Graph, generate_graph, parse_edge_list, write_edge_list
-from .harness import SweepConfig, run_sweep, summarize_report
+from .harness import THEOREMS, SweepConfig, run_sweep, summarize_report
 from .inequalities import (
     class_closed_forms,
     connected_functional_bounds,
@@ -38,29 +38,17 @@ from .measures import (
     FunctionalSpec,
     distribution_from_values,
     distribution_stats,
-    exponential_functional_values,
-    linear_functional_values,
+    functional_values,
     partition_distribution,
     renyi_entropy,
     shannon_entropy,
 )
 from .orbits import vertex_orbits
 
-_CHECKS = (
-    "ordering",
-    "jensen",
-    "thm1",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "conn",
-    "star",
-    "wheel",
-    "path",
-)
+# One check per distinct THEOREMS check name, plus the graph-class closed forms.
+_CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS)) + ("star", "wheel", "path")
 
-_BASE_CHECKS = ("thm3", "thm4", "thm5", "thm6")
+_BASE_CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS if t.log_base))
 
 
 class _UsageError(Exception):
@@ -173,13 +161,8 @@ def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | Non
             raise _UsageError("--c/--beta do not apply to the orbit distribution")
         part = vertex_orbits(g)
         return partition_distribution(part), {"orbit_sizes": list(part.sizes)}
-    spec = _functional_spec(
-        "linear" if dist_kind == "linear" else "exp", c, beta
-    )
-    if spec.kind == "linear":
-        fv = linear_functional_values(g, spec)
-    else:
-        fv = exponential_functional_values(g, spec)
+    spec = _functional_spec(dist_kind, c, beta)
+    fv = functional_values(g, spec)
     extras = {
         "functional_params": {
             "kind": spec.kind,
@@ -215,13 +198,13 @@ def _spec_from_flags(kind_flag: str | None, c: str | None, beta: float | None,
                      what: str) -> FunctionalSpec:
     if kind_flag is None:
         raise _UsageError(f"{what} requires --functional linear|exp")
-    return _functional_spec("linear" if kind_flag == "linear" else "exp", c, beta)
+    return _functional_spec(kind_flag, c, beta)
 
 
 def _run_check(args, stdin: str | None) -> tuple[int, str]:
     base = 2.0 if args.log_base == "2" else math.e
     if args.log_base != "2" and args.theorem not in _BASE_CHECKS:
-        raise _UsageError("--log-base only applies to thm3/thm4/thm5/thm6")
+        raise _UsageError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
     reports = []
     theorem = args.theorem
 
@@ -244,10 +227,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
     elif theorem == "thm3":
         g = _graph_from_stdin(stdin, args.n)
         spec = _spec_from_flags(args.functional, args.c, args.beta, "thm3")
-        if spec.kind == "linear":
-            fv = linear_functional_values(g, spec)
-        else:
-            fv = exponential_functional_values(g, spec)
+        fv = functional_values(g, spec)
         reports.append(
             thm3_partition_vs_functional(g, vertex_orbits(g), fv, args.alpha, base=base)
         )
@@ -286,16 +266,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         spec2 = _spec_from_flags(
             args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)"
         )
-        fv1 = (
-            linear_functional_values(g, spec1)
-            if spec1.kind == "linear"
-            else exponential_functional_values(g, spec1)
-        )
-        fv2 = (
-            linear_functional_values(g, spec2)
-            if spec2.kind == "linear"
-            else exponential_functional_values(g, spec2)
-        )
+        fv1, fv2 = functional_values(g, spec1), functional_values(g, spec2)
         if args.c1 is None or args.c2 is None:
             raise _UsageError("thm6 requires --c1 and --c2")
         reports.append(
@@ -315,17 +286,8 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             raise _UsageError(f"{theorem} closed forms require --n")
         fv = None
         if args.functional is not None:
-            spec = _functional_spec(
-                "linear" if args.functional == "linear" else "exp",
-                args.c,
-                args.beta,
-            )
-            g = generate_graph(theorem, args.n)
-            fv = (
-                linear_functional_values(g, spec)
-                if spec.kind == "linear"
-                else exponential_functional_values(g, spec)
-            )
+            spec = _functional_spec(args.functional, args.c, args.beta)
+            fv = functional_values(generate_graph(theorem, args.n), spec)
         reports.extend(class_closed_forms(theorem, args.n, args.alpha, fv=fv))
 
     docs = [r.to_dict() for r in reports]

@@ -14,8 +14,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,38 +39,12 @@ from .measures import (
     FunctionalSpec,
     FunctionalValues,
     distribution_from_values,
-    exponential_functional_values,
-    linear_functional_values,
+    functional_values,
     partition_distribution,
 )
-from .orbits import ORBIT_CAP, vertex_orbits
+from .orbits import ORBIT_CAP, OrbitPartition, vertex_orbits
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0)
-
-ALL_THEOREMS = (
-    "ordering",
-    "jensen",
-    "thm1",
-    "thm1_eps",
-    "thm3",
-    "thm4",
-    "thm4_cor",
-    "thm5",
-    "thm6",
-    "thm6_avg",
-    "conn_linear",
-    "conn_exp",
-)
-
-# Theorems with a meaningful literal/corrected split; the rest emit "na".
-VARIANT_THEOREMS = frozenset(
-    {"thm1", "thm1_eps", "thm5", "thm6", "thm6_avg", "conn_linear", "conn_exp"}
-)
-
-# Theorems needing a functional family (skipped for the orbit family).
-FUNCTIONAL_THEOREMS = frozenset(
-    {"thm3", "thm4", "thm4_cor", "thm5", "thm6", "thm6_avg", "conn_linear", "conn_exp"}
-)
 
 EXEMPLAR_CAP = 5
 
@@ -92,6 +66,117 @@ _PURPOSE_WEIGHTS = 2
 _PHI_FLOOR = 0.01
 
 
+@dataclass
+class _FamilyData:
+    """One (graph, family) row: its distribution plus the alpha-independent
+    values its cells read, built once here instead of once per cell."""
+
+    label: str
+    dist: Distribution | None
+    part: OrbitPartition
+    # partition_distribution(part)
+    pdist: Distribution
+    # the graph's diameter
+    eta: int
+    fv: FunctionalValues | None = None
+    fv_second: FunctionalValues | None = None
+    spec: FunctionalSpec | None = None
+    # f + f_second, the dominating functional of thm4_cor
+    dominating: FunctionalValues | None = None
+    # c1 f + c2 f_second with sampled weights, for thm6/thm6_avg
+    combination: _Combination | None = None
+    error: str | None = None
+
+
+# Evaluators take (row, alpha, variant). Corpus graphs with functional
+# values are connected and share one vertex set, so they skip the public
+# wrappers' checks where a private report builder exists.
+
+
+def _thm4(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+    d2 = distribution_from_values(row.fv_second)
+    psi = float(np.max(row.dist.p / d2.p))
+    return thm4_scaled_dominance(row.dist, d2, psi, alpha)
+
+
+def _thm4_cor(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+    d2 = distribution_from_values(row.dominating)
+    totals = (row.fv.total, row.dominating.total)
+    return thm4_scaled_dominance(row.dist, d2, None, alpha, derive_psi_from=totals)
+
+
+def _thm5(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+    d2 = distribution_from_values(row.fv_second)
+    phi = float(np.max(row.dist.p - d2.p))
+    if phi <= 0.0:
+        phi = _PHI_FLOOR
+    return thm5_additive_dominance(row.dist, d2, phi, alpha, variant)
+
+
+def _conn(kind: str) -> Callable[[_FamilyData, float, str], BoundReport | None]:
+    """The connected-graph interval, on rows whose functional is `kind`."""
+
+    def evaluate(row: _FamilyData, alpha: float, variant: str) -> BoundReport | None:
+        if row.spec.kind != kind:
+            return None
+        return _conn_report(row.spec, row.fv, row.eta, alpha, variant)
+
+    return evaluate
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One sweep id of the bound catalog.
+
+    check is the `graphent check` subcommand that evaluates it. variants
+    marks a literal/corrected split (otherwise its one variant is "na"),
+    functional an id that needs a functional family (so none on the orbit
+    row), log_base a check taking --log-base. evaluate builds the report
+    for one row, or None when the id does not apply to that row.
+    """
+
+    id: str
+    check: str
+    evaluate: Callable[[_FamilyData, float, str], BoundReport | None]
+    variants: bool = False
+    functional: bool = False
+    log_base: bool = False
+
+
+THEOREMS = (
+    Theorem("ordering", "ordering",
+            lambda row, alpha, variant: ordering_bound(row.dist, alpha)),
+    Theorem("jensen", "jensen",
+            lambda row, alpha, variant: jensen_gap_bound(row.dist, alpha)),
+    Theorem("thm1", "thm1",
+            lambda row, alpha, variant: thm1_refined_bound(row.dist, alpha, variant),
+            variants=True),
+    Theorem("thm1_eps", "thm1",
+            lambda row, alpha, variant: thm1_refined_bound(
+                row.dist, alpha, variant, use_epsilon=True),
+            variants=True),
+    Theorem("thm3", "thm3",
+            lambda row, alpha, variant: _thm3_report(
+                row.part, row.pdist, row.fv, alpha, 2.0),
+            functional=True, log_base=True),
+    Theorem("thm4", "thm4", _thm4, functional=True, log_base=True),
+    Theorem("thm4_cor", "thm4", _thm4_cor, functional=True, log_base=True),
+    Theorem("thm5", "thm5", _thm5, variants=True, functional=True, log_base=True),
+    Theorem("thm6", "thm6",
+            lambda row, alpha, variant: _thm6_report(
+                row.combination, alpha, variant, False, 2.0),
+            variants=True, functional=True, log_base=True),
+    Theorem("thm6_avg", "thm6",
+            lambda row, alpha, variant: _thm6_report(
+                row.combination, alpha, variant, True, 2.0),
+            variants=True, functional=True, log_base=True),
+    Theorem("conn_linear", "conn", _conn("linear"), variants=True, functional=True),
+    Theorem("conn_exp", "conn", _conn("exponential"), variants=True, functional=True),
+)
+
+ALL_THEOREMS = tuple(t.id for t in THEOREMS)
+
+
 @dataclass(frozen=True)
 class FunctionalTemplate:
     """Sampling rule for one functional family in a sweep."""
@@ -101,17 +186,11 @@ class FunctionalTemplate:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "exponential"):
-            raise DomainError(f"unknown functional kind {self.kind!r}")
+        FunctionalSpec(kind=self.kind, beta=self.beta)  # checks kind and beta
         lo, hi = self.c_range
         if not 0.0 < lo <= hi:
             raise DomainError(f"coefficient range must be positive, got {self.c_range}")
         object.__setattr__(self, "c_range", (float(lo), float(hi)))
-        if self.kind == "exponential":
-            if self.beta is None or self.beta <= 0.0:
-                raise DomainError("exponential template requires beta > 0")
-        elif self.beta is not None:
-            raise DomainError("beta only applies to exponential templates")
 
     @property
     def label(self) -> str:
@@ -263,12 +342,6 @@ def _sample_spec(
     return FunctionalSpec(kind=template.kind, coeffs=coeffs, beta=template.beta)
 
 
-def _evaluate_values(g: Graph, spec: FunctionalSpec, distances) -> FunctionalValues:
-    if spec.kind == "linear":
-        return linear_functional_values(g, spec, distances=distances)
-    return exponential_functional_values(g, spec, distances=distances)
-
-
 def _combine_values(a: FunctionalValues, b: FunctionalValues) -> FunctionalValues:
     """Pointwise sum f_a + f_b, in log space."""
     return FunctionalValues(log_values=np.logaddexp(a.log_values, b.log_values))
@@ -302,27 +375,14 @@ def _cell(
     }
 
 
-@dataclass
-class _FamilyData:
-    """One (graph, family) row: its distribution plus the alpha-independent
-    functionals its cells read, built once here instead of once per cell."""
-
-    label: str
-    dist: Distribution | None
-    fv: FunctionalValues | None = None
-    fv_second: FunctionalValues | None = None
-    spec: FunctionalSpec | None = None
-    # f + f_second, the dominating functional of thm4_cor
-    dominating: FunctionalValues | None = None
-    # c1 f + c2 f_second with sampled weights, for thm6/thm6_avg
-    combination: _Combination | None = None
-    error: str | None = None
-
-
 def _family_rows(
-    cfg: SweepConfig, g: Graph, gi: int, distances, pdist: Distribution
+    cfg: SweepConfig, g: Graph, gi: int, distances, part: OrbitPartition
 ) -> list[_FamilyData]:
-    rows = [_FamilyData(label="orbit", dist=pdist)]
+    pdist = partition_distribution(part)
+    orbit = _FamilyData(
+        label="orbit", dist=pdist, part=part, pdist=pdist, eta=distances.eta
+    )
+    rows = [orbit]
     for ti, template in enumerate(cfg.functional_specs):
         try:
             spec_a = _sample_spec(
@@ -331,17 +391,18 @@ def _family_rows(
             spec_b = _sample_spec(
                 template, distances.eta, cfg.seed, gi, ti, _PURPOSE_COEFFS_B
             )
-            fv_a = _evaluate_values(g, spec_a, distances)
-            fv_b = _evaluate_values(g, spec_b, distances)
+            fv_a = functional_values(g, spec_a, distances)
+            fv_b = functional_values(g, spec_b, distances)
         except GraphEntropyError as exc:
-            rows.append(_FamilyData(label=template.label, dist=None, error=str(exc)))
+            rows.append(replace(orbit, label=template.label, dist=None, error=str(exc)))
             continue
         rng_w = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_FUNCTIONAL, gi, ti, _PURPOSE_WEIGHTS])
         )
         w = rng_w.uniform(0.5, 2.0, size=2)
         rows.append(
-            _FamilyData(
+            replace(
+                orbit,
                 label=template.label,
                 dist=distribution_from_values(fv_a),
                 fv=fv_a,
@@ -370,60 +431,6 @@ def _error_cell(
         "slack": None,
         "params": {"family": family, "reason": reason},
     }
-
-
-def _reports_for_cell(
-    theorem: str,
-    variant: str,
-    part,
-    pdist: Distribution,
-    fam: _FamilyData,
-    alpha: float,
-    eta: int,
-) -> BoundReport | None:
-    if theorem == "ordering":
-        return ordering_bound(fam.dist, alpha)
-    if theorem == "jensen":
-        return jensen_gap_bound(fam.dist, alpha)
-    if theorem == "thm1":
-        return thm1_refined_bound(fam.dist, alpha, variant, use_epsilon=False)
-    if theorem == "thm1_eps":
-        return thm1_refined_bound(fam.dist, alpha, variant, use_epsilon=True)
-    if fam.fv is None:
-        return None
-    # Corpus graphs with functional values are connected and share one
-    # vertex set, so the evaluators below skip the wrappers' checks.
-    if theorem == "thm3":
-        return _thm3_report(part, pdist, fam.fv, alpha, 2.0)
-    if theorem == "thm4":
-        d2 = distribution_from_values(fam.fv_second)
-        psi = float(np.max(fam.dist.p / d2.p))
-        return thm4_scaled_dominance(fam.dist, d2, psi, alpha)
-    if theorem == "thm4_cor":
-        d2 = distribution_from_values(fam.dominating)
-        totals = (math.exp(fam.fv.total_log), math.exp(fam.dominating.total_log))
-        return thm4_scaled_dominance(
-            fam.dist, d2, None, alpha, derive_psi_from=totals
-        )
-    if theorem == "thm5":
-        d2 = distribution_from_values(fam.fv_second)
-        phi = float(np.max(fam.dist.p - d2.p))
-        if phi <= 0.0:
-            phi = _PHI_FLOOR
-        return thm5_additive_dominance(fam.dist, d2, phi, alpha, variant)
-    if theorem in ("thm6", "thm6_avg"):
-        return _thm6_report(
-            fam.combination, alpha, variant, theorem == "thm6_avg", 2.0
-        )
-    if theorem == "conn_linear":
-        if fam.spec.kind != "linear":
-            return None
-        return _conn_report(fam.spec, fam.fv, eta, alpha, variant)
-    if theorem == "conn_exp":
-        if fam.spec.kind != "exponential":
-            return None
-        return _conn_report(fam.spec, fam.fv, eta, alpha, variant)
-    raise DomainError(f"unknown theorem id {theorem!r}")
 
 
 def _aggregate(cells: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -455,46 +462,40 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Evaluate every applicable (graph, family, alpha, theorem, variant) cell."""
     start = time.perf_counter()
     corpus, redraws = _corpus_with_stats(cfg)
-    graphs = dict(corpus)
+    by_id = {t.id: t for t in THEOREMS}
+    theorems = [by_id[t] for t in cfg.theorems]
     cells: list[dict[str, Any]] = []
     exemplars: dict[str, list[dict[str, Any]]] = {}
     for gi, (graph_id, g) in enumerate(corpus):
         distances = distance_matrix(g)
         part = vertex_orbits(g)
-        pdist = partition_distribution(part)
-        for fam in _family_rows(cfg, g, gi, distances, pdist):
+        for fam in _family_rows(cfg, g, gi, distances, part):
             for alpha in cfg.alpha_grid:
-                for theorem in cfg.theorems:
-                    if theorem in FUNCTIONAL_THEOREMS and fam.fv is None and fam.error is None:
+                for theorem in theorems:
+                    if theorem.functional and fam.fv is None and fam.error is None:
                         continue
-                    variants = (
-                        cfg.variants if theorem in VARIANT_THEOREMS else ("na",)
-                    )
-                    for variant in variants:
+                    for variant in cfg.variants if theorem.variants else ("na",):
                         if fam.error is not None:
                             cells.append(
                                 _error_cell(
-                                    theorem, variant, alpha, graph_id,
+                                    theorem.id, variant, alpha, graph_id,
                                     fam.label, fam.error,
                                 )
                             )
                             continue
                         try:
-                            report = _reports_for_cell(
-                                theorem, variant, part, pdist, fam, alpha,
-                                distances.eta,
-                            )
+                            report = theorem.evaluate(fam, alpha, variant)
                         except GraphEntropyError as exc:
                             cells.append(
                                 _error_cell(
-                                    theorem, variant, alpha, graph_id,
+                                    theorem.id, variant, alpha, graph_id,
                                     fam.label, str(exc),
                                 )
                             )
                             continue
                         if report is None:
                             continue
-                        cell = _cell(report, theorem, graph_id, fam.label)
+                        cell = _cell(report, theorem.id, graph_id, fam.label)
                         cells.append(cell)
                         if cell["holds"] is False:
                             key = f"{cell['theorem']}|{cell['variant']}"
@@ -503,10 +504,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                                 bucket.append(
                                     {
                                         "cell": cell,
-                                        "edges": [
-                                            list(e)
-                                            for e in graphs[graph_id].sorted_edges()
-                                        ],
+                                        "edges": [list(e) for e in g.sorted_edges()],
                                     }
                                 )
     runtime = time.perf_counter() - start

@@ -37,8 +37,7 @@ from .measures import (
     _resolved_coeffs,
     distribution_from_values,
     distribution_stats,
-    exponential_functional_values,
-    linear_functional_values,
+    functional_values,
     log2_power_sum,
     partition_distribution,
     renyi_entropy,
@@ -137,6 +136,10 @@ def _report(
             slack = lhs - bound
         else:  # equal
             slack = -abs(lhs - bound)
+    if slack is not None and math.isnan(slack):
+        raise DomainError(
+            f"{theorem_id} slack is NaN (lhs {lhs!r}, bound {bound!r})"
+        )
     holds: bool | None = None
     if precondition_met and slack is not None:
         holds = bool(slack >= -tolerance)
@@ -340,31 +343,27 @@ def thm1_refined_bound(
     n = d.size
     h = shannon_entropy(d)
     h_alpha = renyi_entropy(d, alpha)
-    eps_sq = stats.epsilon**2
+    eps_factor = stats.epsilon**2 if use_epsilon else 1.0
     pairs = n * (n - 1)
-    if alpha < 1.0:
-        eps_factor = eps_sq if use_epsilon else 1.0
-        rho_factor = (
-            stats.rho ** abs(alpha - 2.0)
-            if variant == "corrected"
-            else stats.rho ** (alpha - 2.0)
+    exponent = abs(alpha - 2.0) if variant == "corrected" else alpha - 2.0
+    try:
+        rho_factor = stats.rho**exponent
+    except OverflowError:
+        rho_factor = math.inf
+    if math.isinf(stats.rho) or math.isinf(rho_factor):
+        raise DomainError(
+            f"rho ** {exponent:g} overflows a float at rho = {stats.rho:g}"
         )
+    if alpha < 1.0:
         gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
         direction, bound = "upper", h + gap
+    elif variant == "corrected":
+        gap = (alpha - 1.0) * pairs * eps_factor * rho_factor / (2.0 * LN2)
+        direction, bound = "lower", h - gap
     else:
-        if variant == "corrected":
-            eps_factor = eps_sq if use_epsilon else 1.0
-            gap = (
-                (alpha - 1.0)
-                * pairs
-                * eps_factor
-                * stats.rho ** abs(alpha - 2.0)
-                / (2.0 * LN2)
-            )
-        else:
-            # the printed form divides by rho**(alpha-2) and carries no
-            # epsilon**2 in this regime even in the corollary
-            gap = (alpha - 1.0) * pairs / (2.0 * LN2 * stats.rho ** (alpha - 2.0))
+        # the printed form divides by rho**(alpha-2) and carries no
+        # epsilon**2 in this regime even in the corollary
+        gap = (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
         direction, bound = "lower", h - gap
     return _report(
         "thm1_eps" if use_epsilon else "thm1",
@@ -381,16 +380,6 @@ def thm1_refined_bound(
             "shannon": h,
         },
     )
-
-
-def thm1_renyi_shannon_bounds(
-    d: Distribution, alpha: float, variant: str, use_epsilon: bool = False
-) -> list[BoundReport]:
-    """Ordering report plus the refined rho/epsilon bound report."""
-    return [
-        ordering_bound(d, alpha),
-        thm1_refined_bound(d, alpha, variant, use_epsilon=use_epsilon),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +462,7 @@ def thm4_scaled_dominance(
     """H over p1 vs H over p2 assuming p1 <= psi * p2 everywhere.
 
     Corollary mode: derive_psi_from = (S1, S2) sets psi = S2/S1, matching
-    the pointwise dominance f1 <= f2.
+    the pointwise dominance f1 <= f2. Totals and psi must be finite.
     """
     _check_alpha(alpha)
     _check_base(base)
@@ -483,12 +472,12 @@ def thm4_scaled_dominance(
     s1 = s2 = None
     if derive_psi_from is not None:
         s1, s2 = float(derive_psi_from[0]), float(derive_psi_from[1])
-        if s1 <= 0.0 or s2 <= 0.0:
-            raise DomainError("functional totals must be positive")
+        if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
+            raise DomainError("functional totals must be positive and finite")
         psi = s2 / s1
         mode = "corollary"
-    if psi is None or psi <= 0.0:
-        raise DomainError("psi must be positive")
+    if psi is None or not 0.0 < psi < math.inf:
+        raise DomainError("psi must be positive and finite")
     met = bool(np.all(d1.p <= psi * d2.p * (1.0 + _PRE_GUARD)))
     h1 = _to_base(renyi_entropy(d1, alpha), base)
     h2 = _to_base(renyi_entropy(d2, alpha), base)
@@ -628,11 +617,21 @@ def _combine(
     )
 
 
+def _penalty_exp(x: float) -> float:
+    """exp of a thm6 penalty ratio's log; DomainError when it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"thm6 penalty exp({x:g}) overflows a float") from None
+
+
 def _thm6_report(
     comb: _Combination, alpha: float, variant: str, symmetric: bool, base: float
 ) -> BoundReport:
     """thm6 on a validated combination."""
     t1, t2, a1, a2 = comb.t1, comb.t2, comb.a1, comb.a2
+    if a1 == 0.0 or a2 == 0.0:
+        raise DomainError(f"a share A_i underflows to 0 (A1 = {a1!r}, A2 = {a2!r})")
     h_f = _to_base(
         renyi_entropy(distribution_from_values(comb.combined), alpha), base
     )
@@ -647,9 +646,9 @@ def _thm6_report(
     log_a2 = _logb(a2, base)
     if alpha < 1.0:
         direction = "upper"
-        z21 = math.exp(alpha * (t2 - t1) + dtp)
+        z21 = _penalty_exp(alpha * (t2 - t1) + dtp)
         if symmetric:
-            z12 = math.exp(alpha * (t1 - t2) - dtp)
+            z12 = _penalty_exp(alpha * (t1 - t2) - dtp)
             bound = (
                 0.5 * (h1 + h2)
                 + (alpha / (2.0 * (1.0 - alpha))) * (log_a1 + log_a2)
@@ -663,9 +662,9 @@ def _thm6_report(
             )
     else:
         direction = "lower"
-        w21 = math.exp((t2 - t1) + dtp / alpha)
+        w21 = _penalty_exp((t2 - t1) + dtp / alpha)
         if symmetric:
-            w12 = math.exp((t1 - t2) - dtp / alpha)
+            w12 = _penalty_exp((t1 - t2) - dtp / alpha)
             bound = (
                 0.5 * (h1 + h2)
                 - (alpha / (2.0 * (alpha - 1.0))) * (log_a1 + log_a2)
@@ -895,11 +894,7 @@ def connected_functional_bounds(
     if not g.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
     d = distances if distances is not None else distance_matrix(g)
-    if spec.kind == "linear":
-        fv = linear_functional_values(g, spec, distances=d)
-    else:
-        fv = exponential_functional_values(g, spec, distances=d)
-    return _conn_report(spec, fv, d.eta, alpha, variant)
+    return _conn_report(spec, functional_values(g, spec, d), d.eta, alpha, variant)
 
 
 def _conn_report(

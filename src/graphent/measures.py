@@ -198,32 +198,39 @@ def _resolved_coeffs(spec: FunctionalSpec, eta: int) -> np.ndarray:
     return np.asarray(coeffs, dtype=float)
 
 
-def linear_functional_values(
+def functional_values(
     g: Graph, spec: FunctionalSpec, distances: DistanceData | None = None
 ) -> FunctionalValues:
-    """f(v) = sum_j c_j |S_j(v)| on a connected graph."""
-    if spec.kind != "linear":
-        raise DomainError(f"expected a linear spec, got {spec.kind!r}")
+    """Values of the j-sphere functional that spec describes, on a connected graph.
+
+    linear: f(v) = sum_j c_j |S_j(v)|; exponential: f(v) = beta ** (sum_j
+    c_j |S_j(v)|), held as exponent * ln(beta).
+    """
     d = distances if distances is not None else distance_matrix(g)
-    counts = sphere_counts_matrix(g, d)
-    c = _resolved_coeffs(spec, d.eta)
-    raw = counts @ c
+    raw = sphere_counts_matrix(g, d) @ _resolved_coeffs(spec, d.eta)
+    if spec.kind == "exponential":
+        return FunctionalValues(log_values=raw * math.log(spec.beta))
     if raw.size and not np.all(raw > 0.0):
         raise DomainError("linear functional produced a non-positive value")
     return FunctionalValues(log_values=np.log(raw))
 
 
+def linear_functional_values(
+    g: Graph, spec: FunctionalSpec, distances: DistanceData | None = None
+) -> FunctionalValues:
+    """functional_values for a linear spec only."""
+    if spec.kind != "linear":
+        raise DomainError(f"expected a linear spec, got {spec.kind!r}")
+    return functional_values(g, spec, distances)
+
+
 def exponential_functional_values(
     g: Graph, spec: FunctionalSpec, distances: DistanceData | None = None
 ) -> FunctionalValues:
-    """f(v) = beta ** (sum_j c_j |S_j(v)|), held as exponent * ln(beta)."""
+    """functional_values for an exponential spec only."""
     if spec.kind != "exponential":
         raise DomainError(f"expected an exponential spec, got {spec.kind!r}")
-    d = distances if distances is not None else distance_matrix(g)
-    counts = sphere_counts_matrix(g, d)
-    c = _resolved_coeffs(spec, d.eta)
-    exponents = counts @ c
-    return FunctionalValues(log_values=exponents * math.log(spec.beta))
+    return functional_values(g, spec, distances)
 
 
 def distribution_from_values(fv: FunctionalValues) -> Distribution:

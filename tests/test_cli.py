@@ -192,6 +192,20 @@ class TestCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["thm1", "--alpha", "0.25", "--probs", "1,1e-200"],
+            ["thm1", "--alpha", "30", "--variant", "literal", "--probs", "1,1e-20"],
+            ["thm4", "--alpha", "0.5", "--probs1", "0.5,0.5", "--probs2", "0.5,0.5",
+             "--s1", "1", "--s2", "inf"],
+        ],
+    )
+    def test_non_finite_arithmetic_exits_2(self, args):
+        code, out, err = run(["check"] + args)
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1
+
     def test_star_closed_forms_array(self):
         code, out, _ = run(["check", "star", "--alpha", "2", "--n", "4"])
         assert code == 0

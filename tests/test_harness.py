@@ -13,7 +13,8 @@ from graphent import (
     run_sweep,
     summarize_report,
 )
-from graphent.harness import _aggregate
+from graphent import cli
+from graphent.harness import THEOREMS, _aggregate
 
 
 def small_config(**overrides):
@@ -161,6 +162,37 @@ class TestSweep:
         for cell in rep.cells:
             assert list(cell.keys()) == keys
 
+    def test_overflowing_totals_record_error_cells(self):
+        # exponential totals pass 1e308 at n=12, so thm4_cor's psi = S2/S1
+        # cannot be formed; the sweep records that instead of aborting
+        cfg = SweepConfig(
+            seed=1,
+            n_range=(12, 12),
+            edge_probabilities=(0.3,),
+            trials_per_cell=1,
+            alpha_grid=(0.5, 2.0),
+            functional_specs=(
+                FunctionalTemplate("exponential", c_range=(50.0, 100.0), beta=2.0),
+            ),
+        )
+        errors = [c for c in run_sweep(cfg).cells if c["lhs"] is None]
+        assert errors and {c["theorem"] for c in errors} == {"thm4_cor"}
+
+    def test_extreme_config_completes_with_strict_json(self):
+        cfg = SweepConfig(
+            seed=1,
+            n_range=(40, 40),
+            edge_probabilities=(0.3,),
+            trials_per_cell=1,
+            alpha_grid=(0.25, 30.0),
+            functional_specs=(
+                FunctionalTemplate("exponential", c_range=(1.0, 40.0), beta=2.0),
+            ),
+        )
+        rep = run_sweep(cfg)
+        assert rep.aggregates["jensen|na"]["violated"] == 0
+        json.dumps(rep.to_canonical_dict(), allow_nan=False)
+
     def test_aggregate_order_independent(self):
         rep = run_sweep(small_config())
         shuffled = list(rep.cells)
@@ -197,3 +229,30 @@ class TestSummaries:
     def test_unknown_format(self, report):
         with pytest.raises(DomainError):
             summarize_report(report, "yaml")
+
+
+class TestTheoremTable:
+    def test_sweep_cells_follow_the_table(self, report):
+        for theorem in THEOREMS:
+            cells = [c for c in report.cells if c["theorem"] == theorem.id]
+            assert cells, theorem.id
+            variants = {c["variant"] for c in cells}
+            assert (variants == {"na"}) is (not theorem.variants), theorem.id
+            families = {c["params"]["family"] for c in cells}
+            if theorem.functional:
+                assert "orbit" not in families, theorem.id
+        families = {
+            t: {c["params"]["family"] for c in report.cells if c["theorem"] == t}
+            for t in ("conn_linear", "conn_exp")
+        }
+        assert families["conn_linear"] == {"linear"}
+        assert all(f.startswith("exponential_") for f in families["conn_exp"])
+
+    def test_cli_checks_come_from_the_table(self):
+        assert cli._CHECKS == (
+            "ordering", "jensen", "thm1", "thm3", "thm4", "thm5", "thm6", "conn",
+            "star", "wheel", "path",
+        )
+        assert cli._BASE_CHECKS == ("thm3", "thm4", "thm5", "thm6")
+        assert {t.check for t in THEOREMS} == set(cli._CHECKS[:-3])
+        assert {t.check for t in THEOREMS if t.log_base} == set(cli._BASE_CHECKS)

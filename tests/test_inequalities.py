@@ -13,13 +13,13 @@ from graphent import (
     connected_functional_bounds,
     distance_matrix,
     distribution_from_values,
+    functional_values,
     generate_graph,
     jensen_gap_bound,
     lemma_checks,
     linear_functional_values,
     ordering_bound,
     thm1_refined_bound,
-    thm1_renyi_shannon_bounds,
     thm3_partition_vs_functional,
     thm4_scaled_dominance,
     thm5_additive_dominance,
@@ -118,6 +118,12 @@ class TestJensenGap:
         assert r.bound == pytest.approx(expected_bound, abs=1e-12)
         assert r.holds is True
 
+    def test_nan_slack_is_domain_error(self):
+        # x = p**29 underflows to 0 on the 1e-20 atom, so the pair sum is NaN
+        raw = np.array([0.5, 0.5 - 1e-20, 1e-20])
+        with pytest.raises(DomainError):
+            jensen_gap_bound(Distribution(p=raw / raw.sum()), 30.0)
+
     def test_holds_on_random_corpus(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -200,13 +206,17 @@ class TestThm1:
                     r = thm1_refined_bound(d, alpha, "corrected", use_epsilon=use_eps)
                     assert r.holds is True, (d.p, alpha, use_eps)
 
-    def test_operation_emits_ordering_plus_refined(self):
-        reports = thm1_renyi_shannon_bounds(dist(0.9, 0.1), 0.5, "literal")
-        assert [r.theorem_id for r in reports] == ["ordering", "thm1"]
-
     def test_alpha_one_rejected(self):
         with pytest.raises(DomainError):
             thm1_refined_bound(dist(0.5, 0.5), 1.0, "literal")
+
+    @pytest.mark.parametrize(
+        "tail, alpha, variant",
+        [(1e-200, 0.25, "corrected"), (1e-20, 30.0, "literal"), (1e-20, 30.0, "corrected")],
+    )
+    def test_rho_power_overflow_is_domain_error(self, tail, alpha, variant):
+        with pytest.raises(DomainError):
+            thm1_refined_bound(dist(1.0, tail), alpha, variant)
 
 
 class TestThm3:
@@ -285,6 +295,13 @@ class TestThm4:
         direction, bound = sl.sl_thm4_bound([0.4, 0.6], 5 / 3, 2.0)
         assert r.direction == direction
         assert r.bound == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("totals", [(1.0, math.inf), (math.inf, math.inf),
+                                        (1.0, math.nan)])
+    def test_corollary_totals_must_be_finite(self, totals):
+        d = dist(0.5, 0.5)
+        with pytest.raises(DomainError):
+            thm4_scaled_dominance(d, d, None, 0.5, derive_psi_from=totals)
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
@@ -400,6 +417,28 @@ class TestThm6:
         fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         with pytest.raises(DomainError):
             thm6_convex_combination(g, fv, fv, 1.0, 0.0, 0.5, "literal")
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_share_underflow_is_domain_error(self, alpha, symmetric):
+        # A_1 = S_1 / (S_1 + S_2) underflows to 0 once S_2 / S_1 = 2**(50*59)
+        g = generate_graph("path", 60)
+        eta = distance_matrix(g).eta
+        fv1, fv2 = (
+            functional_values(g, FunctionalSpec("exponential", (c,) * eta, 2.0))
+            for c in (50.0, 100.0)
+        )
+        with pytest.raises(DomainError):
+            thm6_convex_combination(
+                g, fv1, fv2, 1.0, 1.0, alpha, "corrected", symmetric=symmetric
+            )
+
+    def test_penalty_overflow_is_domain_error(self):
+        # ln(c2/c1) = 713: A_1 stays a subnormal, exp(713) overflows
+        g = generate_graph("path", 5)
+        fv = functional_values(g, FunctionalSpec("linear", (1.0,) * 4))
+        with pytest.raises(DomainError):
+            thm6_convex_combination(g, fv, fv, 1e-10, 1e300, 2.0, "corrected")
 
     def test_corrected_holds_on_random_functionals(self):
         rng = np.random.default_rng(41)

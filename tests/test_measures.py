@@ -15,6 +15,7 @@ from graphent import (
     distribution_from_values,
     distribution_stats,
     exponential_functional_values,
+    functional_values,
     generate_graph,
     linear_functional_values,
     partition_distribution,
@@ -333,6 +334,8 @@ class TestIsomorphismInvariance:
                 for spec, builder in (
                     (lin, linear_functional_values),
                     (exp, exponential_functional_values),
+                    (lin, functional_values),
+                    (exp, functional_values),
                 ):
                     e_g = renyi_entropy(
                         distribution_from_values(builder(g, spec)), alpha
