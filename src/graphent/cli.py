@@ -291,7 +291,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         reports.extend(class_closed_forms(theorem, args.n, args.alpha, fv=fv))
 
     docs = [r.to_dict() for r in reports]
-    out = json.dumps(docs[0] if len(docs) == 1 else docs)
+    out = json.dumps(docs[0] if len(docs) == 1 else docs, allow_nan=False)
     status = 0
     if args.strict and any(r.holds is False for r in reports):
         status = 1

@@ -348,31 +348,56 @@ def _combine_values(a: FunctionalValues, b: FunctionalValues) -> FunctionalValue
 
 
 def _cell(
-    report: BoundReport, theorem: str, graph_id: str, family: str
+    theorem: str,
+    variant: str,
+    alpha: float,
+    graph_id: str,
+    family: str,
+    outcome: BoundReport | str,
 ) -> dict[str, Any]:
-    """Cell dict keyed by the sweep grid's theorem id (which distinguishes
-    e.g. thm4's psi and corollary modes on top of the operation's own id)."""
-    doc = report.to_dict()
-    doc["theorem"] = theorem
-    params = doc.pop("params")
-    params["family"] = family
-    params["direction"] = doc.pop("direction")
-    params["tolerance"] = doc.pop("tolerance")
-    doc["graph_id"] = graph_id
-    doc["params"] = params
-    # fixed key order for canonical JSON
+    """One sweep cell, in the fixed key order of the canonical JSON.
+
+    theorem is the sweep grid's id (which distinguishes e.g. thm4's psi and
+    corollary modes on top of the operation's own id). outcome is the
+    evaluated report, or the reason the instance could not be evaluated.
+    """
+    if isinstance(outcome, str):
+        holds, met, lhs, bound, slack = None, False, None, None, None
+        params = {"family": family, "reason": outcome}
+    else:
+        holds, met = outcome.holds, outcome.precondition_met
+        lhs, bound, slack = outcome.lhs, outcome.bound, outcome.slack
+        params = {
+            **outcome.params,
+            "family": family,
+            "direction": outcome.direction,
+            "tolerance": outcome.tolerance,
+        }
     return {
-        "theorem": doc["theorem"],
-        "variant": doc["variant"],
-        "alpha": doc["alpha"],
-        "graph_id": doc["graph_id"],
-        "holds": doc["holds"],
-        "precondition_met": doc["precondition_met"],
-        "lhs": doc["lhs"],
-        "bound": doc["bound"],
-        "slack": doc["slack"],
+        "theorem": theorem,
+        "variant": variant,
+        "alpha": alpha,
+        "graph_id": graph_id,
+        "holds": holds,
+        "precondition_met": met,
+        "lhs": lhs,
+        "bound": bound,
+        "slack": slack,
         "params": params,
     }
+
+
+def _evaluate(
+    theorem: Theorem, row: _FamilyData, alpha: float, variant: str
+) -> BoundReport | str | None:
+    """The row's report for one cell, the reason it could not be evaluated,
+    or None when the theorem does not apply to the row."""
+    if row.error is not None:
+        return row.error
+    try:
+        return theorem.evaluate(row, alpha, variant)
+    except GraphEntropyError as exc:
+        return str(exc)
 
 
 def _family_rows(
@@ -393,6 +418,7 @@ def _family_rows(
             )
             fv_a = functional_values(g, spec_a, distances)
             fv_b = functional_values(g, spec_b, distances)
+            dist = distribution_from_values(fv_a)
         except GraphEntropyError as exc:
             rows.append(replace(orbit, label=template.label, dist=None, error=str(exc)))
             continue
@@ -404,7 +430,7 @@ def _family_rows(
             replace(
                 orbit,
                 label=template.label,
-                dist=distribution_from_values(fv_a),
+                dist=dist,
                 fv=fv_a,
                 fv_second=fv_b,
                 spec=spec_a,
@@ -413,24 +439,6 @@ def _family_rows(
             )
         )
     return rows
-
-
-def _error_cell(
-    theorem: str, variant: str, alpha: float, graph_id: str, family: str, reason: str
-) -> dict[str, Any]:
-    """Cell recording an instance that could not be evaluated."""
-    return {
-        "theorem": theorem,
-        "variant": variant,
-        "alpha": alpha,
-        "graph_id": graph_id,
-        "holds": None,
-        "precondition_met": False,
-        "lhs": None,
-        "bound": None,
-        "slack": None,
-        "params": {"family": family, "reason": reason},
-    }
 
 
 def _aggregate(cells: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -475,30 +483,15 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
                     if theorem.functional and fam.fv is None and fam.error is None:
                         continue
                     for variant in cfg.variants if theorem.variants else ("na",):
-                        if fam.error is not None:
-                            cells.append(
-                                _error_cell(
-                                    theorem.id, variant, alpha, graph_id,
-                                    fam.label, fam.error,
-                                )
-                            )
+                        outcome = _evaluate(theorem, fam, alpha, variant)
+                        if outcome is None:
                             continue
-                        try:
-                            report = theorem.evaluate(fam, alpha, variant)
-                        except GraphEntropyError as exc:
-                            cells.append(
-                                _error_cell(
-                                    theorem.id, variant, alpha, graph_id,
-                                    fam.label, str(exc),
-                                )
-                            )
-                            continue
-                        if report is None:
-                            continue
-                        cell = _cell(report, theorem.id, graph_id, fam.label)
+                        cell = _cell(
+                            theorem.id, variant, alpha, graph_id, fam.label, outcome
+                        )
                         cells.append(cell)
                         if cell["holds"] is False:
-                            key = f"{cell['theorem']}|{cell['variant']}"
+                            key = f"{theorem.id}|{variant}"
                             bucket = exemplars.setdefault(key, [])
                             if len(bucket) < EXEMPLAR_CAP:
                                 bucket.append(
@@ -522,7 +515,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
 def summarize_report(report: SweepReport, format: str = "json") -> str:
     """Render a sweep report as canonical JSON, aggregate CSV, or a text table."""
     if format == "json":
-        return json.dumps(report.to_canonical_dict())
+        return json.dumps(report.to_canonical_dict(), allow_nan=False)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GraphEntropyError
 from .graph import DistanceData, Graph, distance_matrix, generate_graph
 from .measures import (
     LN2,
@@ -136,9 +136,15 @@ def _report(
             slack = lhs - bound
         else:  # equal
             slack = -abs(lhs - bound)
-    if slack is not None and math.isnan(slack):
+    # slack is finite only where lhs and bound are; an interval's other end
+    # is not in slack, so it is checked as well
+    ends = interval if interval is not None else ()
+    if (slack is not None and not math.isfinite(slack)) or not all(
+        map(math.isfinite, ends)
+    ):
         raise DomainError(
-            f"{theorem_id} slack is NaN (lhs {lhs!r}, bound {bound!r})"
+            f"{theorem_id} is not finite: lhs {lhs!r}, bound {bound!r}, "
+            f"slack {slack!r}"
         )
     holds: bool | None = None
     if precondition_met and slack is not None:
@@ -305,10 +311,13 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     """
     _check_alpha(alpha)
     p = d.p
-    x = np.exp((alpha - 1.0) * d.log_p)
-    diff = np.subtract.outer(x, x) ** 2
-    weight = np.outer(p, p) / np.outer(x, x)
-    sum_term = float((weight * diff).sum())
+    # a tiny atom at large alpha over- or underflows x; the NaN or inf this
+    # leaves in sum_term becomes a DomainError in _report
+    with np.errstate(all="ignore"):
+        x = np.exp((alpha - 1.0) * d.log_p)
+        diff = np.subtract.outer(x, x) ** 2
+        weight = np.outer(p, p) / np.outer(x, x)
+        sum_term = float((weight * diff).sum())
     gap_bound = sum_term / (2.0 * LN2 * abs(1.0 - alpha))
     h = shannon_entropy(d)
     h_alpha = renyi_entropy(d, alpha)
@@ -325,6 +334,31 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
         direction,
         params={"N": d.size, "shannon": h, "sum_term": sum_term},
     )
+
+
+def _thm1_bound(
+    h: float, alpha: float, variant: str, pairs: int, rho: float, eps_factor: float
+) -> tuple[str, float]:
+    """(direction, bound) of thm1 in the variant thm1_refined_bound describes,
+    for Shannon entropy h, pairs = N(N-1) ordered pairs of atoms and
+    eps_factor epsilon**2 or 1."""
+    exponent = abs(alpha - 2.0) if variant == "corrected" else alpha - 2.0
+    try:
+        rho_factor = rho**exponent
+    except OverflowError:
+        rho_factor = math.inf
+    if math.isinf(rho) or math.isinf(rho_factor):
+        raise DomainError(f"rho ** {exponent:g} overflows a float at rho = {rho:g}")
+    if alpha < 1.0:
+        gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
+        return "upper", h + gap
+    if variant == "corrected":
+        gap = (alpha - 1.0) * pairs * eps_factor * rho_factor / (2.0 * LN2)
+    else:
+        # the printed form divides by rho**(alpha-2) and carries no
+        # epsilon**2 in this regime even in the corollary
+        gap = (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
+    return "lower", h - gap
 
 
 def thm1_refined_bound(
@@ -344,27 +378,9 @@ def thm1_refined_bound(
     h = shannon_entropy(d)
     h_alpha = renyi_entropy(d, alpha)
     eps_factor = stats.epsilon**2 if use_epsilon else 1.0
-    pairs = n * (n - 1)
-    exponent = abs(alpha - 2.0) if variant == "corrected" else alpha - 2.0
-    try:
-        rho_factor = stats.rho**exponent
-    except OverflowError:
-        rho_factor = math.inf
-    if math.isinf(stats.rho) or math.isinf(rho_factor):
-        raise DomainError(
-            f"rho ** {exponent:g} overflows a float at rho = {stats.rho:g}"
-        )
-    if alpha < 1.0:
-        gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
-        direction, bound = "upper", h + gap
-    elif variant == "corrected":
-        gap = (alpha - 1.0) * pairs * eps_factor * rho_factor / (2.0 * LN2)
-        direction, bound = "lower", h - gap
-    else:
-        # the printed form divides by rho**(alpha-2) and carries no
-        # epsilon**2 in this regime even in the corollary
-        gap = (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
-        direction, bound = "lower", h - gap
+    direction, bound = _thm1_bound(
+        h, alpha, variant, n * (n - 1), stats.rho, eps_factor
+    )
     return _report(
         "thm1_eps" if use_epsilon else "thm1",
         variant,
@@ -702,6 +718,30 @@ def _thm6_report(
 # ---------------------------------------------------------------------------
 
 
+def _class_functional_report(
+    alpha: float,
+    fv: FunctionalValues,
+    head: float,
+    offset: float,
+    met: bool,
+    params: dict[str, Any],
+    extra: dict[str, Any],
+) -> BoundReport:
+    """The class bound head - (alpha/(1-alpha)) log2 S - offset on the
+    functional's H_alpha: a lower bound below alpha=1, an upper one above."""
+    log2_s = fv.total_log / LN2
+    return _report(
+        "class_functional_bound",
+        "na",
+        alpha,
+        renyi_entropy(distribution_from_values(fv), alpha),
+        head - (alpha / (1.0 - alpha)) * log2_s - offset,
+        "lower" if alpha < 1.0 else "upper",
+        precondition_met=met,
+        params={**params, "log2_S": log2_s, **extra},
+    )
+
+
 def _star_like_reports(
     kind: str, n: int, alpha: float, part: OrbitPartition, fv: FunctionalValues | None
 ) -> list[BoundReport]:
@@ -714,9 +754,8 @@ def _star_like_reports(
     if not two_orbit:
         base_params["reason"] = "orbit profile is not (1, n-1)"
 
-    closed_renyi = (math.log2(1.0 + (n - 1) ** alpha) - alpha * math.log2(n)) / (
-        1.0 - alpha
-    )
+    log2_sum = math.log2(1.0 + (n - 1) ** alpha)
+    closed_renyi = (log2_sum - alpha * math.log2(n)) / (1.0 - alpha)
     closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
     reports = [
         _report(
@@ -742,20 +781,10 @@ def _star_like_reports(
             params=base_params,
         ),
     ]
+    # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
     rho = float(n - 1)
     for variant in VARIANTS:
-        if alpha < 1.0:
-            rho_factor = rho ** (alpha - 2.0) if variant == "literal" else rho ** abs(
-                alpha - 2.0
-            )
-            bound = closed_shannon + (1.0 - alpha) * rho_factor / LN2
-            direction = "upper"
-        else:
-            if variant == "literal":
-                bound = closed_shannon - (alpha - 1.0) / (rho ** (alpha - 2.0) * LN2)
-            else:
-                bound = closed_shannon - (alpha - 1.0) * rho ** abs(alpha - 2.0) / LN2
-            direction = "lower"
+        direction, bound = _thm1_bound(closed_shannon, alpha, variant, 2, rho, 1.0)
         reports.append(
             _report(
                 "class_gamma_bound",
@@ -769,32 +798,13 @@ def _star_like_reports(
             )
         )
     if fv is not None:
-        if fv.size != n:
-            raise DomainError("functional values must live on the class graph")
         ordered = np.sort(fv.log_values)[::-1]
         met = two_orbit and bool(
             ordered[0] > math.log(n - 1) and ordered[1] > 0.0
         )
-        h_f = renyi_entropy(distribution_from_values(fv), alpha)
-        log2_s = fv.total_log / LN2
-        head = math.log2(1.0 + (n - 1) ** alpha) / (1.0 - alpha)
-        if alpha < 1.0:
-            direction = "lower"
-            bound = head - (alpha / (1.0 - alpha)) * log2_s
-        else:
-            direction = "upper"
-            bound = head + (alpha / (alpha - 1.0)) * log2_s
+        head = log2_sum / (1.0 - alpha)
         reports.append(
-            _report(
-                "class_functional_bound",
-                "na",
-                alpha,
-                h_f,
-                bound,
-                direction,
-                precondition_met=met,
-                params={**base_params, "log2_S": log2_s},
-            )
+            _class_functional_report(alpha, fv, head, 0.0, met, base_params, {})
         )
     return reports
 
@@ -824,32 +834,14 @@ def _path_reports(
         )
     ]
     if fv is not None:
-        if fv.size != n:
-            raise DomainError("functional values must live on the class graph")
         above_two = int(np.count_nonzero(fv.log_values > math.log(2.0)))
         met = even and above_two >= n // 2
-        h_f = renyi_entropy(distribution_from_values(fv), alpha)
-        log2_s = fv.total_log / LN2
-        if alpha < 1.0:
-            direction = "lower"
-            bound = math.log2(n) / (1.0 - alpha) - (alpha / (1.0 - alpha)) * log2_s - 1.0
-        else:
-            direction = "upper"
-            bound = math.log2(n) / (1.0 - alpha) + (alpha / (alpha - 1.0)) * log2_s - 1.0
-        fparams = {**params, "log2_S": log2_s, "vertices_above_two": above_two}
+        extra: dict[str, Any] = {"vertices_above_two": above_two}
         if not even:
-            fparams["reason"] = "stated for the even orbit structure"
+            extra["reason"] = "stated for the even orbit structure"
+        head = math.log2(n) / (1.0 - alpha)
         reports.append(
-            _report(
-                "class_functional_bound",
-                "na",
-                alpha,
-                h_f,
-                bound,
-                direction,
-                precondition_met=met,
-                params=fparams,
-            )
+            _class_functional_report(alpha, fv, head, 1.0, met, params, extra)
         )
     return reports
 
@@ -868,11 +860,20 @@ def class_closed_forms(
     minimum = {"star": 3, "wheel": 4, "path": 2}[kind]
     if n < minimum:
         raise DomainError(f"{kind} closed forms need n >= {minimum}, got {n}")
-    g = generate_graph(kind, n)
-    part = vertex_orbits(g)
-    if kind == "path":
-        return _path_reports(n, alpha, part, fv)
-    return _star_like_reports(kind, n, alpha, part, fv)
+    if fv is not None and fv.size != n:
+        raise DomainError("functional values must live on the class graph")
+    part = vertex_orbits(generate_graph(kind, n))
+    try:
+        if kind == "path":
+            return _path_reports(n, alpha, part, fv)
+        return _star_like_reports(kind, n, alpha, part, fv)
+    except GraphEntropyError:
+        raise
+    except (OverflowError, ValueError):
+        # (n-1)**alpha overflows, or an odd path's power sum underflows to 0
+        raise DomainError(
+            f"{kind} closed forms leave float range at n = {n}, alpha = {alpha:g}"
+        ) from None
 
 
 def connected_functional_bounds(

@@ -207,7 +207,9 @@ def functional_values(
     c_j |S_j(v)|), held as exponent * ln(beta).
     """
     d = distances if distances is not None else distance_matrix(g)
-    raw = sphere_counts_matrix(g, d) @ _resolved_coeffs(spec, d.eta)
+    # a sum past 1e308 is inf, which FunctionalValues rejects
+    with np.errstate(over="ignore"):
+        raw = sphere_counts_matrix(g, d) @ _resolved_coeffs(spec, d.eta)
     if spec.kind == "exponential":
         return FunctionalValues(log_values=raw * math.log(spec.beta))
     if raw.size and not np.all(raw > 0.0):

@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphent import cli
 
 BASE = [sys.executable, "-m", "graphent"]
 
@@ -121,6 +126,16 @@ class TestCompute:
         assert code == 2 and "gaps" in err
 
 
+def _normalized(raw) -> str:
+    p = np.asarray(raw, dtype=float)
+    return ",".join(repr(float(x)) for x in p / p.sum())
+
+
+# p proportional to (1, 1, 10**-10.96): rho**28 ~ 1e307 is finite, but the
+# corrected thm1 gap, 29 * 6 times it, passes 1e308
+THM1_INFINITE_BOUND_PROBS = _normalized([1.0, 1.0, 10**-10.96])
+
+
 class TestCheck:
     def test_literal_counterexample_strict_exit(self):
         code, out, _ = run(
@@ -199,6 +214,13 @@ class TestCheck:
             ["thm1", "--alpha", "30", "--variant", "literal", "--probs", "1,1e-20"],
             ["thm4", "--alpha", "0.5", "--probs1", "0.5,0.5", "--probs2", "0.5,0.5",
              "--s1", "1", "--s2", "inf"],
+            # (n-1)**alpha overflows
+            ["star", "--n", "10", "--alpha", "400"],
+            ["wheel", "--n", "10", "--alpha", "400"],
+            # the odd path's power sum underflows to 0
+            ["path", "--n", "5", "--alpha", "1000"],
+            # a finite rho power, but the gap overflows: bound -inf
+            ["thm1", "--alpha", "30", "--probs", THM1_INFINITE_BOUND_PROBS],
         ],
     )
     def test_non_finite_arithmetic_exits_2(self, args):
@@ -237,6 +259,63 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(out)["holds"] is True
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# alpha log-uniform on [1e-3, 1e3], never 1
+_ALPHA = st.floats(-3.0, 3.0).map(lambda e: 10.0**e).filter(lambda a: a != 1.0)
+
+# ordering/jensen/thm1 on --probs with atoms down to 1e-300
+_DIST_CHECK = st.builds(
+    lambda theorem, atoms, variant, eps: [
+        theorem, "--probs", _normalized(atoms), "--variant", variant,
+    ] + (["--use-epsilon"] if eps and theorem == "thm1" else []),
+    st.sampled_from(("ordering", "jensen", "thm1")),
+    st.lists(st.floats(-300.0, 0.0).map(lambda e: 10.0**e), min_size=1, max_size=6),
+    st.sampled_from(("literal", "corrected")),
+    st.booleans(),
+)
+
+# star/wheel/path closed forms over their valid n, with or without a functional
+_CLASS_CHECK = st.sampled_from((("star", 3), ("wheel", 4), ("path", 2))).flatmap(
+    lambda kind_min: st.builds(
+        lambda n, functional: [kind_min[0], "--n", str(n)] + functional,
+        st.integers(kind_min[1], 40),
+        st.one_of(
+            st.just([]),
+            st.just(["--functional", "linear"]),
+            st.floats(-2.0, 2.0).map(
+                lambda e: ["--functional", "exp", "--beta", repr(10.0**e)]
+            ),
+        ),
+    )
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(check=st.one_of(_DIST_CHECK, _CLASS_CHECK), alpha=_ALPHA, strict=st.booleans())
+@example(check=["star", "--n", "10"], alpha=400.0, strict=False)
+@example(check=["wheel", "--n", "10"], alpha=400.0, strict=False)
+@example(check=["path", "--n", "5"], alpha=1000.0, strict=False)
+@example(check=["thm1", "--probs", THM1_INFINITE_BOUND_PROBS], alpha=30.0, strict=False)
+def test_check_extreme_inputs_keep_the_exit_contract(check, alpha, strict):
+    """No input escapes as a raw exception or numpy warning; the exit code is
+    0, 1 or 2 and stdout on 0/1 is strict JSON."""
+    argv = ["check", *check, "--alpha", repr(alpha)] + (["--strict"] if strict else [])
+    code, out = cli.dispatch(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    else:
+        assert code == 0 or strict
+        _strict_json(out)
 
 
 class TestSweepCommand:

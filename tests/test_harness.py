@@ -178,6 +178,36 @@ class TestSweep:
         errors = [c for c in run_sweep(cfg).cells if c["lhs"] is None]
         assert errors and {c["theorem"] for c in errors} == {"thm4_cor"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_family_rows_record_error_cells(self):
+        # sphere sums past 1e308 (linear) or log values too far apart to
+        # normalize (exponential) fail the whole family row, not the sweep
+        cfg = SweepConfig(
+            seed=1,
+            n_range=(4, 4),
+            edge_probabilities=(),
+            trials_per_cell=1,
+            alpha_grid=(0.5,),
+            functional_specs=(
+                FunctionalTemplate("exponential", c_range=(1e307, 1e308), beta=2.0),
+                FunctionalTemplate("linear", c_range=(1e308, 1.7e308)),
+            ),
+        )
+        rep = run_sweep(cfg)
+        for cell in rep.cells:
+            if cell["params"]["family"] == "orbit":
+                assert cell["lhs"] is not None
+                assert list(cell["params"])[-3:] == ["family", "direction", "tolerance"]
+            else:
+                assert (cell["holds"], cell["precondition_met"]) == (None, False)
+                assert cell["lhs"] is cell["bound"] is cell["slack"] is None
+                assert list(cell["params"]) == ["family", "reason"]
+        assert {c["params"]["family"] for c in rep.cells if c["lhs"] is None} == {
+            "exponential_b2",
+            "linear",
+        }
+        json.loads(summarize_report(rep, "json"))
+
     def test_extreme_config_completes_with_strict_json(self):
         cfg = SweepConfig(
             seed=1,

@@ -118,6 +118,8 @@ class TestJensenGap:
         assert r.bound == pytest.approx(expected_bound, abs=1e-12)
         assert r.holds is True
 
+    # numpy must not warn on the way to the NaN
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_slack_is_domain_error(self):
         # x = p**29 underflows to 0 on the 1e-20 atom, so the pair sum is NaN
         raw = np.array([0.5, 0.5 - 1e-20, 1e-20])
@@ -217,6 +219,14 @@ class TestThm1:
     def test_rho_power_overflow_is_domain_error(self, tail, alpha, variant):
         with pytest.raises(DomainError):
             thm1_refined_bound(dist(1.0, tail), alpha, variant)
+
+    def test_infinite_bound_is_domain_error(self):
+        # rho**28 ~ 1e307 is finite, but the gap times 29 * 6 passes 1e308
+        raw = np.array([1.0, 1.0, 10**-10.96])
+        d = Distribution(p=raw / raw.sum())
+        with pytest.raises(DomainError, match="not finite"):
+            thm1_refined_bound(d, 30.0, "corrected")
+        assert math.isfinite(thm1_refined_bound(d, 30.0, "literal").bound)
 
 
 class TestThm3:
@@ -484,6 +494,25 @@ class TestClassClosedForms:
                     assert r.bound == pytest.approx(bound, abs=1e-12)
                     if r.variant == "corrected":
                         assert r.holds is True
+
+    def test_gamma_bound_is_thm1_on_the_two_orbit_distribution(self):
+        for n in (4, 9, 25):
+            d = dist(1.0 / n, (n - 1) / n)
+            for alpha in (0.25, 0.9, 1.5, 3.0, 20.0):
+                reports = class_closed_forms("star", n, alpha)
+                for r in reports:
+                    if r.theorem_id != "class_gamma_bound":
+                        continue
+                    thm1 = thm1_refined_bound(d, alpha, r.variant)
+                    assert r.direction == thm1.direction
+                    assert r.bound == pytest.approx(thm1.bound, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, n, alpha", [("star", 10, 400.0), ("wheel", 10, 400.0), ("path", 5, 1000.0)]
+    )
+    def test_float_range_exits_are_domain_errors(self, kind, n, alpha):
+        with pytest.raises(DomainError, match="float range"):
+            class_closed_forms(kind, n, alpha)
 
     def test_path_even_exact(self):
         for alpha in (0.25, 0.5, 2.0, 3.0):
