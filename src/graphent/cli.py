@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import GraphEntropyError
+from .errors import DomainError, GraphEntropyError
 from .graph import Graph, generate_graph, parse_edge_list, write_edge_list
 from .harness import THEOREMS, SweepConfig, run_sweep, summarize_report
 from .inequalities import (
@@ -49,10 +49,6 @@ from .orbits import vertex_orbits
 _CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS)) + ("star", "wheel", "path")
 
 _BASE_CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS if t.log_base))
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,19 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_probs(text: str) -> Distribution:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"cannot parse probabilities from {text!r}") from None
-    return Distribution(p=np.array(values))
-
-
-def _parse_coeffs(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise _UsageError(f"cannot parse coefficients from {text!r}") from None
+        raise DomainError(f"cannot parse {what} from {text!r}") from None
+
+
+def _parse_probs(text: str) -> Distribution:
+    return Distribution(p=np.array(_parse_floats(text, "probabilities")))
 
 
 def _round12(value):
@@ -137,15 +129,15 @@ def _round12(value):
     return value
 
 
-def _functional_spec(kind: str, c: str | None, beta: float | None) -> FunctionalSpec:
-    coeffs = _parse_coeffs(c) if c else None
-    if kind == "linear":
-        if beta is not None:
-            raise _UsageError("--beta only applies to the exponential functional")
-        return FunctionalSpec(kind="linear", coeffs=coeffs)
-    if beta is None:
-        raise _UsageError("the exponential functional requires --beta")
-    return FunctionalSpec(kind="exponential", coeffs=coeffs, beta=beta)
+def _functional_spec(
+    kind: str | None, c: str | None, beta: float | None, what: str = "this check"
+) -> FunctionalSpec:
+    """The spec that --functional/--dist kind, --c and --beta describe."""
+    if kind is None:
+        raise DomainError(f"{what} requires --functional linear|exp")
+    coeffs = _parse_floats(c, "coefficients") if c else None
+    kind = "exponential" if kind == "exp" else kind
+    return FunctionalSpec(kind=kind, coeffs=coeffs, beta=beta)
 
 
 def _graph_from_stdin(stdin: str | None, n_override: int | None) -> Graph:
@@ -158,7 +150,7 @@ def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | Non
     """(Distribution, kind-specific extras) for orbits/linear/exp on g."""
     if dist_kind == "orbits":
         if c is not None or beta is not None:
-            raise _UsageError("--c/--beta do not apply to the orbit distribution")
+            raise DomainError("--c/--beta do not apply to the orbit distribution")
         part = vertex_orbits(g)
         return partition_distribution(part), {"orbit_sizes": list(part.sizes)}
     spec = _functional_spec(dist_kind, c, beta)
@@ -175,15 +167,19 @@ def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | Non
     return distribution_from_values(fv), extras
 
 
-def emit_entropy_report(g: Graph, flags: dict) -> str:
-    """JSON entropy report, numbers at 12 significant digits."""
-    dist_kind = flags.get("dist", "orbits")
-    alpha = flags.get("alpha")
-    d, extras = _distribution_for(g, dist_kind, flags.get("c"), flags.get("beta"))
+def emit_entropy_report(g: Graph, args: argparse.Namespace) -> str:
+    """JSON entropy report for `graphent compute`, numbers at 12 significant
+    digits."""
+    alpha = args.alpha
+    d, extras = _distribution_for(g, args.dist, args.c, args.beta)
     stats = distribution_stats(d)
+    if not math.isfinite(stats.rho):
+        raise DomainError(
+            f"rho = max p / min p overflows a float (min p = {d.p.min():g})"
+        )
     doc = {
         "n": g.n,
-        "distribution_kind": "exponential" if dist_kind == "exp" else dist_kind,
+        "distribution_kind": "exponential" if args.dist == "exp" else args.dist,
         "alpha": _round12(alpha) if alpha is not None else None,
         "shannon": _round12(shannon_entropy(d)),
         "renyi": _round12(renyi_entropy(d, alpha)) if alpha is not None else None,
@@ -191,20 +187,13 @@ def emit_entropy_report(g: Graph, flags: dict) -> str:
         "epsilon": _round12(stats.epsilon),
     }
     doc.update(extras)
-    return json.dumps(doc)
-
-
-def _spec_from_flags(kind_flag: str | None, c: str | None, beta: float | None,
-                     what: str) -> FunctionalSpec:
-    if kind_flag is None:
-        raise _UsageError(f"{what} requires --functional linear|exp")
-    return _functional_spec(kind_flag, c, beta)
+    return json.dumps(doc, allow_nan=False)
 
 
 def _run_check(args, stdin: str | None) -> tuple[int, str]:
     base = 2.0 if args.log_base == "2" else math.e
     if args.log_base != "2" and args.theorem not in _BASE_CHECKS:
-        raise _UsageError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
+        raise DomainError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
     reports = []
     theorem = args.theorem
 
@@ -226,22 +215,22 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             )
     elif theorem == "thm3":
         g = _graph_from_stdin(stdin, args.n)
-        spec = _spec_from_flags(args.functional, args.c, args.beta, "thm3")
+        spec = _functional_spec(args.functional, args.c, args.beta, "thm3")
         fv = functional_values(g, spec)
         reports.append(
             thm3_partition_vs_functional(g, vertex_orbits(g), fv, args.alpha, base=base)
         )
     elif theorem == "thm4":
         if args.probs1 is None or args.probs2 is None:
-            raise _UsageError("thm4 requires --probs1 and --probs2")
+            raise DomainError("thm4 requires --probs1 and --probs2")
         d1, d2 = _parse_probs(args.probs1), _parse_probs(args.probs2)
         derive = None
         if args.s1 is not None or args.s2 is not None:
             if args.s1 is None or args.s2 is None:
-                raise _UsageError("corollary mode requires both --s1 and --s2")
+                raise DomainError("corollary mode requires both --s1 and --s2")
             derive = (args.s1, args.s2)
         elif args.psi is None:
-            raise _UsageError("thm4 requires --psi or --s1/--s2")
+            raise DomainError("thm4 requires --psi or --s1/--s2")
         reports.append(
             thm4_scaled_dominance(
                 d1, d2, args.psi, args.alpha, derive_psi_from=derive, base=base
@@ -249,7 +238,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         )
     elif theorem == "thm5":
         if args.probs1 is None or args.probs2 is None or args.phi is None:
-            raise _UsageError("thm5 requires --probs1, --probs2 and --phi")
+            raise DomainError("thm5 requires --probs1, --probs2 and --phi")
         reports.append(
             thm5_additive_dominance(
                 _parse_probs(args.probs1),
@@ -262,13 +251,13 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         )
     elif theorem == "thm6":
         g = _graph_from_stdin(stdin, args.n)
-        spec1 = _spec_from_flags(args.functional, args.c, args.beta, "thm6 (f1)")
-        spec2 = _spec_from_flags(
+        spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")
+        spec2 = _functional_spec(
             args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)"
         )
         fv1, fv2 = functional_values(g, spec1), functional_values(g, spec2)
         if args.c1 is None or args.c2 is None:
-            raise _UsageError("thm6 requires --c1 and --c2")
+            raise DomainError("thm6 requires --c1 and --c2")
         reports.append(
             thm6_convex_combination(
                 g, fv1, fv2, args.c1, args.c2, args.alpha, args.variant,
@@ -277,13 +266,13 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         )
     elif theorem == "conn":
         g = _graph_from_stdin(stdin, args.n)
-        spec = _spec_from_flags(args.functional, args.c, args.beta, "conn")
+        spec = _functional_spec(args.functional, args.c, args.beta, "conn")
         reports.append(
             connected_functional_bounds(g, spec, args.alpha, args.variant)
         )
     else:  # star / wheel / path closed forms
         if args.n is None:
-            raise _UsageError(f"{theorem} closed forms require --n")
+            raise DomainError(f"{theorem} closed forms require --n")
         fv = None
         if args.functional is not None:
             spec = _functional_spec(args.functional, args.c, args.beta)
@@ -309,22 +298,16 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         if args.command == "gen":
             if args.cls == "gnp":
                 if args.p is None or args.seed is None:
-                    raise _UsageError("gnp requires --p and --seed")
+                    raise DomainError("gnp requires --p and --seed")
                 g = generate_graph("gnp", args.n, p=args.p, seed=args.seed)
             else:
                 if args.p is not None or args.seed is not None:
-                    raise _UsageError("--p/--seed only apply to gnp")
+                    raise DomainError("--p/--seed only apply to gnp")
                 g = generate_graph(args.cls, args.n)
             return 0, write_edge_list(g)
         if args.command == "compute":
             g = _graph_from_stdin(stdin, args.n)
-            flags = {
-                "alpha": args.alpha,
-                "dist": args.dist,
-                "c": args.c,
-                "beta": args.beta,
-            }
-            return 0, emit_entropy_report(g, flags) + "\n"
+            return 0, emit_entropy_report(g, args) + "\n"
         if args.command == "check":
             return _run_check(args, stdin)
         if args.command == "sweep":
@@ -340,14 +323,8 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
             ):
                 status = 1
             return status, out
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"graphent: {exc}", file=sys.stderr)
-        return 2, ""
-    except GraphEntropyError as exc:
-        print(f"graphent: {exc}", file=sys.stderr)
-        return 2, ""
-    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"unknown command {args.command!r}")
+    except (GraphEntropyError, OSError, json.JSONDecodeError) as exc:
         print(f"graphent: {exc}", file=sys.stderr)
         return 2, ""
 

@@ -104,10 +104,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs hop distances plus eccentricities and the diameter eta."""
+    """All-pairs hop distances plus the diameter eta."""
 
     dist: np.ndarray
-    ecc: tuple[int, ...]
     eta: int
 
     def __post_init__(self):
@@ -171,14 +170,10 @@ def write_edge_list(g: Graph) -> str:
 
 def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
     draws = rng.random(n * (n - 1) // 2) if n > 1 else np.empty(0)
-    edges = set()
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[idx] < p:
-                edges.add((u, v))
-            idx += 1
-    return edges
+    # one draw per pair u < v, in row-major order
+    us, vs = np.triu_indices(n, k=1)
+    keep = draws < p
+    return set(zip(us[keep].tolist(), vs[keep].tolist()))
 
 
 def generate_gnp_connected(
@@ -264,10 +259,7 @@ def distance_matrix(g: Graph) -> DistanceData:
                     queue.append(w)
     finite = dist[dist >= 0]
     eta = int(finite.max()) if finite.size else 0
-    ecc = tuple(
-        int(dist[v][dist[v] >= 0].max()) if n else 0 for v in range(n)
-    )
-    return DistanceData(dist=dist, ecc=ecc, eta=eta)
+    return DistanceData(dist=dist, eta=eta)
 
 
 def j_sphere_profile(g: Graph, d: DistanceData, v: int) -> SphereProfile:

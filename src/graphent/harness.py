@@ -14,7 +14,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -22,7 +22,9 @@ import numpy as np
 from .errors import DomainError, GraphEntropyError
 from .graph import Graph, distance_matrix, generate_gnp_connected, generate_graph
 from .inequalities import (
+    VARIANTS,
     BoundReport,
+    _check_alpha,
     _combine,
     _Combination,
     _conn_report,
@@ -187,27 +189,18 @@ class FunctionalTemplate:
 
     def __post_init__(self):
         FunctionalSpec(kind=self.kind, beta=self.beta)  # checks kind and beta
-        lo, hi = self.c_range
-        if not 0.0 < lo <= hi:
-            raise DomainError(f"coefficient range must be positive, got {self.c_range}")
-        object.__setattr__(self, "c_range", (float(lo), float(hi)))
+        lo, hi = (float(c) for c in self.c_range)
+        if not 0.0 < lo <= hi < math.inf:
+            raise DomainError(
+                f"coefficient range must be positive and finite, got {self.c_range}"
+            )
+        object.__setattr__(self, "c_range", (lo, hi))
 
     @property
     def label(self) -> str:
         if self.kind == "exponential":
             return f"exponential_b{self.beta:g}"
         return "linear"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "c_range": list(self.c_range), "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionalTemplate":
-        return cls(
-            kind=data["kind"],
-            c_range=tuple(data.get("c_range", (0.5, 2.0))),
-            beta=data.get("beta"),
-        )
 
 
 DEFAULT_TEMPLATES = (
@@ -224,68 +217,85 @@ class SweepConfig:
     edge_probabilities: tuple[float, ...]
     trials_per_cell: int
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    functional_specs: tuple[FunctionalTemplate, ...] = DEFAULT_TEMPLATES
-    variants: tuple[str, ...] = ("literal", "corrected")
+    functional_specs: tuple[FunctionalTemplate, ...] = field(
+        default=DEFAULT_TEMPLATES, metadata={"item": FunctionalTemplate}
+    )
+    variants: tuple[str, ...] = VARIANTS
     theorems: tuple[str, ...] = ALL_THEOREMS
 
     def __post_init__(self):
-        lo, hi = self.n_range
+        lo, hi = (int(n) for n in self.n_range)
         if not 1 <= lo <= hi:
             raise DomainError(f"bad n_range {self.n_range}")
         if hi > ORBIT_CAP:
             raise DomainError(f"n_range exceeds the exact-orbit cap {ORBIT_CAP}")
-        if self.trials_per_cell < 1:
+        trials = int(self.trials_per_cell)
+        if trials < 1:
             raise DomainError("trials_per_cell must be >= 1")
-        if any(a <= 0.0 or a == 1.0 for a in self.alpha_grid):
-            raise DomainError("alpha grid must be positive and exclude 1")
-        if any(not 0.0 <= p <= 1.0 for p in self.edge_probabilities):
+        alpha_grid = tuple(float(a) for a in self.alpha_grid)
+        for alpha in alpha_grid:
+            _check_alpha(alpha)
+        edge_probabilities = tuple(float(p) for p in self.edge_probabilities)
+        if any(not 0.0 <= p <= 1.0 for p in edge_probabilities):
             raise DomainError("edge probabilities must lie in [0, 1]")
         for v in self.variants:
-            if v not in ("literal", "corrected"):
+            if v not in VARIANTS:
                 raise DomainError(f"unknown variant {v!r}")
         for t in self.theorems:
             if t not in ALL_THEOREMS:
                 raise DomainError(f"unknown theorem id {t!r}")
-        object.__setattr__(self, "n_range", (int(lo), int(hi)))
-        object.__setattr__(
-            self, "edge_probabilities", tuple(float(p) for p in self.edge_probabilities)
-        )
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_range", (lo, hi))
+        object.__setattr__(self, "edge_probabilities", edge_probabilities)
+        object.__setattr__(self, "trials_per_cell", trials)
+        object.__setattr__(self, "alpha_grid", alpha_grid)
         object.__setattr__(self, "variants", tuple(self.variants))
         object.__setattr__(self, "theorems", tuple(self.theorems))
         object.__setattr__(self, "functional_specs", tuple(self.functional_specs))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "n_range": list(self.n_range),
-            "edge_probabilities": list(self.edge_probabilities),
-            "trials_per_cell": self.trials_per_cell,
-            "alpha_grid": list(self.alpha_grid),
-            "functional_specs": [t.to_dict() for t in self.functional_specs],
-            "variants": list(self.variants),
-            "theorems": list(self.theorems),
-        }
+        return _encode(self)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SweepConfig":
-        kwargs: dict[str, Any] = {
-            "seed": int(data["seed"]),
-            "n_range": tuple(data["n_range"]),
-            "edge_probabilities": tuple(data["edge_probabilities"]),
-            "trials_per_cell": int(data["trials_per_cell"]),
-        }
-        if "alpha_grid" in data:
-            kwargs["alpha_grid"] = tuple(data["alpha_grid"])
-        if "functional_specs" in data:
-            kwargs["functional_specs"] = tuple(
-                FunctionalTemplate.from_dict(t) for t in data["functional_specs"]
-            )
-        if "variants" in data:
-            kwargs["variants"] = tuple(data["variants"])
-        if "theorems" in data:
-            kwargs["theorems"] = tuple(data["theorems"])
+    def from_dict(cls, data: Any) -> "SweepConfig":
+        return _decode(cls, data)
+
+
+def _encode(value: Any) -> Any:
+    """JSON-ready form of a config value: a dataclass becomes a dict of its
+    fields in declaration order, a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(cls: type, data: Any) -> Any:
+    """cls(**data) for a JSON object of cls's fields; a field whose metadata
+    names an "item" dataclass is a list of those, each decoded in turn.
+
+    A non-object, a missing or unknown field or a value of the wrong shape is
+    a DomainError; a GraphEntropyError from cls's own checks passes through.
+    """
+    name = cls.__name__
+    if not isinstance(data, dict):
+        raise DomainError(f"{name} must be a JSON object, got {type(data).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise DomainError(f"unknown {name} field(s) {unknown}")
+    kwargs = dict(data)
+    try:
+        for k, v in data.items():
+            item = known[k].metadata.get("item")
+            if item is not None:
+                kwargs[k] = tuple(_decode(item, x) for x in v)
         return cls(**kwargs)
+    except GraphEntropyError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {name}: {exc}") from None
 
 
 @dataclass
@@ -340,11 +350,6 @@ def _sample_spec(
     lo, hi = template.c_range
     coeffs = tuple(float(c) for c in rng.uniform(lo, hi, size=eta))
     return FunctionalSpec(kind=template.kind, coeffs=coeffs, beta=template.beta)
-
-
-def _combine_values(a: FunctionalValues, b: FunctionalValues) -> FunctionalValues:
-    """Pointwise sum f_a + f_b, in log space."""
-    return FunctionalValues(log_values=np.logaddexp(a.log_values, b.log_values))
 
 
 def _cell(
@@ -434,7 +439,7 @@ def _family_rows(
                 fv=fv_a,
                 fv_second=fv_b,
                 spec=spec_a,
-                dominating=_combine_values(fv_a, fv_b),
+                dominating=_combine(fv_a, fv_b, 1.0, 1.0).combined,
                 combination=_combine(fv_a, fv_b, float(w[0]), float(w[1])),
             )
         )

@@ -165,8 +165,8 @@ def _report(
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0.0 or alpha == 1.0:
-        raise DomainError(f"alpha must be positive and != 1, got {alpha}")
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise DomainError(f"alpha must be positive, finite and != 1, got {alpha}")
 
 
 def _check_base(base: float) -> None:
@@ -583,8 +583,10 @@ def thm6_convex_combination(
     """
     _check_alpha(alpha)
     _check_base(base)
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise DomainError("combination weights c1, c2 must be positive")
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise DomainError(
+            f"combination weights c1, c2 must be positive and finite, got {c1}, {c2}"
+        )
     if fv1.size != g.n or fv2.size != g.n:
         raise DomainError("functional value sets must live on the graph's vertices")
     return _thm6_report(

@@ -78,9 +78,10 @@ class Distribution:
     @cached_property
     def _stats(self) -> "DistributionStats":
         p = self.p
-        return DistributionStats(
-            rho=float(p.max() / p.min()), epsilon=float(p.max() - p.min())
-        )
+        # rho is inf once the smallest atom is subnormal against the largest
+        with np.errstate(over="ignore"):
+            rho = float(p.max() / p.min())
+        return DistributionStats(rho=rho, epsilon=float(p.max() - p.min()))
 
 
 @dataclass(frozen=True)
@@ -108,12 +109,12 @@ class FunctionalSpec:
             raise DomainError(f"unknown functional kind {self.kind!r}")
         if self.coeffs is not None:
             coeffs = tuple(float(c) for c in self.coeffs)
-            if any(c <= 0.0 for c in coeffs):
-                raise DomainError("all sphere coefficients must be positive")
+            if not all(0.0 < c < math.inf for c in coeffs):
+                raise DomainError("all sphere coefficients must be positive and finite")
             object.__setattr__(self, "coeffs", coeffs)
         if self.kind == "exponential":
-            if self.beta is None or self.beta <= 0.0:
-                raise DomainError("exponential functional requires beta > 0")
+            if self.beta is None or not 0.0 < self.beta < math.inf:
+                raise DomainError("exponential functional requires 0 < beta < inf")
         elif self.beta is not None:
             raise DomainError("beta only applies to the exponential functional")
 
@@ -163,7 +164,13 @@ class FunctionalValues:
     @cached_property
     def distribution(self) -> Distribution:
         """p(v) = exp(ln f(v) - ln sum f), validated once and kept."""
-        return Distribution(p=np.exp(self.log_values - self.total_log))
+        try:
+            return Distribution(p=np.exp(self.log_values - self.total_log))
+        except DomainError as exc:
+            raise DomainError(
+                f"functional values cannot be normalized at ln S = "
+                f"{self.total_log:g}: {exc}"
+            ) from None
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -251,8 +258,8 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
     Powers go through log space; alpha within 1e-9 of 1 returns the
     Shannon limit.
     """
-    if alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if abs(alpha - 1.0) <= ALPHA_ONE_BAND:
         return shannon_entropy(d)
     return log2_power_sum(d, alpha) / (1.0 - alpha) + 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -104,6 +105,22 @@ class TestCompute:
         _, edges, _ = run(["gen", "path", "3"])
         code, _, _ = run(["compute", "--dist", "exp", "--c", "1,1"], edges)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the smallest atom is subnormal, so rho = max p / min p is inf
+            ["--dist", "exp", "--c", "357,1", "--beta", "2.718281828459045",
+             "--alpha", "2"],
+            ["--alpha", "nan"],
+            ["--alpha", "inf"],
+        ],
+    )
+    def test_non_finite_exits_2(self, capsys, args):
+        code, out = cli.dispatch(["compute", *args], stdin="0 1\n0 2\n0 3\n")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1
 
     def test_unknown_flag_rejected(self):
         code, _, _ = run(["compute", "--frobnicate"], "0 1\n")
@@ -228,6 +245,26 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("graphent: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (["ordering", "--alpha", "nan", "--probs", "0.5,0.5"], "alpha must be"),
+            (["thm1", "--alpha", "inf", "--probs", "0.9,0.1"], "alpha must be"),
+            (["thm6", "--alpha", "2", "--functional", "linear", "--c", "2,1",
+              "--f2-functional", "linear", "--f2-c", "1,1", "--c1", "nan", "--c2", "1"],
+             "weights"),
+            (["thm6", "--alpha", "2", "--functional", "linear", "--c", "2,1",
+              "--f2-functional", "linear", "--f2-c", "1,1", "--c1", "1", "--c2", "inf"],
+             "weights"),
+        ],
+    )
+    def test_non_finite_input_names_its_rule(self, capsys, args, match):
+        code, out = cli.dispatch(["check", *args], stdin="0 1\n0 2\n0 3\n")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1
+        assert match in err
+
     def test_star_closed_forms_array(self):
         code, out, _ = run(["check", "star", "--alpha", "2", "--n", "4"])
         assert code == 0
@@ -318,6 +355,14 @@ def test_check_extreme_inputs_keep_the_exit_contract(check, alpha, strict):
         _strict_json(out)
 
 
+def _config_text(drop: str = "", **fields) -> str:
+    """A small sweep config as JSON text, with fields replaced or dropped."""
+    doc = {"seed": 1, "n_range": [3, 4], "edge_probabilities": [], "trials_per_cell": 1}
+    doc.update(fields)
+    doc.pop(drop, None)
+    return json.dumps(doc)
+
+
 class TestSweepCommand:
     @pytest.fixture()
     def config_file(self, tmp_path):
@@ -360,3 +405,29 @@ class TestSweepCommand:
     def test_missing_config(self):
         code, _, err = run(["sweep", "--config", "/nonexistent.json"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(_config_text(drop="seed"), id="missing-seed"),
+            pytest.param(_config_text(seed="x"), id="seed-not-int"),
+            pytest.param(_config_text(n_range=5), id="n_range-not-list"),
+            pytest.param(_config_text(n_range=[3, 4, 5]), id="n_range-three"),
+            pytest.param(f"[{_config_text()}]", id="top-level-list"),
+            pytest.param(_config_text(functional_specs=[{"beta": 2.0}]),
+                         id="template-without-kind"),
+            pytest.param(_config_text(functional_specs=5), id="templates-not-list"),
+            pytest.param(_config_text(alpha_grid=["a"]), id="alpha-not-number"),
+            pytest.param(_config_text(alpha_grid=[math.nan]), id="alpha-nan"),
+            pytest.param(_config_text(alpha_grid=[math.inf]), id="alpha-inf"),
+            # a mistyped field name is not a silent default
+            pytest.param(_config_text(alpha_grdi=[0.5]), id="unknown-field"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out = cli.dispatch(["sweep", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1

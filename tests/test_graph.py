@@ -14,6 +14,7 @@ from graphent import (
     sphere_counts_matrix,
     write_edge_list,
 )
+from graphent.graph import _gnp_edges
 
 
 def floyd_warshall(g):
@@ -124,6 +125,20 @@ class TestGenerators:
     def test_gnp_p1_is_complete(self):
         g = generate_graph("gnp", 6, p=1.0, seed=0)
         assert g.m == 15
+
+    def test_gnp_draws_follow_pair_order(self):
+        # one uniform draw per pair u < v in row-major order, so corpora
+        # stay reproducible across rewrites of the edge loop
+        for n in range(0, 10):
+            for p in (0.0, 0.3, 1.0):
+                for seed in range(3):
+                    draws = iter(np.random.default_rng(seed).random(n * (n - 1) // 2))
+                    expect = {
+                        (u, v) for u in range(n) for v in range(u + 1, n)
+                        if next(draws) < p
+                    }
+                    got = _gnp_edges(n, p, np.random.default_rng(seed))
+                    assert got == expect, (n, p, seed)
 
     def test_gnp_requires_params(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,10 @@ from graphent import (
     summarize_report,
 )
 from graphent import cli
-from graphent.harness import THEOREMS, _aggregate
+from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate
+
+# marks a field to leave out of a config dict
+DROP = object()
 
 
 def small_config(**overrides):
@@ -34,6 +37,48 @@ class TestConfig:
         cfg = small_config()
         assert SweepConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_to_dict_keeps_field_order_and_lists(self):
+        doc = small_config(functional_specs=(FunctionalTemplate("linear"),)).to_dict()
+        assert doc == {
+            "seed": 42,
+            "n_range": [3, 5],
+            "edge_probabilities": [0.5],
+            "trials_per_cell": 2,
+            "alpha_grid": [0.5, 2.0],
+            "functional_specs": [{"kind": "linear", "c_range": [0.5, 2.0], "beta": None}],
+            "variants": ["literal", "corrected"],
+            "theorems": list(ALL_THEOREMS),
+        }
+        assert list(doc) == list(SweepConfig.__dataclass_fields__)
+
+    def test_from_dict_coerces_numbers(self):
+        doc = small_config().to_dict()
+        doc.update(seed="42", trials_per_cell="2", n_range=[3.0, 5])
+        assert SweepConfig.from_dict(doc) == small_config()
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"seed": DROP}, "missing 1 required"),
+            ({"alpha_grdi": [0.5]}, "unknown SweepConfig field"),
+            ({"n_range": 5}, "malformed"),
+            ({"functional_specs": 5}, "malformed"),
+            ({"functional_specs": [{"beta": 2.0}]}, "malformed FunctionalTemplate"),
+            ({"functional_specs": [{"kind": "linear", "c": [1, 2]}]},
+             "unknown FunctionalTemplate field"),
+            ({"functional_specs": [[1, 2]]}, "must be a JSON object"),
+            ({"alpha_grid": [float("nan")]}, "alpha must be"),
+        ],
+    )
+    def test_from_dict_rejects_malformed(self, change, match):
+        doc = {**small_config().to_dict(), **change}
+        with pytest.raises(DomainError, match=match):
+            SweepConfig.from_dict({k: v for k, v in doc.items() if v is not DROP})
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(DomainError, match="must be a JSON object, got list"):
+            SweepConfig.from_dict([small_config().to_dict()])
+
     def test_validation(self):
         with pytest.raises(DomainError):
             small_config(alpha_grid=(0.5, 1.0))
@@ -47,6 +92,9 @@ class TestConfig:
             small_config(theorems=("thm99",))
         with pytest.raises(DomainError):
             small_config(variants=("fixed",))
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="alpha must be"):
+                small_config(alpha_grid=(0.5, alpha))
 
     def test_template_validation(self):
         with pytest.raises(DomainError):
@@ -55,6 +103,8 @@ class TestConfig:
             FunctionalTemplate("linear", beta=2.0)
         with pytest.raises(DomainError):
             FunctionalTemplate("linear", c_range=(0.0, 1.0))
+        with pytest.raises(DomainError):
+            FunctionalTemplate("linear", c_range=(1.0, float("inf")))
 
 
 class TestCorpus:
@@ -206,6 +256,14 @@ class TestSweep:
             "exponential_b2",
             "linear",
         }
+        # complete_4's values pass the finite check but not normalization
+        reasons = {
+            c["params"]["reason"] for c in rep.cells
+            if c["graph_id"] == "complete_4" and c["lhs"] is None
+        }
+        assert len(reasons) == 2
+        assert any(r.startswith("functional values cannot be normalized at ln S = ")
+                   and "probabilities sum to" in r for r in reasons)
         json.loads(summarize_report(rep, "json"))
 
     def test_extreme_config_completes_with_strict_json(self):

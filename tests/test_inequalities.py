@@ -209,8 +209,9 @@ class TestThm1:
                     assert r.holds is True, (d.p, alpha, use_eps)
 
     def test_alpha_one_rejected(self):
-        with pytest.raises(DomainError):
-            thm1_refined_bound(dist(0.5, 0.5), 1.0, "literal")
+        for alpha in (1.0, math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError, match="alpha must be"):
+                thm1_refined_bound(dist(0.5, 0.5), alpha, "literal")
 
     @pytest.mark.parametrize(
         "tail, alpha, variant",
@@ -425,8 +426,9 @@ class TestThm6:
     def test_zero_weight_rejected(self):
         g = generate_graph("star", 4)
         fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
-        with pytest.raises(DomainError):
-            thm6_convex_combination(g, fv, fv, 1.0, 0.0, 0.5, "literal")
+        for c1, c2 in ((1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="weights"):
+                thm6_convex_combination(g, fv, fv, c1, c2, 0.5, "literal")
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     @pytest.mark.parametrize("symmetric", [False, True])

@@ -197,6 +197,11 @@ class TestFunctionals:
             FunctionalSpec("linear", coeffs=(1,), beta=2.0)
         with pytest.raises(DomainError):
             FunctionalSpec("linear", coeffs=(0.0, 1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                FunctionalSpec("linear", coeffs=(bad, 1.0))
+            with pytest.raises(DomainError):
+                FunctionalSpec("exponential", beta=bad)
 
 
 class TestDistributionFromValues:
@@ -212,6 +217,13 @@ class TestDistributionFromValues:
         fv = FunctionalValues(log_values=np.array([800.0, 1.0]))
         assert fv.total == math.inf
         assert fv.total_log == pytest.approx(800.0, abs=1e-12)
+
+    def test_unnormalizable_values_name_the_total(self):
+        # ln f ~ 1e308: exp(ln f - ln S) is 1 for every vertex
+        fv = FunctionalValues(log_values=np.full(4, 1e308))
+        with pytest.raises(DomainError, match=r"cannot be normalized at ln S = 1e\+308: "
+                           r"probabilities sum to"):
+            fv.distribution
 
     def test_huge_log_values_no_overflow(self):
         fv = FunctionalValues(log_values=np.array([1000.0, 1000.0]))
@@ -255,6 +267,9 @@ class TestEntropies:
             renyi_entropy(dist(0.5, 0.5), 0.0)
         with pytest.raises(DomainError):
             renyi_entropy(dist(0.5, 0.5), -1.0)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                renyi_entropy(dist(0.5, 0.5), alpha)
 
     def test_renyi_alpha_one_band(self):
         d = dist(0.3, 0.7)
@@ -267,6 +282,11 @@ class TestEntropies:
         assert s2.rho == pytest.approx(3.0) and s2.epsilon == pytest.approx(0.5)
         s3 = distribution_stats(probs([1, 1, 1]))
         assert s3.rho == 1.0 and s3.epsilon == 0.0
+
+    def test_stats_subnormal_atom_gives_infinite_rho(self):
+        # max p / min p overflows without a numpy warning
+        s = distribution_stats(Distribution(p=np.array([1.0, 5e-310])))
+        assert s.rho == math.inf and s.epsilon == 1.0
 
 
 class TestEntropyProperties:
