@@ -130,11 +130,16 @@ def _round12(value):
 
 
 def _functional_spec(
-    kind: str | None, c: str | None, beta: float | None, what: str = "this check"
+    kind: str | None,
+    c: str | None,
+    beta: float | None,
+    what: str = "this check",
+    flag: str = "--functional",
 ) -> FunctionalSpec:
-    """The spec that --functional/--dist kind, --c and --beta describe."""
+    """The spec that a kind flag (--functional, --f2-functional or --dist),
+    its coefficients and its beta describe; ``flag`` names the kind flag."""
     if kind is None:
-        raise DomainError(f"{what} requires --functional linear|exp")
+        raise DomainError(f"{what} requires {flag} linear|exp")
     coeffs = _parse_floats(c, "coefficients") if c else None
     kind = "exponential" if kind == "exp" else kind
     return FunctionalSpec(kind=kind, coeffs=coeffs, beta=beta)
@@ -253,7 +258,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         g = _graph_from_stdin(stdin, args.n)
         spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")
         spec2 = _functional_spec(
-            args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)"
+            args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)", "--f2-functional"
         )
         fv1, fv2 = functional_values(g, spec1), functional_values(g, spec2)
         if args.c1 is None or args.c2 is None:

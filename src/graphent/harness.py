@@ -75,9 +75,9 @@ class _FamilyData:
 
     label: str
     dist: Distribution | None
-    part: OrbitPartition
+    part: OrbitPartition | None
     # partition_distribution(part)
-    pdist: Distribution
+    pdist: Distribution | None
     # the graph's diameter
     eta: int
     fv: FunctionalValues | None = None
@@ -224,12 +224,12 @@ class SweepConfig:
     theorems: tuple[str, ...] = ALL_THEOREMS
 
     def __post_init__(self):
-        lo, hi = (int(n) for n in self.n_range)
+        lo, hi = (_whole(n, "n_range") for n in self.n_range)
         if not 1 <= lo <= hi:
             raise DomainError(f"bad n_range {self.n_range}")
         if hi > ORBIT_CAP:
             raise DomainError(f"n_range exceeds the exact-orbit cap {ORBIT_CAP}")
-        trials = int(self.trials_per_cell)
+        trials = _whole(self.trials_per_cell, "trials_per_cell")
         if trials < 1:
             raise DomainError("trials_per_cell must be >= 1")
         alpha_grid = tuple(float(a) for a in self.alpha_grid)
@@ -244,7 +244,7 @@ class SweepConfig:
         for t in self.theorems:
             if t not in ALL_THEOREMS:
                 raise DomainError(f"unknown theorem id {t!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         object.__setattr__(self, "n_range", (lo, hi))
         object.__setattr__(self, "edge_probabilities", edge_probabilities)
         object.__setattr__(self, "trials_per_cell", trials)
@@ -259,6 +259,14 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "SweepConfig":
         return _decode(cls, data)
+
+
+def _whole(value: Any, name: str) -> int:
+    """int(value), refusing a float with a fractional part (or no finite
+    value) instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _encode(value: Any) -> Any:
@@ -405,9 +413,16 @@ def _evaluate(
         return str(exc)
 
 
-def _family_rows(
-    cfg: SweepConfig, g: Graph, gi: int, distances, part: OrbitPartition
-) -> list[_FamilyData]:
+def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_FamilyData]:
+    try:
+        part = vertex_orbits(g)
+    except GraphEntropyError as exc:
+        # every cell of the graph reads the orbits, so each becomes an error
+        orbit = _FamilyData(
+            label="orbit", dist=None, part=None, pdist=None, eta=distances.eta,
+            error=str(exc),
+        )
+        return [orbit] + [replace(orbit, label=t.label) for t in cfg.functional_specs]
     pdist = partition_distribution(part)
     orbit = _FamilyData(
         label="orbit", dist=pdist, part=part, pdist=pdist, eta=distances.eta
@@ -480,12 +495,10 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     cells: list[dict[str, Any]] = []
     exemplars: dict[str, list[dict[str, Any]]] = {}
     for gi, (graph_id, g) in enumerate(corpus):
-        distances = distance_matrix(g)
-        part = vertex_orbits(g)
-        for fam in _family_rows(cfg, g, gi, distances, part):
+        for fam in _family_rows(cfg, g, gi, distance_matrix(g)):
             for alpha in cfg.alpha_grid:
                 for theorem in theorems:
-                    if theorem.functional and fam.fv is None and fam.error is None:
+                    if theorem.functional and fam.label == "orbit":
                         continue
                     for variant in cfg.variants if theorem.variants else ("na",):
                         outcome = _evaluate(theorem, fam, alpha, variant)

@@ -1,12 +1,14 @@
 """Exact vertex orbits under the full automorphism group.
 
-The main route refines vertices by invariants (degree, sorted distance
-multiset, then iterated neighbor-class multisets). Refinement never
-over-splits (cells are unions of orbits) but may over-merge, so vertices
-sharing a cell are only united after a backtracking search actually
-exhibits an automorphism mapping one to the other. The brute-force oracle
-enumerates all n! permutations and is the independent ground truth for
-small graphs.
+The main route colors vertices by degree and refines the coloring by
+iterated neighbor-class multisets. Refinement never over-splits (cells are
+unions of orbits) but may over-merge, so vertices sharing a cell are only
+united after a backtracking search actually exhibits an automorphism
+mapping one to the other. The search places the most constrained vertex
+next (McKay & Piperno, "Practical graph isomorphism II", 2014) and gives up
+with CapacityError past ORBIT_NODE_BUDGET nodes, so it is exact and
+bounded. The brute-force oracle enumerates all n! permutations and is the
+independent ground truth for small graphs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import CapacityError, DomainError
-from .graph import Graph, distance_matrix
+from .graph import Graph
 
 ORBIT_CAP = 64
+# Search nodes (a vertex given a candidate image) one vertex_orbits call may
+# visit: over 100x the most any benchmark family or acceptance-corpus graph
+# needs in any labeling tried (4,032, for K_64).
+ORBIT_NODE_BUDGET = 500_000
 BRUTE_FORCE_CAP = 8
 
 
@@ -51,14 +57,6 @@ class OrbitPartition:
         return tuple(len(b) for b in self.blocks)
 
 
-def _canonical_blocks(groups: dict[int, list[int]]) -> OrbitPartition:
-    blocks = sorted(
-        (tuple(sorted(members)) for members in groups.values()),
-        key=lambda b: (len(b), b[0]),
-    )
-    return OrbitPartition(blocks=tuple(blocks))
-
-
 class _DisjointSet:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -76,30 +74,17 @@ class _DisjointSet:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
-    def groups(self, n: int) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v in range(n):
-            out.setdefault(self.find(v), []).append(v)
-        return out
-
-
-def _initial_colors(g: Graph) -> list[int]:
-    d = distance_matrix(g)
-    sigs = []
-    for v in range(g.n):
-        row = tuple(sorted(int(x) for i, x in enumerate(d.dist[v]) if i != v))
-        sigs.append((g.degree(v), row))
-    return _compress(sigs)
+    def partition(self) -> OrbitPartition:
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v), []).append(v)
+        blocks = sorted(map(tuple, groups.values()), key=lambda b: (len(b), b[0]))
+        return OrbitPartition(blocks=tuple(blocks))
 
 
 def _compress(sigs: list) -> list[int]:
     table: dict = {}
-    out = []
-    for s in sigs:
-        if s not in table:
-            table[s] = len(table)
-        out.append(table[s])
-    return out
+    return [table.setdefault(s, len(table)) for s in sigs]
 
 
 def _refine(g: Graph, colors: list[int]) -> list[int]:
@@ -115,81 +100,79 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
         colors = new
 
 
+def _search_order(g: Graph, src: int, cellbits: list[int]) -> list[int]:
+    """src, then repeatedly the unplaced vertex with the most placed
+    neighbors, ties broken by smaller cell, then by smaller index."""
+    order, unplaced = [src], set(range(g.n)) - {src}
+    placed_nbrs = [0] * g.n
+    while unplaced:
+        for x in g.adjacency[order[-1]]:
+            placed_nbrs[x] += 1
+        w = min(unplaced, key=lambda v: (-placed_nbrs[v], cellbits[v].bit_count(), v))
+        order.append(w)
+        unplaced.remove(w)
+    return order
+
+
 def _find_automorphism(
-    g: Graph, colors: list[int], src: int, dst: int
-) -> list[int] | None:
-    """Backtracking search for an automorphism with sigma(src) = dst.
+    g: Graph, adjbits: list[int], cellbits: list[int], order: list[int],
+    dst: int, nodes: int,
+) -> tuple[list[int] | None, int]:
+    """Backtracking search for an automorphism with sigma(order[0]) = dst.
 
-    Candidate images are explored in ascending vertex order so discovered
-    generators are reproducible. Consistency is tracked with adjacency
-    bitmasks: a candidate c for vertex w is viable iff c's already-used
-    neighbors are exactly the images of w's already-assigned neighbors.
+    Vertices are placed in ``order``, and candidate images are tried in
+    ascending vertex order so discovered generators are reproducible. A
+    candidate c for vertex w is viable iff c's already-used neighbors are
+    exactly the images of w's already-placed neighbors. ``nodes`` counts
+    the search nodes the calling vertex_orbits has visited so far; the
+    automorphism (or None) is returned with the updated count.
     """
-    n = g.n
-    adjbits = [0] * n
-    for u, v in g.edges:
-        adjbits[u] |= 1 << v
-        adjbits[v] |= 1 << u
-
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    if colors[src] != colors[dst]:
-        return None
-
-    rest = sorted(
-        (v for v in range(n) if v != src),
-        key=lambda v: (len(cells[colors[v]]), v),
-    )
-    order = [src] + rest
-
-    image = [-1] * n
-    mapped_nbr_bits = [0] * n
+    image = [-1] * g.n
+    mapped_nbr_bits = [0] * g.n
     used_mask = 0
 
-    def assign(w: int, c: int) -> None:
-        nonlocal used_mask
-        image[w] = c
-        used_mask |= 1 << c
-        for x in g.adjacency[w]:
-            mapped_nbr_bits[x] |= 1 << c
-
-    def unassign(w: int, c: int) -> None:
-        nonlocal used_mask
-        image[w] = -1
-        used_mask &= ~(1 << c)
-        for x in g.adjacency[w]:
-            mapped_nbr_bits[x] &= ~(1 << c)
-
     def extend(pos: int) -> bool:
-        if pos == n:
+        nonlocal used_mask, nodes
+        if pos == g.n:
             return True
         w = order[pos]
         want = mapped_nbr_bits[w]
-        for c in cells[colors[w]]:
-            if pos == 0 and c != dst:
-                continue
-            if used_mask >> c & 1:
-                continue
+        # unused cell members, adjacent to the image of one placed neighbor
+        free = cellbits[w] & ~used_mask if pos else 1 << dst
+        if want:
+            free &= adjbits[want.bit_length() - 1]
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
             if adjbits[c] & used_mask != want:
                 continue
-            assign(w, c)
+            nodes += 1
+            if nodes > ORBIT_NODE_BUDGET:
+                raise CapacityError(
+                    f"exact orbit search gave up after {nodes} search nodes "
+                    f"(budget {ORBIT_NODE_BUDGET})"
+                )
+            image[w] = c
+            used_mask |= bit
+            for x in g.adjacency[w]:
+                mapped_nbr_bits[x] |= bit
             if extend(pos + 1):
                 return True
-            unassign(w, c)
+            used_mask &= ~bit
+            for x in g.adjacency[w]:
+                mapped_nbr_bits[x] &= ~bit
         return False
 
-    if extend(0):
-        return image
-    return None
+    return (image if extend(0) else None), nodes
 
 
 def vertex_orbits(g: Graph, cap: int = ORBIT_CAP) -> OrbitPartition:
     """Exact orbits of the automorphism group.
 
     Exactness is non-negotiable, so graphs beyond the cap (default 64
-    vertices) raise CapacityError instead of degrading to the refinement
-    cells alone.
+    vertices) or whose search visits more than ORBIT_NODE_BUDGET nodes raise
+    CapacityError instead of degrading to the refinement cells alone.
     """
     if g.n < 1:
         raise DomainError("vertex orbits need n >= 1")
@@ -197,24 +180,37 @@ def vertex_orbits(g: Graph, cap: int = ORBIT_CAP) -> OrbitPartition:
         raise CapacityError(
             f"exact orbit computation capped at n = {cap}, got {g.n}"
         )
-    colors = _refine(g, _initial_colors(g))
-
+    colors = _refine(g, [g.degree(v) for v in range(g.n)])
     cells: dict[int, list[int]] = {}
     for v in range(g.n):
         cells.setdefault(colors[v], []).append(v)
+    bits = {color: sum(1 << w for w in cell) for color, cell in cells.items()}
+    cellbits = [bits[color] for color in colors]
+    adjbits = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
 
     dsu = _DisjointSet(g.n)
-    for color in sorted(cells):
-        members = sorted(cells[color])
-        rep = members[0]
-        for v in members[1:]:
-            if dsu.find(v) == dsu.find(rep):
+    orders: dict[int, list[int]] = {}
+    nodes = 0
+    for cell in cells.values():
+        # A cell may hold several orbits: each vertex joins the orbit of the
+        # first representative an automorphism maps to it, or starts its own.
+        reps: list[int] = []
+        for v in cell:
+            if any(dsu.find(v) == dsu.find(r) for r in reps):
                 continue
-            sigma = _find_automorphism(g, colors, rep, v)
-            if sigma is not None:
-                for w, img in enumerate(sigma):
-                    dsu.union(w, img)
-    return _canonical_blocks(dsu.groups(g.n))
+            for r in reps:
+                if r not in orders:
+                    orders[r] = _search_order(g, r, cellbits)
+                sigma, nodes = _find_automorphism(
+                    g, adjbits, cellbits, orders[r], v, nodes
+                )
+                if sigma is not None:
+                    for w, img in enumerate(sigma):
+                        dsu.union(w, img)
+                    break
+            else:
+                reps.append(v)
+    return dsu.partition()
 
 
 def brute_force_orbits(g: Graph) -> OrbitPartition:
@@ -234,4 +230,4 @@ def brute_force_orbits(g: Graph) -> OrbitPartition:
         ):
             for w in range(g.n):
                 dsu.union(w, perm[w])
-    return _canonical_blocks(dsu.groups(g.n))
+    return dsu.partition()

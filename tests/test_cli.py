@@ -285,6 +285,15 @@ class TestCheck:
         assert doc["params"]["bound_lower"] == pytest.approx(1.0)
         assert doc["params"]["bound_upper"] == pytest.approx(3.0)
 
+    def test_thm6_without_f2_functional_names_that_flag(self):
+        code, out, err = run(
+            ["check", "thm6", "--alpha", "2", "--functional", "linear",
+             "--c", "2,1", "--c1", "1", "--c2", "1"],
+            "0 1\n0 2\n0 3\n",
+        )
+        assert code == 2 and out == ""
+        assert err == "graphent: thm6 (f2) requires --f2-functional linear|exp\n"
+
     def test_thm6_pipe(self):
         _, edges, _ = run(["gen", "wheel", "5"])
         code, out, _ = run(

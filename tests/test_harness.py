@@ -13,6 +13,7 @@ from graphent import (
     run_sweep,
     summarize_report,
 )
+import graphent.orbits as orbits
 from graphent import cli
 from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate
 
@@ -68,6 +69,12 @@ class TestConfig:
              "unknown FunctionalTemplate field"),
             ({"functional_specs": [[1, 2]]}, "must be a JSON object"),
             ({"alpha_grid": [float("nan")]}, "alpha must be"),
+            ({"seed": 1.9, "n_range": [3.7, 4.2], "trials_per_cell": 2.5},
+             "must be a whole number"),
+            ({"seed": 1.9}, "seed must be a whole number, got 1.9"),
+            ({"seed": float("inf")}, "seed must be a whole number, got inf"),
+            ({"n_range": [3, 4.2]}, "n_range must be a whole number, got 4.2"),
+            ({"trials_per_cell": 2.5}, "trials_per_cell must be a whole number"),
         ],
     )
     def test_from_dict_rejects_malformed(self, change, match):
@@ -264,6 +271,36 @@ class TestSweep:
         assert len(reasons) == 2
         assert any(r.startswith("functional values cannot be normalized at ln S = ")
                    and "probabilities sum to" in r for r in reasons)
+        json.loads(summarize_report(rep, "json"))
+
+    def test_orbit_budget_gives_error_cells_not_an_abort(self, monkeypatch):
+        # path_2 and complete_2; each orbit search needs 2 nodes
+        cfg = SweepConfig(
+            seed=1,
+            n_range=(2, 2),
+            edge_probabilities=(),
+            trials_per_cell=1,
+            alpha_grid=(0.5,),
+        )
+        full = run_sweep(cfg)
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 1)
+        rep = run_sweep(cfg)
+        assert rep.corpus_size == 2 and {c["graph_id"] for c in rep.cells} == {
+            "path_2",
+            "complete_2",
+        }
+
+        def key(c):
+            return c["theorem"], c["variant"], c["alpha"], c["graph_id"], c["params"]["family"]
+
+        # an error row cannot tell which theorems would not apply, so it
+        # covers every cell the graph has when its orbits are known
+        assert {key(c) for c in full.cells} <= {key(c) for c in rep.cells}
+        for cell in rep.cells:
+            assert (cell["holds"], cell["precondition_met"]) == (None, False)
+            assert cell["params"]["reason"] == (
+                "exact orbit search gave up after 2 search nodes (budget 1)"
+            )
         json.loads(summarize_report(rep, "json"))
 
     def test_extreme_config_completes_with_strict_json(self):

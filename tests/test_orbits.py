@@ -1,14 +1,34 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+import graphent.orbits as orbits
 from graphent import (
     CapacityError,
     Graph,
     brute_force_orbits,
+    cli,
     distance_matrix,
     generate_graph,
     vertex_orbits,
 )
+
+
+def _relabeled(g, seed):
+    return g.relabel(np.random.default_rng(seed).permutation(g.n).tolist())
+
+
+def _battery():
+    graphs = []
+    for n in range(3, 8):
+        graphs.append(generate_graph("star", n))
+        graphs.append(generate_graph("path", n))
+        graphs.append(generate_graph("cycle", n))
+        if n >= 4:
+            graphs.append(generate_graph("wheel", n))
+        graphs.append(generate_graph("complete", n))
+    return graphs
 
 
 class TestExamples:
@@ -56,16 +76,23 @@ class TestBruteForce:
 
 class TestAgainstOracle:
     def test_battery(self):
-        graphs = []
-        for n in range(3, 8):
-            graphs.append(generate_graph("star", n))
-            graphs.append(generate_graph("path", n))
-            graphs.append(generate_graph("cycle", n))
-            if n >= 4:
-                graphs.append(generate_graph("wheel", n))
-            graphs.append(generate_graph("complete", n))
-        for g in graphs:
+        for g in _battery():
             assert vertex_orbits(g).blocks == brute_force_orbits(g).blocks
+
+    def test_relabeled_battery(self):
+        for i, g in enumerate(_battery()):
+            for seed in range(3):
+                h = _relabeled(g, 100 * i + seed)
+                assert vertex_orbits(h).blocks == brute_force_orbits(h).blocks
+
+    def test_cell_holding_two_orbits(self):
+        # C_3 + C_4: every vertex has degree 2, so refinement leaves one cell
+        # and the search must split it into both orbits
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        for seed in range(6):
+            h = _relabeled(g, seed)
+            assert vertex_orbits(h).blocks == brute_force_orbits(h).blocks
+            assert vertex_orbits(h).sizes == (3, 4)
 
     def test_random_connected(self):
         rng = np.random.default_rng(99)
@@ -166,3 +193,99 @@ class TestHardSymmetricGraphs:
         assert vertex_orbits(generate_graph("complete", 64)).sizes == (64,)
         assert vertex_orbits(generate_graph("wheel", 64)).sizes == (1, 63)
         assert vertex_orbits(generate_graph("path", 64)).k == 32
+
+
+def _hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(
+        n, [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
+    )
+
+
+def _torus(a, b):
+    def vid(i, j):
+        return (i % a) * b + (j % b)
+
+    return Graph.from_edges(
+        a * b,
+        [(vid(i, j), vid(i + di, j + dj))
+         for i in range(a) for j in range(b) for di, dj in ((1, 0), (0, 1))],
+    )
+
+
+def _kneser(n, k):
+    verts = [set(s) for s in combinations(range(n), k)]
+    return Graph.from_edges(
+        len(verts),
+        [(i, j) for i, j in combinations(range(len(verts)), 2)
+         if not verts[i] & verts[j]],
+    )
+
+
+# Edge sets of K_8 that Seidel-switch the triangular graph T(8) into the
+# three Chang graphs: a perfect matching, C_3 + C_5, and C_8.
+_CHANG_SWITCH = (
+    ((0, 1), (2, 3), (4, 5), (6, 7)),
+    ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)),
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)),
+)
+
+
+def _chang(index):
+    pairs = list(combinations(range(8), 2))
+    switch = {pairs.index(tuple(sorted(e))) for e in _CHANG_SWITCH[index]}
+    edges = []
+    for i, j in combinations(range(len(pairs)), 2):
+        adjacent = bool(set(pairs[i]) & set(pairs[j]))
+        if (i in switch) != (j in switch):
+            adjacent = not adjacent
+        if adjacent:
+            edges.append((i, j))
+    return Graph.from_edges(len(pairs), edges)
+
+
+class TestRelabeledSymmetricGraphs:
+    """Orbit sizes do not depend on the labeling. In a random labeling these
+    graphs defeated a search that placed vertices in index order."""
+
+    @pytest.mark.parametrize(
+        "build, sizes",
+        [
+            (lambda: generate_graph("cycle", 28), (28,)),
+            (lambda: _hypercube(6), (64,)),
+            (lambda: _hypercube(5), (32,)),
+            (lambda: _torus(5, 5), (25,)),
+            (lambda: _kneser(7, 3), (35,)),
+            (lambda: _kneser(8, 3), (56,)),
+            # not vertex-transitive: the switching set's stabilizer in S_8
+            # fixes the orbits, and K_4 counts per vertex tell them apart
+            (lambda: _chang(0), (4, 24)),
+            (lambda: _chang(1), (10, 18)),
+            (lambda: _chang(2), (4, 24)),
+            (lambda: generate_graph("wheel", 20), (1, 19)),
+        ],
+        ids=[
+            "cycle_28", "hypercube_6", "hypercube_5", "torus_5x5", "kneser_7x3",
+            "kneser_8x3", "chang_0", "chang_1", "chang_2", "wheel_20",
+        ],
+    )
+    def test_sizes_in_six_labelings(self, build, sizes):
+        g = build()
+        for seed in range(6):
+            assert vertex_orbits(_relabeled(g, seed)).sizes == sizes
+
+
+class TestNodeBudget:
+    def test_over_budget_names_the_node_count(self, monkeypatch):
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 3)
+        with pytest.raises(CapacityError, match="after 4 search nodes"):
+            vertex_orbits(generate_graph("cycle", 6))
+
+    def test_compute_over_budget_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 3)
+        edges = "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
+        code, out = cli.dispatch(["compute", "--dist", "orbits"], stdin=edges)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1
+        assert "search nodes" in err
