@@ -11,7 +11,7 @@ from graphent import (
     FunctionalSpec,
     generate_graph,
     jensen_gap_bound,
-    linear_functional_values,
+    functional_values,
     ordering_bound,
     partition_distribution,
     thm1_refined_bound,
@@ -46,10 +46,10 @@ show(thm1_refined_bound(d, ALPHA, "literal"))
 show(thm1_refined_bound(d, ALPHA, "corrected"))
 show(thm1_refined_bound(d, ALPHA, "corrected", use_epsilon=True))
 
-fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
 show(thm3_partition_vs_functional(g, part, fv, ALPHA))
 
-fv2 = linear_functional_values(g, FunctionalSpec("linear", coeffs=(1, 2)))
+fv2 = functional_values(g, FunctionalSpec("linear", coeffs=(1, 2)))
 d1 = distribution_from_values(fv)
 d2 = distribution_from_values(fv2)
 psi = float(max(d1.p / d2.p))

@@ -329,7 +329,9 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
                 status = 1
             return status, out
         raise DomainError(f"unknown command {args.command!r}")
-    except (GraphEntropyError, OSError, json.JSONDecodeError) as exc:
+    except (
+        GraphEntropyError, OSError, json.JSONDecodeError, UnicodeDecodeError
+    ) as exc:
         print(f"graphent: {exc}", file=sys.stderr)
         return 2, ""
 

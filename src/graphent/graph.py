@@ -113,14 +113,6 @@ class DistanceData:
         self.dist.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SphereProfile:
-    """Counts |S_j(v)| for j = 1..eta, zero-padded up to the diameter."""
-
-    vertex: int
-    counts: tuple[int, ...]
-
-
 def parse_edge_list(text: str, n: int | None = None) -> Graph:
     """Parse whitespace-separated "u v" lines into a Graph.
 
@@ -129,7 +121,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
     the id set must be dense (gaps rejected); with ``n`` given, ids only
     need to stay below it.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     seen_ids: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -146,17 +138,20 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             raise ParseError(f"negative vertex id in {line!r}", lineno)
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-        edges.add((min(u, v), max(u, v)))
+        edges.append((u, v))
         seen_ids.update((u, v))
 
     max_id = max(seen_ids) if seen_ids else -1
     if n is None:
         n = max_id + 1
-        if seen_ids and seen_ids != set(range(n)):
-            missing = sorted(set(range(n)) - seen_ids)
+        if len(seen_ids) != n:
+            # the first few missing ids, found in the gaps between seen ones
+            ids = sorted(seen_ids)
+            gaps = (range(a + 1, min(b, a + 4)) for a, b in zip([-1] + ids, ids))
+            first = [i for gap in gaps for i in gap][:3]
             raise ValidationError(
-                f"vertex ids have gaps (missing {missing}); pass n explicitly "
-                "to allow isolated vertices"
+                f"vertex ids have gaps ({n - len(seen_ids)} missing, first "
+                f"{first}); pass n explicitly to allow isolated vertices"
             )
     elif n < max_id + 1:
         raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
@@ -262,18 +257,9 @@ def distance_matrix(g: Graph) -> DistanceData:
     return DistanceData(dist=dist, eta=eta)
 
 
-def j_sphere_profile(g: Graph, d: DistanceData, v: int) -> SphereProfile:
-    """|S_j(v)| for j = 1..eta. Requires a connected graph."""
-    if not g.is_connected():
-        raise DomainError("j-sphere profiles are undefined on disconnected graphs")
-    if not 0 <= v < g.n:
-        raise DomainError(f"vertex {v} outside 0..{g.n - 1}")
-    counts = np.bincount(d.dist[v].astype(np.int64), minlength=d.eta + 1)
-    return SphereProfile(vertex=v, counts=tuple(int(c) for c in counts[1:]))
-
-
 def sphere_counts_matrix(g: Graph, d: DistanceData) -> np.ndarray:
-    """Rows are j-sphere profiles: entry (v, j-1) = |S_j(v)|."""
+    """Rows are j-sphere profiles: entry (v, j-1) = |S_j(v)| for j = 1..eta,
+    zero-padded up to the diameter. Requires a connected graph."""
     if not g.is_connected():
         raise DomainError("j-sphere profiles are undefined on disconnected graphs")
     out = np.zeros((g.n, d.eta), dtype=np.int64)

@@ -37,6 +37,7 @@ from .inequalities import (
     thm5_additive_dominance,
 )
 from .measures import (
+    FUNCTIONAL_KINDS,
     Distribution,
     FunctionalSpec,
     FunctionalValues,
@@ -74,6 +75,8 @@ class _FamilyData:
     values its cells read, built once here instead of once per cell."""
 
     label: str
+    # "orbit" or the template's functional kind; picks the row's theorems
+    kind: str
     dist: Distribution | None
     part: OrbitPartition | None
     # partition_distribution(part)
@@ -115,33 +118,29 @@ def _thm5(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
     return thm5_additive_dominance(row.dist, d2, phi, alpha, variant)
 
 
-def _conn(kind: str) -> Callable[[_FamilyData, float, str], BoundReport | None]:
-    """The connected-graph interval, on rows whose functional is `kind`."""
+def _conn(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+    return _conn_report(row.spec, row.fv, row.eta, alpha, variant)
 
-    def evaluate(row: _FamilyData, alpha: float, variant: str) -> BoundReport | None:
-        if row.spec.kind != kind:
-            return None
-        return _conn_report(row.spec, row.fv, row.eta, alpha, variant)
 
-    return evaluate
+ROW_KINDS = ("orbit",) + FUNCTIONAL_KINDS
 
 
 @dataclass(frozen=True)
 class Theorem:
     """One sweep id of the bound catalog.
 
-    check is the `graphent check` subcommand that evaluates it. variants
-    marks a literal/corrected split (otherwise its one variant is "na"),
-    functional an id that needs a functional family (so none on the orbit
-    row), log_base a check taking --log-base. evaluate builds the report
-    for one row, or None when the id does not apply to that row.
+    check is the `graphent check` subcommand that evaluates it. evaluate
+    builds the report for one row; kinds are the row kinds it applies to,
+    so a row of another kind emits no cell for it. variants marks a
+    literal/corrected split (otherwise its one variant is "na"), log_base
+    a check taking --log-base.
     """
 
     id: str
     check: str
-    evaluate: Callable[[_FamilyData, float, str], BoundReport | None]
+    evaluate: Callable[[_FamilyData, float, str], BoundReport]
+    kinds: tuple[str, ...] = ROW_KINDS
     variants: bool = False
-    functional: bool = False
     log_base: bool = False
 
 
@@ -160,20 +159,20 @@ THEOREMS = (
     Theorem("thm3", "thm3",
             lambda row, alpha, variant: _thm3_report(
                 row.part, row.pdist, row.fv, alpha, 2.0),
-            functional=True, log_base=True),
-    Theorem("thm4", "thm4", _thm4, functional=True, log_base=True),
-    Theorem("thm4_cor", "thm4", _thm4_cor, functional=True, log_base=True),
-    Theorem("thm5", "thm5", _thm5, variants=True, functional=True, log_base=True),
+            FUNCTIONAL_KINDS, log_base=True),
+    Theorem("thm4", "thm4", _thm4, FUNCTIONAL_KINDS, log_base=True),
+    Theorem("thm4_cor", "thm4", _thm4_cor, FUNCTIONAL_KINDS, log_base=True),
+    Theorem("thm5", "thm5", _thm5, FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6", "thm6",
             lambda row, alpha, variant: _thm6_report(
                 row.combination, alpha, variant, False, 2.0),
-            variants=True, functional=True, log_base=True),
+            FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6_avg", "thm6",
             lambda row, alpha, variant: _thm6_report(
                 row.combination, alpha, variant, True, 2.0),
-            variants=True, functional=True, log_base=True),
-    Theorem("conn_linear", "conn", _conn("linear"), variants=True, functional=True),
-    Theorem("conn_exp", "conn", _conn("exponential"), variants=True, functional=True),
+            FUNCTIONAL_KINDS, variants=True, log_base=True),
+    Theorem("conn_linear", "conn", _conn, ("linear",), variants=True),
+    Theorem("conn_exp", "conn", _conn, ("exponential",), variants=True),
 )
 
 ALL_THEOREMS = tuple(t.id for t in THEOREMS)
@@ -400,32 +399,22 @@ def _cell(
     }
 
 
-def _evaluate(
-    theorem: Theorem, row: _FamilyData, alpha: float, variant: str
-) -> BoundReport | str | None:
-    """The row's report for one cell, the reason it could not be evaluated,
-    or None when the theorem does not apply to the row."""
-    if row.error is not None:
-        return row.error
-    try:
-        return theorem.evaluate(row, alpha, variant)
-    except GraphEntropyError as exc:
-        return str(exc)
-
-
 def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_FamilyData]:
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
         # every cell of the graph reads the orbits, so each becomes an error
         orbit = _FamilyData(
-            label="orbit", dist=None, part=None, pdist=None, eta=distances.eta,
-            error=str(exc),
+            label="orbit", kind="orbit", dist=None, part=None, pdist=None,
+            eta=distances.eta, error=str(exc),
         )
-        return [orbit] + [replace(orbit, label=t.label) for t in cfg.functional_specs]
+        return [orbit] + [
+            replace(orbit, label=t.label, kind=t.kind) for t in cfg.functional_specs
+        ]
     pdist = partition_distribution(part)
     orbit = _FamilyData(
-        label="orbit", dist=pdist, part=part, pdist=pdist, eta=distances.eta
+        label="orbit", kind="orbit", dist=pdist, part=part, pdist=pdist,
+        eta=distances.eta,
     )
     rows = [orbit]
     for ti, template in enumerate(cfg.functional_specs):
@@ -440,7 +429,12 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
             fv_b = functional_values(g, spec_b, distances)
             dist = distribution_from_values(fv_a)
         except GraphEntropyError as exc:
-            rows.append(replace(orbit, label=template.label, dist=None, error=str(exc)))
+            rows.append(
+                replace(
+                    orbit, label=template.label, kind=template.kind, dist=None,
+                    error=str(exc),
+                )
+            )
             continue
         rng_w = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_FUNCTIONAL, gi, ti, _PURPOSE_WEIGHTS])
@@ -450,6 +444,7 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
             replace(
                 orbit,
                 label=template.label,
+                kind=template.kind,
                 dist=dist,
                 fv=fv_a,
                 fv_second=fv_b,
@@ -496,28 +491,31 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     exemplars: dict[str, list[dict[str, Any]]] = {}
     for gi, (graph_id, g) in enumerate(corpus):
         for fam in _family_rows(cfg, g, gi, distance_matrix(g)):
+            plan = [
+                (theorem, variant)
+                for theorem in theorems
+                if fam.kind in theorem.kinds
+                for variant in (cfg.variants if theorem.variants else ("na",))
+            ]
             for alpha in cfg.alpha_grid:
-                for theorem in theorems:
-                    if theorem.functional and fam.label == "orbit":
-                        continue
-                    for variant in cfg.variants if theorem.variants else ("na",):
-                        outcome = _evaluate(theorem, fam, alpha, variant)
-                        if outcome is None:
-                            continue
-                        cell = _cell(
-                            theorem.id, variant, alpha, graph_id, fam.label, outcome
-                        )
-                        cells.append(cell)
-                        if cell["holds"] is False:
-                            key = f"{theorem.id}|{variant}"
-                            bucket = exemplars.setdefault(key, [])
-                            if len(bucket) < EXEMPLAR_CAP:
-                                bucket.append(
-                                    {
-                                        "cell": cell,
-                                        "edges": [list(e) for e in g.sorted_edges()],
-                                    }
-                                )
+                for theorem, variant in plan:
+                    if fam.error is not None:
+                        outcome = fam.error
+                    else:
+                        try:
+                            outcome = theorem.evaluate(fam, alpha, variant)
+                        except GraphEntropyError as exc:
+                            outcome = str(exc)
+                    cell = _cell(
+                        theorem.id, variant, alpha, graph_id, fam.label, outcome
+                    )
+                    cells.append(cell)
+                    if cell["holds"] is False:
+                        key = f"{theorem.id}|{variant}"
+                        bucket = exemplars.setdefault(key, [])
+                        if len(bucket) < EXEMPLAR_CAP:
+                            edges = [list(e) for e in g.sorted_edges()]
+                            bucket.append({"cell": cell, "edges": edges})
     runtime = time.perf_counter() - start
     return SweepReport(
         config=cfg,

@@ -304,7 +304,8 @@ def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
 
 
 def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
-    """Sound intermediate step: |H_alpha - H| <= sum-term / (2 ln2 |1-alpha|).
+    """Sound intermediate step: H + sum-term / (2 ln2 (1-alpha)) bounds
+    H_alpha from above below alpha=1 and from below above it.
 
     The sum runs over ordered pairs with x = p**(alpha-1), exactly as the
     Jensen-gap extension instantiates it.
@@ -318,20 +319,14 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
         diff = np.subtract.outer(x, x) ** 2
         weight = np.outer(p, p) / np.outer(x, x)
         sum_term = float((weight * diff).sum())
-    gap_bound = sum_term / (2.0 * LN2 * abs(1.0 - alpha))
     h = shannon_entropy(d)
-    h_alpha = renyi_entropy(d, alpha)
-    if alpha < 1.0:
-        direction, bound = "upper", h + gap_bound
-    else:
-        direction, bound = "lower", h - gap_bound
     return _report(
         "jensen",
         "na",
         alpha,
-        h_alpha,
-        bound,
-        direction,
+        renyi_entropy(d, alpha),
+        h + sum_term / (2.0 * LN2 * (1.0 - alpha)),
+        "upper" if alpha < 1.0 else "lower",
         params={"N": d.size, "shannon": h, "sum_term": sum_term},
     )
 
@@ -349,16 +344,13 @@ def _thm1_bound(
         rho_factor = math.inf
     if math.isinf(rho) or math.isinf(rho_factor):
         raise DomainError(f"rho ** {exponent:g} overflows a float at rho = {rho:g}")
-    if alpha < 1.0:
-        gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
-        return "upper", h + gap
-    if variant == "corrected":
-        gap = (alpha - 1.0) * pairs * eps_factor * rho_factor / (2.0 * LN2)
-    else:
+    if alpha > 1.0 and variant == "literal":
         # the printed form divides by rho**(alpha-2) and carries no
         # epsilon**2 in this regime even in the corollary
-        gap = (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
-    return "lower", h - gap
+        return "lower", h - (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
+    # (1 - alpha) carries the regime's sign, so the gap is subtracted above 1
+    gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
+    return ("upper" if alpha < 1.0 else "lower"), h + gap
 
 
 def thm1_refined_bound(
@@ -443,19 +435,13 @@ def _thm3_report(
     h_gamma = _to_base(renyi_entropy(pdist, alpha), base)
     h_f = _to_base(renyi_entropy(distribution_from_values(fv), alpha), base)
     log_ratio = (fv.total_log - math.log(n)) / math.log(base)
-    if alpha < 1.0:
-        direction = "upper"
-        bound = h_f + (alpha / (1.0 - alpha)) * log_ratio
-    else:
-        direction = "lower"
-        bound = h_f - (alpha / (alpha - 1.0)) * log_ratio
     return _report(
         "thm3",
         "na",
         alpha,
         h_gamma,
-        bound,
-        direction,
+        h_f + (alpha / (1.0 - alpha)) * log_ratio,
+        "upper" if alpha < 1.0 else "lower",
         precondition_met=met,
         params={
             "k": k,
@@ -497,11 +483,8 @@ def thm4_scaled_dominance(
     met = bool(np.all(d1.p <= psi * d2.p * (1.0 + _PRE_GUARD)))
     h1 = _to_base(renyi_entropy(d1, alpha), base)
     h2 = _to_base(renyi_entropy(d2, alpha), base)
-    log_psi = _logb(psi, base)
-    if alpha < 1.0:
-        direction, bound = "upper", h2 + (alpha / (1.0 - alpha)) * log_psi
-    else:
-        direction, bound = "lower", h2 - (alpha / (alpha - 1.0)) * log_psi
+    bound = h2 + (alpha / (1.0 - alpha)) * _logb(psi, base)
+    direction = "upper" if alpha < 1.0 else "lower"
     params: dict[str, Any] = {
         "psi": float(psi),
         "mode": mode,
@@ -909,6 +892,8 @@ def _conn_report(
 ) -> BoundReport:
     """Connected-graph interval for validated inputs; fv holds spec's values
     on a connected graph of diameter eta."""
+    if eta < 1:
+        raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
     c_max, c_min = float(coeffs.max()), float(coeffs.min())

@@ -224,24 +224,6 @@ def functional_values(
     return FunctionalValues(log_values=np.log(raw))
 
 
-def linear_functional_values(
-    g: Graph, spec: FunctionalSpec, distances: DistanceData | None = None
-) -> FunctionalValues:
-    """functional_values for a linear spec only."""
-    if spec.kind != "linear":
-        raise DomainError(f"expected a linear spec, got {spec.kind!r}")
-    return functional_values(g, spec, distances)
-
-
-def exponential_functional_values(
-    g: Graph, spec: FunctionalSpec, distances: DistanceData | None = None
-) -> FunctionalValues:
-    """functional_values for an exponential spec only."""
-    if spec.kind != "exponential":
-        raise DomainError(f"expected an exponential spec, got {spec.kind!r}")
-    return functional_values(g, spec, distances)
-
-
 def distribution_from_values(fv: FunctionalValues) -> Distribution:
     """Normalize via log-sum-exp: p(v) = exp(ln f(v) - ln sum f)."""
     return fv.distribution

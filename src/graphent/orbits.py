@@ -167,18 +167,18 @@ def _find_automorphism(
     return (image if extend(0) else None), nodes
 
 
-def vertex_orbits(g: Graph, cap: int = ORBIT_CAP) -> OrbitPartition:
+def vertex_orbits(g: Graph) -> OrbitPartition:
     """Exact orbits of the automorphism group.
 
-    Exactness is non-negotiable, so graphs beyond the cap (default 64
-    vertices) or whose search visits more than ORBIT_NODE_BUDGET nodes raise
+    Exactness is non-negotiable, so graphs beyond ORBIT_CAP (64 vertices)
+    or whose search visits more than ORBIT_NODE_BUDGET nodes raise
     CapacityError instead of degrading to the refinement cells alone.
     """
     if g.n < 1:
         raise DomainError("vertex orbits need n >= 1")
-    if g.n > cap:
+    if g.n > ORBIT_CAP:
         raise CapacityError(
-            f"exact orbit computation capped at n = {cap}, got {g.n}"
+            f"exact orbit computation capped at n = {ORBIT_CAP}, got {g.n}"
         )
     colors = _refine(g, [g.degree(v) for v in range(g.n)])
     cells: dict[int, list[int]] = {}

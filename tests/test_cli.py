@@ -142,6 +142,13 @@ class TestCompute:
         code, _, err = run(["compute"], "0 2\n")
         assert code == 2 and "gaps" in err
 
+    def test_sparse_ids_give_a_short_error(self):
+        # the gap check and its message scale with the edges, not the largest id
+        code, out, err = run(["compute"], "0 1\n1 3000000\n")
+        assert code == 2 and out == ""
+        assert err.startswith("graphent: ") and err.count("\n") == 1
+        assert "gaps (2999998 missing" in err and len(err.encode()) < 200
+
 
 def _normalized(raw) -> str:
     p = np.asarray(raw, dtype=float)
@@ -284,6 +291,17 @@ class TestCheck:
         assert code == 0 and doc["holds"] is True
         assert doc["params"]["bound_lower"] == pytest.approx(1.0)
         assert doc["params"]["bound_upper"] == pytest.approx(3.0)
+
+    def test_conn_on_one_vertex_exits_2(self):
+        code, out, err = run(
+            ["check", "conn", "--functional", "exp", "--beta", "2", "--alpha", "2",
+             "--n", "1"],
+            "\n",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "graphent: connected-graph bounds need at least one edge (diameter 0)\n"
+        )
 
     def test_thm6_without_f2_functional_names_that_flag(self):
         code, out, err = run(
@@ -431,11 +449,14 @@ class TestSweepCommand:
             pytest.param(_config_text(alpha_grid=[math.inf]), id="alpha-inf"),
             # a mistyped field name is not a silent default
             pytest.param(_config_text(alpha_grdi=[0.5]), id="unknown-field"),
+            # not UTF-8: a UTF-16 byte-order mark and UTF-16 text
+            pytest.param(b"\xff\xfe" + _config_text().encode("utf-16-le"),
+                         id="not-utf-8"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out = cli.dispatch(["sweep", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and out == ""

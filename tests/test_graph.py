@@ -9,7 +9,6 @@ from graphent import (
     ValidationError,
     distance_matrix,
     generate_graph,
-    j_sphere_profile,
     parse_edge_list,
     sphere_counts_matrix,
     write_edge_list,
@@ -208,17 +207,17 @@ class TestSpheres:
     def test_s4_leaf(self):
         g = generate_graph("star", 4)
         d = distance_matrix(g)
-        assert j_sphere_profile(g, d, 1).counts == (1, 2)
+        assert tuple(sphere_counts_matrix(g, d)[1]) == (1, 2)
 
     def test_s4_center_padded(self):
         g = generate_graph("star", 4)
         d = distance_matrix(g)
-        assert j_sphere_profile(g, d, 0).counts == (3, 0)
+        assert tuple(sphere_counts_matrix(g, d)[0]) == (3, 0)
 
     def test_p4_endpoint(self):
         g = generate_graph("path", 4)
         d = distance_matrix(g)
-        assert j_sphere_profile(g, d, 0).counts == (1, 1, 1)
+        assert tuple(sphere_counts_matrix(g, d)[0]) == (1, 1, 1)
 
     def test_counts_sum_to_n_minus_1(self):
         for seed in range(8):
@@ -231,7 +230,7 @@ class TestSpheres:
         g = Graph.from_edges(3, [(0, 1)])
         d = distance_matrix(g)
         with pytest.raises(DomainError):
-            j_sphere_profile(g, d, 0)
+            sphere_counts_matrix(g, d)
 
 
 class TestGraphInvariants:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,10 @@ from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate
 
 # marks a field to leave out of a config dict
 DROP = object()
+
+
+def _cell_key(c):
+    return c["theorem"], c["variant"], c["alpha"], c["graph_id"], c["params"]["family"]
 
 
 def small_config(**overrides):
@@ -251,6 +256,17 @@ class TestSweep:
             ),
         )
         rep = run_sweep(cfg)
+        working = replace(
+            cfg,
+            functional_specs=(
+                FunctionalTemplate("exponential", beta=2.0),
+                FunctionalTemplate("linear"),
+            ),
+        )
+        # an error row emits exactly the cells of a working row of its kind
+        assert [_cell_key(c) for c in rep.cells] == [
+            _cell_key(c) for c in run_sweep(working).cells
+        ]
         for cell in rep.cells:
             if cell["params"]["family"] == "orbit":
                 assert cell["lhs"] is not None
@@ -290,17 +306,36 @@ class TestSweep:
             "complete_2",
         }
 
-        def key(c):
-            return c["theorem"], c["variant"], c["alpha"], c["graph_id"], c["params"]["family"]
-
-        # an error row cannot tell which theorems would not apply, so it
-        # covers every cell the graph has when its orbits are known
-        assert {key(c) for c in full.cells} <= {key(c) for c in rep.cells}
+        # each error row carries its template's kind, so it covers exactly
+        # the cells the graph has when its orbits are known
+        assert len(full.cells) == 114
+        assert [_cell_key(c) for c in rep.cells] == [_cell_key(c) for c in full.cells]
         for cell in rep.cells:
             assert (cell["holds"], cell["precondition_met"]) == (None, False)
             assert cell["params"]["reason"] == (
                 "exact orbit search gave up after 2 search nodes (budget 1)"
             )
+        json.loads(summarize_report(rep, "json"))
+
+    def test_one_vertex_graphs_give_error_cells(self):
+        # diameter 0: no sphere coefficients, so the linear functional is 0
+        # and the connected-graph interval has nothing to span
+        rep = run_sweep(
+            SweepConfig(
+                seed=1, n_range=(1, 1), edge_probabilities=(0.5,), trials_per_cell=1
+            )
+        )
+        assert {c["graph_id"] for c in rep.cells} == {"gnp_n1_p0.5_t0"}
+        reasons = {c["params"]["family"]: c["params"]["reason"]
+                   for c in rep.cells if c["lhs"] is None}
+        no_edge = "connected-graph bounds need at least one edge (diameter 0)"
+        assert reasons == {
+            "linear": "linear functional produced a non-positive value",
+            "exponential_b0.5": no_edge,
+            "exponential_b2": no_edge,
+        }
+        # per alpha: 6 cells on the orbit row and 17 on each functional row
+        assert len(rep.cells) == 8 * (6 + 3 * 17)
         json.loads(summarize_report(rep, "json"))
 
     def test_extreme_config_completes_with_strict_json(self):
@@ -363,9 +398,8 @@ class TestTheoremTable:
             assert cells, theorem.id
             variants = {c["variant"] for c in cells}
             assert (variants == {"na"}) is (not theorem.variants), theorem.id
-            families = {c["params"]["family"] for c in cells}
-            if theorem.functional:
-                assert "orbit" not in families, theorem.id
+            kinds = {c["params"]["family"].split("_")[0] for c in cells}
+            assert kinds == set(theorem.kinds), theorem.id
         families = {
             t: {c["params"]["family"] for c in report.cells if c["theorem"] == t}
             for t in ("conn_linear", "conn_exp")

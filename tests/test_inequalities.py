@@ -17,7 +17,6 @@ from graphent import (
     generate_graph,
     jensen_gap_bound,
     lemma_checks,
-    linear_functional_values,
     ordering_bound,
     thm1_refined_bound,
     thm3_partition_vs_functional,
@@ -233,7 +232,7 @@ class TestThm1:
 class TestThm3:
     def test_s4_frozen_example(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         r = thm3_partition_vs_functional(g, vertex_orbits(g), fv, 0.5)
         assert r.precondition_met
         assert r.lhs == pytest.approx(THM3_S4_LHS, abs=1e-12)
@@ -249,7 +248,7 @@ class TestThm3:
 
     def test_k4_single_block(self):
         g = generate_graph("complete", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2.0,)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2.0,)))
         for alpha in (0.5, 2.0):
             r = thm3_partition_vs_functional(g, vertex_orbits(g), fv, alpha)
             assert r.precondition_met and r.holds is True
@@ -257,7 +256,7 @@ class TestThm3:
 
     def test_matches_straightline(self):
         g = generate_graph("wheel", 6)
-        fv = linear_functional_values(
+        fv = functional_values(
             g, FunctionalSpec("linear", coeffs=(1.7, 0.9))
         )
         part = vertex_orbits(g)
@@ -386,7 +385,7 @@ class TestThm5:
 class TestThm6:
     def test_equal_components_slack_one_below_one(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         r = thm6_convex_combination(g, fv, fv, 0.5, 0.5, 0.5, "literal")
         assert r.params["A1"] == pytest.approx(0.5, abs=1e-15)
         assert r.slack == pytest.approx(1.0, abs=1e-12)
@@ -394,14 +393,14 @@ class TestThm6:
 
     def test_equal_components_equality_above_one(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         r = thm6_convex_combination(g, fv, fv, 0.5, 0.5, 2.0, "literal")
         assert r.slack == pytest.approx(0.0, abs=1e-12)
         assert r.holds is True
 
     def test_s4_against_straightline(self):
         g = generate_graph("star", 4)
-        fv1 = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv1 = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         fv2 = FunctionalValues.from_values([5.0] * 4)
         f1 = fv1.values.tolist()
         f2 = fv2.values.tolist()
@@ -425,7 +424,7 @@ class TestThm6:
 
     def test_zero_weight_rejected(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         for c1, c2 in ((1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(DomainError, match="weights"):
                 thm6_convex_combination(g, fv, fv, c1, c2, 0.5, "literal")
@@ -459,8 +458,8 @@ class TestThm6:
             d = distance_matrix(g)
             c_a = tuple(rng.uniform(0.5, 2.0, d.eta))
             c_b = tuple(rng.uniform(0.5, 2.0, d.eta))
-            fv1 = linear_functional_values(g, FunctionalSpec("linear", coeffs=c_a), d)
-            fv2 = linear_functional_values(g, FunctionalSpec("linear", coeffs=c_b), d)
+            fv1 = functional_values(g, FunctionalSpec("linear", coeffs=c_a), d)
+            fv2 = functional_values(g, FunctionalSpec("linear", coeffs=c_b), d)
             c1, c2 = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
             for alpha in (0.25, 0.9, 1.5, 3.0):
                 for symmetric in (False, True):
@@ -555,7 +554,7 @@ class TestClassClosedForms:
 
     def test_star_functional_bound(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         for alpha in (0.5, 2.0):
             reports = class_closed_forms("star", 4, alpha, fv=fv)
             r = next(r for r in reports if r.theorem_id == "class_functional_bound")

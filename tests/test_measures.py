@@ -14,10 +14,8 @@ from graphent import (
     distance_matrix,
     distribution_from_values,
     distribution_stats,
-    exponential_functional_values,
     functional_values,
     generate_graph,
-    linear_functional_values,
     partition_distribution,
     renyi_entropy,
     shannon_entropy,
@@ -128,7 +126,7 @@ class TestMemoizedDerivedValues:
 class TestFunctionals:
     def test_linear_s4(self):
         g = generate_graph("star", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         assert fv.values.tolist() == [6.0, 4.0, 4.0, 4.0]
         assert fv.total == pytest.approx(18.0, abs=1e-12)
         # cross-check against (2 c1 + c2 (n - 2)) (n - 1)
@@ -137,39 +135,39 @@ class TestFunctionals:
     def test_equal_coeffs_constant(self):
         g = generate_graph("gnp", 7, p=0.5, seed=9)
         eta = distance_matrix(g).eta
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(1.5,) * eta))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(1.5,) * eta))
         assert np.allclose(fv.values, 1.5 * (g.n - 1), atol=1e-12)
 
     def test_p4_all_ones(self):
         g = generate_graph("path", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear", coeffs=(1, 1, 1)))
+        fv = functional_values(g, FunctionalSpec("linear", coeffs=(1, 1, 1)))
         assert fv.values[0] == pytest.approx(3.0)
         assert fv.values[1] == pytest.approx(3.0)
 
     def test_coeff_length_mismatch(self):
         g = generate_graph("star", 4)
         with pytest.raises(DomainError):
-            linear_functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
+            functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
 
     def test_disconnected_rejected(self):
         from graphent import Graph
 
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(DomainError):
-            linear_functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
+            functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
 
     def test_default_coefficients(self):
         assert default_coefficients(3) == (3.0, 2.0, 1.0)
         g = generate_graph("path", 4)
-        fv = linear_functional_values(g, FunctionalSpec("linear"))
-        expected = linear_functional_values(
+        fv = functional_values(g, FunctionalSpec("linear"))
+        expected = functional_values(
             g, FunctionalSpec("linear", coeffs=(3, 2, 1))
         )
         assert np.allclose(fv.values, expected.values)
 
     def test_exponential_p3_uniform(self):
         g = generate_graph("path", 3)
-        fv = exponential_functional_values(
+        fv = functional_values(
             g, FunctionalSpec("exponential", coeffs=(1, 1), beta=2.0)
         )
         d = distribution_from_values(fv)
@@ -178,14 +176,14 @@ class TestFunctionals:
     def test_exponential_beta_one_uniform(self):
         g = generate_graph("gnp", 6, p=0.6, seed=1)
         eta = distance_matrix(g).eta
-        fv = exponential_functional_values(
+        fv = functional_values(
             g, FunctionalSpec("exponential", coeffs=tuple(range(1, eta + 1)), beta=1.0)
         )
         assert np.allclose(distribution_from_values(fv).p, 1 / g.n, atol=1e-15)
 
     def test_exponential_s4_uniform(self):
         g = generate_graph("star", 4)
-        fv = exponential_functional_values(
+        fv = functional_values(
             g, FunctionalSpec("exponential", coeffs=(1, 1), beta=2.0)
         )
         assert np.allclose(distribution_from_values(fv).p, 0.25, atol=1e-15)
@@ -320,10 +318,10 @@ class TestEntropyProperties:
         eta = distance_matrix(g).eta
         base = tuple(float(j) for j in range(1, eta + 1))
         d1 = distribution_from_values(
-            linear_functional_values(g, FunctionalSpec("linear", coeffs=base))
+            functional_values(g, FunctionalSpec("linear", coeffs=base))
         )
         d2 = distribution_from_values(
-            linear_functional_values(
+            functional_values(
                 g, FunctionalSpec("linear", coeffs=tuple(t * c for c in base))
             )
         )
@@ -351,16 +349,11 @@ class TestIsomorphismInvariance:
                 assert shannon_entropy(d_g) == pytest.approx(
                     shannon_entropy(d_h), abs=1e-12
                 )
-                for spec, builder in (
-                    (lin, linear_functional_values),
-                    (exp, exponential_functional_values),
-                    (lin, functional_values),
-                    (exp, functional_values),
-                ):
+                for spec in (lin, exp):
                     e_g = renyi_entropy(
-                        distribution_from_values(builder(g, spec)), alpha
+                        distribution_from_values(functional_values(g, spec)), alpha
                     )
                     e_h = renyi_entropy(
-                        distribution_from_values(builder(h, spec)), alpha
+                        distribution_from_values(functional_values(h, spec)), alpha
                     )
                     assert e_g == pytest.approx(e_h, abs=1e-12)
