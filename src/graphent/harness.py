@@ -1,10 +1,11 @@
 """Seeded graph corpora and full-grid sweeps over the bound catalog.
 
 A sweep walks (graph, family, alpha, theorem, variant) cells in a fixed
-order, emitting exactly one report per cell. Randomness is derived per cell
-coordinate from the config seed, so scheduling cannot change sampled
-coefficients and equal configs reproduce byte-identical canonical JSON
-(runtime is kept out of the canonical form).
+order, emitting exactly one report per cell; each (graph, family, theorem,
+variant) column is evaluated over the whole alpha grid in one call.
+Randomness is derived per cell coordinate from the config seed, so
+scheduling cannot change sampled coefficients and equal configs reproduce
+byte-identical canonical JSON (runtime is kept out of the canonical form).
 """
 
 from __future__ import annotations
@@ -15,26 +16,33 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GraphEntropyError
-from .graph import Graph, distance_matrix, generate_gnp_connected, generate_graph
+from .graph import (
+    GNP_MAX_REDRAWS,
+    Graph,
+    distance_matrix,
+    generate_gnp_connected,
+    generate_graph,
+)
 from .inequalities import (
     VARIANTS,
-    BoundReport,
+    Column,
+    Outcome,
     _check_alpha,
     _combine,
     _Combination,
-    _conn_report,
-    _thm3_report,
-    _thm6_report,
-    jensen_gap_bound,
-    ordering_bound,
-    thm1_refined_bound,
-    thm4_scaled_dominance,
-    thm5_additive_dominance,
+    _conn_column,
+    _jensen_column,
+    _ordering_column,
+    _thm1_column,
+    _thm3_column,
+    _thm4_column,
+    _thm5_column,
+    _thm6_column,
 )
 from .measures import (
     FUNCTIONAL_KINDS,
@@ -93,33 +101,34 @@ class _FamilyData:
     error: str | None = None
 
 
-# Evaluators take (row, alpha, variant). Corpus graphs with functional
-# values are connected and share one vertex set, so they skip the public
-# wrappers' checks where a private report builder exists.
+# Evaluators take (row, alphas, variant) and call the theorem's column core
+# once for the whole grid. Corpus graphs with functional values are
+# connected and share one vertex set, and the config has checked every
+# alpha, so the public operations' input checks are skipped.
 
 
-def _thm4(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+def _thm4(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
     d2 = distribution_from_values(row.fv_second)
     psi = float(np.max(row.dist.p / d2.p))
-    return thm4_scaled_dominance(row.dist, d2, psi, alpha)
+    return _thm4_column(row.dist, d2, psi, None, alphas, 2.0)
 
 
-def _thm4_cor(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+def _thm4_cor(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
     d2 = distribution_from_values(row.dominating)
     totals = (row.fv.total, row.dominating.total)
-    return thm4_scaled_dominance(row.dist, d2, None, alpha, derive_psi_from=totals)
+    return _thm4_column(row.dist, d2, None, totals, alphas, 2.0)
 
 
-def _thm5(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
+def _thm5(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
     d2 = distribution_from_values(row.fv_second)
     phi = float(np.max(row.dist.p - d2.p))
     if phi <= 0.0:
         phi = _PHI_FLOOR
-    return thm5_additive_dominance(row.dist, d2, phi, alpha, variant)
+    return _thm5_column(row.dist, d2, phi, alphas, variant, 2.0)
 
 
-def _conn(row: _FamilyData, alpha: float, variant: str) -> BoundReport:
-    return _conn_report(row.spec, row.fv, row.eta, alpha, variant)
+def _conn(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
+    return _conn_column(row.spec, row.fv, row.eta, alphas, variant)
 
 
 ROW_KINDS = ("orbit",) + FUNCTIONAL_KINDS
@@ -130,7 +139,8 @@ class Theorem:
     """One sweep id of the bound catalog.
 
     check is the `graphent check` subcommand that evaluates it. evaluate
-    builds the report for one row; kinds are the row kinds it applies to,
+    runs its column core on one row over the alpha grid, one outcome per
+    alpha; kinds are the row kinds it applies to,
     so a row of another kind emits no cell for it. variants marks a
     literal/corrected split (otherwise its one variant is "na"), log_base
     a check taking --log-base.
@@ -138,7 +148,7 @@ class Theorem:
 
     id: str
     check: str
-    evaluate: Callable[[_FamilyData, float, str], BoundReport]
+    evaluate: Callable[[_FamilyData, Sequence[float], str], Column]
     kinds: tuple[str, ...] = ROW_KINDS
     variants: bool = False
     log_base: bool = False
@@ -146,30 +156,31 @@ class Theorem:
 
 THEOREMS = (
     Theorem("ordering", "ordering",
-            lambda row, alpha, variant: ordering_bound(row.dist, alpha)),
+            lambda row, alphas, variant: _ordering_column(row.dist, alphas)),
     Theorem("jensen", "jensen",
-            lambda row, alpha, variant: jensen_gap_bound(row.dist, alpha)),
+            lambda row, alphas, variant: _jensen_column(row.dist, alphas)),
     Theorem("thm1", "thm1",
-            lambda row, alpha, variant: thm1_refined_bound(row.dist, alpha, variant),
+            lambda row, alphas, variant: _thm1_column(
+                row.dist, alphas, variant, False),
             variants=True),
     Theorem("thm1_eps", "thm1",
-            lambda row, alpha, variant: thm1_refined_bound(
-                row.dist, alpha, variant, use_epsilon=True),
+            lambda row, alphas, variant: _thm1_column(
+                row.dist, alphas, variant, True),
             variants=True),
     Theorem("thm3", "thm3",
-            lambda row, alpha, variant: _thm3_report(
-                row.part, row.pdist, row.fv, alpha, 2.0),
+            lambda row, alphas, variant: _thm3_column(
+                row.part, row.pdist, row.fv, alphas, 2.0),
             FUNCTIONAL_KINDS, log_base=True),
     Theorem("thm4", "thm4", _thm4, FUNCTIONAL_KINDS, log_base=True),
     Theorem("thm4_cor", "thm4", _thm4_cor, FUNCTIONAL_KINDS, log_base=True),
     Theorem("thm5", "thm5", _thm5, FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6", "thm6",
-            lambda row, alpha, variant: _thm6_report(
-                row.combination, alpha, variant, False, 2.0),
+            lambda row, alphas, variant: _thm6_column(
+                row.combination, alphas, variant, False, 2.0),
             FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6_avg", "thm6",
-            lambda row, alpha, variant: _thm6_report(
-                row.combination, alpha, variant, True, 2.0),
+            lambda row, alphas, variant: _thm6_column(
+                row.combination, alphas, variant, True, 2.0),
             FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("conn_linear", "conn", _conn, ("linear",), variants=True),
     Theorem("conn_exp", "conn", _conn, ("exponential",), variants=True),
@@ -325,9 +336,14 @@ class SweepReport:
         }
 
 
-def _corpus_with_stats(cfg: SweepConfig) -> tuple[list[tuple[str, Graph]], int]:
+def _corpus_with_stats(
+    cfg: SweepConfig,
+) -> tuple[list[tuple[str, Graph | str]], int]:
+    """(graph id, graph) in sweep order, and the total gnp redraws. A gnp
+    slot whose draws hit the redraw cap holds the reason instead of a
+    graph."""
     lo, hi = cfg.n_range
-    corpus: list[tuple[str, Graph]] = []
+    corpus: list[tuple[str, Graph | str]] = []
     for n in range(lo, hi + 1):
         for kind, minimum in _BATTERY:
             if n >= minimum:
@@ -337,15 +353,25 @@ def _corpus_with_stats(cfg: SweepConfig) -> tuple[list[tuple[str, Graph]], int]:
         for pi, p in enumerate(cfg.edge_probabilities):
             for t in range(cfg.trials_per_cell):
                 seed = np.random.SeedSequence([cfg.seed, _TAG_GNP, n, pi, t])
-                g, drawn = generate_gnp_connected(n, p, seed)
+                try:
+                    g, drawn = generate_gnp_connected(n, p, seed)
+                except DomainError as exc:
+                    g, drawn = str(exc), GNP_MAX_REDRAWS
                 redraws += drawn
                 corpus.append((f"gnp_n{n}_p{p:g}_t{t}", g))
     return corpus, redraws
 
 
 def generate_corpus(cfg: SweepConfig) -> list[tuple[str, Graph]]:
-    """Deterministic corpus: fixed class battery plus connected gnp samples."""
-    return _corpus_with_stats(cfg)[0]
+    """Deterministic corpus: fixed class battery plus connected gnp samples.
+
+    A gnp slot with no connected sample within the redraw cap is left out.
+    """
+    return [
+        (graph_id, g)
+        for graph_id, g in _corpus_with_stats(cfg)[0]
+        if isinstance(g, Graph)
+    ]
 
 
 def _sample_spec(
@@ -365,25 +391,24 @@ def _cell(
     alpha: float,
     graph_id: str,
     family: str,
-    outcome: BoundReport | str,
+    outcome: Outcome | str,
 ) -> dict[str, Any]:
     """One sweep cell, in the fixed key order of the canonical JSON.
 
     theorem is the sweep grid's id (which distinguishes e.g. thm4's psi and
     corollary modes on top of the operation's own id). outcome is the
-    evaluated report, or the reason the instance could not be evaluated.
+    evaluated instance, or the reason it could not be evaluated.
     """
     if isinstance(outcome, str):
         holds, met, lhs, bound, slack = None, False, None, None, None
         params = {"family": family, "reason": outcome}
     else:
-        holds, met = outcome.holds, outcome.precondition_met
-        lhs, bound, slack = outcome.lhs, outcome.bound, outcome.slack
+        _, lhs, bound, direction, met, holds, slack, tolerance, own = outcome
         params = {
-            **outcome.params,
+            **own,
             "family": family,
-            "direction": outcome.direction,
-            "tolerance": outcome.tolerance,
+            "direction": direction,
+            "tolerance": tolerance,
         }
     return {
         "theorem": theorem,
@@ -399,18 +424,24 @@ def _cell(
     }
 
 
+def _error_rows(cfg: SweepConfig, reason: str) -> list[_FamilyData]:
+    """The rows of a graph whose every cell fails for one reason; each row
+    carries its template's kind, so it emits the cells a working row would."""
+    orbit = _FamilyData(
+        label="orbit", kind="orbit", dist=None, part=None, pdist=None, eta=0,
+        error=reason,
+    )
+    return [orbit] + [
+        replace(orbit, label=t.label, kind=t.kind) for t in cfg.functional_specs
+    ]
+
+
 def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_FamilyData]:
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
-        # every cell of the graph reads the orbits, so each becomes an error
-        orbit = _FamilyData(
-            label="orbit", kind="orbit", dist=None, part=None, pdist=None,
-            eta=distances.eta, error=str(exc),
-        )
-        return [orbit] + [
-            replace(orbit, label=t.label, kind=t.kind) for t in cfg.functional_specs
-        ]
+        # every cell of the graph reads the orbits
+        return _error_rows(cfg, str(exc))
     pdist = partition_distribution(part)
     orbit = _FamilyData(
         label="orbit", kind="orbit", dist=pdist, part=part, pdist=pdist,
@@ -481,6 +512,19 @@ def _aggregate(cells: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
     return out
 
 
+def _column(
+    row: _FamilyData, theorem: Theorem, alphas: tuple[float, ...], variant: str
+) -> Column:
+    """theorem's outcomes on row over the grid; a failed row, or a failure
+    that does not depend on alpha, gives the same reason at every alpha."""
+    if row.error is not None:
+        return [row.error] * len(alphas)
+    try:
+        return theorem.evaluate(row, alphas, variant)
+    except GraphEntropyError as exc:
+        return [str(exc)] * len(alphas)
+
+
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Evaluate every applicable (graph, family, alpha, theorem, variant) cell."""
     start = time.perf_counter()
@@ -489,25 +533,26 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     theorems = [by_id[t] for t in cfg.theorems]
     cells: list[dict[str, Any]] = []
     exemplars: dict[str, list[dict[str, Any]]] = {}
+    alphas = cfg.alpha_grid
     for gi, (graph_id, g) in enumerate(corpus):
-        for fam in _family_rows(cfg, g, gi, distance_matrix(g)):
+        if isinstance(g, str):
+            rows = _error_rows(cfg, g)
+        else:
+            rows = _family_rows(cfg, g, gi, distance_matrix(g))
+        for fam in rows:
             plan = [
                 (theorem, variant)
                 for theorem in theorems
                 if fam.kind in theorem.kinds
                 for variant in (cfg.variants if theorem.variants else ("na",))
             ]
-            for alpha in cfg.alpha_grid:
-                for theorem, variant in plan:
-                    if fam.error is not None:
-                        outcome = fam.error
-                    else:
-                        try:
-                            outcome = theorem.evaluate(fam, alpha, variant)
-                        except GraphEntropyError as exc:
-                            outcome = str(exc)
+            columns = [
+                _column(fam, theorem, alphas, variant) for theorem, variant in plan
+            ]
+            for ai, alpha in enumerate(alphas):
+                for (theorem, variant), column in zip(plan, columns):
                     cell = _cell(
-                        theorem.id, variant, alpha, graph_id, fam.label, outcome
+                        theorem.id, variant, alpha, graph_id, fam.label, column[ai]
                     )
                     cells.append(cell)
                     if cell["holds"] is False:
@@ -523,7 +568,7 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
         aggregates=_aggregate(cells),
         exemplars=exemplars,
         runtime_seconds=runtime,
-        corpus_size=len(corpus),
+        corpus_size=sum(1 for _, g in corpus if isinstance(g, Graph)),
         gnp_redraws=redraws,
     )
 

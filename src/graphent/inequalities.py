@@ -1,8 +1,12 @@
 """Checkable reports for every inequality in the bound catalog.
 
-Each operation evaluates one instance and returns a structured BoundReport
-instead of asserting. Two variants exist wherever the printed bound and its
-repaired derivation disagree:
+Each theorem has one column core. It takes its inputs and an alpha grid,
+computes everything that does not depend on alpha once, and returns one
+outcome per alpha: the finished values of a report, or the reason that
+alpha failed. The sweep builds its cells from the outcomes; each public
+operation evaluates one instance as a one-row call into its core and
+returns a structured BoundReport instead of asserting. Two variants exist
+wherever the printed bound and its repaired derivation disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
              below alpha=1 and divided above (thm1/thm1_eps), penalty terms
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +42,9 @@ from .measures import (
     distribution_from_values,
     distribution_stats,
     functional_values,
-    log2_power_sum,
+    log2_power_sums,
     partition_distribution,
+    renyi_entropies,
     renyi_entropy,
     shannon_entropy,
 )
@@ -49,7 +54,6 @@ TOLERANCE = 1e-9
 EXACT_TOLERANCE = 1e-12
 
 VARIANTS = ("literal", "corrected")
-DIRECTIONS = ("upper", "lower", "equal", "interval")
 
 # Relative guard when checking sampled preconditions that may sit exactly on
 # the boundary after float round-trips.
@@ -104,64 +108,82 @@ class LemmaCheck:
     margin: float
 
 
-def _report(
+# One alpha's finished instance: BoundReport's fields without variant and
+# alpha, (theorem_id, lhs, bound, direction, precondition_met, holds, slack,
+# tolerance, params). A plain tuple, since the sweep makes one per cell.
+Outcome = tuple[str, float, float, str, bool, bool | None, float, float, dict[str, Any]]
+
+# A column core's result: per alpha, its Outcome or the reason it failed.
+Column = list[Outcome | str]
+
+
+def _finish(
     theorem_id: str,
-    variant: str,
-    alpha: float,
-    lhs: float | None,
+    lhs: float,
     bound: float | None,
     direction: str,
+    params: dict[str, Any],
     *,
     precondition_met: bool = True,
-    params: dict[str, Any] | None = None,
     tolerance: float = TOLERANCE,
     interval: tuple[float, float] | None = None,
-) -> BoundReport:
-    if direction not in DIRECTIONS:
-        raise DomainError(f"unknown direction {direction!r}")
-    params = dict(params or {})
-    slack: float | None = None
-    if direction == "interval" and interval is not None:
+) -> Outcome:
+    """Slack, verdict and finiteness of one evaluated instance.
+
+    params is kept, not copied. An interval's ends are added to it as
+    bound_lower/bound_upper, and its nearer end becomes the bound. Raises
+    DomainError when the slack or an interval end is not finite.
+    """
+    if interval is not None:
         lo, hi = interval
         params.setdefault("bound_lower", lo)
         params.setdefault("bound_upper", hi)
-        if lhs is not None:
-            low_side, high_side = lhs - lo, hi - lhs
-            slack = min(low_side, high_side)
-            bound = lo if low_side <= high_side else hi
-    elif lhs is not None and bound is not None:
+        low_side, high_side = lhs - lo, hi - lhs
+        slack = min(low_side, high_side)
+        bound = lo if low_side <= high_side else hi
+        # an interval's other end is not in slack, so it is checked as well
+        finite = math.isfinite(slack) and math.isfinite(lo) and math.isfinite(hi)
+    else:
         if direction == "upper":
             slack = bound - lhs
         elif direction == "lower":
             slack = lhs - bound
         else:  # equal
             slack = -abs(lhs - bound)
-    # slack is finite only where lhs and bound are; an interval's other end
-    # is not in slack, so it is checked as well
-    ends = interval if interval is not None else ()
-    if (slack is not None and not math.isfinite(slack)) or not all(
-        map(math.isfinite, ends)
-    ):
+        # slack is finite only where lhs and bound are
+        finite = math.isfinite(slack)
+    if not finite:
         raise DomainError(
             f"{theorem_id} is not finite: lhs {lhs!r}, bound {bound!r}, "
             f"slack {slack!r}"
         )
-    holds: bool | None = None
-    if precondition_met and slack is not None:
-        holds = bool(slack >= -tolerance)
-    return BoundReport(
-        theorem_id=theorem_id,
-        variant=variant,
-        alpha=float(alpha),
-        lhs=None if lhs is None else float(lhs),
-        bound=None if bound is None else float(bound),
-        direction=direction,
-        precondition_met=precondition_met,
-        holds=holds,
-        slack=None if slack is None else float(slack),
-        tolerance=tolerance,
-        params=params,
+    holds = bool(slack >= -tolerance) if precondition_met else None
+    return (
+        theorem_id, float(lhs), float(bound), direction, precondition_met,
+        holds, float(slack), tolerance, params,
     )
+
+
+def _report(variant: str, alpha: float, outcome: Outcome | str) -> BoundReport:
+    """The BoundReport of one outcome; a reason is raised as the DomainError
+    it came from."""
+    if isinstance(outcome, str):
+        raise DomainError(outcome)
+    return BoundReport(outcome[0], variant, float(alpha), *outcome[1:])
+
+
+def _per_alpha(
+    body: Callable[..., Outcome], alphas: Sequence[float], *values: list
+) -> Column:
+    """body(alpha, *that alpha's entry of each values list) at each alpha; a
+    DomainError at one alpha becomes that alpha's reason."""
+    out: Column = []
+    for args in zip(alphas, *values):
+        try:
+            out.append(body(*args))
+        except DomainError as exc:
+            out.append(str(exc))
+    return out
 
 
 def _check_alpha(alpha: float) -> None:
@@ -174,9 +196,10 @@ def _check_base(base: float) -> None:
         raise DomainError(f"log base must exceed 1, got {base}")
 
 
-def _to_base(bits: float, base: float) -> float:
-    """Convert a base-2 information value to the requested log base."""
-    return bits * LN2 / math.log(base)
+def _to_base(bits: list[float], base: float) -> list[float]:
+    """Convert base-2 information values to the requested log base."""
+    ln_base = math.log(base)
+    return [b * LN2 / ln_base for b in bits]
 
 
 def _logb(x: float, base: float) -> float:
@@ -289,18 +312,17 @@ def lemma_checks(seed: int, trials: int) -> list[LemmaCheck]:
 def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
     """H_alpha >= H below alpha=1 and H_alpha <= H above it."""
     _check_alpha(alpha)
-    h = shannon_entropy(d)
-    h_alpha = renyi_entropy(d, alpha)
-    direction = "lower" if alpha < 1.0 else "upper"
-    return _report(
-        "ordering",
-        "na",
-        alpha,
-        h_alpha,
-        h,
-        direction,
-        params={"N": d.size, "shannon": h},
-    )
+    return _report("na", alpha, *_ordering_column(d, (alpha,)))
+
+
+def _ordering_column(d: Distribution, alphas: Sequence[float]) -> Column:
+    n, h = d.size, shannon_entropy(d)
+
+    def body(alpha: float, h_alpha: float) -> Outcome:
+        direction = "lower" if alpha < 1.0 else "upper"
+        return _finish("ordering", h_alpha, h, direction, {"N": n, "shannon": h})
+
+    return _per_alpha(body, alphas, renyi_entropies(d, alphas))
 
 
 def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
@@ -311,24 +333,31 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     Jensen-gap extension instantiates it.
     """
     _check_alpha(alpha)
+    return _report("na", alpha, *_jensen_column(d, (alpha,)))
+
+
+def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
     p = d.p
-    # a tiny atom at large alpha over- or underflows x; the NaN or inf this
-    # leaves in sum_term becomes a DomainError in _report
+    # one (alpha, i, j) array; a tiny atom at large alpha over- or underflows
+    # x, and the NaN or inf this leaves in that alpha's sum term becomes its
+    # DomainError in _finish
     with np.errstate(all="ignore"):
-        x = np.exp((alpha - 1.0) * d.log_p)
-        diff = np.subtract.outer(x, x) ** 2
-        weight = np.outer(p, p) / np.outer(x, x)
-        sum_term = float((weight * diff).sum())
-    h = shannon_entropy(d)
-    return _report(
-        "jensen",
-        "na",
-        alpha,
-        renyi_entropy(d, alpha),
-        h + sum_term / (2.0 * LN2 * (1.0 - alpha)),
-        "upper" if alpha < 1.0 else "lower",
-        params={"N": d.size, "shannon": h, "sum_term": sum_term},
-    )
+        x = np.exp((np.asarray(alphas, dtype=float) - 1.0)[:, None] * d.log_p)
+        diff = (x[:, :, None] - x[:, None, :]) ** 2
+        weight = np.outer(p, p) / (x[:, :, None] * x[:, None, :])
+        sum_terms = (weight * diff).sum(axis=(1, 2)).tolist()
+    n, h = d.size, shannon_entropy(d)
+
+    def body(alpha: float, h_alpha: float, sum_term: float) -> Outcome:
+        return _finish(
+            "jensen",
+            h_alpha,
+            h + sum_term / (2.0 * LN2 * (1.0 - alpha)),
+            "upper" if alpha < 1.0 else "lower",
+            {"N": n, "shannon": h, "sum_term": sum_term},
+        )
+
+    return _per_alpha(body, alphas, renyi_entropies(d, alphas), sum_terms)
 
 
 def _thm1_bound(
@@ -365,29 +394,31 @@ def thm1_refined_bound(
     _check_alpha(alpha)
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return _report(variant, alpha, *_thm1_column(d, (alpha,), variant, use_epsilon))
+
+
+def _thm1_column(
+    d: Distribution, alphas: Sequence[float], variant: str, use_epsilon: bool
+) -> Column:
     stats = distribution_stats(d)
-    n = d.size
-    h = shannon_entropy(d)
-    h_alpha = renyi_entropy(d, alpha)
+    n, h = d.size, shannon_entropy(d)
     eps_factor = stats.epsilon**2 if use_epsilon else 1.0
-    direction, bound = _thm1_bound(
-        h, alpha, variant, n * (n - 1), stats.rho, eps_factor
-    )
-    return _report(
-        "thm1_eps" if use_epsilon else "thm1",
-        variant,
-        alpha,
-        h_alpha,
-        bound,
-        direction,
-        params={
+    theorem_id = "thm1_eps" if use_epsilon else "thm1"
+
+    def body(alpha: float, h_alpha: float) -> Outcome:
+        direction, bound = _thm1_bound(
+            h, alpha, variant, n * (n - 1), stats.rho, eps_factor
+        )
+        params = {
             "N": n,
             "rho": stats.rho,
             "epsilon": stats.epsilon,
             "use_epsilon": use_epsilon,
             "shannon": h,
-        },
-    )
+        }
+        return _finish(theorem_id, h_alpha, bound, direction, params)
+
+    return _per_alpha(body, alphas, renyi_entropies(d, alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +445,17 @@ def thm3_partition_vs_functional(
         raise DomainError("thm3 needs a connected graph")
     if part.total != g.n or fv.size != g.n:
         raise DomainError("partition/functional sizes must match the graph")
-    return _thm3_report(part, partition_distribution(part), fv, alpha, base)
+    column = _thm3_column(part, partition_distribution(part), fv, (alpha,), base)
+    return _report("na", alpha, *column)
 
 
-def _thm3_report(
+def _thm3_column(
     part: OrbitPartition,
     pdist: Distribution,
     fv: FunctionalValues,
-    alpha: float,
+    alphas: Sequence[float],
     base: float,
-) -> BoundReport:
+) -> Column:
     """thm3 on validated inputs; pdist is partition_distribution(part)."""
     n = part.total
     k = part.k
@@ -432,25 +464,28 @@ def _thm3_report(
     met = all(
         math.log(sizes[i]) < float(smallest_logs[i]) for i in range(k)
     )
-    h_gamma = _to_base(renyi_entropy(pdist, alpha), base)
-    h_f = _to_base(renyi_entropy(distribution_from_values(fv), alpha), base)
+    h_gammas = _to_base(renyi_entropies(pdist, alphas), base)
+    h_fs = _to_base(renyi_entropies(distribution_from_values(fv), alphas), base)
     log_ratio = (fv.total_log - math.log(n)) / math.log(base)
-    return _report(
-        "thm3",
-        "na",
-        alpha,
-        h_gamma,
-        h_f + (alpha / (1.0 - alpha)) * log_ratio,
-        "upper" if alpha < 1.0 else "lower",
-        precondition_met=met,
-        params={
-            "k": k,
-            "X_size": n,
-            "log2_S": fv.total_log / LN2,
-            "h_functional": h_f,
-            "log_base": base,
-        },
-    )
+    log2_s = fv.total_log / LN2
+
+    def body(alpha: float, h_gamma: float, h_f: float) -> Outcome:
+        return _finish(
+            "thm3",
+            h_gamma,
+            h_f + (alpha / (1.0 - alpha)) * log_ratio,
+            "upper" if alpha < 1.0 else "lower",
+            {
+                "k": k,
+                "X_size": n,
+                "log2_S": log2_s,
+                "h_functional": h_f,
+                "log_base": base,
+            },
+            precondition_met=met,
+        )
+
+    return _per_alpha(body, alphas, h_gammas, h_fs)
 
 
 def thm4_scaled_dominance(
@@ -470,32 +505,58 @@ def thm4_scaled_dominance(
     _check_base(base)
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
+    column = _thm4_column(d1, d2, psi, derive_psi_from, (alpha,), base)
+    return _report("na", alpha, *column)
+
+
+def _thm4_column(
+    d1: Distribution,
+    d2: Distribution,
+    psi: float | None,
+    derive_psi_from: tuple[float, float] | None,
+    alphas: Sequence[float],
+    base: float,
+) -> Column:
+    """thm4 on distributions over one vertex set."""
     mode = "psi"
-    s1 = s2 = None
+    totals: dict[str, float] = {}
     if derive_psi_from is not None:
         s1, s2 = float(derive_psi_from[0]), float(derive_psi_from[1])
         if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
             raise DomainError("functional totals must be positive and finite")
         psi = s2 / s1
         mode = "corollary"
+        totals = {"S1": s1, "S2": s2}
     if psi is None or not 0.0 < psi < math.inf:
         raise DomainError("psi must be positive and finite")
     met = bool(np.all(d1.p <= psi * d2.p * (1.0 + _PRE_GUARD)))
-    h1 = _to_base(renyi_entropy(d1, alpha), base)
-    h2 = _to_base(renyi_entropy(d2, alpha), base)
-    bound = h2 + (alpha / (1.0 - alpha)) * _logb(psi, base)
-    direction = "upper" if alpha < 1.0 else "lower"
-    params: dict[str, Any] = {
-        "psi": float(psi),
-        "mode": mode,
-        "N": d1.size,
-        "h_other": h2,
-        "log_base": base,
-    }
-    if s1 is not None:
-        params["S1"], params["S2"] = s1, s2
-    return _report("thm4", "na", alpha, h1, bound, direction,
-                   precondition_met=met, params=params)
+    n = d1.size
+    log_psi = _logb(psi, base)
+
+    def body(alpha: float, h1: float, h2: float) -> Outcome:
+        params = {
+            "psi": float(psi),
+            "mode": mode,
+            "N": n,
+            "h_other": h2,
+            "log_base": base,
+            **totals,
+        }
+        return _finish(
+            "thm4",
+            h1,
+            h2 + (alpha / (1.0 - alpha)) * log_psi,
+            "upper" if alpha < 1.0 else "lower",
+            params,
+            precondition_met=met,
+        )
+
+    return _per_alpha(
+        body,
+        alphas,
+        _to_base(renyi_entropies(d1, alphas), base),
+        _to_base(renyi_entropies(d2, alphas), base),
+    )
 
 
 def thm5_additive_dominance(
@@ -517,34 +578,49 @@ def thm5_additive_dominance(
         raise DomainError("distributions must share a vertex set")
     if phi <= 0.0:
         raise DomainError("phi must be positive")
+    return _report(variant, alpha, *_thm5_column(d1, d2, phi, (alpha,), variant, base))
+
+
+def _thm5_column(
+    d1: Distribution,
+    d2: Distribution,
+    phi: float,
+    alphas: Sequence[float],
+    variant: str,
+    base: float,
+) -> Column:
+    """thm5 on distributions over one vertex set, for phi > 0."""
     met = bool(np.all(d1.p <= d2.p + phi + 1e-15))
     n = d1.size
-    power_sum_2 = 2.0 ** log2_power_sum(d2, alpha)
-    h1 = _to_base(renyi_entropy(d1, alpha), base)
-    h2 = _to_base(renyi_entropy(d2, alpha), base)
     factor = _penalty_factor(variant, base)
-    if alpha < 1.0:
-        penalty = (1.0 / (1.0 - alpha)) * (n * phi**alpha / power_sum_2) * factor
-        direction, bound = "upper", h2 + penalty
-    else:
-        x = n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
-        penalty = (alpha / (alpha - 1.0)) * x * factor
-        direction, bound = "lower", h2 - penalty
-    return _report(
-        "thm5",
-        variant,
-        alpha,
-        h1,
-        bound,
-        direction,
-        precondition_met=met,
-        params={
+
+    def body(alpha: float, h1: float, h2: float, log2_sum_2: float) -> Outcome:
+        power_sum_2 = 2.0 ** log2_sum_2
+        if alpha < 1.0:
+            penalty = (1.0 / (1.0 - alpha)) * (n * phi**alpha / power_sum_2) * factor
+            direction, bound = "upper", h2 + penalty
+        else:
+            x = n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
+            penalty = (alpha / (alpha - 1.0)) * x * factor
+            direction, bound = "lower", h2 - penalty
+        params = {
             "phi": float(phi),
             "N": n,
             "power_sum_2": power_sum_2,
             "h_other": h2,
             "log_base": base,
-        },
+        }
+        return _finish(
+            "thm5", h1, bound, direction, params,
+            precondition_met=met,
+        )
+
+    return _per_alpha(
+        body,
+        alphas,
+        _to_base(renyi_entropies(d1, alphas), base),
+        _to_base(renyi_entropies(d2, alphas), base),
+        log2_power_sums(d2, alphas),
     )
 
 
@@ -572,9 +648,10 @@ def thm6_convex_combination(
         )
     if fv1.size != g.n or fv2.size != g.n:
         raise DomainError("functional value sets must live on the graph's vertices")
-    return _thm6_report(
-        _combine(fv1, fv2, c1, c2), alpha, variant, symmetric, base
+    column = _thm6_column(
+        _combine(fv1, fv2, c1, c2), (alpha,), variant, symmetric, base
     )
+    return _report(variant, alpha, *column)
 
 
 @dataclass(frozen=True)
@@ -626,65 +703,65 @@ def _penalty_exp(x: float) -> float:
         raise DomainError(f"thm6 penalty exp({x:g}) overflows a float") from None
 
 
-def _thm6_report(
-    comb: _Combination, alpha: float, variant: str, symmetric: bool, base: float
-) -> BoundReport:
+def _thm6_column(
+    comb: _Combination,
+    alphas: Sequence[float],
+    variant: str,
+    symmetric: bool,
+    base: float,
+) -> Column:
     """thm6 on a validated combination."""
     t1, t2, a1, a2 = comb.t1, comb.t2, comb.a1, comb.a2
     if a1 == 0.0 or a2 == 0.0:
         raise DomainError(f"a share A_i underflows to 0 (A1 = {a1!r}, A2 = {a2!r})")
-    h_f = _to_base(
-        renyi_entropy(distribution_from_values(comb.combined), alpha), base
+    h_fs = _to_base(
+        renyi_entropies(distribution_from_values(comb.combined), alphas), base
     )
     d1 = distribution_from_values(comb.fv1)
     d2 = distribution_from_values(comb.fv2)
-    h1 = _to_base(renyi_entropy(d1, alpha), base)
-    h2 = _to_base(renyi_entropy(d2, alpha), base)
-    # ln(sum p2^alpha) - ln(sum p1^alpha)
-    dtp = (log2_power_sum(d2, alpha) - log2_power_sum(d1, alpha)) * LN2
     factor = _penalty_factor(variant, base)
     log_a1 = _logb(a1, base)
     log_a2 = _logb(a2, base)
-    if alpha < 1.0:
-        direction = "upper"
-        z21 = _penalty_exp(alpha * (t2 - t1) + dtp)
-        if symmetric:
-            z12 = _penalty_exp(alpha * (t1 - t2) - dtp)
-            bound = (
-                0.5 * (h1 + h2)
-                + (alpha / (2.0 * (1.0 - alpha))) * (log_a1 + log_a2)
-                + (1.0 / (2.0 * (1.0 - alpha))) * (z21 + z12) * factor
-            )
+    theorem_id = "thm6_avg" if symmetric else "thm6"
+
+    def body(
+        alpha: float, h_f: float, h1: float, h2: float, sum_1: float, sum_2: float
+    ) -> Outcome:
+        # ln(sum p2^alpha) - ln(sum p1^alpha)
+        dtp = (sum_2 - sum_1) * LN2
+        if alpha < 1.0:
+            direction = "upper"
+            z21 = _penalty_exp(alpha * (t2 - t1) + dtp)
+            if symmetric:
+                z12 = _penalty_exp(alpha * (t1 - t2) - dtp)
+                bound = (
+                    0.5 * (h1 + h2)
+                    + (alpha / (2.0 * (1.0 - alpha))) * (log_a1 + log_a2)
+                    + (1.0 / (2.0 * (1.0 - alpha))) * (z21 + z12) * factor
+                )
+            else:
+                bound = (
+                    h1
+                    + (alpha / (1.0 - alpha)) * log_a1
+                    + (1.0 / (1.0 - alpha)) * z21 * factor
+                )
         else:
-            bound = (
-                h1
-                + (alpha / (1.0 - alpha)) * log_a1
-                + (1.0 / (1.0 - alpha)) * z21 * factor
-            )
-    else:
-        direction = "lower"
-        w21 = _penalty_exp((t2 - t1) + dtp / alpha)
-        if symmetric:
-            w12 = _penalty_exp((t1 - t2) - dtp / alpha)
-            bound = (
-                0.5 * (h1 + h2)
-                - (alpha / (2.0 * (alpha - 1.0))) * (log_a1 + log_a2)
-                - (alpha / (2.0 * (alpha - 1.0))) * (w21 + w12) * factor
-            )
-        else:
-            bound = (
-                h1
-                - (alpha / (alpha - 1.0)) * log_a1
-                - (alpha / (alpha - 1.0)) * w21 * factor
-            )
-    return _report(
-        "thm6_avg" if symmetric else "thm6",
-        variant,
-        alpha,
-        h_f,
-        bound,
-        direction,
-        params={
+            direction = "lower"
+            w21 = _penalty_exp((t2 - t1) + dtp / alpha)
+            if symmetric:
+                w12 = _penalty_exp((t1 - t2) - dtp / alpha)
+                bound = (
+                    0.5 * (h1 + h2)
+                    - (alpha / (2.0 * (alpha - 1.0))) * (log_a1 + log_a2)
+                    - (alpha / (2.0 * (alpha - 1.0))) * (w21 + w12) * factor
+                )
+            else:
+                bound = (
+                    h1
+                    - (alpha / (alpha - 1.0)) * log_a1
+                    - (alpha / (alpha - 1.0)) * w21 * factor
+                )
+        params = {
             "c1": comb.c1,
             "c2": comb.c2,
             "A1": a1,
@@ -694,7 +771,17 @@ def _thm6_report(
             "h1": h1,
             "h2": h2,
             "log_base": base,
-        },
+        }
+        return _finish(theorem_id, h_f, bound, direction, params)
+
+    return _per_alpha(
+        body,
+        alphas,
+        h_fs,
+        _to_base(renyi_entropies(d1, alphas), base),
+        _to_base(renyi_entropies(d2, alphas), base),
+        log2_power_sums(d1, alphas),
+        log2_power_sums(d2, alphas),
     )
 
 
@@ -715,16 +802,15 @@ def _class_functional_report(
     """The class bound head - (alpha/(1-alpha)) log2 S - offset on the
     functional's H_alpha: a lower bound below alpha=1, an upper one above."""
     log2_s = fv.total_log / LN2
-    return _report(
+    outcome = _finish(
         "class_functional_bound",
-        "na",
-        alpha,
         renyi_entropy(distribution_from_values(fv), alpha),
         head - (alpha / (1.0 - alpha)) * log2_s - offset,
         "lower" if alpha < 1.0 else "upper",
+        {**params, "log2_S": log2_s, **extra},
         precondition_met=met,
-        params={**params, "log2_S": log2_s, **extra},
     )
+    return _report("na", alpha, outcome)
 
 
 def _star_like_reports(
@@ -743,45 +829,24 @@ def _star_like_reports(
     closed_renyi = (log2_sum - alpha * math.log2(n)) / (1.0 - alpha)
     closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
     reports = [
-        _report(
-            "class_renyi_exact",
-            "na",
-            alpha,
-            h_alpha,
-            closed_renyi,
-            "equal",
-            precondition_met=two_orbit,
-            tolerance=EXACT_TOLERANCE,
-            params=base_params,
-        ),
-        _report(
-            "class_shannon_exact",
-            "na",
-            alpha,
-            h_shannon,
-            closed_shannon,
-            "equal",
-            precondition_met=two_orbit,
-            tolerance=EXACT_TOLERANCE,
-            params=base_params,
-        ),
+        _report("na", alpha, _finish(
+            "class_renyi_exact", h_alpha, closed_renyi, "equal", dict(base_params),
+            precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
+        )),
+        _report("na", alpha, _finish(
+            "class_shannon_exact", h_shannon, closed_shannon, "equal",
+            dict(base_params), precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
+        )),
     ]
     # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
     rho = float(n - 1)
     for variant in VARIANTS:
         direction, bound = _thm1_bound(closed_shannon, alpha, variant, 2, rho, 1.0)
-        reports.append(
-            _report(
-                "class_gamma_bound",
-                variant,
-                alpha,
-                h_alpha,
-                bound,
-                direction,
-                precondition_met=two_orbit,
-                params={**base_params, "rho": rho},
-            )
+        outcome = _finish(
+            "class_gamma_bound", h_alpha, bound, direction,
+            {**base_params, "rho": rho}, precondition_met=two_orbit,
         )
+        reports.append(_report(variant, alpha, outcome))
     if fv is not None:
         ordered = np.sort(fv.log_values)[::-1]
         met = two_orbit and bool(
@@ -807,16 +872,10 @@ def _path_reports(
         m = (n - 1) // 2
         closed = math.log2(m * (2.0 / n) ** alpha + (1.0 / n) ** alpha) / (1.0 - alpha)
     reports = [
-        _report(
-            "class_renyi_exact",
-            "na",
-            alpha,
-            h_alpha,
-            closed,
-            "equal",
+        _report("na", alpha, _finish(
+            "class_renyi_exact", h_alpha, closed, "equal", dict(params),
             tolerance=EXACT_TOLERANCE,
-            params=params,
-        )
+        ))
     ]
     if fv is not None:
         above_two = int(np.count_nonzero(fv.log_values > math.log(2.0)))
@@ -880,16 +939,17 @@ def connected_functional_bounds(
     if not g.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
     d = distances if distances is not None else distance_matrix(g)
-    return _conn_report(spec, functional_values(g, spec, d), d.eta, alpha, variant)
+    fv = functional_values(g, spec, d)
+    return _report(variant, alpha, *_conn_column(spec, fv, d.eta, (alpha,), variant))
 
 
-def _conn_report(
+def _conn_column(
     spec: FunctionalSpec,
     fv: FunctionalValues,
     eta: int,
-    alpha: float,
+    alphas: Sequence[float],
     variant: str,
-) -> BoundReport:
+) -> Column:
     """Connected-graph interval for validated inputs; fv holds spec's values
     on a connected graph of diameter eta."""
     if eta < 1:
@@ -897,9 +957,10 @@ def _conn_report(
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
     c_max, c_min = float(coeffs.max()), float(coeffs.min())
-    if spec.kind == "linear":
+    linear = spec.kind == "linear"
+    if linear:
         theorem_id = "conn_linear"
-        half_width = (alpha / abs(1.0 - alpha)) * math.log2(c_max / c_min)
+        log2_ratio = math.log2(c_max / c_min)
         met = True
         params: dict[str, Any] = {}
     else:
@@ -911,21 +972,22 @@ def _conn_report(
             met = True
         else:
             met = spec.beta >= 1.0
-        half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
         params = {"X": spread, "beta": spec.beta}
-    h = renyi_entropy(distribution_from_values(fv), alpha)
+    hs = renyi_entropies(distribution_from_values(fv), alphas)
     center = math.log2(n)
     params.update({"n": n, "eta": eta, "c_max": c_max, "c_min": c_min})
     if not met:
         params["reason"] = "literal form needs beta >= 1"
-    return _report(
-        theorem_id,
-        variant,
-        alpha,
-        h,
-        None,
-        "interval",
-        precondition_met=met,
-        interval=(center - half_width, center + half_width),
-        params=params,
-    )
+
+    def body(alpha: float, h: float) -> Outcome:
+        if linear:
+            half_width = (alpha / abs(1.0 - alpha)) * log2_ratio
+        else:
+            half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
+        return _finish(
+            theorem_id, h, None, "interval", dict(params),
+            precondition_met=met,
+            interval=(center - half_width, center + half_width),
+        )
+
+    return _per_alpha(body, alphas, hs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -184,6 +185,18 @@ def logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.exp(a - m).sum()))
 
 
+def logsumexp_rows(a: np.ndarray) -> list[float]:
+    """logsumexp of each row of a 2-D array whose row maxima are finite.
+
+    One array operation per step for all rows, then math.log per row, so
+    each row's result has the bits of logsumexp on that row alone. Scalar
+    callers keep logsumexp, which skips the 2-D bookkeeping.
+    """
+    m = a.max(axis=1)
+    sums = np.exp(a - m[:, None]).sum(axis=1)
+    return [top + math.log(total) for top, total in zip(m.tolist(), sums.tolist())]
+
+
 def default_coefficients(eta: int) -> tuple[float, ...]:
     """Strictly decreasing all-distinct defaults c_j = eta - j + 1."""
     return tuple(float(eta - j + 1) for j in range(1, eta + 1))
@@ -247,16 +260,36 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
     return log2_power_sum(d, alpha) / (1.0 - alpha) + 0.0
 
 
+def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
+    """renyi_entropy at each of alphas, with the power sums filled in one
+    batch."""
+    log2_power_sums(d, alphas)
+    return [renyi_entropy(d, alpha) for alpha in alphas]
+
+
 def log2_power_sum(d: Distribution, alpha: float) -> float:
     """log2(sum p^alpha), the quantity the bound catalog keeps reusing.
 
-    Memoized on d per alpha.
+    Memoized on d per alpha; log2_power_sums fills the same memo with the
+    same bits for a whole grid.
     """
     value = d._log2_power_sums.get(alpha)
     if value is None:
         value = logsumexp(alpha * d.log_p) / LN2
         d._log2_power_sums[alpha] = value
     return value
+
+
+def log2_power_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
+    """log2_power_sum at each of alphas; the alphas not yet in the memo go
+    through one (len(alphas) x N) log-sum-exp, one row per alpha."""
+    memo = d._log2_power_sums
+    missing = [alpha for alpha in alphas if alpha not in memo]
+    if missing:
+        grid = np.asarray(missing, dtype=float)[:, None]
+        for alpha, value in zip(missing, logsumexp_rows(grid * d.log_p)):
+            memo[alpha] = value / LN2
+    return [memo[alpha] for alpha in alphas]
 
 
 def distribution_stats(d: Distribution) -> DistributionStats:

@@ -433,6 +433,18 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--config", "/nonexistent.json"])
         assert code == 2
 
+    def test_failed_gnp_draw_gives_error_cells(self, tmp_path):
+        # p = 0 passes the config's [0, 1] check but has no connected draw
+        path = tmp_path / "p0.json"
+        path.write_text(_config_text(edge_probabilities=[0.0], alpha_grid=[0.5]))
+        code, out, err = run(["sweep", "--config", str(path)])
+        assert (code, err) == (0, "")
+        failed = [c for c in json.loads(out)["cells"]
+                  if c["graph_id"].startswith("gnp_")]
+        assert failed and all(
+            "no connected sample within" in c["params"]["reason"] for c in failed
+        )
+
     @pytest.mark.parametrize(
         "text",
         [

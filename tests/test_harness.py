@@ -6,17 +6,22 @@ from dataclasses import replace
 
 import pytest
 
+import straightline as sl
 from graphent import (
     DomainError,
     FunctionalTemplate,
     SweepConfig,
+    distance_matrix,
     generate_corpus,
     run_sweep,
     summarize_report,
 )
+import graphent.inequalities as inequalities
 import graphent.orbits as orbits
 from graphent import cli
-from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate
+from graphent.graph import GNP_MAX_REDRAWS
+from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate, _column, _family_rows
+from graphent.inequalities import TOLERANCE, VARIANTS
 
 # marks a field to leave out of a config dict
 DROP = object()
@@ -317,6 +322,36 @@ class TestSweep:
             )
         json.loads(summarize_report(rep, "json"))
 
+    def test_failed_gnp_draws_give_error_cells(self):
+        # p = 0 never gives a connected sample with more than one vertex
+        cfg = SweepConfig.from_dict({
+            "seed": 1, "n_range": [3, 4], "edge_probabilities": [0.0],
+            "trials_per_cell": 1, "alpha_grid": [0.5],
+        })
+        rep = run_sweep(cfg)
+        # the battery's 4 graphs at n=3 and 5 at n=4; the two slots count
+        # their redraws but no graph
+        assert rep.corpus_size == 9 == len(generate_corpus(cfg))
+        assert rep.gnp_redraws == 2 * GNP_MAX_REDRAWS
+
+        def keys(graph_id):
+            return [
+                (c["theorem"], c["variant"], c["alpha"], c["params"]["family"])
+                for c in rep.cells if c["graph_id"] == graph_id
+            ]
+
+        for n in (3, 4):
+            failed = [c for c in rep.cells if c["graph_id"] == f"gnp_n{n}_p0_t0"]
+            assert failed and keys(f"gnp_n{n}_p0_t0") == keys(f"path_{n}")
+            for cell in failed:
+                assert (cell["holds"], cell["precondition_met"]) == (None, False)
+                assert cell["lhs"] is cell["bound"] is cell["slack"] is None
+                assert cell["params"]["reason"] == (
+                    f"gnp(n={n}, p=0.0): no connected sample within "
+                    f"{GNP_MAX_REDRAWS} redraws"
+                )
+        json.loads(summarize_report(rep, "json"))
+
     def test_one_vertex_graphs_give_error_cells(self):
         # diameter 0: no sphere coefficients, so the linear functional is 0
         # and the connected-graph interval has nothing to span
@@ -415,3 +450,134 @@ class TestTheoremTable:
         assert cli._BASE_CHECKS == ("thm3", "thm4", "thm5", "thm6")
         assert {t.check for t in THEOREMS} == set(cli._CHECKS[:-3])
         assert {t.check for t in THEOREMS if t.log_base} == set(cli._BASE_CHECKS)
+
+
+# Both sides of the Shannon band, the default grid's regimes and a large
+# alpha where tiny atoms leave float range.
+COLUMN_GRID = (0.25, 0.5, 1 - 1e-10, 1 + 1e-10, 1.1, 2.0, 30.0)
+
+
+def _rows(cfg):
+    """(graph id, family row) for each row of cfg's corpus, built afresh, so
+    no distribution shares its power-sum memo with an earlier call."""
+    return [
+        (graph_id, row)
+        for gi, (graph_id, g) in enumerate(generate_corpus(cfg))
+        for row in _family_rows(cfg, g, gi, distance_matrix(g))
+    ]
+
+
+def _plan():
+    return [
+        (theorem, variant)
+        for theorem in THEOREMS
+        for variant in (VARIANTS if theorem.variants else ("na",))
+    ]
+
+
+class TestColumnCores:
+    def test_grid_column_equals_one_row_calls(self):
+        cfg = small_config(trials_per_cell=1, alpha_grid=COLUMN_GRID)
+        grid_rows = _rows(cfg)
+        one_row = [_rows(cfg) for _ in COLUMN_GRID]
+        checked = set()
+        for theorem, variant in _plan():
+            for i, (graph_id, row) in enumerate(grid_rows):
+                if row.kind not in theorem.kinds:
+                    continue
+                column = _column(row, theorem, COLUMN_GRID, variant)
+                assert len(column) == len(COLUMN_GRID)
+                for ai, alpha in enumerate(COLUMN_GRID):
+                    (single,) = _column(one_row[ai][i][1], theorem, (alpha,), variant)
+                    # an outcome tuple (lhs, bound, slack, holds, params, ...)
+                    # or the same error message
+                    assert column[ai] == single, (theorem.id, variant, graph_id, alpha)
+                    checked.add((theorem.id, isinstance(single, str)))
+        evaluated = {t for t, failed in checked if not failed}
+        assert evaluated == set(ALL_THEOREMS)
+
+    def test_sweep_builds_no_bound_report(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a BoundReport")
+
+        monkeypatch.setattr(inequalities.BoundReport, "__init__", refuse)
+        assert run_sweep(small_config(n_range=(3, 4))).cells
+
+    def test_sweep_matches_straightline_reference(self):
+        cfg = small_config(trials_per_cell=1, alpha_grid=SweepConfig.alpha_grid)
+        rows = {(graph_id, row.label): row for graph_id, row in _rows(cfg)}
+        evaluated = 0
+        for cell in run_sweep(cfg).cells:
+            if cell["lhs"] is None:
+                continue
+            evaluated += 1
+            row = rows[cell["graph_id"], cell["params"]["family"]]
+            met, lhs, bound, slack = _straightline(cell, row)
+            where = (cell["theorem"], cell["variant"], cell["alpha"], cell["graph_id"])
+            for got, want in ((cell["lhs"], lhs), (cell["bound"], bound)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), where
+            met = cell["precondition_met"] if met is None else met
+            assert cell["precondition_met"] is met, where
+            assert cell["holds"] is (slack >= -TOLERANCE if met else None), where
+        assert evaluated > 0
+
+
+def _straightline(cell, row):
+    """(precondition or None when the reference has none, lhs, bound, slack)
+    of one cell, from the row's raw inputs through tests/straightline.py.
+
+    thm5's phi is read from the cell: the sweep floors a phi of 0 at 0.01,
+    and p1 - p2 is 0 exactly in one float evaluation and 1e-17 in another.
+    """
+    theorem, variant, alpha = cell["theorem"], cell["variant"], cell["alpha"]
+    if row.kind == "orbit":
+        sizes = list(row.part.sizes)
+        p = [size / sum(sizes) for size in sizes]
+    else:
+        f1, f2 = row.fv.values.tolist(), row.fv_second.values.tolist()
+        p = [f / sum(f1) for f in f1]
+        p2 = [f / sum(f2) for f in f2]
+    lhs = sl.sl_renyi(p, alpha)
+    met = None
+    if theorem == "ordering":
+        direction = "lower" if alpha < 1.0 else "upper"
+        bound = sl.sl_shannon(p)
+    elif theorem == "jensen":
+        gap = sl.sl_jensen_bound(p, alpha)
+        direction = "upper" if alpha < 1.0 else "lower"
+        bound = sl.sl_shannon(p) + (gap if alpha < 1.0 else -gap)
+    elif theorem in ("thm1", "thm1_eps"):
+        direction, bound = sl.sl_thm1_bound(p, alpha, variant, theorem == "thm1_eps")
+    elif theorem == "thm3":
+        sizes = list(row.part.sizes)
+        lhs = sl.sl_renyi([size / sum(sizes) for size in sizes], alpha)
+        met, direction, bound = sl.sl_thm3_bound(sizes, f1, alpha)
+    elif theorem == "thm4":
+        psi = max(a / b for a, b in zip(p, p2))
+        direction, bound = sl.sl_thm4_bound(p2, psi, alpha)
+    elif theorem == "thm4_cor":
+        dominating = [a + b for a, b in zip(f1, f2)]
+        psi = sum(dominating) / sum(f1)
+        direction, bound = sl.sl_thm4_bound(
+            [f / sum(dominating) for f in dominating], psi, alpha
+        )
+    elif theorem == "thm5":
+        phi = cell["params"]["phi"]
+        assert phi == 0.01 or abs(phi - max(a - b for a, b in zip(p, p2))) <= 1e-12
+        direction, bound = sl.sl_thm5_bound(p2, phi, alpha, variant)
+    elif theorem in ("thm6", "thm6_avg"):
+        comb = row.combination
+        lhs, direction, bound = sl.sl_thm6(
+            f1, f2, comb.c1, comb.c2, alpha, variant, symmetric=theorem == "thm6_avg"
+        )
+    else:  # conn_linear, conn_exp
+        lo, hi = sl.sl_conn_interval(
+            len(p), row.spec.coeffs, alpha, row.spec.kind, row.spec.beta, variant
+        )
+        for got, want in ((cell["params"]["bound_lower"], lo),
+                          (cell["params"]["bound_upper"], hi)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        # at the interval's midpoint either end is the nearer one
+        nearer = lo if cell["bound"] == cell["params"]["bound_lower"] else hi
+        return None, lhs, nearer, min(lhs - lo, hi - lhs)
+    return met, lhs, bound, (bound - lhs if direction == "upper" else lhs - bound)

@@ -5,6 +5,7 @@ import pytest
 
 import straightline as sl
 from graphent import (
+    BoundReport,
     Distribution,
     DomainError,
     FunctionalSpec,
@@ -25,6 +26,7 @@ from graphent import (
     thm6_convex_combination,
     vertex_orbits,
 )
+from graphent.inequalities import _thm1_column
 
 # frozen via an independent high-precision evaluation (mpmath, 40 digits)
 L3_GAP = 0.3219280948873623
@@ -227,6 +229,21 @@ class TestThm1:
         with pytest.raises(DomainError, match="not finite"):
             thm1_refined_bound(d, 30.0, "corrected")
         assert math.isfinite(thm1_refined_bound(d, 30.0, "literal").bound)
+
+    def test_infinite_bound_fails_only_its_alpha_on_a_grid(self):
+        raw = np.array([1.0, 1.0, 10**-10.96])
+        d = Distribution(p=raw / raw.sum())
+        ok_low, ok_high, failed = _thm1_column(d, (0.5, 2.0, 30.0), "corrected", False)
+        for alpha, outcome in ((0.5, ok_low), (2.0, ok_high)):
+            assert not isinstance(outcome, str)
+            assert BoundReport(outcome[0], "corrected", alpha, *outcome[1:]) == (
+                thm1_refined_bound(d, alpha, "corrected")
+            )
+        assert failed.startswith("thm1 is not finite: lhs ")
+        assert "bound -inf" in failed
+        with pytest.raises(DomainError) as exc:
+            thm1_refined_bound(d, 30.0, "corrected")
+        assert str(exc.value) == failed
 
 
 class TestThm3:

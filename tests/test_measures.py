@@ -21,7 +21,13 @@ from graphent import (
     shannon_entropy,
     vertex_orbits,
 )
-from graphent.measures import logsumexp
+from graphent.measures import (
+    log2_power_sum,
+    log2_power_sums,
+    logsumexp,
+    logsumexp_rows,
+    renyi_entropies,
+)
 
 # frozen via an independent high-precision evaluation
 SHANNON_QUARTER = 0.8112781244591328
@@ -99,6 +105,13 @@ class TestLogSumExp:
         assert logsumexp(np.array([1.0, math.inf])) == math.inf
         assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
 
+    def test_rows_have_the_bits_of_one_row_calls(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            rows, size = int(rng.integers(1, 10)), int(rng.integers(1, 70))
+            a = rng.uniform(-50.0, 50.0, size=(rows, size)) * rng.uniform(0.01, 40.0)
+            assert logsumexp_rows(a) == [logsumexp(row) for row in a]
+
 
 class TestMemoizedDerivedValues:
     def test_interleaved_alphas_match_fresh_distribution(self):
@@ -108,6 +121,20 @@ class TestMemoizedDerivedValues:
             got = renyi_entropy(d, alpha)
             fresh = renyi_entropy(Distribution(p=p.copy()), alpha)
             assert got == fresh
+
+    def test_grid_fill_matches_one_alpha_calls(self):
+        rng = np.random.default_rng(13)
+        grid = (0.25, 0.5, 1 - 1e-10, 1 + 1e-10, 1.1, 2.0, 30.0, 0.5)
+        for _ in range(200):
+            raw = 10 ** rng.uniform(-12, 0, size=int(rng.integers(1, 65)))
+            p = raw / raw.sum()
+            d = Distribution(p=p)
+            assert renyi_entropies(d, grid) == [
+                renyi_entropy(Distribution(p=p.copy()), alpha) for alpha in grid
+            ]
+            assert log2_power_sums(d, grid) == [
+                log2_power_sum(Distribution(p=p.copy()), alpha) for alpha in grid
+            ]
 
     def test_p_stays_read_only(self):
         d = dist(0.25, 0.75)
