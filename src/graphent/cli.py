@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GraphEntropyError
 from .graph import Graph, generate_graph, parse_edge_list, write_edge_list
-from .harness import THEOREMS, SweepConfig, run_sweep, summarize_report
+from .harness import THEOREMS, SweepConfig, stream_sweep, summarize_report
 from .inequalities import (
     class_closed_forms,
     connected_functional_bounds,
@@ -293,7 +293,11 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
 
 
 def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
-    """Run one invocation; returns (exit status, stdout text)."""
+    """Run one invocation; returns (exit status, stdout text).
+
+    `sweep --format json` writes its document, and the newline after it, to
+    sys.stdout graph by graph as the sweep runs, and returns no text.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -318,13 +322,16 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         if args.command == "sweep":
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = SweepConfig.from_dict(json.load(fh))
-            report = run_sweep(cfg)
-            out = summarize_report(report, format=args.format)
-            if not out.endswith("\n"):
-                out += "\n"
+            if args.format == "json":
+                summary = stream_sweep(cfg, sys.stdout.write)
+                sys.stdout.write("\n")
+                out = ""
+            else:
+                summary = stream_sweep(cfg)
+                out = summarize_report(summary, format=args.format)
             status = 0
             if args.strict and any(
-                agg["violated"] > 0 for agg in report.aggregates.values()
+                agg["violated"] > 0 for agg in summary.aggregates.values()
             ):
                 status = 1
             return status, out

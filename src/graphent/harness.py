@@ -1,11 +1,18 @@
 """Seeded graph corpora and full-grid sweeps over the bound catalog.
 
 A sweep walks (graph, family, alpha, theorem, variant) cells in a fixed
-order, emitting exactly one report per cell; each (graph, family, theorem,
-variant) column is evaluated over the whole alpha grid in one call.
-Randomness is derived per cell coordinate from the config seed, so
-scheduling cannot change sampled coefficients and equal configs reproduce
-byte-identical canonical JSON (runtime is kept out of the canonical form).
+order, emitting exactly one report per cell. Each (graph, family, theorem,
+variant) column is evaluated over the whole alpha grid in one call and
+kept in that shape: run_sweep's report holds the columns and builds cell
+dicts only when they are read, and the canonical JSON is rendered from the
+columns, each column's constant part encoded once, in the bytes json.dumps
+gives for the cell dicts. Aggregates and exemplars are folded graph by
+graph, so stream_sweep, which `graphent sweep` uses, writes each graph's
+cells as that graph finishes and keeps none: its memory does not grow with
+the corpus. Randomness is derived per cell coordinate from the config
+seed, so scheduling cannot change sampled coefficients and equal configs
+reproduce byte-identical canonical JSON (runtime is kept out of the
+canonical form).
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import io
 import json
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +39,6 @@ from .graph import (
 from .inequalities import (
     VARIANTS,
     Column,
-    Outcome,
     _check_alpha,
     _combine,
     _Combination,
@@ -43,6 +50,7 @@ from .inequalities import (
     _thm4_column,
     _thm5_column,
     _thm6_column,
+    _weighted_sum,
 )
 from .measures import (
     FUNCTIONAL_KINDS,
@@ -317,14 +325,45 @@ def _decode(cls: type, data: Any) -> Any:
 
 
 @dataclass
-class SweepReport:
+class SweepSummary:
+    """What a sweep found without its cells: per theorem|variant tallies,
+    the first violation exemplars, and corpus and runtime stats."""
+
     config: SweepConfig
-    cells: list[dict[str, Any]]
     aggregates: dict[str, dict[str, Any]]
     exemplars: dict[str, list[dict[str, Any]]]
     runtime_seconds: float
     corpus_size: int
     gnp_redraws: int
+
+
+class _Row(NamedTuple):
+    """One (graph, family) row's columns, one per (theorem, variant) of
+    plan; plan is shared by every row of a kind."""
+
+    family: str
+    plan: list[tuple[Theorem, str]]
+    columns: list[Column]
+
+
+@dataclass
+class SweepReport(SweepSummary):
+    """A sweep with its cells kept as columns: graphs holds per corpus graph
+    its id and rows. cells and the canonical document are built from the
+    columns on each read."""
+
+    graphs: list[tuple[str, list[_Row]]] = field(default_factory=list, repr=False)
+
+    @property
+    def cells(self) -> list[dict[str, Any]]:
+        """Every cell dict, in sweep order."""
+        alphas = self.config.alpha_grid
+        return [
+            cell
+            for graph_id, rows in self.graphs
+            for row in rows
+            for cell in _row_cells(graph_id, row, alphas)
+        ]
 
     def to_canonical_dict(self) -> dict[str, Any]:
         """Stable-keyed document; runtime and corpus stats stay out of it."""
@@ -336,19 +375,15 @@ class SweepReport:
         }
 
 
-def _corpus_with_stats(
-    cfg: SweepConfig,
-) -> tuple[list[tuple[str, Graph | str]], int]:
-    """(graph id, graph) in sweep order, and the total gnp redraws. A gnp
-    slot whose draws hit the redraw cap holds the reason instead of a
-    graph."""
+def _corpus(cfg: SweepConfig) -> Iterator[tuple[str, Graph | str, int]]:
+    """(graph id, graph, gnp redraws) in sweep order, each graph made when
+    it is reached. A gnp slot whose draws hit the redraw cap holds the
+    reason instead of a graph."""
     lo, hi = cfg.n_range
-    corpus: list[tuple[str, Graph | str]] = []
     for n in range(lo, hi + 1):
         for kind, minimum in _BATTERY:
             if n >= minimum:
-                corpus.append((f"{kind}_{n}", generate_graph(kind, n)))
-    redraws = 0
+                yield f"{kind}_{n}", generate_graph(kind, n), 0
     for n in range(lo, hi + 1):
         for pi, p in enumerate(cfg.edge_probabilities):
             for t in range(cfg.trials_per_cell):
@@ -357,9 +392,7 @@ def _corpus_with_stats(
                     g, drawn = generate_gnp_connected(n, p, seed)
                 except DomainError as exc:
                     g, drawn = str(exc), GNP_MAX_REDRAWS
-                redraws += drawn
-                corpus.append((f"gnp_n{n}_p{p:g}_t{t}", g))
-    return corpus, redraws
+                yield f"gnp_n{n}_p{p:g}_t{t}", g, drawn
 
 
 def generate_corpus(cfg: SweepConfig) -> list[tuple[str, Graph]]:
@@ -367,11 +400,7 @@ def generate_corpus(cfg: SweepConfig) -> list[tuple[str, Graph]]:
 
     A gnp slot with no connected sample within the redraw cap is left out.
     """
-    return [
-        (graph_id, g)
-        for graph_id, g in _corpus_with_stats(cfg)[0]
-        if isinstance(g, Graph)
-    ]
+    return [(graph_id, g) for graph_id, g, _ in _corpus(cfg) if isinstance(g, Graph)]
 
 
 def _sample_spec(
@@ -391,25 +420,24 @@ def _cell(
     alpha: float,
     graph_id: str,
     family: str,
-    outcome: Outcome | str,
+    column: Column,
+    i: int,
 ) -> dict[str, Any]:
-    """One sweep cell, in the fixed key order of the canonical JSON.
+    """The cell of column at alpha index i, in the fixed key order of the
+    canonical JSON.
 
     theorem is the sweep grid's id (which distinguishes e.g. thm4's psi and
-    corollary modes on top of the operation's own id). outcome is the
-    evaluated instance, or the reason it could not be evaluated.
+    corollary modes on top of the operation's own id).
     """
+    outcome = column.outcomes[i]
     if isinstance(outcome, str):
         holds, met, lhs, bound, slack = None, False, None, None, None
         params = {"family": family, "reason": outcome}
     else:
-        _, lhs, bound, direction, met, holds, slack, tolerance, own = outcome
-        params = {
-            **own,
-            "family": family,
-            "direction": direction,
-            "tolerance": tolerance,
-        }
+        holds, lhs, bound, slack = outcome[:4]
+        met = column.precondition_met
+        params = column.params_at(i)
+        params.update(family=family, direction=outcome[-1], tolerance=column.tolerance)
     return {
         "theorem": theorem,
         "variant": variant,
@@ -422,6 +450,13 @@ def _cell(
         "slack": slack,
         "params": params,
     }
+
+
+def _row_cells(graph_id: str, row: _Row, alphas: Sequence[float]) -> Iterator[dict]:
+    """row's cells in sweep order: alpha by alpha, then the plan's order."""
+    for i, alpha in enumerate(alphas):
+        for (theorem, variant), column in zip(row.plan, row.columns):
+            yield _cell(theorem.id, variant, alpha, graph_id, row.family, column, i)
 
 
 def _error_rows(cfg: SweepConfig, reason: str) -> list[_FamilyData]:
@@ -480,103 +515,303 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
                 fv=fv_a,
                 fv_second=fv_b,
                 spec=spec_a,
-                dominating=_combine(fv_a, fv_b, 1.0, 1.0).combined,
+                dominating=_weighted_sum(fv_a, fv_b, 1.0, 1.0),
                 combination=_combine(fv_a, fv_b, float(w[0]), float(w[1])),
             )
         )
     return rows
 
 
-def _aggregate(cells: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Reduce cells to per theorem/variant tallies.
-
-    mean_slack uses math.fsum so the result is independent of cell order.
-    """
-    buckets: dict[str, list[dict[str, Any]]] = {}
-    for cell in cells:
-        buckets.setdefault(f"{cell['theorem']}|{cell['variant']}", []).append(cell)
-    out: dict[str, dict[str, Any]] = {}
-    for key, group in buckets.items():
-        held = sum(1 for c in group if c["holds"] is True)
-        violated = sum(1 for c in group if c["holds"] is False)
-        not_applicable = sum(1 for c in group if c["holds"] is None)
-        slacks = [c["slack"] for c in group if c["holds"] is not None]
-        out[key] = {
-            "checked": len(group),
-            "held": held,
-            "violated": violated,
-            "not_applicable": not_applicable,
-            "min_slack": min(slacks) if slacks else None,
-            "mean_slack": math.fsum(slacks) / len(slacks) if slacks else None,
-        }
-    return out
-
-
 def _column(
     row: _FamilyData, theorem: Theorem, alphas: tuple[float, ...], variant: str
 ) -> Column:
-    """theorem's outcomes on row over the grid; a failed row, or a failure
+    """theorem's column on row over the grid; a failed row, or a failure
     that does not depend on alpha, gives the same reason at every alpha."""
     if row.error is not None:
-        return [row.error] * len(alphas)
+        return Column.failed(theorem.id, row.error, len(alphas))
     try:
         return theorem.evaluate(row, alphas, variant)
     except GraphEntropyError as exc:
-        return [str(exc)] * len(alphas)
+        return Column.failed(theorem.id, str(exc), len(alphas))
+
+
+@dataclass(slots=True)
+class _Tally:
+    """One theorem|variant aggregate while the sweep runs; slacks are the
+    evaluated cells' slacks in cell order."""
+
+    checked: int = 0
+    held: int = 0
+    violated: int = 0
+    not_applicable: int = 0
+    slacks: array = field(default_factory=lambda: array("d"))
+
+    def to_dict(self) -> dict[str, Any]:
+        """mean_slack uses math.fsum, so it does not depend on cell order."""
+        slacks = self.slacks
+        return {
+            "checked": self.checked,
+            "held": self.held,
+            "violated": self.violated,
+            "not_applicable": self.not_applicable,
+            "min_slack": min(slacks) if slacks else None,
+            "mean_slack": math.fsum(slacks) / len(slacks) if slacks else None,
+        }
+
+
+class _Sweep:
+    """One sweep as it runs: each corpus graph is made, evaluated and folded
+    into the aggregates, the exemplars and the corpus stats in turn.
+
+    Keys enter the aggregates and exemplars in cell order, so both come out
+    as a pass over the finished cells would give them.
+    """
+
+    def __init__(self, cfg: SweepConfig):
+        self.start = time.perf_counter()
+        self.cfg = cfg
+        self.corpus_size = 0
+        self.redraws = 0
+        self.tallies: dict[str, _Tally] = {}
+        self.exemplars: dict[str, list[dict[str, Any]]] = {}
+
+    def graphs(self) -> Iterator[tuple[str, list[_Row]]]:
+        """(graph id, rows) per corpus graph, in sweep order, each folded
+        before it is yielded."""
+        cfg, alphas = self.cfg, self.cfg.alpha_grid
+        by_id = {t.id: t for t in THEOREMS}
+        theorems = [by_id[t] for t in cfg.theorems]
+        plans = {
+            kind: [
+                (theorem, variant)
+                for theorem in theorems
+                if kind in theorem.kinds
+                for variant in (cfg.variants if theorem.variants else ("na",))
+            ]
+            for kind in ROW_KINDS
+        }
+        for gi, (graph_id, g, drawn) in enumerate(_corpus(cfg)):
+            self.redraws += drawn
+            if isinstance(g, str):
+                fams = _error_rows(cfg, g)
+            else:
+                self.corpus_size += 1
+                fams = _family_rows(cfg, g, gi, distance_matrix(g))
+            rows = []
+            for fam in fams:
+                plan = plans[fam.kind]
+                columns = [
+                    _column(fam, theorem, alphas, variant) for theorem, variant in plan
+                ]
+                rows.append(_Row(fam.label, plan, columns))
+            self._fold(graph_id, g, rows)
+            yield graph_id, rows
+
+    def _fold(self, graph_id: str, g: Graph | str, rows: list[_Row]) -> None:
+        """Add one graph's cells to the tallies and the exemplars."""
+        tallies = self.tallies
+        violations = []
+        for ri, row in enumerate(rows):
+            for ci, ((theorem, variant), column) in enumerate(
+                zip(row.plan, row.columns)
+            ):
+                outcomes = column.outcomes
+                if not outcomes:
+                    continue
+                key = f"{theorem.id}|{variant}"
+                tally = tallies.get(key)
+                if tally is None:
+                    tally = tallies[key] = _Tally()
+                tally.checked += len(outcomes)
+                for ai, outcome in enumerate(outcomes):
+                    holds = None if outcome.__class__ is str else outcome[0]
+                    if holds is None:
+                        tally.not_applicable += 1
+                        continue
+                    tally.slacks.append(outcome[3])
+                    if holds:
+                        tally.held += 1
+                    else:
+                        tally.violated += 1
+                        violations.append((ri, ai, ci))
+        # a graph's cells run row by row, then alpha by alpha, then column
+        for ri, ai, ci in sorted(violations):
+            row = rows[ri]
+            theorem, variant = row.plan[ci]
+            bucket = self.exemplars.setdefault(f"{theorem.id}|{variant}", [])
+            if len(bucket) < EXEMPLAR_CAP:
+                cell = _cell(
+                    theorem.id, variant, self.cfg.alpha_grid[ai], graph_id,
+                    row.family, row.columns[ci], ai,
+                )
+                edges = [list(e) for e in g.sorted_edges()]
+                bucket.append({"cell": cell, "edges": edges})
+
+    def summary(self) -> dict[str, Any]:
+        """SweepSummary's fields, once every graph has been folded."""
+        return {
+            "config": self.cfg,
+            "aggregates": {key: t.to_dict() for key, t in self.tallies.items()},
+            "exemplars": self.exemplars,
+            "runtime_seconds": time.perf_counter() - self.start,
+            "corpus_size": self.corpus_size,
+            "gnp_redraws": self.redraws,
+        }
 
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Evaluate every applicable (graph, family, alpha, theorem, variant) cell."""
-    start = time.perf_counter()
-    corpus, redraws = _corpus_with_stats(cfg)
-    by_id = {t.id: t for t in THEOREMS}
-    theorems = [by_id[t] for t in cfg.theorems]
-    cells: list[dict[str, Any]] = []
-    exemplars: dict[str, list[dict[str, Any]]] = {}
-    alphas = cfg.alpha_grid
-    for gi, (graph_id, g) in enumerate(corpus):
-        if isinstance(g, str):
-            rows = _error_rows(cfg, g)
-        else:
-            rows = _family_rows(cfg, g, gi, distance_matrix(g))
-        for fam in rows:
-            plan = [
-                (theorem, variant)
-                for theorem in theorems
-                if fam.kind in theorem.kinds
-                for variant in (cfg.variants if theorem.variants else ("na",))
+    """Evaluate every applicable (graph, family, alpha, theorem, variant)
+    cell, keeping every graph's columns."""
+    sweep = _Sweep(cfg)
+    graphs = list(sweep.graphs())
+    return SweepReport(graphs=graphs, **sweep.summary())
+
+
+def stream_sweep(
+    cfg: SweepConfig, write: Callable[[str], Any] | None = None
+) -> SweepSummary:
+    """Run the sweep keeping no cells: write, when given, receives the
+    canonical JSON chunk by chunk, each graph's cells as that graph
+    finishes. Memory does not grow with the corpus beyond one slack per
+    evaluated cell."""
+    sweep = _Sweep(cfg)
+    if write is None:
+        for _ in sweep.graphs():
+            pass
+        return SweepSummary(**sweep.summary())
+    for chunk in _json_cells(cfg, sweep.graphs()):
+        write(chunk)
+    summary = SweepSummary(**sweep.summary())
+    write(_json_tail(summary))
+    return summary
+
+
+# The canonical JSON is json.dumps(report.to_canonical_dict(),
+# allow_nan=False), written from the columns instead: each column renders
+# its constant part once into a %-format, and each evaluated cell is one %
+# of that format with its alpha, verdict, numbers and direction.
+
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+
+_HOLDS = {True: "true", False: "false", None: "null"}
+
+
+def _literal(value: Any) -> str:
+    """json.dumps(value, allow_nan=False), escaped for use in a %-format. A
+    finite float, an int and a bool skip the encoder's set-up."""
+    cls = value.__class__
+    if (cls is float and math.isfinite(value)) or cls is int:
+        return repr(value)
+    if cls is bool:
+        return "true" if value else "false"
+    return _ENCODE(value).replace("%", "%%")
+
+
+class _CellWriter:
+    """Renders a sweep's cells as canonical JSON text, graph by graph. It
+    keeps the text of each (theorem, variant) head and params key it has
+    rendered, so each is encoded once per sweep."""
+
+    def __init__(self, alphas: Sequence[float]):
+        self.alphas = alphas
+        self.alpha_texts = [_literal(alpha) for alpha in alphas]
+        self.heads: dict[tuple[str, str], str] = {}
+        self.keys: dict[str, str] = {}
+
+    def _head(self, theorem: str, variant: str) -> str:
+        """The cell text up to its graph id, in %-format."""
+        head = self.heads.get((theorem, variant))
+        if head is None:
+            head = self.heads[theorem, variant] = (
+                '{"theorem": ' + _literal(theorem) + ', "variant": '
+                + _literal(variant) + ', "alpha": %s, "graph_id": '
+            )
+        return head
+
+    def _format(self, head: str, column: Column, tail: str) -> str:
+        """The %-format of column's evaluated cells. Its slots take the
+        alpha text, the holds text, lhs, bound, slack, the varying params
+        (all %r of finite Python floats, as Outcome guarantees) and the
+        direction."""
+        keys, varying = self.keys, column.varying
+        parts = [
+            head,
+            "true" if column.precondition_met else "false",
+            ', "lhs": %r, "bound": %r, "slack": %r, "params": {',
+        ]
+        for key, value in column.params.items():
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = _literal(key) + ": "
+            parts.append(text)
+            parts.append("%r, " if key in varying else _literal(value) + ", ")
+        parts += (tail, _literal(column.tolerance), "}}")
+        return "".join(parts)
+
+    def graph(self, graph_id: str, rows: list[_Row]) -> str:
+        """One graph's cells, comma-separated, in sweep order."""
+        graph_text = _literal(graph_id) + ', "holds": %s, "precondition_met": '
+        cells = []
+        for row in rows:
+            tail = (
+                '"family": ' + _literal(row.family)
+                + ', "direction": "%s", "tolerance": '
+            )
+            formats = [
+                self._format(self._head(theorem.id, variant) + graph_text, column, tail)
+                if any(o.__class__ is tuple for o in column.outcomes)
+                else None
+                for (theorem, variant), column in zip(row.plan, row.columns)
             ]
-            columns = [
-                _column(fam, theorem, alphas, variant) for theorem, variant in plan
-            ]
-            for ai, alpha in enumerate(alphas):
-                for (theorem, variant), column in zip(plan, columns):
-                    cell = _cell(
-                        theorem.id, variant, alpha, graph_id, fam.label, column[ai]
-                    )
-                    cells.append(cell)
-                    if cell["holds"] is False:
-                        key = f"{theorem.id}|{variant}"
-                        bucket = exemplars.setdefault(key, [])
-                        if len(bucket) < EXEMPLAR_CAP:
-                            edges = [list(e) for e in g.sorted_edges()]
-                            bucket.append({"cell": cell, "edges": edges})
-    runtime = time.perf_counter() - start
-    return SweepReport(
-        config=cfg,
-        cells=cells,
-        aggregates=_aggregate(cells),
-        exemplars=exemplars,
-        runtime_seconds=runtime,
-        corpus_size=sum(1 for _, g in corpus if isinstance(g, Graph)),
-        gnp_redraws=redraws,
+            for i, alpha_text in enumerate(self.alpha_texts):
+                for fmt, (theorem, variant), column in zip(
+                    formats, row.plan, row.columns
+                ):
+                    outcome = column.outcomes[i]
+                    if outcome.__class__ is str:
+                        cells.append(_ENCODE(_cell(
+                            theorem.id, variant, self.alphas[i], graph_id,
+                            row.family, column, i,
+                        )))
+                    else:
+                        cells.append(
+                            fmt % (alpha_text, _HOLDS[outcome[0]], *outcome[1:])
+                        )
+        return ", ".join(cells)
+
+
+def _json_cells(
+    cfg: SweepConfig, graphs: Iterable[tuple[str, list[_Row]]]
+) -> Iterator[str]:
+    """The canonical JSON up to the end of its cells, in chunks: the config,
+    then each graph's cells."""
+    yield '{"config": ' + _ENCODE(cfg.to_dict()) + ', "cells": ['
+    writer = _CellWriter(cfg.alpha_grid)
+    separator = ""
+    for graph_id, rows in graphs:
+        text = writer.graph(graph_id, rows)
+        if text:
+            if separator:
+                yield separator
+            yield text
+            separator = ", "
+
+
+def _json_tail(summary: SweepSummary) -> str:
+    """The canonical JSON after its cells."""
+    return (
+        '], "aggregates": ' + _ENCODE(summary.aggregates)
+        + ', "exemplars": ' + _ENCODE(summary.exemplars) + "}"
     )
 
 
-def summarize_report(report: SweepReport, format: str = "json") -> str:
-    """Render a sweep report as canonical JSON, aggregate CSV, or a text table."""
+def summarize_report(report: SweepSummary, format: str = "json") -> str:
+    """Render a sweep report as canonical JSON, aggregate CSV, or a text
+    table; only the JSON needs the report's cells."""
     if format == "json":
-        return json.dumps(report.to_canonical_dict(), allow_nan=False)
+        if not isinstance(report, SweepReport):
+            raise DomainError("canonical JSON needs a sweep report that kept its cells")
+        return "".join([*_json_cells(report.config, report.graphs), _json_tail(report)])
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -611,7 +846,7 @@ def summarize_report(report: SweepReport, format: str = "json") -> str:
         lines = [
             f"corpus: {report.corpus_size} graphs"
             f" (gnp redraws: {report.gnp_redraws}),"
-            f" cells: {len(report.cells)},"
+            f" cells: {sum(agg['checked'] for agg in report.aggregates.values())},"
             f" runtime: {report.runtime_seconds:.2f}s",
             "",
             f"{'theorem':<14} {'variant':<10} {'checked':>8} {'held':>8} "

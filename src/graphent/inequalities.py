@@ -1,12 +1,14 @@
 """Checkable reports for every inequality in the bound catalog.
 
 Each theorem has one column core. It takes its inputs and an alpha grid,
-computes everything that does not depend on alpha once, and returns one
-outcome per alpha: the finished values of a report, or the reason that
-alpha failed. The sweep builds its cells from the outcomes; each public
-operation evaluates one instance as a one-row call into its core and
-returns a structured BoundReport instead of asserting. Two variants exist
-wherever the printed bound and its repaired derivation disagree:
+computes everything that does not depend on alpha once, and returns a
+Column: the report params that do not depend on alpha, built once, and per
+alpha an outcome (verdict, numbers and the params that do depend on alpha)
+or the reason that alpha failed. The sweep keeps and renders the columns;
+each public operation evaluates one instance as a one-row call into its
+core and returns a structured BoundReport instead of asserting. Two
+variants exist wherever the printed bound and its repaired derivation
+disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
              below alpha=1 and divided above (thm1/thm1_eps), penalty terms
@@ -108,13 +110,43 @@ class LemmaCheck:
     margin: float
 
 
-# One alpha's finished instance: BoundReport's fields without variant and
-# alpha, (theorem_id, lhs, bound, direction, precondition_met, holds, slack,
-# tolerance, params). A plain tuple, since the sweep makes one per cell.
-Outcome = tuple[str, float, float, str, bool, bool | None, float, float, dict[str, Any]]
+# One alpha's finished instance, in the order the sweep's cell text reads
+# it: (holds, lhs, bound, slack, *the column's alpha-dependent params,
+# direction). Every number is a finite Python float and direction is one
+# of "upper", "lower", "equal" and "interval". A plain tuple, since the
+# sweep makes one per cell.
+Outcome = tuple
 
-# A column core's result: per alpha, its Outcome or the reason it failed.
-Column = list[Outcome | str]
+
+@dataclass(slots=True)
+class Column:
+    """A column core's result over one alpha grid.
+
+    params holds every report param in key order; those named in varying
+    depend on alpha, hold None here and take each alpha's values from its
+    outcome. The rest, the precondition and the tolerance are the same at
+    every alpha. outcomes has per alpha its Outcome or the reason that
+    alpha failed.
+    """
+
+    theorem_id: str
+    params: dict[str, Any]
+    outcomes: list[Outcome | str]
+    varying: tuple[str, ...] = ()
+    precondition_met: bool = True
+    tolerance: float = TOLERANCE
+
+    @classmethod
+    def failed(cls, theorem_id: str, reason: str, size: int) -> "Column":
+        """A column whose every alpha fails for one reason."""
+        return cls(theorem_id, {}, [reason] * size, precondition_met=False)
+
+    def params_at(self, i: int) -> dict[str, Any]:
+        """The full params of the evaluated outcome at alpha index i."""
+        params = dict(self.params)
+        if self.varying:
+            params.update(zip(self.varying, self.outcomes[i][4:-1]))
+        return params
 
 
 def _finish(
@@ -122,7 +154,7 @@ def _finish(
     lhs: float,
     bound: float | None,
     direction: str,
-    params: dict[str, Any],
+    varying: tuple[float, ...] = (),
     *,
     precondition_met: bool = True,
     tolerance: float = TOLERANCE,
@@ -130,14 +162,14 @@ def _finish(
 ) -> Outcome:
     """Slack, verdict and finiteness of one evaluated instance.
 
-    params is kept, not copied. An interval's ends are added to it as
-    bound_lower/bound_upper, and its nearer end becomes the bound. Raises
-    DomainError when the slack or an interval end is not finite.
+    varying holds the values of the column's alpha-dependent params. An
+    interval's ends follow them, as bound_lower/bound_upper, and its nearer
+    end becomes the bound. Raises DomainError when the slack, an interval
+    end or a varying value is not finite.
     """
     if interval is not None:
         lo, hi = interval
-        params.setdefault("bound_lower", lo)
-        params.setdefault("bound_upper", hi)
+        varying = (*varying, lo, hi)
         low_side, high_side = lhs - lo, hi - lhs
         slack = min(low_side, high_side)
         bound = lo if low_side <= high_side else hi
@@ -157,27 +189,55 @@ def _finish(
             f"{theorem_id} is not finite: lhs {lhs!r}, bound {bound!r}, "
             f"slack {slack!r}"
         )
+    if varying:
+        varying = tuple(map(float, varying))
+        if not all(map(math.isfinite, varying)):
+            raise DomainError(f"{theorem_id} params are not finite: {varying!r}")
     holds = bool(slack >= -tolerance) if precondition_met else None
-    return (
-        theorem_id, float(lhs), float(bound), direction, precondition_met,
-        holds, float(slack), tolerance, params,
+    return (holds, float(lhs), float(bound), float(slack), *varying, direction)
+
+
+def _instance(
+    variant: str,
+    alpha: float,
+    theorem_id: str,
+    lhs: float,
+    bound: float | None,
+    direction: str,
+    params: dict[str, Any],
+    *,
+    precondition_met: bool = True,
+    tolerance: float = TOLERANCE,
+) -> BoundReport:
+    """The BoundReport of one instance whose params are all known."""
+    outcome = _finish(
+        theorem_id, lhs, bound, direction,
+        precondition_met=precondition_met, tolerance=tolerance,
     )
+    column = Column(theorem_id, params, [outcome], (), precondition_met, tolerance)
+    return _report(variant, alpha, column)
 
 
-def _report(variant: str, alpha: float, outcome: Outcome | str) -> BoundReport:
-    """The BoundReport of one outcome; a reason is raised as the DomainError
-    it came from."""
+def _report(variant: str, alpha: float, column: Column) -> BoundReport:
+    """The BoundReport of a one-alpha column; a reason is raised as the
+    DomainError it came from."""
+    outcome = column.outcomes[0]
     if isinstance(outcome, str):
         raise DomainError(outcome)
-    return BoundReport(outcome[0], variant, float(alpha), *outcome[1:])
+    holds, lhs, bound, slack = outcome[:4]
+    return BoundReport(
+        column.theorem_id, variant, float(alpha), lhs, bound, outcome[-1],
+        column.precondition_met, holds, slack, column.tolerance,
+        column.params_at(0),
+    )
 
 
 def _per_alpha(
     body: Callable[..., Outcome], alphas: Sequence[float], *values: list
-) -> Column:
+) -> list[Outcome | str]:
     """body(alpha, *that alpha's entry of each values list) at each alpha; a
     DomainError at one alpha becomes that alpha's reason."""
-    out: Column = []
+    out: list[Outcome | str] = []
     for args in zip(alphas, *values):
         try:
             out.append(body(*args))
@@ -312,7 +372,7 @@ def lemma_checks(seed: int, trials: int) -> list[LemmaCheck]:
 def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
     """H_alpha >= H below alpha=1 and H_alpha <= H above it."""
     _check_alpha(alpha)
-    return _report("na", alpha, *_ordering_column(d, (alpha,)))
+    return _report("na", alpha, _ordering_column(d, (alpha,)))
 
 
 def _ordering_column(d: Distribution, alphas: Sequence[float]) -> Column:
@@ -320,9 +380,10 @@ def _ordering_column(d: Distribution, alphas: Sequence[float]) -> Column:
 
     def body(alpha: float, h_alpha: float) -> Outcome:
         direction = "lower" if alpha < 1.0 else "upper"
-        return _finish("ordering", h_alpha, h, direction, {"N": n, "shannon": h})
+        return _finish("ordering", h_alpha, h, direction)
 
-    return _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    return Column("ordering", {"N": n, "shannon": h}, outcomes)
 
 
 def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
@@ -333,7 +394,7 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     Jensen-gap extension instantiates it.
     """
     _check_alpha(alpha)
-    return _report("na", alpha, *_jensen_column(d, (alpha,)))
+    return _report("na", alpha, _jensen_column(d, (alpha,)))
 
 
 def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
@@ -354,10 +415,12 @@ def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
             h_alpha,
             h + sum_term / (2.0 * LN2 * (1.0 - alpha)),
             "upper" if alpha < 1.0 else "lower",
-            {"N": n, "shannon": h, "sum_term": sum_term},
+            (sum_term,),
         )
 
-    return _per_alpha(body, alphas, renyi_entropies(d, alphas), sum_terms)
+    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas), sum_terms)
+    params = {"N": n, "shannon": h, "sum_term": None}
+    return Column("jensen", params, outcomes, ("sum_term",))
 
 
 def _thm1_bound(
@@ -394,7 +457,7 @@ def thm1_refined_bound(
     _check_alpha(alpha)
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _report(variant, alpha, *_thm1_column(d, (alpha,), variant, use_epsilon))
+    return _report(variant, alpha, _thm1_column(d, (alpha,), variant, use_epsilon))
 
 
 def _thm1_column(
@@ -409,16 +472,17 @@ def _thm1_column(
         direction, bound = _thm1_bound(
             h, alpha, variant, n * (n - 1), stats.rho, eps_factor
         )
-        params = {
-            "N": n,
-            "rho": stats.rho,
-            "epsilon": stats.epsilon,
-            "use_epsilon": use_epsilon,
-            "shannon": h,
-        }
-        return _finish(theorem_id, h_alpha, bound, direction, params)
+        return _finish(theorem_id, h_alpha, bound, direction)
 
-    return _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    params = {
+        "N": n,
+        "rho": stats.rho,
+        "epsilon": stats.epsilon,
+        "use_epsilon": use_epsilon,
+        "shannon": h,
+    }
+    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    return Column(theorem_id, params, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +510,7 @@ def thm3_partition_vs_functional(
     if part.total != g.n or fv.size != g.n:
         raise DomainError("partition/functional sizes must match the graph")
     column = _thm3_column(part, partition_distribution(part), fv, (alpha,), base)
-    return _report("na", alpha, *column)
+    return _report("na", alpha, column)
 
 
 def _thm3_column(
@@ -475,17 +539,19 @@ def _thm3_column(
             h_gamma,
             h_f + (alpha / (1.0 - alpha)) * log_ratio,
             "upper" if alpha < 1.0 else "lower",
-            {
-                "k": k,
-                "X_size": n,
-                "log2_S": log2_s,
-                "h_functional": h_f,
-                "log_base": base,
-            },
+            (h_f,),
             precondition_met=met,
         )
 
-    return _per_alpha(body, alphas, h_gammas, h_fs)
+    params = {
+        "k": k,
+        "X_size": n,
+        "log2_S": log2_s,
+        "h_functional": None,
+        "log_base": base,
+    }
+    outcomes = _per_alpha(body, alphas, h_gammas, h_fs)
+    return Column("thm3", params, outcomes, ("h_functional",), met)
 
 
 def thm4_scaled_dominance(
@@ -506,7 +572,7 @@ def thm4_scaled_dominance(
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
     column = _thm4_column(d1, d2, psi, derive_psi_from, (alpha,), base)
-    return _report("na", alpha, *column)
+    return _report("na", alpha, column)
 
 
 def _thm4_column(
@@ -534,29 +600,30 @@ def _thm4_column(
     log_psi = _logb(psi, base)
 
     def body(alpha: float, h1: float, h2: float) -> Outcome:
-        params = {
-            "psi": float(psi),
-            "mode": mode,
-            "N": n,
-            "h_other": h2,
-            "log_base": base,
-            **totals,
-        }
         return _finish(
             "thm4",
             h1,
             h2 + (alpha / (1.0 - alpha)) * log_psi,
             "upper" if alpha < 1.0 else "lower",
-            params,
+            (h2,),
             precondition_met=met,
         )
 
-    return _per_alpha(
+    params = {
+        "psi": float(psi),
+        "mode": mode,
+        "N": n,
+        "h_other": None,
+        "log_base": base,
+        **totals,
+    }
+    outcomes = _per_alpha(
         body,
         alphas,
         _to_base(renyi_entropies(d1, alphas), base),
         _to_base(renyi_entropies(d2, alphas), base),
     )
+    return Column("thm4", params, outcomes, ("h_other",), met)
 
 
 def thm5_additive_dominance(
@@ -578,7 +645,7 @@ def thm5_additive_dominance(
         raise DomainError("distributions must share a vertex set")
     if phi <= 0.0:
         raise DomainError("phi must be positive")
-    return _report(variant, alpha, *_thm5_column(d1, d2, phi, (alpha,), variant, base))
+    return _report(variant, alpha, _thm5_column(d1, d2, phi, (alpha,), variant, base))
 
 
 def _thm5_column(
@@ -603,25 +670,26 @@ def _thm5_column(
             x = n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
             penalty = (alpha / (alpha - 1.0)) * x * factor
             direction, bound = "lower", h2 - penalty
-        params = {
-            "phi": float(phi),
-            "N": n,
-            "power_sum_2": power_sum_2,
-            "h_other": h2,
-            "log_base": base,
-        }
         return _finish(
-            "thm5", h1, bound, direction, params,
+            "thm5", h1, bound, direction, (power_sum_2, h2),
             precondition_met=met,
         )
 
-    return _per_alpha(
+    params = {
+        "phi": float(phi),
+        "N": n,
+        "power_sum_2": None,
+        "h_other": None,
+        "log_base": base,
+    }
+    outcomes = _per_alpha(
         body,
         alphas,
         _to_base(renyi_entropies(d1, alphas), base),
         _to_base(renyi_entropies(d2, alphas), base),
         log2_power_sums(d2, alphas),
     )
+    return Column("thm5", params, outcomes, ("power_sum_2", "h_other"), met)
 
 
 def thm6_convex_combination(
@@ -651,7 +719,7 @@ def thm6_convex_combination(
     column = _thm6_column(
         _combine(fv1, fv2, c1, c2), (alpha,), variant, symmetric, base
     )
-    return _report(variant, alpha, *column)
+    return _report(variant, alpha, column)
 
 
 @dataclass(frozen=True)
@@ -670,6 +738,17 @@ class _Combination:
     combined: FunctionalValues
 
 
+def _weighted_sum(
+    fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
+) -> FunctionalValues:
+    """c1 f1 + c2 f2 for positive weights on one vertex set."""
+    return FunctionalValues(
+        log_values=np.logaddexp(
+            math.log(c1) + fv1.log_values, math.log(c2) + fv2.log_values
+        )
+    )
+
+
 def _combine(
     fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
 ) -> _Combination:
@@ -677,11 +756,7 @@ def _combine(
     t1 = math.log(c1) + fv1.total_log
     t2 = math.log(c2) + fv2.total_log
     t_sum = float(np.logaddexp(t1, t2))
-    combined = FunctionalValues(
-        log_values=np.logaddexp(
-            math.log(c1) + fv1.log_values, math.log(c2) + fv2.log_values
-        )
-    )
+    combined = _weighted_sum(fv1, fv2, c1, c2)
     return _Combination(
         fv1=fv1,
         fv2=fv2,
@@ -761,20 +836,20 @@ def _thm6_column(
                     - (alpha / (alpha - 1.0)) * log_a1
                     - (alpha / (alpha - 1.0)) * w21 * factor
                 )
-        params = {
-            "c1": comb.c1,
-            "c2": comb.c2,
-            "A1": a1,
-            "A2": a2,
-            "S1_log2": comb.fv1.total_log / LN2,
-            "S2_log2": comb.fv2.total_log / LN2,
-            "h1": h1,
-            "h2": h2,
-            "log_base": base,
-        }
-        return _finish(theorem_id, h_f, bound, direction, params)
+        return _finish(theorem_id, h_f, bound, direction, (h1, h2))
 
-    return _per_alpha(
+    params = {
+        "c1": comb.c1,
+        "c2": comb.c2,
+        "A1": a1,
+        "A2": a2,
+        "S1_log2": comb.fv1.total_log / LN2,
+        "S2_log2": comb.fv2.total_log / LN2,
+        "h1": None,
+        "h2": None,
+        "log_base": base,
+    }
+    outcomes = _per_alpha(
         body,
         alphas,
         h_fs,
@@ -783,6 +858,7 @@ def _thm6_column(
         log2_power_sums(d1, alphas),
         log2_power_sums(d2, alphas),
     )
+    return Column(theorem_id, params, outcomes, ("h1", "h2"))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +878,9 @@ def _class_functional_report(
     """The class bound head - (alpha/(1-alpha)) log2 S - offset on the
     functional's H_alpha: a lower bound below alpha=1, an upper one above."""
     log2_s = fv.total_log / LN2
-    outcome = _finish(
+    return _instance(
+        "na",
+        alpha,
         "class_functional_bound",
         renyi_entropy(distribution_from_values(fv), alpha),
         head - (alpha / (1.0 - alpha)) * log2_s - offset,
@@ -810,7 +888,6 @@ def _class_functional_report(
         {**params, "log2_S": log2_s, **extra},
         precondition_met=met,
     )
-    return _report("na", alpha, outcome)
 
 
 def _star_like_reports(
@@ -829,24 +906,23 @@ def _star_like_reports(
     closed_renyi = (log2_sum - alpha * math.log2(n)) / (1.0 - alpha)
     closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
     reports = [
-        _report("na", alpha, _finish(
-            "class_renyi_exact", h_alpha, closed_renyi, "equal", dict(base_params),
-            precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
-        )),
-        _report("na", alpha, _finish(
-            "class_shannon_exact", h_shannon, closed_shannon, "equal",
+        _instance(
+            "na", alpha, "class_renyi_exact", h_alpha, closed_renyi, "equal",
             dict(base_params), precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
-        )),
+        ),
+        _instance(
+            "na", alpha, "class_shannon_exact", h_shannon, closed_shannon, "equal",
+            dict(base_params), precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
+        ),
     ]
     # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
     rho = float(n - 1)
     for variant in VARIANTS:
         direction, bound = _thm1_bound(closed_shannon, alpha, variant, 2, rho, 1.0)
-        outcome = _finish(
-            "class_gamma_bound", h_alpha, bound, direction,
+        reports.append(_instance(
+            variant, alpha, "class_gamma_bound", h_alpha, bound, direction,
             {**base_params, "rho": rho}, precondition_met=two_orbit,
-        )
-        reports.append(_report(variant, alpha, outcome))
+        ))
     if fv is not None:
         ordered = np.sort(fv.log_values)[::-1]
         met = two_orbit and bool(
@@ -872,10 +948,10 @@ def _path_reports(
         m = (n - 1) // 2
         closed = math.log2(m * (2.0 / n) ** alpha + (1.0 / n) ** alpha) / (1.0 - alpha)
     reports = [
-        _report("na", alpha, _finish(
-            "class_renyi_exact", h_alpha, closed, "equal", dict(params),
+        _instance(
+            "na", alpha, "class_renyi_exact", h_alpha, closed, "equal", dict(params),
             tolerance=EXACT_TOLERANCE,
-        ))
+        )
     ]
     if fv is not None:
         above_two = int(np.count_nonzero(fv.log_values > math.log(2.0)))
@@ -940,7 +1016,7 @@ def connected_functional_bounds(
         raise DomainError("connected-graph bounds need a connected graph")
     d = distances if distances is not None else distance_matrix(g)
     fv = functional_values(g, spec, d)
-    return _report(variant, alpha, *_conn_column(spec, fv, d.eta, (alpha,), variant))
+    return _report(variant, alpha, _conn_column(spec, fv, d.eta, (alpha,), variant))
 
 
 def _conn_column(
@@ -978,6 +1054,7 @@ def _conn_column(
     params.update({"n": n, "eta": eta, "c_max": c_max, "c_min": c_min})
     if not met:
         params["reason"] = "literal form needs beta >= 1"
+    params.update({"bound_lower": None, "bound_upper": None})
 
     def body(alpha: float, h: float) -> Outcome:
         if linear:
@@ -985,9 +1062,10 @@ def _conn_column(
         else:
             half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
         return _finish(
-            theorem_id, h, None, "interval", dict(params),
+            theorem_id, h, None, "interval",
             precondition_met=met,
             interval=(center - half_width, center + half_width),
         )
 
-    return _per_alpha(body, alphas, hs)
+    outcomes = _per_alpha(body, alphas, hs)
+    return Column(theorem_id, params, outcomes, ("bound_lower", "bound_upper"), met)

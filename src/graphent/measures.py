@@ -38,13 +38,16 @@ class Distribution:
     """Strictly positive probability vector.
 
     Everything derived from p alone (log p, Shannon entropy, rho/epsilon)
-    is computed on first use and kept, and power sums are memoized per
-    alpha. Each is a pure function of the read-only p, so concurrent first
-    uses can only store equal values.
+    is computed on first use and kept, power sums are memoized per alpha
+    and Renyi entropies per alpha grid. Each is a pure function of the
+    read-only p, so concurrent first uses can only store equal values.
     """
 
     p: np.ndarray
     _log2_power_sums: dict[float, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _renyi_grids: dict[tuple[float, ...], tuple[float, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -126,7 +129,6 @@ class FunctionalValues:
 
     log_values: np.ndarray
     total_log: float = field(init=False)
-    values: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.log_values, dtype=float).reshape(-1)
@@ -137,11 +139,17 @@ class FunctionalValues:
         arr.setflags(write=False)
         object.__setattr__(self, "log_values", arr)
         object.__setattr__(self, "total_log", logsumexp(arr))
-        linear = None
-        if float(np.abs(arr).max()) < SAFE_LOG_RANGE:
-            linear = np.exp(arr)
-            linear.setflags(write=False)
-        object.__setattr__(self, "values", linear)
+
+    @cached_property
+    def values(self) -> np.ndarray | None:
+        """f(v) in linear space, read-only; None unless every |ln f(v)| is
+        below SAFE_LOG_RANGE."""
+        arr = self.log_values
+        if float(np.abs(arr).max()) >= SAFE_LOG_RANGE:
+            return None
+        linear = np.exp(arr)
+        linear.setflags(write=False)
+        return linear
 
     @classmethod
     def from_values(cls, values) -> "FunctionalValues":
@@ -262,9 +270,14 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
 
 def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
     """renyi_entropy at each of alphas, with the power sums filled in one
-    batch."""
-    log2_power_sums(d, alphas)
-    return [renyi_entropy(d, alpha) for alpha in alphas]
+    batch. Kept on d per grid, so the cores reading one distribution over
+    one grid compute it once."""
+    grid = tuple(alphas)
+    values = d._renyi_grids.get(grid)
+    if values is None:
+        log2_power_sums(d, grid)
+        values = d._renyi_grids[grid] = tuple(renyi_entropy(d, a) for a in grid)
+    return list(values)
 
 
 def log2_power_sum(d: Distribution, alpha: float) -> float:

@@ -5,6 +5,7 @@ Criteria 3, 5 and 7 share one full sweep over a 500+ graph seeded corpus
 (n in [3, 12], default alpha grid, orbit/linear/exponential families).
 """
 
+import hashlib
 import math
 import time
 
@@ -228,6 +229,18 @@ def test_criterion_7_thm5_thm6_reporting(corpus_sweep):
     )
     assert total_corrected == 0, corrected_violations
     assert exemplar_ok
+
+
+# sha256 of the acceptance corpus's canonical JSON (241,224 cells, 4,790
+# violations); a change to any bit of any cell changes it
+ACCEPTANCE_SHA256 = "8787a9eaed5f99f571275b24354bfd39852974db2b3e984312da7fc10543dc8e"
+
+
+def test_acceptance_canonical_bytes_are_pinned(corpus_sweep):
+    digest = hashlib.sha256(summarize_report(corpus_sweep, "json").encode()).hexdigest()
+    ok = digest == ACCEPTANCE_SHA256
+    _line(8, ok, f"acceptance canonical JSON sha256 {digest[:8]}...{digest[-5:]}")
+    assert digest == ACCEPTANCE_SHA256
 
 
 def test_criterion_8_reproducibility():

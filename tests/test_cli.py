@@ -1,14 +1,16 @@
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphent import cli
+from graphent import SweepConfig, cli, run_sweep, summarize_report
 
 BASE = [sys.executable, "-m", "graphent"]
 
@@ -428,6 +430,63 @@ class TestSweepCommand:
     def test_text_format(self, config_file):
         code, out, _ = run(["sweep", "--config", config_file, "--format", "text"])
         assert code == 0 and "theorem" in out
+
+    def test_streamed_json_is_the_report_text(self, config_file):
+        code, out, err = run(["sweep", "--config", config_file])
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = SweepConfig.from_dict(json.load(fh))
+        assert (code, err) == (0, "")
+        assert out == summarize_report(run_sweep(cfg), "json") + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_summary_formats_match_the_report(self, config_file, fmt):
+        code, out, _ = run(["sweep", "--config", config_file, "--format", fmt])
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = SweepConfig.from_dict(json.load(fh))
+        want = summarize_report(run_sweep(cfg), fmt)
+
+        def steady(text):
+            # the text table's first line carries the run's own runtime
+            return re.sub(r"runtime: [0-9.]+s", "runtime: -", text)
+
+        assert code == 0 and steady(out) == steady(want)
+
+    def test_streamed_memory_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
+        class Sink:
+            """stdout that counts what is written and keeps none of it."""
+
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        def streamed(trials, trace=True):
+            """(bytes written, traced peak) of one sweep; two alphas and one
+            functional family keep it short."""
+            path = tmp_path / f"t{trials}.json"
+            path.write_text(_config_text(
+                n_range=[3, 8], edge_probabilities=[0.3, 0.5, 0.8],
+                trials_per_cell=trials, alpha_grid=[0.5, 2.0],
+                functional_specs=[{"kind": "linear"}],
+            ))
+            sink = Sink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            if trace:
+                tracemalloc.start()
+            try:
+                assert cli.main(["sweep", "--config", str(path)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            return sink.size, peak
+
+        # one untraced run first, so one-time allocations count in neither
+        streamed(1, trace=False)
+        size_1, peak_1 = streamed(1)
+        size_8, peak_8 = streamed(8)
+        assert size_8 > 3 * size_1
+        assert peak_8 < 2 * peak_1, (peak_1, peak_8)
 
     def test_missing_config(self):
         code, _, err = run(["sweep", "--config", "/nonexistent.json"])

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import straightline as sl
@@ -13,6 +15,7 @@ from graphent import (
     SweepConfig,
     distance_matrix,
     generate_corpus,
+    generate_graph,
     run_sweep,
     summarize_report,
 )
@@ -20,8 +23,17 @@ import graphent.inequalities as inequalities
 import graphent.orbits as orbits
 from graphent import cli
 from graphent.graph import GNP_MAX_REDRAWS
-from graphent.harness import ALL_THEOREMS, THEOREMS, _aggregate, _column, _family_rows
-from graphent.inequalities import TOLERANCE, VARIANTS
+from graphent.harness import (
+    ALL_THEOREMS,
+    THEOREMS,
+    SweepReport,
+    _column,
+    _family_rows,
+    _Row,
+    _Sweep,
+    stream_sweep,
+)
+from graphent.inequalities import TOLERANCE, VARIANTS, Column, _finish
 
 # marks a field to leave out of a config dict
 DROP = object()
@@ -388,11 +400,245 @@ class TestSweep:
         assert rep.aggregates["jensen|na"]["violated"] == 0
         json.dumps(rep.to_canonical_dict(), allow_nan=False)
 
+    def test_fold_equals_a_pass_over_the_cells(self):
+        rep = run_sweep(small_config())
+        assert rep.exemplars
+        assert _ordered(_cell_pass(rep.cells)) == _ordered(
+            (rep.aggregates, rep.exemplars)
+        )
+
+    def test_fold_follows_cell_order_within_a_graph(self):
+        # the first column violates only at the second alpha and the second
+        # only at the first, so the second column's key comes first; slacks
+        # 0.0 and -0.0 tie, and the first in cell order is the minimum
+        def column(theorem_id, outcomes):
+            return Column(theorem_id, {}, outcomes)
+
+        held_zero = _finish("t", 1.0, 1.0, "upper")  # slack 0.0
+        held_minus_zero = _finish("t", 1.0, 1.0, "equal")  # slack -0.0
+        violated = _finish("t", 2.0, 1.0, "upper")
+        plan = [(THEOREMS[0], "na"), (THEOREMS[1], "na"), (THEOREMS[2], "na")]
+        rows = [_Row("orbit", plan, [
+            column("a", [held_zero, violated]),
+            column("b", [violated, held_minus_zero]),
+            column("c", [held_zero, held_minus_zero]),
+        ])]
+        cfg = small_config(alpha_grid=(0.5, 2.0))
+        sweep = _Sweep(cfg)
+        sweep._fold("g", generate_graph("path", 3), rows)
+        rep = SweepReport(graphs=[("g", rows)], **sweep.summary())
+        assert list(rep.exemplars) == ["jensen|na", "ordering|na"]
+        assert repr(rep.aggregates["thm1|na"]["min_slack"]) == "0.0"
+        assert _ordered(_cell_pass(rep.cells)) == _ordered(
+            (rep.aggregates, rep.exemplars)
+        )
+
     def test_aggregate_order_independent(self):
         rep = run_sweep(small_config())
-        shuffled = list(rep.cells)
-        random.Random(7).shuffle(shuffled)
-        assert _aggregate(shuffled) == rep.aggregates
+        rng = random.Random(7)
+        sweep = _Sweep(rep.config)
+        graphs = dict(generate_corpus(rep.config))
+        shuffled = list(rep.graphs)
+        rng.shuffle(shuffled)
+        for graph_id, rows in shuffled:
+            rows = list(rows)
+            rng.shuffle(rows)
+            for row in rows:
+                pairs = list(zip(row.plan, row.columns))
+                rng.shuffle(pairs)
+                plan, columns = zip(*pairs)
+                row = _Row(row.family, plan, columns)
+                sweep._fold(graph_id, graphs[graph_id], [row])
+        assert sweep.summary()["aggregates"] == rep.aggregates
+
+
+def _cell_pass(cells):
+    """(aggregates, exemplars without edges) from one pass over finished
+    cells in order: the fold's reference."""
+    groups, exemplars = {}, {}
+    for cell in cells:
+        key = f"{cell['theorem']}|{cell['variant']}"
+        groups.setdefault(key, []).append(cell)
+        if cell["holds"] is False:
+            bucket = exemplars.setdefault(key, [])
+            if len(bucket) < 5:
+                bucket.append(cell)
+    aggregates = {}
+    for key, group in groups.items():
+        slacks = [c["slack"] for c in group if c["holds"] is not None]
+        aggregates[key] = {
+            "checked": len(group),
+            "held": sum(1 for c in group if c["holds"] is True),
+            "violated": sum(1 for c in group if c["holds"] is False),
+            "not_applicable": sum(1 for c in group if c["holds"] is None),
+            "min_slack": min(slacks) if slacks else None,
+            "mean_slack": math.fsum(slacks) / len(slacks) if slacks else None,
+        }
+    return aggregates, exemplars
+
+
+def _ordered(summary):
+    """Aggregates and exemplar cells as JSON text, so key order and the
+    sign of a zero count."""
+    aggregates, exemplars = summary
+    cells = {
+        key: [item.get("cell", item) for item in items]
+        for key, items in exemplars.items()
+    }
+    return json.dumps(aggregates), json.dumps(cells)
+
+
+def _oracle(report):
+    """The canonical JSON as one json.dumps of the whole document."""
+    return json.dumps(report.to_canonical_dict(), allow_nan=False)
+
+
+# the sweep_catalog benchmark's corpus shape
+CATALOG_SHAPE = dict(
+    n_range=(3, 6), edge_probabilities=(0.3, 0.5, 0.8), trials_per_cell=1
+)
+
+
+class TestCanonicalWriter:
+    """summarize_report renders the canonical JSON from the columns; it must
+    give the bytes of json.dumps over the document built from them."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_catalog_corpus_seeds(self, seed):
+        rep = run_sweep(SweepConfig(seed=seed, **CATALOG_SHAPE))
+        assert summarize_report(rep, "json") == _oracle(rep)
+
+    def test_orbit_budget_of_one(self, monkeypatch):
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 1)
+        rep = run_sweep(small_config(trials_per_cell=1))
+        assert any(c["lhs"] is None for c in rep.cells)
+        assert summarize_report(rep, "json") == _oracle(rep)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param(
+                SweepConfig(seed=1, n_range=(1, 1), edge_probabilities=(0.5,),
+                            trials_per_cell=1),
+                id="n_range-1-1",
+            ),
+            pytest.param(
+                SweepConfig(seed=1, n_range=(3, 4), edge_probabilities=(0.0,),
+                            trials_per_cell=1, alpha_grid=(0.5,)),
+                id="p0",
+            ),
+            pytest.param(
+                SweepConfig(
+                    seed=1, n_range=(40, 40), edge_probabilities=(0.3,),
+                    trials_per_cell=1, alpha_grid=(0.25, 30.0),
+                    functional_specs=(FunctionalTemplate(
+                        "exponential", c_range=(1.0, 40.0), beta=2.0
+                    ),),
+                ),
+                id="n40-exponential-alpha30",
+            ),
+            pytest.param(small_config(theorems=()), id="no-theorems"),
+            pytest.param(small_config(alpha_grid=()), id="no-alphas"),
+        ],
+    )
+    def test_edge_configs(self, cfg):
+        rep = run_sweep(cfg)
+        assert summarize_report(rep, "json") == _oracle(rep)
+
+    @staticmethod
+    def _report(*columns, graph_id="g", family="orbit", alphas=(0.5, 2.0)):
+        """A report holding one row of hand-built columns, each under the
+        ordering theorem's id."""
+        cfg = SweepConfig(seed=0, n_range=(1, 1), edge_probabilities=(),
+                          trials_per_cell=1, alpha_grid=alphas)
+        plan = [(THEOREMS[0], "na")] * len(columns)
+        return SweepReport(
+            config=cfg, aggregates={}, exemplars={}, runtime_seconds=0.0,
+            corpus_size=1, gnp_redraws=0,
+            graphs=[(graph_id, [_Row(family, plan, list(columns))])],
+        )
+
+    def test_percent_signs_are_literal(self):
+        reason = "100% of %s and %r and %(x)s failed"
+        evaluated = Column(
+            "t", {"mode": "50%", "%x": 1, "h": None}, [
+                _finish("t", 1.0, 2.0, "upper", (0.5,)),
+                _finish("t", 2.0, 1.0, "lower", (0.25,)),
+            ], ("h",),
+        )
+        rep = self._report(
+            Column.failed("t", reason, 2), evaluated,
+            graph_id="g%s%%", family="f%r",
+        )
+        text = summarize_report(rep, "json")
+        assert text == _oracle(rep)
+        assert reason in {c["params"].get("reason") for c in json.loads(text)["cells"]}
+
+    def test_signed_zeros_stay_apart(self):
+        # slack -|0 - 0| is -0.0, and no value is merged with an equal one
+        column = Column(
+            "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
+            [_finish("t", 0.0, 0.0, "equal", (-0.0,)),
+             _finish("t", -0.0, 0.0, "equal", (0.0,))],
+            ("h",),
+        )
+        rep = self._report(column)
+        text = summarize_report(rep, "json")
+        assert text == _oracle(rep)
+        signs = [
+            [math.copysign(1.0, v) for v in
+             (c["lhs"], c["slack"], c["params"]["zero"], c["params"]["minus_zero"],
+              c["params"]["h"])]
+            for c in json.loads(text)["cells"]
+        ]
+        assert signs == [[1.0, -1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, -1.0, 1.0]]
+
+    def test_numpy_floats_render_as_floats(self):
+        column = Column(
+            "t", {"c": np.float64(0.1), "n": 3, "h": None},
+            [_finish("t", np.float64(1.0), np.float64(2.0), "upper",
+                     (np.float64(1.0 / 3.0),))] * 2,
+            ("h",),
+        )
+        rep = self._report(column)
+        text = summarize_report(rep, "json")
+        assert text == _oracle(rep)
+        assert "np.float64" not in text
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, np.float64(math.inf)]
+    )
+    def test_non_finite_param_raises_like_json(self, value):
+        column = Column("t", {"c": value}, [_finish("t", 1.0, 2.0, "upper")] * 2)
+        rep = self._report(column)
+        with pytest.raises(ValueError):
+            _oracle(rep)
+        with pytest.raises(ValueError):
+            summarize_report(rep, "json")
+
+    def test_non_finite_varying_param_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="params are not finite"):
+            _finish("t", 1.0, 2.0, "upper", (math.inf,))
+
+    def test_summary_without_cells_has_no_json(self):
+        summary = stream_sweep(small_config())
+        assert summarize_report(summary, "csv") == summarize_report(
+            run_sweep(small_config()), "csv"
+        )
+        with pytest.raises(DomainError):
+            summarize_report(summary, "json")
+
+    def test_streamed_chunks_join_to_the_report(self):
+        cfg = small_config()
+        chunks = []
+        summary = stream_sweep(cfg, chunks.append)
+        rep = run_sweep(cfg)
+        assert "".join(chunks) == summarize_report(rep, "json")
+        assert summary.aggregates == rep.aggregates
+        assert summary.exemplars == rep.exemplars
+        # the config, one chunk of cells per graph with a separator between
+        # graphs, and the aggregates and exemplars
+        assert len(chunks) == 1 + (2 * len(rep.graphs) - 1) + 1
 
 
 @pytest.fixture(scope="module")
@@ -486,13 +732,18 @@ class TestColumnCores:
                 if row.kind not in theorem.kinds:
                     continue
                 column = _column(row, theorem, COLUMN_GRID, variant)
-                assert len(column) == len(COLUMN_GRID)
+                assert len(column.outcomes) == len(COLUMN_GRID)
                 for ai, alpha in enumerate(COLUMN_GRID):
-                    (single,) = _column(one_row[ai][i][1], theorem, (alpha,), variant)
-                    # an outcome tuple (lhs, bound, slack, holds, params, ...)
-                    # or the same error message
-                    assert column[ai] == single, (theorem.id, variant, graph_id, alpha)
-                    checked.add((theorem.id, isinstance(single, str)))
+                    single = _column(one_row[ai][i][1], theorem, (alpha,), variant)
+                    # an outcome tuple (holds, lhs, bound, slack, ...) with the
+                    # same params, or the same error message
+                    got, want = column.outcomes[ai], single.outcomes[0]
+                    where = (theorem.id, variant, graph_id, alpha)
+                    assert got == want, where
+                    if not isinstance(want, str):
+                        assert column.params_at(ai) == single.params_at(0), where
+                        assert column.precondition_met is single.precondition_met
+                    checked.add((theorem.id, isinstance(want, str)))
         evaluated = {t for t, failed in checked if not failed}
         assert evaluated == set(ALL_THEOREMS)
 

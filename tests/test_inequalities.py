@@ -5,7 +5,6 @@ import pytest
 
 import straightline as sl
 from graphent import (
-    BoundReport,
     Distribution,
     DomainError,
     FunctionalSpec,
@@ -233,12 +232,16 @@ class TestThm1:
     def test_infinite_bound_fails_only_its_alpha_on_a_grid(self):
         raw = np.array([1.0, 1.0, 10**-10.96])
         d = Distribution(p=raw / raw.sum())
-        ok_low, ok_high, failed = _thm1_column(d, (0.5, 2.0, 30.0), "corrected", False)
-        for alpha, outcome in ((0.5, ok_low), (2.0, ok_high)):
+        column = _thm1_column(d, (0.5, 2.0, 30.0), "corrected", False)
+        ok_low, ok_high, failed = column.outcomes
+        for i, (alpha, outcome) in enumerate(((0.5, ok_low), (2.0, ok_high))):
             assert not isinstance(outcome, str)
-            assert BoundReport(outcome[0], "corrected", alpha, *outcome[1:]) == (
-                thm1_refined_bound(d, alpha, "corrected")
-            )
+            r = thm1_refined_bound(d, alpha, "corrected")
+            assert outcome == (r.holds, r.lhs, r.bound, r.slack, r.direction)
+            assert (
+                column.theorem_id, column.precondition_met, column.tolerance,
+                column.params_at(i),
+            ) == (r.theorem_id, r.precondition_met, r.tolerance, r.params)
         assert failed.startswith("thm1 is not finite: lhs ")
         assert "bound -inf" in failed
         with pytest.raises(DomainError) as exc:

@@ -21,6 +21,7 @@ from graphent import (
     shannon_entropy,
     vertex_orbits,
 )
+import graphent.measures as measures
 from graphent.measures import (
     log2_power_sum,
     log2_power_sums,
@@ -135,6 +136,18 @@ class TestMemoizedDerivedValues:
             assert log2_power_sums(d, grid) == [
                 log2_power_sum(Distribution(p=p.copy()), alpha) for alpha in grid
             ]
+
+    def test_renyi_grid_is_computed_once(self, monkeypatch):
+        d = probs([3, 1, 4, 1, 5])
+        grid = (0.25, 0.5, 2.0, 3.0)
+        first = renyi_entropies(d, grid)
+
+        def refuse(*args):
+            raise AssertionError("the grid's Renyi entropies were computed again")
+
+        monkeypatch.setattr(measures, "renyi_entropy", refuse)
+        again = renyi_entropies(d, list(grid))
+        assert again == first and again is not first
 
     def test_p_stays_read_only(self):
         d = dist(0.25, 0.75)
