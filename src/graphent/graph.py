@@ -171,9 +171,7 @@ def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> set[tuple[int, int
     return set(zip(us[keep].tolist(), vs[keep].tolist()))
 
 
-def generate_gnp_connected(
-    n: int, p: float, seed, max_redraws: int = GNP_MAX_REDRAWS
-) -> tuple[Graph, int]:
+def generate_gnp_connected(n: int, p: float, seed) -> tuple[Graph, int]:
     """Draw G(n, p) samples until one is connected.
 
     Returns (graph, redraw_count). Raises DomainError once the redraw cap is
@@ -182,14 +180,14 @@ def generate_gnp_connected(
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    for attempt in range(max_redraws + 1):
+    for attempt in range(GNP_MAX_REDRAWS + 1):
         g = Graph.from_edges(n, _gnp_edges(n, p, rng))
         if g.is_connected():
             if attempt:
                 log.info("gnp(n=%d, p=%g): %d disconnected redraws", n, p, attempt)
             return g, attempt
     raise DomainError(
-        f"gnp(n={n}, p={p}): no connected sample within {max_redraws} redraws"
+        f"gnp(n={n}, p={p}): no connected sample within {GNP_MAX_REDRAWS} redraws"
     )
 
 

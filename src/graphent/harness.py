@@ -40,8 +40,6 @@ from .inequalities import (
     VARIANTS,
     Column,
     _check_alpha,
-    _combine,
-    _Combination,
     _conn_column,
     _jensen_column,
     _ordering_column,
@@ -104,8 +102,10 @@ class _FamilyData:
     spec: FunctionalSpec | None = None
     # f + f_second, the dominating functional of thm4_cor
     dominating: FunctionalValues | None = None
-    # c1 f + c2 f_second with sampled weights, for thm6/thm6_avg
-    combination: _Combination | None = None
+    # thm6's sampled weights (c1, c2) and c1 f + c2 f_second; the four thm6
+    # columns of a row share combined's Renyi memo
+    weights: tuple[float, float] | None = None
+    combined: FunctionalValues | None = None
     error: str | None = None
 
 
@@ -184,11 +184,13 @@ THEOREMS = (
     Theorem("thm5", "thm5", _thm5, FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6", "thm6",
             lambda row, alphas, variant: _thm6_column(
-                row.combination, alphas, variant, False, 2.0),
+                row.fv, row.fv_second, *row.weights, row.combined, alphas,
+                variant, False, 2.0),
             FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("thm6_avg", "thm6",
             lambda row, alphas, variant: _thm6_column(
-                row.combination, alphas, variant, True, 2.0),
+                row.fv, row.fv_second, *row.weights, row.combined, alphas,
+                variant, True, 2.0),
             FUNCTIONAL_KINDS, variants=True, log_base=True),
     Theorem("conn_linear", "conn", _conn, ("linear",), variants=True),
     Theorem("conn_exp", "conn", _conn, ("exponential",), variants=True),
@@ -262,6 +264,14 @@ class SweepConfig:
         for t in self.theorems:
             if t not in ALL_THEOREMS:
                 raise DomainError(f"unknown theorem id {t!r}")
+        # every cell key (theorem, variant, alpha, graph id, family) is unique
+        _distinct("alpha_grid", "alpha", alpha_grid)
+        _distinct("variants", "variant", self.variants)
+        _distinct("theorems", "theorem id", self.theorems)
+        _distinct("edge_probabilities", "graph id part",
+                  [f"p{p:g}" for p in edge_probabilities])
+        _distinct("functional_specs", "family label",
+                  [t.label for t in self.functional_specs])
         object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         object.__setattr__(self, "n_range", (lo, hi))
         object.__setattr__(self, "edge_probabilities", edge_probabilities)
@@ -277,6 +287,19 @@ class SweepConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "SweepConfig":
         return _decode(cls, data)
+
+
+def _distinct(field_name: str, what: str, labels: Iterable[Any]) -> None:
+    """DomainError naming the first label that repeats: two config entries
+    with one label would give their cells one key."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise DomainError(
+                f"two {field_name} entries share the {what} {label!r}; every "
+                f"sweep cell key must be unique"
+            )
+        seen.add(label)
 
 
 def _whole(value: Any, name: str) -> int:
@@ -505,7 +528,7 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
         rng_w = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _TAG_FUNCTIONAL, gi, ti, _PURPOSE_WEIGHTS])
         )
-        w = rng_w.uniform(0.5, 2.0, size=2)
+        c1, c2 = (float(c) for c in rng_w.uniform(0.5, 2.0, size=2))
         rows.append(
             replace(
                 orbit,
@@ -516,7 +539,8 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
                 fv_second=fv_b,
                 spec=spec_a,
                 dominating=_weighted_sum(fv_a, fv_b, 1.0, 1.0),
-                combination=_combine(fv_a, fv_b, float(w[0]), float(w[1])),
+                weights=(c1, c2),
+                combined=_weighted_sum(fv_a, fv_b, c1, c2),
             )
         )
     return rows

@@ -252,8 +252,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_base(base: float) -> None:
-    if base <= 1.0:
-        raise DomainError(f"log base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise DomainError(f"log base must exceed 1 and be finite, got {base}")
 
 
 def _to_base(bits: list[float], base: float) -> list[float]:
@@ -306,11 +306,17 @@ def _check_lemma2(rows: np.ndarray, r: float) -> LemmaCheck:
     )
 
 
+def _pair_sums(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lemma 3's sum over ordered pairs (i, j) of p_i p_j (x_i - x_j)**2 /
+    (x_i x_j), for each row of x; x's last axis runs over p's atoms."""
+    diff = (x[..., :, None] - x[..., None, :]) ** 2
+    weight = np.outer(p, p) / (x[..., :, None] * x[..., None, :])
+    return (weight * diff).sum(axis=(-2, -1))
+
+
 def _check_lemma3(p: np.ndarray, x: np.ndarray) -> LemmaCheck:
     gap = float(np.log2(np.dot(p, x)) - np.dot(p, np.log2(x)))
-    diff = np.subtract.outer(x, x) ** 2
-    weight = np.outer(p, p) / np.outer(x, x)
-    bound = float((weight * diff).sum() / (2.0 * LN2))
+    bound = float(_pair_sums(p, x) / (2.0 * LN2))
     margin = min(gap, bound - gap)
     satisfied = gap >= -1e-12 and gap <= bound + 1e-12 + _PRE_GUARD * abs(bound)
     return LemmaCheck(
@@ -398,15 +404,12 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
 
 
 def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
-    p = d.p
     # one (alpha, i, j) array; a tiny atom at large alpha over- or underflows
     # x, and the NaN or inf this leaves in that alpha's sum term becomes its
     # DomainError in _finish
     with np.errstate(all="ignore"):
         x = np.exp((np.asarray(alphas, dtype=float) - 1.0)[:, None] * d.log_p)
-        diff = (x[:, :, None] - x[:, None, :]) ** 2
-        weight = np.outer(p, p) / (x[:, :, None] * x[:, None, :])
-        sum_terms = (weight * diff).sum(axis=(1, 2)).tolist()
+        sum_terms = _pair_sums(d.p, x).tolist()
     n, h = d.size, shannon_entropy(d)
 
     def body(alpha: float, h_alpha: float, sum_term: float) -> Outcome:
@@ -643,8 +646,8 @@ def thm5_additive_dominance(
     _check_base(base)
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
-    if phi <= 0.0:
-        raise DomainError("phi must be positive")
+    if not 0.0 < phi < math.inf:
+        raise DomainError(f"phi must be positive and finite, got {phi}")
     return _report(variant, alpha, _thm5_column(d1, d2, phi, (alpha,), variant, base))
 
 
@@ -656,22 +659,22 @@ def _thm5_column(
     variant: str,
     base: float,
 ) -> Column:
-    """thm5 on distributions over one vertex set, for phi > 0."""
+    """thm5 on distributions over one vertex set, for 0 < phi < inf."""
     met = bool(np.all(d1.p <= d2.p + phi + 1e-15))
     n = d1.size
     factor = _penalty_factor(variant, base)
 
     def body(alpha: float, h1: float, h2: float, log2_sum_2: float) -> Outcome:
         power_sum_2 = 2.0 ** log2_sum_2
+        # the regime picks the power mean and its weight; 1 - alpha carries
+        # the sign, so the penalty is subtracted above 1
         if alpha < 1.0:
-            penalty = (1.0 / (1.0 - alpha)) * (n * phi**alpha / power_sum_2) * factor
-            direction, bound = "upper", h2 + penalty
+            w, x = 1.0, n * phi**alpha / power_sum_2
         else:
-            x = n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
-            penalty = (alpha / (alpha - 1.0)) * x * factor
-            direction, bound = "lower", h2 - penalty
+            w, x = alpha, n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
         return _finish(
-            "thm5", h1, bound, direction, (power_sum_2, h2),
+            "thm5", h1, h2 + (w / (1.0 - alpha)) * x * factor,
+            "upper" if alpha < 1.0 else "lower", (power_sum_2, h2),
             precondition_met=met,
         )
 
@@ -717,25 +720,10 @@ def thm6_convex_combination(
     if fv1.size != g.n or fv2.size != g.n:
         raise DomainError("functional value sets must live on the graph's vertices")
     column = _thm6_column(
-        _combine(fv1, fv2, c1, c2), (alpha,), variant, symmetric, base
+        fv1, fv2, c1, c2, _weighted_sum(fv1, fv2, c1, c2), (alpha,), variant,
+        symmetric, base,
     )
     return _report(variant, alpha, column)
-
-
-@dataclass(frozen=True)
-class _Combination:
-    """The alpha-independent part of thm6: f = c1*f1 + c2*f2 and the shares
-    A_i = c_i S_i / S, with t_i = ln(c_i S_i)."""
-
-    fv1: FunctionalValues
-    fv2: FunctionalValues
-    c1: float
-    c2: float
-    t1: float
-    t2: float
-    a1: float
-    a2: float
-    combined: FunctionalValues
 
 
 def _weighted_sum(
@@ -749,27 +737,6 @@ def _weighted_sum(
     )
 
 
-def _combine(
-    fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
-) -> _Combination:
-    """Build thm6's combination from positive weights on one vertex set."""
-    t1 = math.log(c1) + fv1.total_log
-    t2 = math.log(c2) + fv2.total_log
-    t_sum = float(np.logaddexp(t1, t2))
-    combined = _weighted_sum(fv1, fv2, c1, c2)
-    return _Combination(
-        fv1=fv1,
-        fv2=fv2,
-        c1=float(c1),
-        c2=float(c2),
-        t1=t1,
-        t2=t2,
-        a1=math.exp(t1 - t_sum),
-        a2=math.exp(t2 - t_sum),
-        combined=combined,
-    )
-
-
 def _penalty_exp(x: float) -> float:
     """exp of a thm6 penalty ratio's log; DomainError when it overflows."""
     try:
@@ -779,24 +746,33 @@ def _penalty_exp(x: float) -> float:
 
 
 def _thm6_column(
-    comb: _Combination,
+    fv1: FunctionalValues,
+    fv2: FunctionalValues,
+    c1: float,
+    c2: float,
+    combined: FunctionalValues,
     alphas: Sequence[float],
     variant: str,
     symmetric: bool,
     base: float,
 ) -> Column:
-    """thm6 on a validated combination."""
-    t1, t2, a1, a2 = comb.t1, comb.t2, comb.a1, comb.a2
+    """thm6 for positive finite weights c_i on one vertex set, with combined
+    = _weighted_sum(fv1, fv2, c1, c2), shares A_i = c_i S_i / S and t_i =
+    ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
+    t1 = math.log(c1) + fv1.total_log
+    t2 = math.log(c2) + fv2.total_log
+    t_sum = float(np.logaddexp(t1, t2))
+    a1, a2 = math.exp(t1 - t_sum), math.exp(t2 - t_sum)
     if a1 == 0.0 or a2 == 0.0:
         raise DomainError(f"a share A_i underflows to 0 (A1 = {a1!r}, A2 = {a2!r})")
-    h_fs = _to_base(
-        renyi_entropies(distribution_from_values(comb.combined), alphas), base
-    )
-    d1 = distribution_from_values(comb.fv1)
-    d2 = distribution_from_values(comb.fv2)
+    h_fs = _to_base(renyi_entropies(distribution_from_values(combined), alphas), base)
+    d1 = distribution_from_values(fv1)
+    d2 = distribution_from_values(fv2)
     factor = _penalty_factor(variant, base)
-    log_a1 = _logb(a1, base)
-    log_a2 = _logb(a2, base)
+    log_a = _logb(a1, base)
+    sides = 1.0
+    if symmetric:
+        log_a, sides = log_a + _logb(a2, base), 2.0
     theorem_id = "thm6_avg" if symmetric else "thm6"
 
     def body(
@@ -804,47 +780,28 @@ def _thm6_column(
     ) -> Outcome:
         # ln(sum p2^alpha) - ln(sum p1^alpha)
         dtp = (sum_2 - sum_1) * LN2
+        # the regime picks the penalty exponent of Z21 = exp(e) and its
+        # weight; Z12's exponent is -e, and 1 - alpha carries the sign
         if alpha < 1.0:
-            direction = "upper"
-            z21 = _penalty_exp(alpha * (t2 - t1) + dtp)
-            if symmetric:
-                z12 = _penalty_exp(alpha * (t1 - t2) - dtp)
-                bound = (
-                    0.5 * (h1 + h2)
-                    + (alpha / (2.0 * (1.0 - alpha))) * (log_a1 + log_a2)
-                    + (1.0 / (2.0 * (1.0 - alpha))) * (z21 + z12) * factor
-                )
-            else:
-                bound = (
-                    h1
-                    + (alpha / (1.0 - alpha)) * log_a1
-                    + (1.0 / (1.0 - alpha)) * z21 * factor
-                )
+            w, e = 1.0, alpha * (t2 - t1) + dtp
         else:
-            direction = "lower"
-            w21 = _penalty_exp((t2 - t1) + dtp / alpha)
-            if symmetric:
-                w12 = _penalty_exp((t1 - t2) - dtp / alpha)
-                bound = (
-                    0.5 * (h1 + h2)
-                    - (alpha / (2.0 * (alpha - 1.0))) * (log_a1 + log_a2)
-                    - (alpha / (2.0 * (alpha - 1.0))) * (w21 + w12) * factor
-                )
-            else:
-                bound = (
-                    h1
-                    - (alpha / (alpha - 1.0)) * log_a1
-                    - (alpha / (alpha - 1.0)) * w21 * factor
-                )
-        return _finish(theorem_id, h_f, bound, direction, (h1, h2))
+            w, e = alpha, (t2 - t1) + dtp / alpha
+        h, z = h1, _penalty_exp(e)
+        if symmetric:
+            h, z = 0.5 * (h1 + h2), z + _penalty_exp(-e)
+        den = sides * (1.0 - alpha)
+        return _finish(
+            theorem_id, h_f, h + (alpha / den) * log_a + (w / den) * z * factor,
+            "upper" if alpha < 1.0 else "lower", (h1, h2),
+        )
 
     params = {
-        "c1": comb.c1,
-        "c2": comb.c2,
+        "c1": float(c1),
+        "c2": float(c2),
         "A1": a1,
         "A2": a2,
-        "S1_log2": comb.fv1.total_log / LN2,
-        "S2_log2": comb.fv2.total_log / LN2,
+        "S1_log2": fv1.total_log / LN2,
+        "S2_log2": fv2.total_log / LN2,
         "h1": None,
         "h2": None,
         "log_base": base,

@@ -3,7 +3,6 @@ import math
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,41 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Prints [[bytes written, traced peak], ...] of `graphent sweep` on the two
+# configs named in argv, after one untraced run of the first, so one-time
+# allocations count in neither peak.
+_STREAMED_MEMORY = '''
+import json, sys, tracemalloc
+from graphent import cli
+
+class Sink:
+    """stdout that counts what is written and keeps none of it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+def streamed(path, trace=True):
+    sink, stdout = Sink(), sys.stdout
+    sys.stdout = sink
+    if trace:
+        tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.stdout = stdout
+    if code != 0:
+        sys.exit(f"graphent sweep exited {code}")
+    return sink.size, peak
+
+streamed(sys.argv[1], trace=False)
+print(json.dumps([streamed(path) for path in sys.argv[1:]]))
+'''
 
 
 class TestGen:
@@ -265,6 +299,10 @@ class TestCheck:
             (["thm6", "--alpha", "2", "--functional", "linear", "--c", "2,1",
               "--f2-functional", "linear", "--f2-c", "1,1", "--c1", "1", "--c2", "inf"],
              "weights"),
+            (["thm5", "--alpha", "0.5", "--probs1", "0.6,0.4", "--probs2", "0.5,0.5",
+              "--phi", "nan"], "phi must be positive and finite"),
+            (["thm5", "--alpha", "2", "--probs1", "0.6,0.4", "--probs2", "0.5,0.5",
+              "--phi", "inf"], "phi must be positive and finite"),
         ],
     )
     def test_non_finite_input_names_its_rule(self, capsys, args, match):
@@ -451,40 +489,25 @@ class TestSweepCommand:
 
         assert code == 0 and steady(out) == steady(want)
 
-    def test_streamed_memory_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
-        class Sink:
-            """stdout that counts what is written and keeps none of it."""
-
-            size = 0
-
-            def write(self, text):
-                self.size += len(text)
-
-        def streamed(trials, trace=True):
-            """(bytes written, traced peak) of one sweep; two alphas and one
-            functional family keep it short."""
+    def test_streamed_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        """Both measured sweeps run in a fresh interpreter, so what earlier
+        tests left allocated in this one moves neither peak; two alphas and
+        one functional family keep them short."""
+        paths = []
+        for trials in (1, 8):
             path = tmp_path / f"t{trials}.json"
             path.write_text(_config_text(
                 n_range=[3, 8], edge_probabilities=[0.3, 0.5, 0.8],
                 trials_per_cell=trials, alpha_grid=[0.5, 2.0],
                 functional_specs=[{"kind": "linear"}],
             ))
-            sink = Sink()
-            monkeypatch.setattr(sys, "stdout", sink)
-            if trace:
-                tracemalloc.start()
-            try:
-                assert cli.main(["sweep", "--config", str(path)]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                monkeypatch.undo()
-            return sink.size, peak
-
-        # one untraced run first, so one-time allocations count in neither
-        streamed(1, trace=False)
-        size_1, peak_1 = streamed(1)
-        size_8, peak_8 = streamed(8)
+            paths.append(str(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STREAMED_MEMORY, *paths],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (size_1, peak_1), (size_8, peak_8) = json.loads(proc.stdout)
         assert size_8 > 3 * size_1
         assert peak_8 < 2 * peak_1, (peak_1, peak_8)
 
@@ -520,6 +543,8 @@ class TestSweepCommand:
             pytest.param(_config_text(alpha_grid=[math.inf]), id="alpha-inf"),
             # a mistyped field name is not a silent default
             pytest.param(_config_text(alpha_grdi=[0.5]), id="unknown-field"),
+            # two cells would share a (theorem, variant, alpha, graph, family) key
+            pytest.param(_config_text(alpha_grid=[0.5, 0.5]), id="repeated-alpha"),
             # not UTF-8: a UTF-16 byte-order mark and UTF-16 text
             pytest.param(b"\xff\xfe" + _config_text().encode("utf-16-le"),
                          id="not-utf-8"),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,37 @@ class TestConfig:
         for alpha in (float("nan"), float("inf")):
             with pytest.raises(DomainError, match="alpha must be"):
                 small_config(alpha_grid=(0.5, alpha))
+
+    @pytest.mark.parametrize(
+        "change, clash",
+        [
+            pytest.param(dict(edge_probabilities=(0.5, 0.5)), "graph id part 'p0.5'",
+                         id="repeated-probability"),
+            # both print as 0.5 in the graph id
+            pytest.param(dict(edge_probabilities=(0.5, 0.5000001)),
+                         "graph id part 'p0.5'", id="probabilities-print-alike"),
+            pytest.param(dict(functional_specs=(
+                FunctionalTemplate("exponential", beta=2.0),
+                FunctionalTemplate("exponential", (1.0, 3.0), 2.0),
+            )), "family label 'exponential_b2'", id="exponential-labels"),
+            pytest.param(dict(functional_specs=(
+                FunctionalTemplate("linear"), FunctionalTemplate("linear", (1.0, 3.0)),
+            )), "family label 'linear'", id="linear-labels"),
+            pytest.param(dict(alpha_grid=(0.5, 2.0, 0.5)), "alpha 0.5",
+                         id="repeated-alpha"),
+            pytest.param(dict(variants=("literal", "literal")), "variant 'literal'",
+                         id="repeated-variant"),
+            pytest.param(dict(theorems=("thm1", "thm5", "thm1")), "theorem id 'thm1'",
+                         id="repeated-theorem"),
+        ],
+    )
+    def test_cell_keys_must_be_unique(self, change, clash):
+        with pytest.raises(DomainError, match=re.escape(clash)):
+            small_config(n_range=(4, 4), **change)
+
+    def test_default_cell_keys_are_unique(self):
+        keys = [_cell_key(c) for c in run_sweep(small_config(n_range=(4, 4))).cells]
+        assert keys and len(set(keys)) == len(keys)
 
     def test_template_validation(self):
         with pytest.raises(DomainError):
@@ -817,9 +849,8 @@ def _straightline(cell, row):
         assert phi == 0.01 or abs(phi - max(a - b for a, b in zip(p, p2))) <= 1e-12
         direction, bound = sl.sl_thm5_bound(p2, phi, alpha, variant)
     elif theorem in ("thm6", "thm6_avg"):
-        comb = row.combination
         lhs, direction, bound = sl.sl_thm6(
-            f1, f2, comb.c1, comb.c2, alpha, variant, symmetric=theorem == "thm6_avg"
+            f1, f2, *row.weights, alpha, variant, symmetric=theorem == "thm6_avg"
         )
     else:  # conn_linear, conn_exp
         lo, hi = sl.sl_conn_interval(

@@ -385,8 +385,11 @@ class TestThm5:
         assert lit_e.bound == pytest.approx(bound, abs=1e-12)
 
     def test_phi_validation(self):
-        with pytest.raises(DomainError):
-            thm5_additive_dominance(dist(0.5, 0.5), dist(0.5, 0.5), 0.0, 0.5, "literal")
+        for phi in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="phi must be positive and finite"):
+                thm5_additive_dominance(
+                    dist(0.5, 0.5), dist(0.5, 0.5), phi, 0.5, "literal"
+                )
 
     def test_corrected_holds_when_applicable(self):
         rng = np.random.default_rng(31)
@@ -442,6 +445,31 @@ class TestThm6:
                     )
                     assert r.holds is expect_holds
 
+    @pytest.mark.parametrize("variant", ["literal", "corrected"])
+    @pytest.mark.parametrize("base", [2.0, math.e])
+    def test_average_is_the_mean_of_both_sides(self, variant, base):
+        """thm6_avg's bound is the mean of the one-sided bound from f1's side
+        and the one from f2's side (roles and weights swapped)."""
+        g = generate_graph("gnp", 8, p=0.5, seed=3)
+        d = distance_matrix(g)
+        coeffs = tuple(2.0 / (j + 1) for j in range(d.eta))
+        fv1 = functional_values(g, FunctionalSpec("linear", coeffs), d)
+        fv2 = functional_values(g, FunctionalSpec("exponential", coeffs[::-1], 0.5), d)
+        for alpha in (0.1, 0.5, 0.9, 1.1, 2.0, 7.5):
+            avg = thm6_convex_combination(
+                g, fv1, fv2, 0.7, 1.9, alpha, variant, symmetric=True, base=base
+            )
+            from_1 = thm6_convex_combination(g, fv1, fv2, 0.7, 1.9, alpha, variant,
+                                             base=base)
+            from_2 = thm6_convex_combination(g, fv2, fv1, 1.9, 0.7, alpha, variant,
+                                             base=base)
+            assert from_1.lhs == pytest.approx(avg.lhs, rel=1e-12)
+            assert from_2.lhs == pytest.approx(avg.lhs, rel=1e-12)
+            assert from_1.direction == from_2.direction == avg.direction
+            assert avg.bound == pytest.approx(
+                (from_1.bound + from_2.bound) / 2.0, rel=1e-12
+            )
+
     def test_zero_weight_rejected(self):
         g = generate_graph("star", 4)
         fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
@@ -487,6 +515,23 @@ class TestThm6:
                         g, fv1, fv2, c1, c2, alpha, "corrected", symmetric=symmetric
                     )
                     assert r.holds is True
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, math.inf, math.nan])
+def test_log_base_must_exceed_1_and_be_finite(base):
+    g = generate_graph("star", 4)
+    fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
+    d = distribution_from_values(fv)
+    calls = [
+        lambda: thm3_partition_vs_functional(g, vertex_orbits(g), fv, 2.0, base),
+        lambda: thm4_scaled_dominance(d, d, 2.0, 0.5, base=base),
+        lambda: thm5_additive_dominance(d, d, 0.1, 0.5, "corrected", base=base),
+        lambda: thm6_convex_combination(g, fv, fv, 1.0, 1.0, 2.0, "corrected",
+                                        base=base),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="log base must exceed 1 and be finite"):
+            call()
 
 
 class TestClassClosedForms:
