@@ -1,108 +1,86 @@
 """Graph entropies over orbit and functional distributions, with a
-verifiable catalog of Renyi/Shannon bound checks."""
+verifiable catalog of Renyi/Shannon bound checks.
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    GraphEntropyError,
-    ParseError,
-    ValidationError,
-)
-from .graph import (
-    UNREACHABLE,
-    DistanceData,
-    Graph,
-    distance_matrix,
-    generate_graph,
-    parse_edge_list,
-    sphere_counts_matrix,
-    write_edge_list,
-)
-from .harness import (
-    DEFAULT_ALPHA_GRID,
-    FunctionalTemplate,
-    SweepConfig,
-    SweepReport,
-    generate_corpus,
-    run_sweep,
-    summarize_report,
-)
-from .inequalities import (
-    BoundReport,
-    LemmaCheck,
-    class_closed_forms,
-    connected_functional_bounds,
-    jensen_gap_bound,
-    lemma_checks,
-    ordering_bound,
-    thm1_refined_bound,
-    thm3_partition_vs_functional,
-    thm4_scaled_dominance,
-    thm5_additive_dominance,
-    thm6_convex_combination,
-)
-from .measures import (
-    Distribution,
-    DistributionStats,
-    FunctionalSpec,
-    FunctionalValues,
-    default_coefficients,
-    distribution_from_values,
-    distribution_stats,
-    functional_values,
-    partition_distribution,
-    renyi_entropy,
-    shannon_entropy,
-)
-from .orbits import OrbitPartition, brute_force_orbits, vertex_orbits
+Public names resolve on first access (PEP 562), each from the submodule
+that _SUBMODULES lists it under, so ``import graphent`` loads no submodule
+and no numpy, and a CLI stage pays only for the modules it runs.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CapacityError",
-    "DEFAULT_ALPHA_GRID",
-    "DistanceData",
-    "Distribution",
-    "DistributionStats",
-    "DomainError",
-    "FunctionalSpec",
-    "FunctionalTemplate",
-    "FunctionalValues",
-    "Graph",
-    "GraphEntropyError",
-    "LemmaCheck",
-    "OrbitPartition",
-    "ParseError",
-    "SweepConfig",
-    "SweepReport",
-    "UNREACHABLE",
-    "ValidationError",
-    "brute_force_orbits",
-    "class_closed_forms",
-    "connected_functional_bounds",
-    "default_coefficients",
-    "distance_matrix",
-    "distribution_from_values",
-    "distribution_stats",
-    "functional_values",
-    "generate_corpus",
-    "generate_graph",
-    "jensen_gap_bound",
-    "lemma_checks",
-    "ordering_bound",
-    "parse_edge_list",
-    "partition_distribution",
-    "renyi_entropy",
-    "run_sweep",
-    "shannon_entropy",
-    "sphere_counts_matrix",
-    "summarize_report",
-    "thm1_refined_bound",
-    "thm3_partition_vs_functional",
-    "thm4_scaled_dominance",
-    "thm5_additive_dominance",
-    "thm6_convex_combination",
-    "vertex_orbits",
-    "write_edge_list",
-]
+_SUBMODULES = {
+    "errors": (
+        "CapacityError",
+        "DomainError",
+        "GraphEntropyError",
+        "ParseError",
+        "ValidationError",
+    ),
+    "graph": (
+        "UNREACHABLE",
+        "DistanceData",
+        "Graph",
+        "distance_matrix",
+        "generate_graph",
+        "parse_edge_list",
+        "sphere_counts_matrix",
+        "write_edge_list",
+    ),
+    "harness": (
+        "DEFAULT_ALPHA_GRID",
+        "FunctionalTemplate",
+        "SweepConfig",
+        "SweepReport",
+        "generate_corpus",
+        "run_sweep",
+        "summarize_report",
+    ),
+    "inequalities": (
+        "BoundReport",
+        "LemmaCheck",
+        "class_closed_forms",
+        "connected_functional_bounds",
+        "jensen_gap_bound",
+        "lemma_checks",
+        "ordering_bound",
+        "thm1_refined_bound",
+        "thm3_partition_vs_functional",
+        "thm4_scaled_dominance",
+        "thm5_additive_dominance",
+        "thm6_convex_combination",
+    ),
+    "measures": (
+        "Distribution",
+        "DistributionStats",
+        "FunctionalSpec",
+        "FunctionalValues",
+        "default_coefficients",
+        "distribution_from_values",
+        "distribution_stats",
+        "functional_values",
+        "partition_distribution",
+        "renyi_entropy",
+        "shannon_entropy",
+    ),
+    "orbits": ("OrbitPartition", "brute_force_orbits", "vertex_orbits"),
+}
+
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

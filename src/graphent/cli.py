@@ -8,6 +8,13 @@ Subcommands compose over stdin/stdout edge lists:
 
 Exit status: 0 success, 1 violation found under --strict, 2 usage or
 domain errors.
+
+Import rule: each pipe stage is a fresh interpreter, so this module imports
+only the standard library and graphent.errors at module level, and each
+subcommand imports the graphent modules it runs inside the functions that
+run them. `gen` loads graph alone, and numpy only to draw G(n, p);
+`compute` adds orbits and measures; `check` adds inequalities; only `sweep`
+loads harness.
 """
 
 from __future__ import annotations
@@ -16,39 +23,22 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GraphEntropyError
-from .graph import Graph, generate_graph, parse_edge_list, write_edge_list
-from .harness import THEOREMS, SweepConfig, stream_sweep, summarize_report
-from .inequalities import (
-    class_closed_forms,
-    connected_functional_bounds,
-    jensen_gap_bound,
-    ordering_bound,
-    thm1_refined_bound,
-    thm3_partition_vs_functional,
-    thm4_scaled_dominance,
-    thm5_additive_dominance,
-    thm6_convex_combination,
-)
-from .measures import (
-    Distribution,
-    FunctionalSpec,
-    distribution_from_values,
-    distribution_stats,
-    functional_values,
-    partition_distribution,
-    renyi_entropy,
-    shannon_entropy,
-)
-from .orbits import vertex_orbits
 
-# One check per distinct THEOREMS check name, plus the graph-class closed forms.
-_CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS)) + ("star", "wheel", "path")
+if TYPE_CHECKING:
+    from .graph import Graph
+    from .measures import Distribution, FunctionalSpec
 
-_BASE_CHECKS = tuple(dict.fromkeys(t.check for t in THEOREMS if t.log_base))
+# One check per distinct harness.THEOREMS check name, plus the graph-class
+# closed forms; spelled out so that parsing `check` needs no harness import.
+_CHECKS = (
+    "ordering", "jensen", "thm1", "thm3", "thm4", "thm5", "thm6", "conn",
+    "star", "wheel", "path",
+)
+
+_BASE_CHECKS = ("thm3", "thm4", "thm5", "thm6")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,7 +110,9 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
 
 
 def _parse_probs(text: str) -> Distribution:
-    return Distribution(p=np.array(_parse_floats(text, "probabilities")))
+    from .measures import Distribution
+
+    return Distribution(p=_parse_floats(text, "probabilities"))
 
 
 def _round12(value):
@@ -138,6 +130,8 @@ def _functional_spec(
 ) -> FunctionalSpec:
     """The spec that a kind flag (--functional, --f2-functional or --dist),
     its coefficients and its beta describe; ``flag`` names the kind flag."""
+    from .measures import FunctionalSpec
+
     if kind is None:
         raise DomainError(f"{what} requires {flag} linear|exp")
     coeffs = _parse_floats(c, "coefficients") if c else None
@@ -146,6 +140,8 @@ def _functional_spec(
 
 
 def _graph_from_stdin(stdin: str | None, n_override: int | None) -> Graph:
+    from .graph import parse_edge_list
+
     if stdin is None:
         stdin = sys.stdin.read()
     return parse_edge_list(stdin, n=n_override)
@@ -153,6 +149,13 @@ def _graph_from_stdin(stdin: str | None, n_override: int | None) -> Graph:
 
 def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | None):
     """(Distribution, kind-specific extras) for orbits/linear/exp on g."""
+    from .measures import (
+        distribution_from_values,
+        functional_values,
+        partition_distribution,
+    )
+    from .orbits import vertex_orbits
+
     if dist_kind == "orbits":
         if c is not None or beta is not None:
             raise DomainError("--c/--beta do not apply to the orbit distribution")
@@ -175,6 +178,8 @@ def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | Non
 def emit_entropy_report(g: Graph, args: argparse.Namespace) -> str:
     """JSON entropy report for `graphent compute`, numbers at 12 significant
     digits."""
+    from .measures import distribution_stats, renyi_entropy, shannon_entropy
+
     alpha = args.alpha
     d, extras = _distribution_for(g, args.dist, args.c, args.beta)
     stats = distribution_stats(d)
@@ -195,7 +200,36 @@ def emit_entropy_report(g: Graph, args: argparse.Namespace) -> str:
     return json.dumps(doc, allow_nan=False)
 
 
+def _run_gen(args) -> tuple[int, str]:
+    from .graph import generate_graph, write_edge_list
+
+    if args.cls == "gnp":
+        if args.p is None or args.seed is None:
+            raise DomainError("gnp requires --p and --seed")
+        g = generate_graph("gnp", args.n, p=args.p, seed=args.seed)
+    else:
+        if args.p is not None or args.seed is not None:
+            raise DomainError("--p/--seed only apply to gnp")
+        g = generate_graph(args.cls, args.n)
+    return 0, write_edge_list(g)
+
+
 def _run_check(args, stdin: str | None) -> tuple[int, str]:
+    from .graph import generate_graph
+    from .inequalities import (
+        class_closed_forms,
+        connected_functional_bounds,
+        jensen_gap_bound,
+        ordering_bound,
+        thm1_refined_bound,
+        thm3_partition_vs_functional,
+        thm4_scaled_dominance,
+        thm5_additive_dominance,
+        thm6_convex_combination,
+    )
+    from .measures import functional_values
+    from .orbits import vertex_orbits
+
     base = 2.0 if args.log_base == "2" else math.e
     if args.log_base != "2" and args.theorem not in _BASE_CHECKS:
         raise DomainError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
@@ -292,6 +326,26 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
     return status, out + "\n"
 
 
+def _run_sweep(args) -> tuple[int, str]:
+    from .harness import SweepConfig, stream_sweep, summarize_report
+
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = SweepConfig.from_dict(json.load(fh))
+    if args.format == "json":
+        summary = stream_sweep(cfg, sys.stdout.write)
+        sys.stdout.write("\n")
+        out = ""
+    else:
+        summary = stream_sweep(cfg)
+        out = summarize_report(summary, format=args.format)
+    status = 0
+    if args.strict and any(
+        agg["violated"] > 0 for agg in summary.aggregates.values()
+    ):
+        status = 1
+    return status, out
+
+
 def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
     """Run one invocation; returns (exit status, stdout text).
 
@@ -305,36 +359,14 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
         if args.command == "gen":
-            if args.cls == "gnp":
-                if args.p is None or args.seed is None:
-                    raise DomainError("gnp requires --p and --seed")
-                g = generate_graph("gnp", args.n, p=args.p, seed=args.seed)
-            else:
-                if args.p is not None or args.seed is not None:
-                    raise DomainError("--p/--seed only apply to gnp")
-                g = generate_graph(args.cls, args.n)
-            return 0, write_edge_list(g)
+            return _run_gen(args)
         if args.command == "compute":
             g = _graph_from_stdin(stdin, args.n)
             return 0, emit_entropy_report(g, args) + "\n"
         if args.command == "check":
             return _run_check(args, stdin)
         if args.command == "sweep":
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = SweepConfig.from_dict(json.load(fh))
-            if args.format == "json":
-                summary = stream_sweep(cfg, sys.stdout.write)
-                sys.stdout.write("\n")
-                out = ""
-            else:
-                summary = stream_sweep(cfg)
-                out = summarize_report(summary, format=args.format)
-            status = 0
-            if args.strict and any(
-                agg["violated"] > 0 for agg in summary.aggregates.values()
-            ):
-                status = 1
-            return status, out
+            return _run_sweep(args)
         raise DomainError(f"unknown command {args.command!r}")
     except (
         GraphEntropyError, OSError, json.JSONDecodeError, UnicodeDecodeError

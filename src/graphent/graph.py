@@ -8,17 +8,17 @@ corrupted by disconnected pairs.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 
-log = logging.getLogger(__name__)
+# numpy is imported inside the functions that use it, so the class
+# generators and the edge-list reader and writer run without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 UNREACHABLE = -1
 
@@ -164,6 +164,8 @@ def write_edge_list(g: Graph) -> str:
 
 
 def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
+    import numpy as np
+
     draws = rng.random(n * (n - 1) // 2) if n > 1 else np.empty(0)
     # one draw per pair u < v, in row-major order
     us, vs = np.triu_indices(n, k=1)
@@ -179,12 +181,19 @@ def generate_gnp_connected(n: int, p: float, seed) -> tuple[Graph, int]:
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     for attempt in range(GNP_MAX_REDRAWS + 1):
         g = Graph.from_edges(n, _gnp_edges(n, p, rng))
         if g.is_connected():
             if attempt:
-                log.info("gnp(n=%d, p=%g): %d disconnected redraws", n, p, attempt)
+                # imported here, so a CLI start does not pay for logging
+                import logging
+
+                logging.getLogger(__name__).info(
+                    "gnp(n=%d, p=%g): %d disconnected redraws", n, p, attempt
+                )
             return g, attempt
     raise DomainError(
         f"gnp(n={n}, p={p}): no connected sample within {GNP_MAX_REDRAWS} redraws"
@@ -238,6 +247,8 @@ def generate_graph(
 
 def distance_matrix(g: Graph) -> DistanceData:
     """BFS-exact hop distances; unreachable pairs hold UNREACHABLE."""
+    import numpy as np
+
     n = g.n
     dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
     for src in range(n):
@@ -260,6 +271,8 @@ def sphere_counts_matrix(g: Graph, d: DistanceData) -> np.ndarray:
     zero-padded up to the diameter. Requires a connected graph."""
     if not g.is_connected():
         raise DomainError("j-sphere profiles are undefined on disconnected graphs")
+    import numpy as np
+
     out = np.zeros((g.n, d.eta), dtype=np.int64)
     for v in range(g.n):
         row = np.bincount(d.dist[v].astype(np.int64), minlength=d.eta + 1)

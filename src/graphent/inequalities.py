@@ -256,6 +256,15 @@ def _check_base(base: float) -> None:
         raise DomainError(f"log base must exceed 1 and be finite, got {base}")
 
 
+def _as_float(x: float) -> float:
+    """float(x), or inf for an int above float range, so that a positive
+    and finite check rejects it instead of leaking OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _to_base(bits: list[float], base: float) -> list[float]:
     """Convert base-2 information values to the requested log base."""
     ln_base = math.log(base)
@@ -590,13 +599,14 @@ def _thm4_column(
     mode = "psi"
     totals: dict[str, float] = {}
     if derive_psi_from is not None:
-        s1, s2 = float(derive_psi_from[0]), float(derive_psi_from[1])
+        s1, s2 = _as_float(derive_psi_from[0]), _as_float(derive_psi_from[1])
         if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
             raise DomainError("functional totals must be positive and finite")
         psi = s2 / s1
         mode = "corollary"
         totals = {"S1": s1, "S2": s2}
-    if psi is None or not 0.0 < psi < math.inf:
+    psi = math.nan if psi is None else _as_float(psi)
+    if not 0.0 < psi < math.inf:
         raise DomainError("psi must be positive and finite")
     met = bool(np.all(d1.p <= psi * d2.p * (1.0 + _PRE_GUARD)))
     n = d1.size
@@ -613,7 +623,7 @@ def _thm4_column(
         )
 
     params = {
-        "psi": float(psi),
+        "psi": psi,
         "mode": mode,
         "N": n,
         "h_other": None,
@@ -646,6 +656,7 @@ def thm5_additive_dominance(
     _check_base(base)
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
+    phi = _as_float(phi)
     if not 0.0 < phi < math.inf:
         raise DomainError(f"phi must be positive and finite, got {phi}")
     return _report(variant, alpha, _thm5_column(d1, d2, phi, (alpha,), variant, base))
@@ -713,6 +724,7 @@ def thm6_convex_combination(
     """
     _check_alpha(alpha)
     _check_base(base)
+    c1, c2 = _as_float(c1), _as_float(c2)
     if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
         raise DomainError(
             f"combination weights c1, c2 must be positive and finite, got {c1}, {c2}"

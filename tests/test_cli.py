@@ -21,14 +21,79 @@ def run(args, stdin=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_import_leaves_scipy_unloaded():
-    """numpy is the only runtime dependency, so cold start never pays for scipy."""
-    code = "import sys, graphent, graphent.cli; print('scipy' in sys.modules)"
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules once ``code`` has run in a fresh interpreter."""
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_leaves_scipy_unloaded():
+    """numpy is the only runtime dependency, so cold start never pays for scipy."""
+    assert "scipy" not in _modules_after("import graphent, graphent.cli")
+
+
+def test_import_graphent_loads_no_submodule():
+    """Public names resolve on first use, so the bare import loads no numpy."""
+    loaded = _modules_after("import graphent")
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("graphent.")} == set()
+
+
+GRAPH_TEXT = "0 1\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, status, modules",
+    [
+        (["gen", "star", "5"], None, 0, {"graph"}),
+        (["compute", "--alpha", "2", "--dist", "orbits"], GRAPH_TEXT, 0,
+         {"graph", "orbits", "measures"}),
+        (["compute", "--alpha", "2", "--dist", "exp", "--beta", "2"], GRAPH_TEXT, 0,
+         {"graph", "orbits", "measures"}),
+        (["check", "thm1", "--alpha", "0.5", "--variant", "literal",
+          "--probs", "0.9,0.1", "--strict"], None, 1,
+         {"graph", "orbits", "measures", "inequalities"}),
+        (["check", "conn", "--alpha", "2", "--functional", "linear"], GRAPH_TEXT, 0,
+         {"graph", "orbits", "measures", "inequalities"}),
+    ],
+    ids=["gen", "compute-orbits", "compute-exp", "check-thm1", "check-conn"],
+)
+def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules):
+    """A pipe stage is a fresh interpreter, so what it imports is its cold
+    start: gen runs without numpy, compute without inequalities and check
+    without harness."""
+    loaded = _modules_after(
+        "from graphent import cli\n"
+        f"assert cli.dispatch({argv!r}, stdin={stdin!r})[0] == {status}"
+    )
+    assert {m for m in loaded if m.startswith("graphent.")} == {
+        f"graphent.{m}" for m in modules | {"cli", "errors"}
+    }
+    assert ("numpy" in loaded) == (modules != {"graph"})
+
+
+_LAZY_NAMESPACE = """
+import graphent
+names = {}
+exec("from graphent import *", names)
+assert set(graphent.__all__) <= set(names), set(graphent.__all__) - set(names)
+assert set(graphent.__all__) <= set(dir(graphent))
+try:
+    graphent.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("graphent.no_such_name resolved")
+"""
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    loaded = _modules_after(_LAZY_NAMESPACE)
+    assert {"graphent.harness", "graphent.inequalities"} <= loaded
 
 
 # Prints [[bytes written, traced peak], ...] of `graphent sweep` on the two

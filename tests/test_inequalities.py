@@ -326,8 +326,17 @@ class TestThm4:
         assert r.direction == direction
         assert r.bound == pytest.approx(bound, abs=1e-12)
 
+    # 0 < x < inf holds for an int of any size, which float() refuses
+    @pytest.mark.parametrize(
+        "psi", [0.0, -1.0, math.nan, math.inf, pytest.param(10**400, id="int-1e400")]
+    )
+    def test_psi_must_be_positive_and_finite(self, psi):
+        d = dist(0.5, 0.5)
+        with pytest.raises(DomainError, match="psi must be positive and finite"):
+            thm4_scaled_dominance(d, d, psi, 0.5)
+
     @pytest.mark.parametrize("totals", [(1.0, math.inf), (math.inf, math.inf),
-                                        (1.0, math.nan)])
+                                        (1.0, math.nan), (1.0, 10**400)])
     def test_corollary_totals_must_be_finite(self, totals):
         d = dist(0.5, 0.5)
         with pytest.raises(DomainError):
@@ -385,7 +394,7 @@ class TestThm5:
         assert lit_e.bound == pytest.approx(bound, abs=1e-12)
 
     def test_phi_validation(self):
-        for phi in (0.0, -1.0, math.nan, math.inf):
+        for phi in (0.0, -1.0, math.nan, math.inf, 10**400):
             with pytest.raises(DomainError, match="phi must be positive and finite"):
                 thm5_additive_dominance(
                     dist(0.5, 0.5), dist(0.5, 0.5), phi, 0.5, "literal"
@@ -473,7 +482,9 @@ class TestThm6:
     def test_zero_weight_rejected(self):
         g = generate_graph("star", 4)
         fv = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
-        for c1, c2 in ((1.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+        for c1, c2 in (
+            (1.0, 0.0), (math.nan, 1.0), (1.0, math.inf), (10**309, 1.0)
+        ):
             with pytest.raises(DomainError, match="weights"):
                 thm6_convex_combination(g, fv, fv, c1, c2, 0.5, "literal")
 
