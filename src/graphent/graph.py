@@ -138,7 +138,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             raise ParseError(f"negative vertex id in {line!r}", lineno)
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
+        edges.append((u, v) if u < v else (v, u))
         seen_ids.update((u, v))
 
     max_id = max(seen_ids) if seen_ids else -1
@@ -155,7 +155,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             )
     elif n < max_id + 1:
         raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
-    return Graph.from_edges(n, edges)
+    return Graph(n=n, edges=frozenset(edges))
 
 
 def write_edge_list(g: Graph) -> str:

@@ -2,12 +2,15 @@
 
 The main route colors vertices by degree and refines the coloring by
 iterated neighbor-class multisets. Refinement never over-splits (cells are
-unions of orbits) but may over-merge, so vertices sharing a cell are only
-united after a backtracking search actually exhibits an automorphism
-mapping one to the other. The search places the most constrained vertex
-next (McKay & Piperno, "Practical graph isomorphism II", 2014) and gives up
-with CapacityError past ORBIT_NODE_BUDGET nodes, so it is exact and
-bounded. The brute-force oracle enumerates all n! permutations and is the
+unions of orbits) but may over-merge. Twins (equal open or equal closed
+neighborhoods) are united first, since swapping two of them is an
+automorphism, so stars, complete graphs and complete bipartite graphs need
+no search. Any other pair sharing a cell is only united after a
+backtracking search actually exhibits an automorphism mapping one to the
+other. The search places the most constrained vertex next (McKay &
+Piperno, "Practical graph isomorphism II", 2014) and gives up with
+CapacityError past ORBIT_NODE_BUDGET nodes, so it is exact and bounded.
+The brute-force oracle enumerates all n! permutations and is the
 independent ground truth for small graphs.
 """
 
@@ -22,7 +25,7 @@ from .graph import Graph
 ORBIT_CAP = 64
 # Search nodes (a vertex given a candidate image) one vertex_orbits call may
 # visit: over 100x the most any benchmark family or acceptance-corpus graph
-# needs in any labeling tried (4,032, for K_64).
+# needs in any labeling tried (4,418, for the Chang graph chang_0).
 ORBIT_NODE_BUDGET = 500_000
 BRUTE_FORCE_CAP = 8
 
@@ -189,6 +192,13 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
     adjbits = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
 
     dsu = _DisjointSet(g.n)
+    # Twins, vertices with equal open (false twins) or equal closed (true
+    # twins) neighborhoods, are swapped by an automorphism: join them
+    # without a search.
+    for keys in (adjbits, [b | 1 << v for v, b in enumerate(adjbits)]):
+        first: dict[int, int] = {}
+        for v, key in enumerate(keys):
+            dsu.union(first.setdefault(key, v), v)
     orders: dict[int, list[int]] = {}
     nodes = 0
     for cell in cells.values():

@@ -71,6 +71,52 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_edge_list("0 5\n", n=3)
 
+    @pytest.mark.parametrize(
+        "text, n, pairs",
+        [
+            ("  # indented comment\n0 1\n\t# tab comment\n1 2\n", None, [(0, 1), (1, 2)]),
+            ("0\t1\n\t2 1\t\n", None, [(0, 1), (2, 1)]),
+            ("0 1\r\n1 2\r\n\r\n2 0\r\n", None, [(0, 1), (1, 2), (2, 0)]),
+            ("0 1\n1 0\n2 1\n1 2\n", None, [(0, 1), (1, 0), (2, 1), (1, 2)]),
+            ("3 1\n", 6, [(3, 1)]),
+            ("0 4\n4 2\n", 5, [(0, 4), (4, 2)]),
+            ("", 3, []),
+        ],
+        ids=["comments", "tabs", "crlf", "duplicates", "n_override", "id_gaps", "empty_n"],
+    )
+    def test_parse_equals_from_edges(self, text, n, pairs):
+        g = parse_edge_list(text, n=n)
+        expected_n = n if n is not None else 1 + max(max(p) for p in pairs)
+        assert g == Graph.from_edges(expected_n, pairs)
+
+    @pytest.mark.parametrize(
+        "text, n, error, message, line",
+        [
+            ("0 1\r\n1 x\r\n", None, ParseError,
+             "line 2: malformed vertex id in '1 x'", 2),
+            ("  # c\n0 1 2\n", None, ParseError,
+             "line 2: expected two vertex ids, got '0 1 2'", 2),
+            ("0 1\n\t-1 2\n", None, ParseError,
+             "line 2: negative vertex id in '-1 2'", 2),
+            ("# a\n0\t1\n  2 2  \n", None, ValidationError,
+             "line 3: self-loop at vertex 2", None),
+            ("0 1\n1 0\n0 3\n", None, ValidationError,
+             "vertex ids have gaps (1 missing, first [2]); pass n explicitly "
+             "to allow isolated vertices", None),
+            ("0 1\n0 4\n0 9\n", None, ValidationError,
+             "vertex ids have gaps (6 missing, first [2, 3, 5]); pass n "
+             "explicitly to allow isolated vertices", None),
+            ("0 1\n1 0\n0 5\n", 3, ValidationError,
+             "n=3 is below 1 + max vertex id (5)", None),
+        ],
+        ids=["crlf_token", "arity", "negative", "self_loop", "gap", "gaps", "n_below"],
+    )
+    def test_error_messages_and_lines(self, text, n, error, message, line):
+        with pytest.raises(error) as info:
+            parse_edge_list(text, n=n)
+        assert type(info.value) is error and str(info.value) == message
+        assert getattr(info.value, "line", None) == line
+
     def test_writer_round_trip(self):
         g = generate_graph("wheel", 6)
         assert parse_edge_list(write_edge_list(g)).edges == g.edges

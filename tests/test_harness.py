@@ -339,10 +339,11 @@ class TestSweep:
         json.loads(summarize_report(rep, "json"))
 
     def test_orbit_budget_gives_error_cells_not_an_abort(self, monkeypatch):
-        # path_2 and complete_2; each orbit search needs 2 nodes
+        # path_4 and cycle_4 each need a 2-node orbit search; the twins of
+        # star_4, wheel_4 (= K_4) and complete_4 are joined without one
         cfg = SweepConfig(
             seed=1,
-            n_range=(2, 2),
+            n_range=(4, 4),
             edge_probabilities=(),
             trials_per_cell=1,
             alpha_grid=(0.5,),
@@ -350,20 +351,24 @@ class TestSweep:
         full = run_sweep(cfg)
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 1)
         rep = run_sweep(cfg)
-        assert rep.corpus_size == 2 and {c["graph_id"] for c in rep.cells} == {
-            "path_2",
-            "complete_2",
+        searched = {"path_4", "cycle_4"}
+        assert rep.corpus_size == 5 and {c["graph_id"] for c in rep.cells} == {
+            "star_4", "path_4", "cycle_4", "wheel_4", "complete_4",
         }
 
         # each error row carries its template's kind, so it covers exactly
         # the cells the graph has when its orbits are known
-        assert len(full.cells) == 114
+        assert len(full.cells) == 285
         assert [_cell_key(c) for c in rep.cells] == [_cell_key(c) for c in full.cells]
-        for cell in rep.cells:
-            assert (cell["holds"], cell["precondition_met"]) == (None, False)
-            assert cell["params"]["reason"] == (
-                "exact orbit search gave up after 2 search nodes (budget 1)"
-            )
+        for cell, expected in zip(rep.cells, full.cells):
+            if cell["graph_id"] in searched:
+                assert (cell["holds"], cell["precondition_met"]) == (None, False)
+                assert cell["params"]["reason"] == (
+                    "exact orbit search gave up after 2 search nodes (budget 1)"
+                )
+            else:
+                assert cell == expected
+        assert sum(c["graph_id"] in searched for c in rep.cells) == 2 * 57
         json.loads(summarize_report(rep, "json"))
 
     def test_failed_gnp_draws_give_error_cells(self):

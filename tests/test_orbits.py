@@ -275,6 +275,55 @@ class TestRelabeledSymmetricGraphs:
             assert vertex_orbits(_relabeled(g, seed)).sizes == sizes
 
 
+def _threshold(steps):
+    """Add vertices in order, each isolated ('i') or dominating ('d'); runs
+    of one kind are false ('i') or true ('d') twins."""
+    edges = [(u, v) for v, kind in enumerate(steps) if kind == "d" for u in range(v)]
+    return Graph.from_edges(len(steps), edges)
+
+
+class TestTwins:
+    def test_every_labeled_graph_up_to_5_vertices(self):
+        # 1 + 2 + 8 + 64 + 1024 = 1,099 graphs, disconnected ones included
+        count = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                assert vertex_orbits(g).blocks == brute_force_orbits(g).blocks
+                count += 1
+        assert count == 1099
+
+    def test_twin_classes_need_no_search(self, monkeypatch):
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 0)
+        assert vertex_orbits(generate_graph("complete", 64)).blocks == (tuple(range(64)),)
+        assert vertex_orbits(generate_graph("star", 40)).blocks == (
+            (0,), tuple(range(1, 40)),
+        )
+        k10_20 = Graph.from_edges(30, [(i, 10 + j) for i in range(10) for j in range(20)])
+        assert vertex_orbits(k10_20).blocks == (tuple(range(10)), tuple(range(10, 30)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _threshold("iidiiddi"),
+            _threshold("iiiddd"),
+            _threshold("ididid"),
+            # K_{2,2,2}: three false-twin pairs, joined by the search
+            Graph.from_edges(6, [(u, v) for u, v in combinations(range(6), 2) if u // 2 != v // 2]),
+            # K_3 joined to 3 K_1: a true-twin and a false-twin class
+            Graph.from_edges(6, [(u, v) for u, v in combinations(range(6), 2) if u < 3]),
+            # K_2 + 2 K_1 + P_3: twins in several components
+            Graph.from_edges(7, [(0, 1), (4, 5), (5, 6)]),
+        ],
+        ids=["threshold_8", "threshold_6", "threshold_alt", "k222", "k3_join_3k1", "mixed"],
+    )
+    def test_relabeled_twin_graphs(self, g):
+        for seed in range(6):
+            h = _relabeled(g, seed)
+            assert vertex_orbits(h).blocks == brute_force_orbits(h).blocks
+
+
 class TestNodeBudget:
     def test_over_budget_names_the_node_count(self, monkeypatch):
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 3)
