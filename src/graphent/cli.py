@@ -12,9 +12,10 @@ domain errors.
 Import rule: each pipe stage is a fresh interpreter, so this module imports
 only the standard library and graphent.errors at module level, and each
 subcommand imports the graphent modules it runs inside the functions that
-run them. `gen` loads graph alone, and numpy only to draw G(n, p);
-`compute` adds orbits and measures; `check` adds inequalities; only `sweep`
-loads harness.
+run them. `gen` loads graph alone; `compute` adds orbits and measures;
+`check` adds inequalities; only `sweep` loads harness. The numbers are
+Python floats, so numpy loads only to draw G(n, p), in `gen gnp` and
+`sweep`, and for the O(N**2) pair sums of `check jensen`.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | Non
             "kind": spec.kind,
             "c": None if spec.coeffs is None else list(spec.coeffs),
             "beta": spec.beta,
-            "S": None if fv.values is None else _round12(float(fv.values.sum())),
+            "S": None if fv.linear is None else _round12(math.fsum(fv.linear)),
             "log2_S": _round12(fv.total_log / math.log(2.0)),
         }
     }
@@ -185,14 +186,20 @@ def emit_entropy_report(g: Graph, args: argparse.Namespace) -> str:
     stats = distribution_stats(d)
     if not math.isfinite(stats.rho):
         raise DomainError(
-            f"rho = max p / min p overflows a float (min p = {d.p.min():g})"
+            f"rho = max p / min p overflows a float (min p = {min(d.probs):g})"
         )
+    renyi = None
+    if alpha is not None:
+        renyi = renyi_entropy(d, alpha)
+        if not math.isfinite(renyi):
+            # alpha * ln p rounds to -inf below -1.8e308, so sum p**alpha is 0
+            raise DomainError(f"H_alpha leaves float range at alpha = {alpha:g}")
     doc = {
         "n": g.n,
         "distribution_kind": "exponential" if args.dist == "exp" else args.dist,
         "alpha": _round12(alpha) if alpha is not None else None,
         "shannon": _round12(shannon_entropy(d)),
-        "renyi": _round12(renyi_entropy(d, alpha)) if alpha is not None else None,
+        "renyi": _round12(renyi),
         "rho": _round12(stats.rho),
         "epsilon": _round12(stats.epsilon),
     }

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 
-# numpy is imported inside the functions that use it, so the class
-# generators and the edge-list reader and writer run without loading it.
+# numpy is imported inside the functions that use it: only G(n, p) draws
+# and the array views of distances and sphere profiles load it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -104,13 +104,33 @@ class Graph:
 
 @dataclass(frozen=True)
 class DistanceData:
-    """All-pairs hop distances plus the diameter eta."""
+    """All-pairs hop distances, one tuple per source vertex, plus the
+    diameter eta."""
 
-    dist: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
     eta: int
 
-    def __post_init__(self):
-        self.dist.setflags(write=False)
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The distances as a read-only (n, n) int64 array."""
+        return _read_only_array(self.rows, "int64", (len(self.rows),) * 2)
+
+    @cached_property
+    def spheres(self) -> tuple[tuple[int, ...], ...]:
+        """j-sphere profiles: entry [v][j-1] = |S_j(v)| for j = 1..eta,
+        zero-padded up to the diameter. Built once per DistanceData, so
+        every functional on one graph reads the same profiles."""
+        radii = range(1, self.eta + 1)
+        return tuple(tuple(map(row.count, radii)) for row in self.rows)
+
+
+def _read_only_array(values, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """values as a read-only numpy array of dtype and shape."""
+    import numpy as np
+
+    arr = np.array(values, dtype=dtype).reshape(shape)
+    arr.setflags(write=False)
+    return arr
 
 
 def parse_edge_list(text: str, n: int | None = None) -> Graph:
@@ -247,34 +267,32 @@ def generate_graph(
 
 def distance_matrix(g: Graph) -> DistanceData:
     """BFS-exact hop distances; unreachable pairs hold UNREACHABLE."""
-    import numpy as np
-
-    n = g.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for src in range(n):
-        row = dist[src]
+    adjacency = g.adjacency
+    rows = []
+    eta = 0
+    for src in range(g.n):
+        row = [UNREACHABLE] * g.n
         row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if row[w] == UNREACHABLE:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-    finite = dist[dist >= 0]
-    eta = int(finite.max()) if finite.size else 0
-    return DistanceData(dist=dist, eta=eta)
+        frontier = [src]
+        depth = 0
+        # one level per pass; depth ends one past the farthest level reached
+        while frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if row[w] == UNREACHABLE:
+                        row[w] = depth
+                        reached.append(w)
+            frontier = reached
+        eta = max(eta, depth - 1)
+        rows.append(tuple(row))
+    return DistanceData(rows=tuple(rows), eta=eta)
 
 
 def sphere_counts_matrix(g: Graph, d: DistanceData) -> np.ndarray:
-    """Rows are j-sphere profiles: entry (v, j-1) = |S_j(v)| for j = 1..eta,
-    zero-padded up to the diameter. Requires a connected graph."""
+    """d.spheres as a read-only (n, eta) int64 array. Requires a connected
+    graph."""
     if not g.is_connected():
         raise DomainError("j-sphere profiles are undefined on disconnected graphs")
-    import numpy as np
-
-    out = np.zeros((g.n, d.eta), dtype=np.int64)
-    for v in range(g.n):
-        row = np.bincount(d.dist[v].astype(np.int64), minlength=d.eta + 1)
-        out[v, :] = row[1:]
-    return out
+    return _read_only_array(d.spheres, "int64", (g.n, d.eta))

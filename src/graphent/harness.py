@@ -26,8 +26,6 @@ from array import array
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DomainError, GraphEntropyError
 from .graph import (
     GNP_MAX_REDRAWS,
@@ -117,7 +115,7 @@ class _FamilyData:
 
 def _thm4(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
     d2 = distribution_from_values(row.fv_second)
-    psi = float(np.max(row.dist.p / d2.p))
+    psi = max(a / b for a, b in zip(row.dist.probs, d2.probs))
     return _thm4_column(row.dist, d2, psi, None, alphas, 2.0)
 
 
@@ -129,7 +127,7 @@ def _thm4_cor(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column
 
 def _thm5(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
     d2 = distribution_from_values(row.fv_second)
-    phi = float(np.max(row.dist.p - d2.p))
+    phi = max(a - b for a, b in zip(row.dist.probs, d2.probs))
     if phi <= 0.0:
         phi = _PHI_FLOOR
     return _thm5_column(row.dist, d2, phi, alphas, variant, 2.0)
@@ -410,7 +408,8 @@ def _corpus(cfg: SweepConfig) -> Iterator[tuple[str, Graph | str, int]]:
     for n in range(lo, hi + 1):
         for pi, p in enumerate(cfg.edge_probabilities):
             for t in range(cfg.trials_per_cell):
-                seed = np.random.SeedSequence([cfg.seed, _TAG_GNP, n, pi, t])
+                # numpy's default_rng seeds from SeedSequence(seed)
+                seed = [cfg.seed, _TAG_GNP, n, pi, t]
                 try:
                     g, drawn = generate_gnp_connected(n, p, seed)
                 except DomainError as exc:
@@ -426,14 +425,21 @@ def generate_corpus(cfg: SweepConfig) -> list[tuple[str, Graph]]:
     return [(graph_id, g) for graph_id, g, _ in _corpus(cfg) if isinstance(g, Graph)]
 
 
+def _uniform(
+    lo: float, hi: float, size: int, cfg_seed: int, gi: int, ti: int, purpose: int
+) -> tuple[float, ...]:
+    """size draws from U(lo, hi) on the stream of one (graph, template,
+    purpose) coordinate."""
+    import numpy as np
+
+    rng = np.random.default_rng([cfg_seed, _TAG_FUNCTIONAL, gi, ti, purpose])
+    return tuple(rng.uniform(lo, hi, size=size).tolist())
+
+
 def _sample_spec(
     template: FunctionalTemplate, eta: int, cfg_seed: int, gi: int, ti: int, purpose: int
 ) -> FunctionalSpec:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg_seed, _TAG_FUNCTIONAL, gi, ti, purpose])
-    )
-    lo, hi = template.c_range
-    coeffs = tuple(float(c) for c in rng.uniform(lo, hi, size=eta))
+    coeffs = _uniform(*template.c_range, eta, cfg_seed, gi, ti, purpose)
     return FunctionalSpec(kind=template.kind, coeffs=coeffs, beta=template.beta)
 
 
@@ -525,10 +531,7 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
                 )
             )
             continue
-        rng_w = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _TAG_FUNCTIONAL, gi, ti, _PURPOSE_WEIGHTS])
-        )
-        c1, c2 = (float(c) for c in rng_w.uniform(0.5, 2.0, size=2))
+        c1, c2 = _uniform(0.5, 2.0, 2, cfg.seed, gi, ti, _PURPOSE_WEIGHTS)
         rows.append(
             replace(
                 orbit,

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import DomainError, GraphEntropyError
 from .graph import DistanceData, Graph, distance_matrix, generate_graph
@@ -40,17 +38,24 @@ from .measures import (
     Distribution,
     FunctionalSpec,
     FunctionalValues,
+    _exp_or_inf,
     _resolved_coeffs,
     distribution_from_values,
     distribution_stats,
     functional_values,
     log2_power_sums,
+    logsumexp,
     partition_distribution,
     renyi_entropies,
     renyi_entropy,
     shannon_entropy,
 )
 from .orbits import OrbitPartition, vertex_orbits
+
+# numpy is imported inside the lemma oracles and _pair_sums, so the bound
+# evaluations run on Python floats without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 TOLERANCE = 1e-9
 EXACT_TOLERANCE = 1e-12
@@ -303,8 +308,8 @@ def _check_lemma1(x: float, y: float, r: float) -> LemmaCheck:
 
 def _check_lemma2(rows: np.ndarray, r: float) -> LemmaCheck:
     big_r = 1.0 if r <= 1.0 else 1.0 / r
-    lhs = float(np.sum(rows.sum(axis=0) ** r) ** big_r)
-    rhs = float(sum(np.sum(row**r) ** big_r for row in rows))
+    lhs = float((rows.sum(axis=0) ** r).sum() ** big_r)
+    rhs = float(sum((row**r).sum() ** big_r for row in rows))
     margin = rhs - lhs
     satisfied = lhs <= rhs * (1.0 + _PRE_GUARD) + 1e-12
     return LemmaCheck(
@@ -315,15 +320,20 @@ def _check_lemma2(rows: np.ndarray, r: float) -> LemmaCheck:
     )
 
 
-def _pair_sums(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _pair_sums(p: Sequence[float], x: np.ndarray) -> np.ndarray:
     """Lemma 3's sum over ordered pairs (i, j) of p_i p_j (x_i - x_j)**2 /
-    (x_i x_j), for each row of x; x's last axis runs over p's atoms."""
+    (x_i x_j), for each row of x; x's last axis runs over p's atoms. The
+    one O(N**2) step of the catalog, so it stays vectorised."""
+    import numpy as np
+
     diff = (x[..., :, None] - x[..., None, :]) ** 2
     weight = np.outer(p, p) / (x[..., :, None] * x[..., None, :])
     return (weight * diff).sum(axis=(-2, -1))
 
 
 def _check_lemma3(p: np.ndarray, x: np.ndarray) -> LemmaCheck:
+    import numpy as np
+
     gap = float(np.log2(np.dot(p, x)) - np.dot(p, np.log2(x)))
     bound = float(_pair_sums(p, x) / (2.0 * LN2))
     margin = min(gap, bound - gap)
@@ -344,6 +354,8 @@ def lemma_checks(seed: int, trials: int) -> list[LemmaCheck]:
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out: list[LemmaCheck] = []
     for _ in range(trials):
@@ -416,9 +428,13 @@ def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
     # one (alpha, i, j) array; a tiny atom at large alpha over- or underflows
     # x, and the NaN or inf this leaves in that alpha's sum term becomes its
     # DomainError in _finish
+    import numpy as np
+
+    x = np.array(
+        [_exp_or_inf((alpha - 1.0) * lp) for alpha in alphas for lp in d.log_probs]
+    ).reshape(len(alphas), d.size)
     with np.errstate(all="ignore"):
-        x = np.exp((np.asarray(alphas, dtype=float) - 1.0)[:, None] * d.log_p)
-        sum_terms = _pair_sums(d.p, x).tolist()
+        sum_terms = _pair_sums(d.probs, x).tolist()
     n, h = d.size, shannon_entropy(d)
 
     def body(alpha: float, h_alpha: float, sum_term: float) -> Outcome:
@@ -536,10 +552,8 @@ def _thm3_column(
     n = part.total
     k = part.k
     sizes = sorted(part.sizes)
-    smallest_logs = np.sort(fv.log_values)[:k]
-    met = all(
-        math.log(sizes[i]) < float(smallest_logs[i]) for i in range(k)
-    )
+    smallest_logs = sorted(fv.logs)[:k]
+    met = all(math.log(size) < x for size, x in zip(sizes, smallest_logs))
     h_gammas = _to_base(renyi_entropies(pdist, alphas), base)
     h_fs = _to_base(renyi_entropies(distribution_from_values(fv), alphas), base)
     log_ratio = (fv.total_log - math.log(n)) / math.log(base)
@@ -608,7 +622,9 @@ def _thm4_column(
     psi = math.nan if psi is None else _as_float(psi)
     if not 0.0 < psi < math.inf:
         raise DomainError("psi must be positive and finite")
-    met = bool(np.all(d1.p <= psi * d2.p * (1.0 + _PRE_GUARD)))
+    met = all(
+        a <= psi * b * (1.0 + _PRE_GUARD) for a, b in zip(d1.probs, d2.probs)
+    )
     n = d1.size
     log_psi = _logb(psi, base)
 
@@ -671,7 +687,7 @@ def _thm5_column(
     base: float,
 ) -> Column:
     """thm5 on distributions over one vertex set, for 0 < phi < inf."""
-    met = bool(np.all(d1.p <= d2.p + phi + 1e-15))
+    met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
     factor = _penalty_factor(variant, base)
 
@@ -742,10 +758,11 @@ def _weighted_sum(
     fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
 ) -> FunctionalValues:
     """c1 f1 + c2 f2 for positive weights on one vertex set."""
+    ln_c1, ln_c2 = math.log(c1), math.log(c2)
     return FunctionalValues(
-        log_values=np.logaddexp(
-            math.log(c1) + fv1.log_values, math.log(c2) + fv2.log_values
-        )
+        log_values=[
+            logsumexp((ln_c1 + x1, ln_c2 + x2)) for x1, x2 in zip(fv1.logs, fv2.logs)
+        ]
     )
 
 
@@ -773,7 +790,7 @@ def _thm6_column(
     ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
     t1 = math.log(c1) + fv1.total_log
     t2 = math.log(c2) + fv2.total_log
-    t_sum = float(np.logaddexp(t1, t2))
+    t_sum = logsumexp((t1, t2))
     a1, a2 = math.exp(t1 - t_sum), math.exp(t2 - t_sum)
     if a1 == 0.0 or a2 == 0.0:
         raise DomainError(f"a share A_i underflows to 0 (A1 = {a1!r}, A2 = {a2!r})")
@@ -893,10 +910,8 @@ def _star_like_reports(
             {**base_params, "rho": rho}, precondition_met=two_orbit,
         ))
     if fv is not None:
-        ordered = np.sort(fv.log_values)[::-1]
-        met = two_orbit and bool(
-            ordered[0] > math.log(n - 1) and ordered[1] > 0.0
-        )
+        ordered = sorted(fv.logs, reverse=True)
+        met = two_orbit and ordered[0] > math.log(n - 1) and ordered[1] > 0.0
         head = log2_sum / (1.0 - alpha)
         reports.append(
             _class_functional_report(alpha, fv, head, 0.0, met, base_params, {})
@@ -923,7 +938,7 @@ def _path_reports(
         )
     ]
     if fv is not None:
-        above_two = int(np.count_nonzero(fv.log_values > math.log(2.0)))
+        above_two = sum(x > LN2 for x in fv.logs)
         met = even and above_two >= n // 2
         extra: dict[str, Any] = {"vertices_above_two": above_two}
         if not even:
@@ -1001,7 +1016,7 @@ def _conn_column(
         raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
-    c_max, c_min = float(coeffs.max()), float(coeffs.min())
+    c_max, c_min = max(coeffs), min(coeffs)
     linear = spec.kind == "linear"
     if linear:
         theorem_id = "conn_linear"

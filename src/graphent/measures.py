@@ -5,20 +5,28 @@ strictly positive vertex functionals (p(v) = f(v)/sum f). Functional values
 are carried in natural-log space so the exponential j-sphere functional
 cannot overflow; normalization goes through log-sum-exp.
 All entropies are base 2.
+
+The distributions here have a few dozen atoms at most, so the numbers are
+tuples of Python floats, every transcendental is a libm call through
+``math`` and every sum is ``math.fsum``, correctly rounded and so the same
+in any order and on any Python version. numpy is loaded only to build the
+read-only array views (``Distribution.p``, ``FunctionalValues.values``, ...)
+on first access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
-from .graph import DistanceData, Graph, distance_matrix, sphere_counts_matrix
+from .graph import DistanceData, Graph, _read_only_array, distance_matrix
 from .orbits import OrbitPartition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -33,59 +41,57 @@ SAFE_LOG_RANGE = 700.0
 FUNCTIONAL_KINDS = ("linear", "exponential")
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Strictly positive probability vector.
+    """Strictly positive probability vector, held as the tuple probs.
 
     Everything derived from p alone (log p, Shannon entropy, rho/epsilon)
     is computed on first use and kept, power sums are memoized per alpha
-    and Renyi entropies per alpha grid. Each is a pure function of the
-    read-only p, so concurrent first uses can only store equal values.
+    and Renyi entropies per alpha grid. Each is a pure function of probs,
+    so concurrent first uses can only store equal values.
     """
 
-    p: np.ndarray
-    _log2_power_sums: dict[float, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _renyi_grids: dict[tuple[float, ...], tuple[float, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float).reshape(-1)
-        if arr.size == 0:
+    def __init__(self, p: Iterable[float]):
+        probs = tuple(map(float, p))
+        if not probs:
             raise DomainError("distribution needs at least one atom")
-        if not np.all(arr > 0.0):
+        if not all(x > 0.0 for x in probs):
             raise DomainError("probabilities must be strictly positive")
-        if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
+        total = math.fsum(probs)
+        if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(
-                f"probabilities sum to {arr.sum()!r}, expected 1 within {PROB_SUM_TOL}"
+                f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        self.probs = probs
+        self._log2_power_sums: dict[float, float] = {}
+        self._renyi_grids: dict[tuple[float, ...], tuple[float, ...]] = {}
 
     @property
     def size(self) -> int:
-        return int(self.p.size)
+        return len(self.probs)
+
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        return tuple(map(math.log, self.probs))
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """probs as a read-only array."""
+        return _read_only_array(self.probs, "float64", (self.size,))
 
     @cached_property
     def log_p(self) -> np.ndarray:
         """Natural log of p, read-only."""
-        out = np.log(self.p)
-        out.setflags(write=False)
-        return out
+        return _read_only_array(self.log_probs, "float64", (self.size,))
 
     @cached_property
     def _shannon(self) -> float:
-        return float(-np.dot(self.p, np.log2(self.p))) + 0.0
+        return -math.fsum(x * math.log2(x) for x in self.probs) + 0.0
 
     @cached_property
     def _stats(self) -> "DistributionStats":
-        p = self.p
+        hi, lo = max(self.probs), min(self.probs)
         # rho is inf once the smallest atom is subnormal against the largest
-        with np.errstate(over="ignore"):
-            rho = float(p.max() / p.min())
-        return DistributionStats(rho=rho, epsilon=float(p.max() - p.min()))
+        return DistributionStats(rho=hi / lo, epsilon=hi - lo)
 
 
 @dataclass(frozen=True)
@@ -123,86 +129,86 @@ class FunctionalSpec:
             raise DomainError("beta only applies to the exponential functional")
 
 
-@dataclass(frozen=True)
 class FunctionalValues:
-    """Per-vertex f(v) in natural-log space, with total_log = ln(sum f)."""
+    """Per-vertex f(v) in natural-log space, held as the tuple logs, with
+    total_log = ln(sum f)."""
 
-    log_values: np.ndarray
-    total_log: float = field(init=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.log_values, dtype=float).reshape(-1)
-        if arr.size == 0:
+    def __init__(self, log_values: Iterable[float]):
+        logs = tuple(map(float, log_values))
+        if not logs:
             raise DomainError("functional values need at least one vertex")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, logs)):
             raise DomainError("functional values must be finite and positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_values", arr)
-        object.__setattr__(self, "total_log", logsumexp(arr))
+        self.logs = logs
+        self.total_log = logsumexp(logs)
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """logs as a read-only array."""
+        return _read_only_array(self.logs, "float64", (self.size,))
+
+    @cached_property
+    def linear(self) -> tuple[float, ...] | None:
+        """f(v) in linear space; None unless every |ln f(v)| is below
+        SAFE_LOG_RANGE."""
+        if max(map(abs, self.logs)) >= SAFE_LOG_RANGE:
+            return None
+        return tuple(map(math.exp, self.logs))
 
     @cached_property
     def values(self) -> np.ndarray | None:
-        """f(v) in linear space, read-only; None unless every |ln f(v)| is
-        below SAFE_LOG_RANGE."""
-        arr = self.log_values
-        if float(np.abs(arr).max()) >= SAFE_LOG_RANGE:
+        """linear as a read-only array, or None."""
+        if self.linear is None:
             return None
-        linear = np.exp(arr)
-        linear.setflags(write=False)
-        return linear
+        return _read_only_array(self.linear, "float64", (self.size,))
 
     @classmethod
-    def from_values(cls, values) -> "FunctionalValues":
-        arr = np.asarray(values, dtype=float).reshape(-1)
-        if arr.size and not np.all(arr > 0.0):
+    def from_values(cls, values: Iterable[float]) -> "FunctionalValues":
+        linear = tuple(map(float, values))
+        if not all(x > 0.0 for x in linear):
             raise DomainError("functional values must be strictly positive")
-        return cls(log_values=np.log(arr))
+        return cls(log_values=map(math.log, linear))
 
     @property
     def size(self) -> int:
-        return int(self.log_values.size)
+        return len(self.logs)
 
     @property
     def total(self) -> float:
         """sum f(v) in linear space; inf when it overflows a float."""
-        try:
-            return math.exp(self.total_log)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.total_log)
 
     @cached_property
     def distribution(self) -> Distribution:
         """p(v) = exp(ln f(v) - ln sum f), validated once and kept."""
+        total_log = self.total_log
         try:
-            return Distribution(p=np.exp(self.log_values - self.total_log))
+            return Distribution(p=[math.exp(x - total_log) for x in self.logs])
         except DomainError as exc:
             raise DomainError(
                 f"functional values cannot be normalized at ln S = "
-                f"{self.total_log:g}: {exc}"
+                f"{total_log:g}: {exc}"
             ) from None
 
 
-def logsumexp(a: np.ndarray) -> float:
-    """ln(sum exp(a)), shifted by the max so no term overflows.
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def logsumexp(a: Sequence[float]) -> float:
+    """ln(sum exp(a)) for a non-empty a, shifted by the max so no term
+    overflows (Blanchard, Higham & Higham 2021).
 
     A non-finite max (an inf entry, or all entries -inf) is returned as is.
     """
-    m = float(a.max())
+    m = float(max(a))
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.exp(a - m).sum()))
-
-
-def logsumexp_rows(a: np.ndarray) -> list[float]:
-    """logsumexp of each row of a 2-D array whose row maxima are finite.
-
-    One array operation per step for all rows, then math.log per row, so
-    each row's result has the bits of logsumexp on that row alone. Scalar
-    callers keep logsumexp, which skips the 2-D bookkeeping.
-    """
-    m = a.max(axis=1)
-    sums = np.exp(a - m[:, None]).sum(axis=1)
-    return [top + math.log(total) for top, total in zip(m.tolist(), sums.tolist())]
+    return m + math.log(math.fsum([math.exp(x - m) for x in a]))
 
 
 def default_coefficients(eta: int) -> tuple[float, ...]:
@@ -212,18 +218,27 @@ def default_coefficients(eta: int) -> tuple[float, ...]:
 
 def partition_distribution(part: OrbitPartition) -> Distribution:
     """p_i = |X_i| / n in the partition's deterministic block order."""
-    sizes = np.array(part.sizes, dtype=float)
-    return Distribution(p=sizes / sizes.sum())
+    n = sum(part.sizes)
+    return Distribution(p=[size / n for size in part.sizes])
 
 
-def _resolved_coeffs(spec: FunctionalSpec, eta: int) -> np.ndarray:
+def _resolved_coeffs(spec: FunctionalSpec, eta: int) -> tuple[float, ...]:
     coeffs = spec.coeffs if spec.coeffs is not None else default_coefficients(eta)
     if len(coeffs) != eta:
         raise DomainError(
             f"need one coefficient per sphere radius: got {len(coeffs)}, "
             f"diameter is {eta}"
         )
-    return np.asarray(coeffs, dtype=float)
+    return coeffs
+
+
+def _weighted_count(coeffs: tuple[float, ...], counts: tuple[int, ...]) -> float:
+    """sum_j c_j |S_j(v)|; inf where the sum passes float range, which
+    FunctionalValues rejects."""
+    try:
+        return math.fsum([c * k for c, k in zip(coeffs, counts)])
+    except OverflowError:
+        return math.inf
 
 
 def functional_values(
@@ -232,17 +247,20 @@ def functional_values(
     """Values of the j-sphere functional that spec describes, on a connected graph.
 
     linear: f(v) = sum_j c_j |S_j(v)|; exponential: f(v) = beta ** (sum_j
-    c_j |S_j(v)|), held as exponent * ln(beta).
+    c_j |S_j(v)|), held as exponent * ln(beta). The sphere profiles are
+    read from distances, which builds them once.
     """
+    if not g.is_connected():
+        raise DomainError("j-sphere profiles are undefined on disconnected graphs")
     d = distances if distances is not None else distance_matrix(g)
-    # a sum past 1e308 is inf, which FunctionalValues rejects
-    with np.errstate(over="ignore"):
-        raw = sphere_counts_matrix(g, d) @ _resolved_coeffs(spec, d.eta)
+    coeffs = _resolved_coeffs(spec, d.eta)
+    raw = [_weighted_count(coeffs, counts) for counts in d.spheres]
     if spec.kind == "exponential":
-        return FunctionalValues(log_values=raw * math.log(spec.beta))
-    if raw.size and not np.all(raw > 0.0):
+        ln_beta = math.log(spec.beta)
+        return FunctionalValues(log_values=[x * ln_beta for x in raw])
+    if not all(x > 0.0 for x in raw):
         raise DomainError("linear functional produced a non-positive value")
-    return FunctionalValues(log_values=np.log(raw))
+    return FunctionalValues(log_values=map(math.log, raw))
 
 
 def distribution_from_values(fv: FunctionalValues) -> Distribution:
@@ -269,13 +287,11 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
 
 
 def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
-    """renyi_entropy at each of alphas, with the power sums filled in one
-    batch. Kept on d per grid, so the cores reading one distribution over
-    one grid compute it once."""
+    """renyi_entropy at each of alphas. Kept on d per grid, so the cores
+    reading one distribution over one grid compute it once."""
     grid = tuple(alphas)
     values = d._renyi_grids.get(grid)
     if values is None:
-        log2_power_sums(d, grid)
         values = d._renyi_grids[grid] = tuple(renyi_entropy(d, a) for a in grid)
     return list(values)
 
@@ -283,26 +299,18 @@ def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
 def log2_power_sum(d: Distribution, alpha: float) -> float:
     """log2(sum p^alpha), the quantity the bound catalog keeps reusing.
 
-    Memoized on d per alpha; log2_power_sums fills the same memo with the
-    same bits for a whole grid.
+    Memoized on d per alpha.
     """
     value = d._log2_power_sums.get(alpha)
     if value is None:
-        value = logsumexp(alpha * d.log_p) / LN2
+        value = logsumexp([alpha * x for x in d.log_probs]) / LN2
         d._log2_power_sums[alpha] = value
     return value
 
 
 def log2_power_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
-    """log2_power_sum at each of alphas; the alphas not yet in the memo go
-    through one (len(alphas) x N) log-sum-exp, one row per alpha."""
-    memo = d._log2_power_sums
-    missing = [alpha for alpha in alphas if alpha not in memo]
-    if missing:
-        grid = np.asarray(missing, dtype=float)[:, None]
-        for alpha, value in zip(missing, logsumexp_rows(grid * d.log_p)):
-            memo[alpha] = value / LN2
-    return [memo[alpha] for alpha in alphas]
+    """log2_power_sum at each of alphas."""
+    return [log2_power_sum(d, alpha) for alpha in alphas]
 
 
 def distribution_stats(d: Distribution) -> DistributionStats:

@@ -47,25 +47,26 @@ GRAPH_TEXT = "0 1\n1 2\n2 3\n"
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, status, modules",
+    "argv, stdin, status, modules, numpy",
     [
-        (["gen", "star", "5"], None, 0, {"graph"}),
+        (["gen", "star", "5"], None, 0, {"graph"}, False),
+        (["gen", "gnp", "8", "--p", "0.5", "--seed", "3"], None, 0, {"graph"}, True),
         (["compute", "--alpha", "2", "--dist", "orbits"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures"}),
+         {"graph", "orbits", "measures"}, False),
         (["compute", "--alpha", "2", "--dist", "exp", "--beta", "2"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures"}),
+         {"graph", "orbits", "measures"}, False),
         (["check", "thm1", "--alpha", "0.5", "--variant", "literal",
           "--probs", "0.9,0.1", "--strict"], None, 1,
-         {"graph", "orbits", "measures", "inequalities"}),
+         {"graph", "orbits", "measures", "inequalities"}, False),
         (["check", "conn", "--alpha", "2", "--functional", "linear"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures", "inequalities"}),
+         {"graph", "orbits", "measures", "inequalities"}, False),
     ],
-    ids=["gen", "compute-orbits", "compute-exp", "check-thm1", "check-conn"],
+    ids=["gen", "gen-gnp", "compute-orbits", "compute-exp", "check-thm1", "check-conn"],
 )
-def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules):
+def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules, numpy):
     """A pipe stage is a fresh interpreter, so what it imports is its cold
-    start: gen runs without numpy, compute without inequalities and check
-    without harness."""
+    start: gen loads graph alone, compute adds orbits and measures, check
+    adds inequalities, and of these stages only a G(n, p) draw loads numpy."""
     loaded = _modules_after(
         "from graphent import cli\n"
         f"assert cli.dispatch({argv!r}, stdin={stdin!r})[0] == {status}"
@@ -73,7 +74,7 @@ def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules)
     assert {m for m in loaded if m.startswith("graphent.")} == {
         f"graphent.{m}" for m in modules | {"cli", "errors"}
     }
-    assert ("numpy" in loaded) == (modules != {"graph"})
+    assert ("numpy" in loaded) == numpy
 
 
 _LAZY_NAMESPACE = """
@@ -189,6 +190,18 @@ class TestCompute:
         _, edges, _ = run(["gen", "star", "4"])
         _, out, _ = run(["compute"], edges)
         assert json.loads(out)["shannon"] == pytest.approx(0.811278124459, abs=1e-9)
+
+    def test_unnormalizable_values_name_a_plain_float(self):
+        code, out, err = run(
+            ["compute", "--alpha", "2", "--dist", "exp", "--beta", "1e300",
+             "--c", "1e300,1e300,1e300"],
+            GRAPH_TEXT,
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "graphent: functional values cannot be normalized at ln S = "
+            "2.07233e+303: probabilities sum to 4.0, expected 1 within 1e-12\n"
+        )
 
     def test_beta_with_linear_is_usage_error(self):
         _, edges, _ = run(["gen", "star", "4"])
@@ -484,6 +497,60 @@ def test_check_extreme_inputs_keep_the_exit_contract(check, alpha, strict):
         assert out == ""
     else:
         assert code == 0 or strict
+        _strict_json(out)
+
+
+# 10**e for e in [lo, hi]: 10**-323 is subnormal
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# edge lists of diameter 1, 2 and 3, and each graph's diameter
+_COMPUTE_GRAPHS = (("complete", 4, 1), ("star", 5, 2), ("wheel", 6, 2),
+                   ("path", 4, 3), ("cycle", 7, 3))
+
+# compute over each distribution kind; --c has one coefficient per sphere
+# radius, or one too many
+_COMPUTE = st.sampled_from(_COMPUTE_GRAPHS).flatmap(
+    lambda graph: st.builds(
+        lambda dist, coeffs, beta: (
+            graph[:2],
+            ["--dist", dist]
+            + ([] if dist == "orbits" or coeffs is None
+               else ["--c", ",".join(map(repr, coeffs))])
+            + (["--beta", repr(beta)] if dist == "exp" else []),
+        ),
+        st.sampled_from(("orbits", "linear", "exp")),
+        st.one_of(
+            st.none(),
+            st.lists(_log_uniform(-323.0, 300.0), min_size=graph[2],
+                     max_size=graph[2] + 1),
+        ),
+        _log_uniform(-323.0, 300.0),
+    )
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(compute=_COMPUTE, alpha=st.one_of(st.none(), _log_uniform(-300.0, 308.0)))
+@example(compute=(("path", 4), ["--dist", "exp", "--beta", "1e300",
+                                "--c", "1e300,1e300,1e300"]), alpha=2.0)
+@example(compute=(("cycle", 7), ["--dist", "linear"]), alpha=1e308)
+@example(compute=(("star", 5), ["--dist", "exp", "--beta", "5e-324"]), alpha=1e-300)
+def test_compute_extreme_inputs_keep_the_exit_contract(compute, alpha):
+    """compute's math kernels raise where numpy gave inf or nan; none of it
+    escapes as a raw exception: the exit code is 0 or 2 and stdout on 0 is
+    strict JSON."""
+    from graphent.graph import generate_graph, write_edge_list
+
+    (kind, n), flags = compute
+    argv = ["compute", *flags] + ([] if alpha is None else ["--alpha", repr(alpha)])
+    code, out = cli.dispatch(argv, stdin=write_edge_list(generate_graph(kind, n)))
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+    else:
         _strict_json(out)
 
 

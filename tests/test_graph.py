@@ -248,8 +248,41 @@ class TestDistances:
                 for v in range(g.n):
                     assert dh[perm[u], perm[v]] == dg[u, v]
 
+    @pytest.mark.parametrize("kind, n", [("path", 1), ("star", 5), ("cycle", 7)])
+    def test_rows_are_the_read_only_array(self, kind, n):
+        d = distance_matrix(generate_graph(kind, n))
+        assert d.dist.dtype == np.int64 and d.dist.shape == (n, n)
+        assert d.dist.tolist() == [list(row) for row in d.rows]
+        with pytest.raises(ValueError):
+            d.dist[0, 0] = 1
+
+    def test_empty_graph(self):
+        d = distance_matrix(Graph.from_edges(0, []))
+        assert d.rows == () and d.eta == 0 and d.dist.shape == (0, 0)
+
 
 class TestSpheres:
+    def test_profiles_count_each_distance(self):
+        for seed in range(8):
+            g = generate_graph("gnp", 9, p=0.35, seed=seed)
+            d = distance_matrix(g)
+            assert d.spheres == tuple(
+                tuple(sum(x == j for x in row) for j in range(1, d.eta + 1))
+                for row in d.rows
+            )
+            counts = sphere_counts_matrix(g, d)
+            assert counts.dtype == np.int64 and counts.tolist() == [
+                list(profile) for profile in d.spheres
+            ]
+            with pytest.raises(ValueError):
+                counts[0, 0] = 0
+
+    def test_single_vertex_has_empty_profile(self):
+        g = generate_graph("path", 1)
+        d = distance_matrix(g)
+        assert d.spheres == ((),)
+        assert sphere_counts_matrix(g, d).shape == (1, 0)
+
     def test_s4_leaf(self):
         g = generate_graph("star", 4)
         d = distance_matrix(g)

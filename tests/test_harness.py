@@ -200,6 +200,32 @@ class TestSweep:
                 == agg["held"] + agg["violated"] + agg["not_applicable"]
             )
 
+    def test_each_graph_builds_its_sphere_profiles_once(self, monkeypatch):
+        """Every functional of a graph reads the profiles of its one
+        distance matrix, so a sweep builds them once per corpus graph."""
+        from graphent.graph import DistanceData
+
+        built = []
+        spheres = DistanceData.spheres.func
+        monkeypatch.setattr(
+            DistanceData.spheres, "func", lambda d: built.append(d) or spheres(d)
+        )
+        rep = run_sweep(small_config())
+        assert rep.corpus_size > 0 and len(built) == rep.corpus_size
+
+    def test_sweep_builds_no_array_views(self, monkeypatch):
+        """The cores read the tuples; Distribution.p, DistanceData.dist and
+        the other numpy views are built only when a caller reads them."""
+        import graphent.graph as graph_module
+        import graphent.measures as measures
+
+        def refuse(*args):
+            raise AssertionError("the sweep built a numpy array view")
+
+        monkeypatch.setattr(graph_module, "_read_only_array", refuse)
+        monkeypatch.setattr(measures, "_read_only_array", refuse)
+        assert run_sweep(small_config()).corpus_size > 0
+
     def test_empty_theorems(self):
         rep = run_sweep(small_config(theorems=()))
         assert rep.cells == [] and rep.aggregates == {}

@@ -26,7 +26,6 @@ from graphent.measures import (
     log2_power_sum,
     log2_power_sums,
     logsumexp,
-    logsumexp_rows,
     renyi_entropies,
 )
 
@@ -105,13 +104,6 @@ class TestLogSumExp:
     def test_non_finite_max_returned_unchanged(self):
         assert logsumexp(np.array([1.0, math.inf])) == math.inf
         assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
-
-    def test_rows_have_the_bits_of_one_row_calls(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            rows, size = int(rng.integers(1, 10)), int(rng.integers(1, 70))
-            a = rng.uniform(-50.0, 50.0, size=(rows, size)) * rng.uniform(0.01, 40.0)
-            assert logsumexp_rows(a) == [logsumexp(row) for row in a]
 
 
 class TestMemoizedDerivedValues:
