@@ -24,6 +24,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
@@ -98,6 +99,10 @@ class _FamilyData:
     fv: FunctionalValues | None = None
     fv_second: FunctionalValues | None = None
     spec: FunctionalSpec | None = None
+    # the second functional's spec and the graph's j-sphere profiles, which
+    # thm5_pair reads
+    spec_second: FunctionalSpec | None = None
+    spheres: tuple[tuple[int, ...], ...] | None = None
     # f + f_second, the dominating functional of thm4_cor
     dominating: FunctionalValues | None = None
     # thm6's sampled weights (c1, c2) and c1 f + c2 f_second; the four thm6
@@ -105,6 +110,10 @@ class _FamilyData:
     weights: tuple[float, float] | None = None
     combined: FunctionalValues | None = None
     error: str | None = None
+
+    @cached_property
+    def thm5_pair(self) -> tuple[Distribution, Distribution]:
+        return _thm5_pair(self)
 
 
 # Evaluators take (row, alphas, variant) and call the theorem's column core
@@ -125,12 +134,37 @@ def _thm4_cor(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column
     return _thm4_column(row.dist, d2, None, totals, alphas, 2.0)
 
 
+def _thm5_pair(row: _FamilyData) -> tuple[Distribution, Distribution]:
+    """The row's two distributions as thm5's column reads them, normalized
+    in numpy.
+
+    thm5 draws phi = max(p1 - p2). Where the two distributions agree in
+    exact arithmetic (vertex-transitive graphs, where both are uniform) that
+    maximum is rounding noise of about 1e-17, and the bound moves with its
+    last bits. The sweep references fix those bits as numpy gives them (a
+    matmul of the sphere profiles, numpy's log and exp), so thm5 keeps that
+    recipe rather than the libm route of functional_values.
+    """
+    import numpy as np
+
+    counts = np.array(row.spheres, dtype=np.int64).reshape(len(row.spheres), row.eta)
+
+    def normalized(spec: FunctionalSpec) -> Distribution:
+        raw = counts @ np.asarray(spec.coeffs, dtype=float)
+        a = raw * math.log(spec.beta) if spec.kind == "exponential" else np.log(raw)
+        m = float(a.max())
+        total_log = m + math.log(float(np.exp(a - m).sum()))
+        return Distribution(p=np.exp(a - total_log).tolist())
+
+    return normalized(row.spec), normalized(row.spec_second)
+
+
 def _thm5(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
-    d2 = distribution_from_values(row.fv_second)
-    phi = max(a - b for a, b in zip(row.dist.probs, d2.probs))
+    d1, d2 = row.thm5_pair
+    phi = max(a - b for a, b in zip(d1.probs, d2.probs))
     if phi <= 0.0:
         phi = _PHI_FLOOR
-    return _thm5_column(row.dist, d2, phi, alphas, variant, 2.0)
+    return _thm5_column(d1, d2, phi, alphas, variant, 2.0)
 
 
 def _conn(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
@@ -541,6 +575,8 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
                 fv=fv_a,
                 fv_second=fv_b,
                 spec=spec_a,
+                spec_second=spec_b,
+                spheres=distances.spheres,
                 dominating=_weighted_sum(fv_a, fv_b, 1.0, 1.0),
                 weights=(c1, c2),
                 combined=_weighted_sum(fv_a, fv_b, c1, c2),

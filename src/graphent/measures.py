@@ -56,7 +56,7 @@ class Distribution:
             raise DomainError("distribution needs at least one atom")
         if not all(x > 0.0 for x in probs):
             raise DomainError("probabilities must be strictly positive")
-        total = math.fsum(probs)
+        total = _fsum_or_inf(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise DomainError(
                 f"probabilities sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
@@ -199,6 +199,15 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _fsum_or_inf(values: Iterable[float]) -> float:
+    """math.fsum of non-negative values, or inf where it passes float range
+    (fsum raises there)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def logsumexp(a: Sequence[float]) -> float:
     """ln(sum exp(a)) for a non-empty a, shifted by the max so no term
     overflows (Blanchard, Higham & Higham 2021).
@@ -235,10 +244,7 @@ def _resolved_coeffs(spec: FunctionalSpec, eta: int) -> tuple[float, ...]:
 def _weighted_count(coeffs: tuple[float, ...], counts: tuple[int, ...]) -> float:
     """sum_j c_j |S_j(v)|; inf where the sum passes float range, which
     FunctionalValues rejects."""
-    try:
-        return math.fsum([c * k for c, k in zip(coeffs, counts)])
-    except OverflowError:
-        return math.inf
+    return _fsum_or_inf([c * k for c, k in zip(coeffs, counts)])
 
 
 def functional_values(

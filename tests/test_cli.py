@@ -487,6 +487,9 @@ _CLASS_CHECK = st.sampled_from((("star", 3), ("wheel", 4), ("path", 2))).flatmap
 @example(check=["wheel", "--n", "10"], alpha=400.0, strict=False)
 @example(check=["path", "--n", "5"], alpha=1000.0, strict=False)
 @example(check=["thm1", "--probs", THM1_INFINITE_BOUND_PROBS], alpha=30.0, strict=False)
+@example(check=["thm1", "--probs", "1e308,1e308"], alpha=2.0, strict=False)
+@example(check=["thm5", "--probs1", "1e308,1e308", "--probs2", "0.5,0.5", "--phi", "0.1"],
+         alpha=2.0, strict=True)
 def test_check_extreme_inputs_keep_the_exit_contract(check, alpha, strict):
     """No input escapes as a raw exception or numpy warning; the exit code is
     0, 1 or 2 and stdout on 0/1 is strict JSON."""

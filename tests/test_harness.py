@@ -226,6 +226,18 @@ class TestSweep:
         monkeypatch.setattr(measures, "_read_only_array", refuse)
         assert run_sweep(small_config()).corpus_size > 0
 
+    def test_thm5_precondition_holds_on_every_row(self):
+        """phi = max(p1 - p2) is drawn from the distributions the column
+        checks, so p1 <= p2 + phi holds by construction, including on the
+        12-vertex exponential rows where a last-bit mismatch between the
+        two would break it."""
+        cfg = SweepConfig(
+            seed=20240810, n_range=(3, 12), edge_probabilities=(0.3, 0.5, 0.8),
+            trials_per_cell=16, theorems=("thm5",),
+        )
+        cells = [c for c in run_sweep(cfg).cells if c["lhs"] is not None]
+        assert cells and all(c["precondition_met"] for c in cells)
+
     def test_empty_theorems(self):
         rep = run_sweep(small_config(theorems=()))
         assert rep.cells == [] and rep.aggregates == {}

@@ -60,6 +60,10 @@ class TestDistribution:
         with pytest.raises(DomainError):
             dist(0.5, 0.6)
 
+    def test_rejects_sum_past_float_range(self):
+        with pytest.raises(DomainError, match=r"probabilities sum to inf,"):
+            dist(1e308, 1e308)
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             Distribution(p=np.array([]))
