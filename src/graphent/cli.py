@@ -140,12 +140,45 @@ def _functional_spec(
     return FunctionalSpec(kind=kind, coeffs=coeffs, beta=beta)
 
 
-def _graph_from_stdin(stdin: str | None, n_override: int | None) -> Graph:
-    from .graph import parse_edge_list
+def _graph_from_stdin(
+    stdin: str | None,
+    n_override: int | None,
+    *,
+    orbits: bool = False,
+    disconnected: str | None = None,
+) -> Graph:
+    """The edge list on stdin as a Graph, its vertex count checked first.
+
+    An explicit n costs n adjacency lists, so what the command cannot take
+    is rejected before the graph is built: past ORBIT_CAP when ``orbits``
+    are computed, and, when ``disconnected`` is the command's error for a
+    disconnected graph, any n that leaves vertex n - 1 without an edge or
+    that needs more than the m + 1 vertices m edges can connect.
+    """
+    from .graph import Graph, parse_edge_pairs
 
     if stdin is None:
         stdin = sys.stdin.read()
-    return parse_edge_list(stdin, n=n_override)
+    n, edges = parse_edge_pairs(stdin, n=n_override)
+    if disconnected is not None and n > 1:
+        max_id = max((v for _, v in edges), default=-1)
+        if n > max_id + 1 or n > len(edges) + 1:
+            raise DomainError(disconnected)
+    if orbits:
+        from .orbits import check_orbit_capacity
+
+        check_orbit_capacity(n)
+    return Graph(n=n, edges=edges)
+
+
+def _graph_for(stdin: str | None, n_override: int | None, dist: str) -> Graph:
+    """The graph that the --dist distribution (orbits, linear or exp) is
+    taken on."""
+    from .graph import DISCONNECTED
+
+    if dist == "orbits":
+        return _graph_from_stdin(stdin, n_override, orbits=True)
+    return _graph_from_stdin(stdin, n_override, disconnected=DISCONNECTED)
 
 
 def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | None):
@@ -222,7 +255,7 @@ def _run_gen(args) -> tuple[int, str]:
 
 
 def _run_check(args, stdin: str | None) -> tuple[int, str]:
-    from .graph import generate_graph
+    from .graph import DISCONNECTED, generate_graph
     from .inequalities import (
         class_closed_forms,
         connected_functional_bounds,
@@ -247,8 +280,9 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         if args.probs is not None:
             d = _parse_probs(args.probs)
         else:
-            g = _graph_from_stdin(stdin, args.n)
-            d, _ = _distribution_for(g, args.dist or "orbits", args.c, args.beta)
+            dist = args.dist or "orbits"
+            g = _graph_for(stdin, args.n, dist)
+            d, _ = _distribution_for(g, dist, args.c, args.beta)
         if theorem == "ordering":
             reports.append(ordering_bound(d, args.alpha))
         elif theorem == "jensen":
@@ -260,7 +294,9 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
                 )
             )
     elif theorem == "thm3":
-        g = _graph_from_stdin(stdin, args.n)
+        g = _graph_from_stdin(
+            stdin, args.n, orbits=True, disconnected=DISCONNECTED
+        )
         spec = _functional_spec(args.functional, args.c, args.beta, "thm3")
         fv = functional_values(g, spec)
         reports.append(
@@ -296,7 +332,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             )
         )
     elif theorem == "thm6":
-        g = _graph_from_stdin(stdin, args.n)
+        g = _graph_from_stdin(stdin, args.n, disconnected=DISCONNECTED)
         spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")
         spec2 = _functional_spec(
             args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)", "--f2-functional"
@@ -311,7 +347,10 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             )
         )
     elif theorem == "conn":
-        g = _graph_from_stdin(stdin, args.n)
+        g = _graph_from_stdin(
+            stdin, args.n,
+            disconnected="connected-graph bounds need a connected graph",
+        )
         spec = _functional_spec(args.functional, args.c, args.beta, "conn")
         reports.append(
             connected_functional_bounds(g, spec, args.alpha, args.variant)
@@ -368,7 +407,7 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         if args.command == "gen":
             return _run_gen(args)
         if args.command == "compute":
-            g = _graph_from_stdin(stdin, args.n)
+            g = _graph_for(stdin, args.n, args.dist)
             return 0, emit_entropy_report(g, args) + "\n"
         if args.command == "check":
             return _run_check(args, stdin)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain
+from operator import eq
+from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 
@@ -24,22 +26,42 @@ UNREACHABLE = -1
 
 GRAPH_CLASSES = ("star", "path", "cycle", "wheel", "complete", "gnp")
 
+# The error of every operation that reads j-sphere profiles.
+DISCONNECTED = "j-sphere profiles are undefined on disconnected graphs"
+
 # Redraws allowed while rejecting disconnected G(n, p) samples.
 GNP_MAX_REDRAWS = 1000
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
+
+    Construction checks every edge with one chained 0 <= u < v < n test
+    while it appends to per-vertex neighbor lists; only when an edge fails
+    does a second walk over the edges word the error of the first bad one.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"vertex count must be >= 0, got {self.n}")
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        n = self.n
+        if n < 0:
+            raise ValidationError(f"vertex count must be >= 0, got {n}")
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            if not 0 <= u < v < n:
+                self._raise_first_bad_edge()
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for a in nbrs:
+            a.sort()
+        object.__setattr__(self, "adjacency", tuple(map(tuple, nbrs)))
+
+    def _raise_first_bad_edge(self) -> NoReturn:
+        """Word the error of the first edge that fails 0 <= u < v < n."""
         for e in self.edges:
             u, v = e
             if u == v:
@@ -48,11 +70,6 @@ class Graph:
                 raise ValidationError(f"edge {e} outside 0..{self.n - 1}")
             if u > v:
                 raise ValidationError(f"edge {e} not normalized as (min, max)")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        object.__setattr__(
-            self, "adjacency", tuple(tuple(sorted(s)) for s in nbrs)
-        )
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -136,13 +153,62 @@ def _read_only_array(values, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
 def parse_edge_list(text: str, n: int | None = None) -> Graph:
     """Parse whitespace-separated "u v" lines into a Graph.
 
-    Lines starting with '#' and blank lines are ignored; duplicate edges
-    collapse. Without an explicit ``n`` the vertex count is 1 + max id and
-    the id set must be dense (gaps rejected); with ``n`` given, ids only
-    need to stay below it.
+    Lines whose first token starts with '#' and blank lines are ignored;
+    duplicate edges collapse. Without an explicit ``n`` the vertex count is
+    1 + max id and the id set must be dense (gaps rejected); with ``n``
+    given, ids only need to stay below it. See parse_edge_pairs for how the
+    lines are checked.
     """
-    edges: list[tuple[int, int]] = []
-    seen_ids: set[int] = set()
+    n, edges = parse_edge_pairs(text, n)
+    return Graph(n=n, edges=edges)
+
+
+def parse_edge_pairs(
+    text: str, n: int | None = None
+) -> tuple[int, frozenset[tuple[int, int]]]:
+    """The vertex count and normalized edge set that parse_edge_list builds
+    its Graph from, so a caller can check n before n adjacency lists exist.
+
+    The lines are checked in bulk: each is split once, every id goes
+    through one ``map(int, ...)``, and negative ids and self-loops are
+    found with builtins over all pairs. Only when a bulk check fails does
+    a walk over the lines run, to raise the error of the first bad line
+    with its line number.
+    """
+    rows = [r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#"]
+    ids = None
+    if all(len(r) == 2 for r in rows):
+        try:
+            ids = list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            pass
+    if ids is None or (ids and min(ids) < 0) or any(map(eq, ids[::2], ids[1::2])):
+        _raise_first_bad_line(text)
+    edges = frozenset(
+        [(u, v) if u < v else (v, u) for u, v in zip(ids[::2], ids[1::2])]
+    )
+
+    seen_ids = set(ids)
+    max_id = max(seen_ids) if seen_ids else -1
+    if n is None:
+        n = max_id + 1
+        if len(seen_ids) != n:
+            # the first few missing ids, found in the gaps between seen ones
+            ids = sorted(seen_ids)
+            gaps = (range(a + 1, min(b, a + 4)) for a, b in zip([-1] + ids, ids))
+            first = [i for gap in gaps for i in gap][:3]
+            raise ValidationError(
+                f"vertex ids have gaps ({n - len(seen_ids)} missing, first "
+                f"{first}); pass n explicitly to allow isolated vertices"
+            )
+    elif n < max_id + 1:
+        raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
+    return n, edges
+
+
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the error of the first line that fails a check of
+    parse_edge_pairs, naming its line number."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -158,24 +224,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             raise ParseError(f"negative vertex id in {line!r}", lineno)
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v) if u < v else (v, u))
-        seen_ids.update((u, v))
-
-    max_id = max(seen_ids) if seen_ids else -1
-    if n is None:
-        n = max_id + 1
-        if len(seen_ids) != n:
-            # the first few missing ids, found in the gaps between seen ones
-            ids = sorted(seen_ids)
-            gaps = (range(a + 1, min(b, a + 4)) for a, b in zip([-1] + ids, ids))
-            first = [i for gap in gaps for i in gap][:3]
-            raise ValidationError(
-                f"vertex ids have gaps ({n - len(seen_ids)} missing, first "
-                f"{first}); pass n explicitly to allow isolated vertices"
-            )
-    elif n < max_id + 1:
-        raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
-    return Graph(n=n, edges=frozenset(edges))
+    raise AssertionError("a bulk edge-list check failed on no line")
 
 
 def write_edge_list(g: Graph) -> str:
@@ -294,5 +343,5 @@ def sphere_counts_matrix(g: Graph, d: DistanceData) -> np.ndarray:
     """d.spheres as a read-only (n, eta) int64 array. Requires a connected
     graph."""
     if not g.is_connected():
-        raise DomainError("j-sphere profiles are undefined on disconnected graphs")
+        raise DomainError(DISCONNECTED)
     return _read_only_array(d.spheres, "int64", (g.n, d.eta))

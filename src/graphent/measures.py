@@ -22,7 +22,13 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
-from .graph import DistanceData, Graph, _read_only_array, distance_matrix
+from .graph import (
+    DISCONNECTED,
+    DistanceData,
+    Graph,
+    _read_only_array,
+    distance_matrix,
+)
 from .orbits import OrbitPartition
 
 if TYPE_CHECKING:
@@ -257,7 +263,7 @@ def functional_values(
     read from distances, which builds them once.
     """
     if not g.is_connected():
-        raise DomainError("j-sphere profiles are undefined on disconnected graphs")
+        raise DomainError(DISCONNECTED)
     d = distances if distances is not None else distance_matrix(g)
     coeffs = _resolved_coeffs(spec, d.eta)
     raw = [_weighted_count(coeffs, counts) for counts in d.spheres]

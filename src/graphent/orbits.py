@@ -29,6 +29,8 @@ ORBIT_CAP = 64
 ORBIT_NODE_BUDGET = 500_000
 BRUTE_FORCE_CAP = 8
 
+_bit = (1).__lshift__  # v -> 1 << v, the bitmask of vertex v
+
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -94,8 +96,8 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
     """Iterate neighbor-class multiset refinement until stable."""
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.adjacency[v])))
-            for v in range(g.n)
+            (colors[v], tuple(sorted(map(colors.__getitem__, nbrs))))
+            for v, nbrs in enumerate(g.adjacency)
         ]
         new = _compress(sigs)
         if len(set(new)) == len(set(colors)):
@@ -105,13 +107,22 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
 
 def _search_order(g: Graph, src: int, cellbits: list[int]) -> list[int]:
     """src, then repeatedly the unplaced vertex with the most placed
-    neighbors, ties broken by smaller cell, then by smaller index."""
-    order, unplaced = [src], set(range(g.n)) - {src}
-    placed_nbrs = [0] * g.n
+    neighbors, ties broken by smaller cell, then by smaller index.
+
+    One integer score per vertex, placed * n^2 - cell size * n - index,
+    orders vertices as that rule does (cell size * n + index spans fewer
+    than n^2 values, so one more placed neighbor outweighs any tie-break),
+    and each step is a single max.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    step = n * n
+    score = [-(cellbits[v].bit_count() * n + v) for v in range(n)]
+    order, unplaced = [src], set(range(n)) - {src}
     while unplaced:
-        for x in g.adjacency[order[-1]]:
-            placed_nbrs[x] += 1
-        w = min(unplaced, key=lambda v: (-placed_nbrs[v], cellbits[v].bit_count(), v))
+        for x in adjacency[order[-1]]:
+            score[x] += step
+        w = max(unplaced, key=score.__getitem__)
         order.append(w)
         unplaced.remove(w)
     return order
@@ -130,15 +141,19 @@ def _find_automorphism(
     the search nodes the calling vertex_orbits has visited so far; the
     automorphism (or None) is returned with the updated count.
     """
-    image = [-1] * g.n
-    mapped_nbr_bits = [0] * g.n
+    n = g.n
+    adjacency = g.adjacency
+    budget = ORBIT_NODE_BUDGET
+    image = [-1] * n
+    mapped_nbr_bits = [0] * n
     used_mask = 0
 
     def extend(pos: int) -> bool:
         nonlocal used_mask, nodes
-        if pos == g.n:
+        if pos == n:
             return True
         w = order[pos]
+        nbrs = adjacency[w]
         want = mapped_nbr_bits[w]
         # unused cell members, adjacent to the image of one placed neighbor
         free = cellbits[w] & ~used_mask if pos else 1 << dst
@@ -151,23 +166,32 @@ def _find_automorphism(
             if adjbits[c] & used_mask != want:
                 continue
             nodes += 1
-            if nodes > ORBIT_NODE_BUDGET:
+            if nodes > budget:
                 raise CapacityError(
                     f"exact orbit search gave up after {nodes} search nodes "
-                    f"(budget {ORBIT_NODE_BUDGET})"
+                    f"(budget {budget})"
                 )
             image[w] = c
             used_mask |= bit
-            for x in g.adjacency[w]:
+            for x in nbrs:
                 mapped_nbr_bits[x] |= bit
             if extend(pos + 1):
                 return True
             used_mask &= ~bit
-            for x in g.adjacency[w]:
+            for x in nbrs:
                 mapped_nbr_bits[x] &= ~bit
         return False
 
     return (image if extend(0) else None), nodes
+
+
+def check_orbit_capacity(n: int) -> None:
+    """Raise CapacityError if n is past ORBIT_CAP, the largest vertex count
+    vertex_orbits takes."""
+    if n > ORBIT_CAP:
+        raise CapacityError(
+            f"exact orbit computation capped at n = {ORBIT_CAP}, got {n}"
+        )
 
 
 def vertex_orbits(g: Graph) -> OrbitPartition:
@@ -177,28 +201,30 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
     or whose search visits more than ORBIT_NODE_BUDGET nodes raise
     CapacityError instead of degrading to the refinement cells alone.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise DomainError("vertex orbits need n >= 1")
-    if g.n > ORBIT_CAP:
-        raise CapacityError(
-            f"exact orbit computation capped at n = {ORBIT_CAP}, got {g.n}"
-        )
-    colors = _refine(g, [g.degree(v) for v in range(g.n)])
+    check_orbit_capacity(n)
+    adjacency = g.adjacency
+    colors = _refine(g, list(map(len, adjacency)))
     cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(colors[v], []).append(v)
-    bits = {color: sum(1 << w for w in cell) for color, cell in cells.items()}
+    for v, color in enumerate(colors):
+        cells.setdefault(color, []).append(v)
+    bits = {color: sum(map(_bit, cell)) for color, cell in cells.items()}
     cellbits = [bits[color] for color in colors]
-    adjbits = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    adjbits = [sum(map(_bit, nbrs)) for nbrs in adjacency]
 
-    dsu = _DisjointSet(g.n)
+    dsu = _DisjointSet(n)
+    find = dsu.find
     # Twins, vertices with equal open (false twins) or equal closed (true
     # twins) neighborhoods, are swapped by an automorphism: join them
     # without a search.
     for keys in (adjbits, [b | 1 << v for v, b in enumerate(adjbits)]):
         first: dict[int, int] = {}
         for v, key in enumerate(keys):
-            dsu.union(first.setdefault(key, v), v)
+            twin = first.setdefault(key, v)
+            if twin != v:
+                dsu.union(twin, v)
     orders: dict[int, list[int]] = {}
     nodes = 0
     for cell in cells.values():
@@ -206,7 +232,8 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
         # first representative an automorphism maps to it, or starts its own.
         reps: list[int] = []
         for v in cell:
-            if any(dsu.find(v) == dsu.find(r) for r in reps):
+            root = find(v)
+            if any(root == find(r) for r in reps):
                 continue
             for r in reps:
                 if r not in orders:
@@ -216,7 +243,8 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
                 )
                 if sigma is not None:
                     for w, img in enumerate(sigma):
-                        dsu.union(w, img)
+                        if w != img:
+                            dsu.union(w, img)
                     break
             else:
                 reps.append(v)

@@ -1,10 +1,14 @@
-"""Independent straight-line re-evaluation of every bound formula.
+"""Independent straight-line re-evaluation of every bound formula, and of
+edge-list parsing.
 
-Used to cross-check BoundReport values. Deliberately avoids the package's
-code paths: plain ``math`` plus explicit loops, no numpy, no log-sum-exp.
+Used to cross-check BoundReport values and parse_edge_list. Deliberately
+avoids the package's code paths: plain ``math`` plus explicit loops, no
+numpy, no log-sum-exp; only the error types come from the package.
 """
 
 import math
+
+from graphent.errors import ParseError, ValidationError
 
 LN2 = math.log(2.0)
 
@@ -187,3 +191,48 @@ def sl_path_functional_bound(n, s, alpha):
     if alpha < 1.0:
         return "lower", math.log2(n) / (1.0 - alpha) - (alpha / (1.0 - alpha)) * math.log2(s) - 1.0
     return "upper", math.log2(n) / (1.0 - alpha) + (alpha / (alpha - 1.0)) * math.log2(s) - 1.0
+
+
+def sl_parse_edge_list(text, n=None):
+    """(n, edges, adjacency) of an edge list, one line at a time: each line
+    is checked and converted in turn, the first bad one raising with its
+    line number, and adjacency is built from one set per vertex."""
+    edges = set()
+    seen_ids = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two vertex ids, got {line!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"malformed vertex id in {line!r}", lineno) from None
+        if u < 0 or v < 0:
+            raise ParseError(f"negative vertex id in {line!r}", lineno)
+        if u == v:
+            raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
+        edges.add((min(u, v), max(u, v)))
+        seen_ids.update((u, v))
+
+    max_id = max(seen_ids) if seen_ids else -1
+    if n is None:
+        n = max_id + 1
+        if len(seen_ids) != n:
+            ids = sorted(seen_ids)
+            missing = []
+            for a, b in zip([-1] + ids, ids):
+                missing.extend(range(a + 1, min(b, a + 4)))
+            raise ValidationError(
+                f"vertex ids have gaps ({n - len(seen_ids)} missing, first "
+                f"{missing[:3]}); pass n explicitly to allow isolated vertices"
+            )
+    elif n < max_id + 1:
+        raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return n, frozenset(edges), tuple(tuple(sorted(s)) for s in nbrs)

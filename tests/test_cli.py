@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 
@@ -262,6 +263,41 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err.startswith("graphent: ") and err.count("\n") == 1
         assert "gaps (2999998 missing" in err and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (["compute", "--dist", "orbits"], "0 1\n",
+             "exact orbit computation capped at n = 64, got 1000000000"),
+            (["check", "thm1", "--alpha", "2"], "0 1\n",
+             "exact orbit computation capped at n = 64, got 1000000000"),
+            (["compute", "--dist", "linear"], "0 1\n",
+             "j-sphere profiles are undefined on disconnected graphs"),
+            # n = 1 + max id, but one edge cannot connect n vertices
+            (["compute", "--dist", "exp", "--beta", "2"], "0 999999999\n",
+             "j-sphere profiles are undefined on disconnected graphs"),
+            (["check", "conn", "--alpha", "2", "--functional", "linear"], "0 1\n",
+             "connected-graph bounds need a connected graph"),
+        ],
+        ids=["compute_orbits", "check_orbits", "compute_linear", "compute_exp", "conn"],
+    )
+    def test_huge_n_override_is_rejected_before_the_graph_is_built(
+        self, argv, stdin, message
+    ):
+        # A billion adjacency lists do not fit in the child's 512 MB address
+        # space, so a check made after the graph is built fails here with a
+        # MemoryError instead of exhausting the host's memory.
+        limit = 512 * 2**20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            BASE + argv + ["--n", "1000000000"], input=stdin, capture_output=True,
+            text=True, timeout=300, preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"graphent: {message}\n"
 
 
 def _normalized(raw) -> str:

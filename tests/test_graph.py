@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import straightline as sl
 from graphent import (
     UNREACHABLE,
     DomainError,
+    GraphEntropyError,
     Graph,
     ParseError,
     ValidationError,
@@ -124,6 +128,90 @@ class TestParse:
     def test_writer_ordering(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
         assert write_edge_list(g) == "0 1\n0 2\n1 3\n"
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "  ", " \t"])
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+def _spelled(draw, v):
+    """v as a token, sometimes in another spelling that int() takes."""
+    return draw(st.sampled_from([str(v), str(v), f"+{v}", f"0{v}", chr(0x0660 + v)]))
+
+
+@st.composite
+def _bad_line(draw):
+    """A line that fails one check: one or three tokens, a negative id, a
+    self-loop or a token int() rejects."""
+    kind = draw(st.sampled_from(["one", "three", "negative", "loop", "token"]))
+    u, v, w = (_spelled(draw, draw(st.integers(0, 9))) for _ in range(3))
+    tokens = {
+        "one": [u],
+        "three": [u, v, w],
+        "negative": [u, str(-draw(st.integers(1, 3)))],
+        "loop": [u, u],
+        "token": [u, draw(st.sampled_from(["x", "1.5", "0x1", "1e3", "--1"]))],
+    }[kind]
+    return draw(_SPACE) + draw(_SEP).join(draw(st.permutations(tokens))) + draw(_SPACE)
+
+
+@st.composite
+def _edge_list(draw):
+    """(text, n): edge lines with comments, blank lines, tabs, duplicates
+    in both orientations and LF or CRLF endings, sometimes with a few bad
+    lines, and n absent, large enough, or drawn at random."""
+    top = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), max_size=16))
+    pairs = [(u, v) for u, v in pairs if u != v]
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=3))] if pairs else []
+    lines = [
+        draw(_SPACE) + draw(_SEP).join([_spelled(draw, u), _spelled(draw, v)]) + draw(_SPACE)
+        for u, v in pairs
+    ]
+    extra = draw(st.lists(st.sampled_from(["", " ", "\t", "#", " # 0 1", "\t#c"]), max_size=3))
+    if draw(st.booleans()):
+        extra += draw(st.lists(_bad_line(), min_size=1, max_size=2))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    max_id = max(map(max, pairs), default=-1)
+    n = draw(st.one_of(
+        st.none(), st.integers(max_id + 1, max_id + 4), st.integers(0, 12)
+    ))
+    return text, n
+
+
+def _parsed(parse, text, n):
+    """(n, edges, adjacency), or the error's type, message and line."""
+    try:
+        return parse(text, n)
+    except GraphEntropyError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _package_parse(text, n):
+    g = parse_edge_list(text, n=n)
+    return g.n, g.edges, g.adjacency
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_edge_list())
+@example(case=("0 1\n1 2\n2 0\n", None))
+@example(case=("  # c\r\n\t# t\r\n0\t1\r\n\r\n 1 2 \r\n", 5))
+@example(case=("0 1\n1 0\n0 1\n2 1\n", None))
+@example(case=("0 1\n0\n", None))
+@example(case=("# a\n0 1 2\n", None))
+@example(case=("0 1\n-1 2\n", None))
+@example(case=("0 1\n\t3 3\n", None))
+@example(case=("0 1\n1 x\n", None))
+@example(case=("0 1\n0 4\n0 9\n", None))
+@example(case=("0 5\n", 3))
+def test_parse_matches_straightline_reference(case):
+    """The bulk checks give the line loop's graph, or its first error with
+    the same type, message and line number."""
+    text, n = case
+    assert _parsed(_package_parse, text, n) == _parsed(sl.sl_parse_edge_list, text, n)
 
 
 class TestGenerators:

@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +340,68 @@ class TestNodeBudget:
         assert code == 2 and out == ""
         assert err.startswith("graphent: ") and err.count("\n") == 1
         assert "search nodes" in err
+
+
+def _perfbench_instances():
+    """perfbench/instances.py, which builds the benchmark's graph families."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cellbits(g):
+    """The refined cells' bitmasks, per vertex, as vertex_orbits builds them."""
+    colors = orbits._refine(g, [g.degree(v) for v in range(g.n)])
+    return [sum(1 << w for w in range(g.n) if colors[w] == colors[v]) for v in range(g.n)]
+
+
+def _reference_order(g, src, cellbits):
+    """The documented rule, step by step: src, then the unplaced vertex that
+    minimizes (-placed neighbors, cell size, index)."""
+    order, placed = [src], {src}
+    while len(order) < g.n:
+        w = min(
+            (v for v in range(g.n) if v not in placed),
+            key=lambda v: (
+                -sum(x in placed for x in g.neighbors(v)),
+                bin(cellbits[v]).count("1"),
+                v,
+            ),
+        )
+        order.append(w)
+        placed.add(w)
+    return order
+
+
+class TestSearchOrder:
+    """Equal orders mean the search visits the same nodes and finds the same
+    generators."""
+
+    @staticmethod
+    def _assert_every_source(g):
+        cellbits = _cellbits(g)
+        for src in range(g.n):
+            assert orbits._search_order(g, src, cellbits) == _reference_order(g, src, cellbits)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(20241018)
+        for n in [1, 2, 3, 5, 8, 13, 21, 34, 64]:
+            for p in (0.1, 0.3, 0.6):
+                pairs = combinations(range(n), 2)
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+                self._assert_every_source(g)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cycle_20", "wheel_16", "star_12", "path_9", "complete_16", "torus_4x6",
+            "hypercube_5", "paley_29", "johnson_6x3", "kneser_7x3", "chang_0",
+            "chang_1", "chang_2", "kab_4x7",
+        ],
+    )
+    def test_benchmark_families(self, name):
+        g = _perfbench_instances().build(name)
+        for seed in range(3):
+            self._assert_every_source(_relabeled(g, seed))
