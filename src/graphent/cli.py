@@ -13,9 +13,10 @@ Import rule: each pipe stage is a fresh interpreter, so this module imports
 only the standard library and graphent.errors at module level, and each
 subcommand imports the graphent modules it runs inside the functions that
 run them. `gen` loads graph alone; `compute` adds orbits and measures;
-`check` adds inequalities; only `sweep` loads harness. The numbers are
-Python floats, so numpy loads only to draw G(n, p), in `gen gnp` and
-`sweep`, and for the O(N**2) pair sums of `check jensen`.
+`check` adds inequalities; only `sweep` loads harness, the one module that
+uses dataclasses. The numbers are Python floats and G(n, p) draws come
+from graph.SeededStream, so of these stages only `check jensen` loads
+numpy, for its O(N**2) pair sums.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Simple undirected graphs: parsing, generators, BFS distances, j-spheres.
+"""Simple undirected graphs: parsing, generators, seeded draws, BFS distances,
+j-spheres.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
 and safe to share across threads. Distances use an explicit ``UNREACHABLE``
@@ -9,16 +10,16 @@ corrupted by disconnected pairs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import eq
+from itertools import chain, combinations
+from operator import eq, index
 from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
 
-# numpy is imported inside the functions that use it: only G(n, p) draws
-# and the array views of distances and sphere profiles load it.
+# numpy is imported inside _read_only_array: only the array views of
+# distances, sphere profiles and distributions load it. G(n, p) draws come
+# from SeededStream, a stdlib port of numpy's seeded generator.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -33,8 +34,31 @@ DISCONNECTED = "j-sphere profiles are undefined on disconnected graphs"
 GNP_MAX_REDRAWS = 1000
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Equality, hash and repr over the attributes named in _fields, for
+    records that are immutable by convention: attributes are set once, in
+    __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1.
 
     Construction checks every edge with one chained 0 <= u < v < n test
@@ -42,23 +66,22 @@ class Graph:
     does a second walk over the edges word the error of the first bad one.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
         if n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {n}")
+        self.n = n
+        self.edges = edges
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             if not 0 <= u < v < n:
                 self._raise_first_bad_edge()
             nbrs[u].append(v)
             nbrs[v].append(u)
         for a in nbrs:
             a.sort()
-        object.__setattr__(self, "adjacency", tuple(map(tuple, nbrs)))
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
 
     def _raise_first_bad_edge(self) -> NoReturn:
         """Word the error of the first edge that fails 0 <= u < v < n."""
@@ -119,13 +142,15 @@ class Graph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class DistanceData:
+class DistanceData(_Record):
     """All-pairs hop distances, one tuple per source vertex, plus the
     diameter eta."""
 
-    rows: tuple[tuple[int, ...], ...]
-    eta: int
+    _fields = ("rows", "eta")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], eta: int):
+        self.rows = rows
+        self.eta = eta
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -232,27 +257,130 @@ def write_edge_list(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.sorted_edges())
 
 
-def _gnp_edges(n: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
-    import numpy as np
+# numpy.random.default_rng(seed)'s draws, ported bit for bit so drawing
+# needs no numpy: SeedSequence (numpy's entropy mixing) turns the seed's
+# 32-bit words into 4 x u64, which seed PCG64, the XSL-RR 128/64 member of
+# O'Neill's PCG family (HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
-    draws = rng.random(n * (n - 1) // 2) if n > 1 else np.empty(0)
+
+class SeededStream:
+    """The stream of numpy.random.default_rng(seed): random() and
+    uniform() give the same doubles, bit for bit, as the Generator's
+    methods of those names, and successive calls continue one stream.
+
+    seed is an int >= 0 or a sequence of them; anything else is a
+    DomainError. Each draw is about 1 us of Python integer arithmetic.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed):
+        words = _seed_words(seed)
+        pool = _mix_entropy(words)
+        # SeedSequence.generate_state(4, uint64): 8 hashed words read as 4
+        # little-endian u64, which give the 128-bit seed and stream
+        hash_const = 0x8B51F9DD
+        out = []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _MASK32
+            value = value * hash_const & _MASK32
+            out.append(value ^ value >> 16)
+        s0, s1, s2, s3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+        # pcg64_set_seed: inc = 2 * seq + 1, then step, add the seed, step
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = (self._inc + (s0 << 64 | s1)) & _MASK128
+        self._state = (state * _PCG_MULTIPLIER + self._inc) & _MASK128
+
+    def random(self, size: int) -> list[float]:
+        """size draws from [0, 1): the top 53 bits of each u64 times 2**-53."""
+        state, inc = self._state, self._inc
+        out = [0.0] * size
+        for i in range(size):
+            # step, then XSL-RR output: rotate hi ^ lo right by state >> 122
+            state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+            x = ((state >> 64) ^ state) & _MASK64
+            r = state >> 122
+            out[i] = (((x >> r | x << (64 - r)) & _MASK64) >> 11) * 2.0**-53
+        self._state = state
+        return out
+
+    def uniform(self, lo: float, hi: float, size: int) -> list[float]:
+        """size draws from [lo, hi): lo + (hi - lo) * random()."""
+        span = hi - lo
+        return [lo + span * u for u in self.random(size)]
+
+
+def _seed_words(seed) -> list[int]:
+    """The 32-bit words SeedSequence assembles from seed: each int split
+    low word first, 0 being one word. A seed that is not an int >= 0 or a
+    sequence of them is a DomainError."""
+    try:
+        if isinstance(seed, (list, tuple, range)):
+            values = list(map(index, seed))
+        else:
+            values = [index(seed)]
+    except TypeError:
+        values = None
+    if values is None or any(v < 0 for v in values):
+        raise DomainError(
+            f"seed must be an integer >= 0 or a sequence of them, got {seed!r}"
+        )
+    words = []
+    for v in values:
+        words.append(v & _MASK32)
+        while v := v >> 32:
+            words.append(v & _MASK32)
+    return words
+
+
+def _mix_entropy(words: list[int]) -> list[int]:
+    """SeedSequence's 4-word pool: hash the first 4 words in, mix every
+    pool word into every other, then mix in each remaining word."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _gnp_edges(n: int, p: float, rng: SeededStream) -> set[tuple[int, int]]:
     # one draw per pair u < v, in row-major order
-    us, vs = np.triu_indices(n, k=1)
-    keep = draws < p
-    return set(zip(us[keep].tolist(), vs[keep].tolist()))
+    draws = rng.random(n * (n - 1) // 2)
+    return {pair for pair, x in zip(combinations(range(n), 2), draws) if x < p}
 
 
 def generate_gnp_connected(n: int, p: float, seed) -> tuple[Graph, int]:
-    """Draw G(n, p) samples until one is connected.
+    """Draw G(n, p) samples until one is connected; each redraw continues
+    the stream of SeededStream(seed).
 
     Returns (graph, redraw_count). Raises DomainError once the redraw cap is
     hit, since the requested regime then cannot supply connected samples.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     for attempt in range(GNP_MAX_REDRAWS + 1):
         g = Graph.from_edges(n, _gnp_edges(n, p, rng))
         if g.is_connected():

@@ -31,6 +31,7 @@ from .errors import DomainError, GraphEntropyError
 from .graph import (
     GNP_MAX_REDRAWS,
     Graph,
+    SeededStream,
     distance_matrix,
     generate_gnp_connected,
     generate_graph,
@@ -304,7 +305,10 @@ class SweepConfig:
                   [f"p{p:g}" for p in edge_probabilities])
         _distinct("functional_specs", "family label",
                   [t.label for t in self.functional_specs])
-        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
+        seed = _whole(self.seed, "seed")
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_range", (lo, hi))
         object.__setattr__(self, "edge_probabilities", edge_probabilities)
         object.__setattr__(self, "trials_per_cell", trials)
@@ -442,7 +446,7 @@ def _corpus(cfg: SweepConfig) -> Iterator[tuple[str, Graph | str, int]]:
     for n in range(lo, hi + 1):
         for pi, p in enumerate(cfg.edge_probabilities):
             for t in range(cfg.trials_per_cell):
-                # numpy's default_rng seeds from SeedSequence(seed)
+                # SeededStream mixes the whole list into the stream's seed
                 seed = [cfg.seed, _TAG_GNP, n, pi, t]
                 try:
                     g, drawn = generate_gnp_connected(n, p, seed)
@@ -464,10 +468,8 @@ def _uniform(
 ) -> tuple[float, ...]:
     """size draws from U(lo, hi) on the stream of one (graph, template,
     purpose) coordinate."""
-    import numpy as np
-
-    rng = np.random.default_rng([cfg_seed, _TAG_FUNCTIONAL, gi, ti, purpose])
-    return tuple(rng.uniform(lo, hi, size=size).tolist())
+    rng = SeededStream([cfg_seed, _TAG_FUNCTIONAL, gi, ti, purpose])
+    return tuple(rng.uniform(lo, hi, size))
 
 
 def _sample_spec(

@@ -28,11 +28,10 @@ base e, under which the literal penalty forms become sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
-from .graph import DistanceData, Graph, distance_matrix, generate_graph
+from .graph import DistanceData, Graph, _Record, distance_matrix, generate_graph
 from .measures import (
     LN2,
     Distribution,
@@ -67,8 +66,7 @@ VARIANTS = ("literal", "corrected")
 _PRE_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One evaluated theorem instance.
 
     slack is the signed distance to the bound (negative below -tolerance
@@ -77,17 +75,37 @@ class BoundReport:
     None when the precondition failed.
     """
 
-    theorem_id: str
-    variant: str
-    alpha: float
-    lhs: float | None
-    bound: float | None
-    direction: str
-    precondition_met: bool
-    holds: bool | None
-    slack: float | None
-    tolerance: float
-    params: dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "theorem_id", "variant", "alpha", "lhs", "bound", "direction",
+        "precondition_met", "holds", "slack", "tolerance", "params",
+    )
+    _fields = __slots__
+
+    def __init__(
+        self,
+        theorem_id: str,
+        variant: str,
+        alpha: float,
+        lhs: float | None,
+        bound: float | None,
+        direction: str,
+        precondition_met: bool,
+        holds: bool | None,
+        slack: float | None,
+        tolerance: float,
+        params: dict[str, Any] | None = None,
+    ):
+        self.theorem_id = theorem_id
+        self.variant = variant
+        self.alpha = alpha
+        self.lhs = lhs
+        self.bound = bound
+        self.direction = direction
+        self.precondition_met = precondition_met
+        self.holds = holds
+        self.slack = slack
+        self.tolerance = tolerance
+        self.params: dict[str, Any] = {} if params is None else params
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -105,8 +123,7 @@ class BoundReport:
         }
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     """One sampled instance of a real-number lemma backing the catalog."""
 
     lemma_id: str
@@ -123,8 +140,7 @@ class LemmaCheck:
 Outcome = tuple
 
 
-@dataclass(slots=True)
-class Column:
+class Column(_Record):
     """A column core's result over one alpha grid.
 
     params holds every report param in key order; those named in varying
@@ -134,12 +150,27 @@ class Column:
     alpha failed.
     """
 
-    theorem_id: str
-    params: dict[str, Any]
-    outcomes: list[Outcome | str]
-    varying: tuple[str, ...] = ()
-    precondition_met: bool = True
-    tolerance: float = TOLERANCE
+    __slots__ = (
+        "theorem_id", "params", "outcomes", "varying", "precondition_met",
+        "tolerance",
+    )
+    _fields = __slots__
+
+    def __init__(
+        self,
+        theorem_id: str,
+        params: dict[str, Any],
+        outcomes: list[Outcome | str],
+        varying: tuple[str, ...] = (),
+        precondition_met: bool = True,
+        tolerance: float = TOLERANCE,
+    ):
+        self.theorem_id = theorem_id
+        self.params = params
+        self.outcomes = outcomes
+        self.varying = varying
+        self.precondition_met = precondition_met
+        self.tolerance = tolerance
 
     @classmethod
     def failed(cls, theorem_id: str, reason: str, size: int) -> "Column":

@@ -17,9 +17,8 @@ on first access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .graph import (
@@ -27,6 +26,7 @@ from .graph import (
     DistanceData,
     Graph,
     _read_only_array,
+    _Record,
     distance_matrix,
 )
 from .orbits import OrbitPartition
@@ -100,39 +100,43 @@ class Distribution:
         return DistributionStats(rho=hi / lo, epsilon=hi - lo)
 
 
-@dataclass(frozen=True)
-class DistributionStats:
+class DistributionStats(NamedTuple):
     """rho = max p_i/p_k and epsilon = max (p_i - p_k); both 1/0 iff uniform."""
 
     rho: float
     epsilon: float
 
 
-@dataclass(frozen=True)
-class FunctionalSpec:
+class FunctionalSpec(_Record):
     """Rule generating j-sphere functional values.
 
     coeffs holds c_1..c_eta (None defers to default_coefficients at
     evaluation time); beta is the exponential base, required only there.
     """
 
-    kind: str
-    coeffs: tuple[float, ...] | None = None
-    beta: float | None = None
+    __slots__ = ("kind", "coeffs", "beta")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.kind not in FUNCTIONAL_KINDS:
-            raise DomainError(f"unknown functional kind {self.kind!r}")
-        if self.coeffs is not None:
-            coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(
+        self,
+        kind: str,
+        coeffs: Iterable[float] | None = None,
+        beta: float | None = None,
+    ):
+        if kind not in FUNCTIONAL_KINDS:
+            raise DomainError(f"unknown functional kind {kind!r}")
+        if coeffs is not None:
+            coeffs = tuple(float(c) for c in coeffs)
             if not all(0.0 < c < math.inf for c in coeffs):
                 raise DomainError("all sphere coefficients must be positive and finite")
-            object.__setattr__(self, "coeffs", coeffs)
-        if self.kind == "exponential":
-            if self.beta is None or not 0.0 < self.beta < math.inf:
+        if kind == "exponential":
+            if beta is None or not 0.0 < beta < math.inf:
                 raise DomainError("exponential functional requires 0 < beta < inf")
-        elif self.beta is not None:
+        elif beta is not None:
             raise DomainError("beta only applies to the exponential functional")
+        self.kind = kind
+        self.coeffs: tuple[float, ...] | None = coeffs
+        self.beta = beta
 
 
 class FunctionalValues:

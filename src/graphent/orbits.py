@@ -16,11 +16,10 @@ independent ground truth for small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import CapacityError, DomainError
-from .graph import Graph
+from .graph import Graph, _Record
 
 ORBIT_CAP = 64
 # Search nodes (a vertex given a candidate image) one vertex_orbits call may
@@ -32,15 +31,15 @@ BRUTE_FORCE_CAP = 8
 _bit = (1).__lshift__  # v -> 1 << v, the bitmask of vertex v
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(_Record):
     """Vertex orbits, each sorted, ordered by (size, smallest member)."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
+    _fields = __slots__
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise DomainError("empty orbit block")
             if set(block) & seen:
@@ -48,6 +47,7 @@ class OrbitPartition:
             seen.update(block)
         if seen != set(range(len(seen))):
             raise DomainError("orbit blocks must cover 0..n-1")
+        self.blocks = blocks
 
     @property
     def k(self) -> int:

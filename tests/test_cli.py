@@ -48,26 +48,27 @@ GRAPH_TEXT = "0 1\n1 2\n2 3\n"
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, status, modules, numpy",
+    "argv, stdin, status, modules",
     [
-        (["gen", "star", "5"], None, 0, {"graph"}, False),
-        (["gen", "gnp", "8", "--p", "0.5", "--seed", "3"], None, 0, {"graph"}, True),
+        (["gen", "star", "5"], None, 0, {"graph"}),
+        (["gen", "gnp", "8", "--p", "0.5", "--seed", "3"], None, 0, {"graph"}),
         (["compute", "--alpha", "2", "--dist", "orbits"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures"}, False),
+         {"graph", "orbits", "measures"}),
         (["compute", "--alpha", "2", "--dist", "exp", "--beta", "2"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures"}, False),
+         {"graph", "orbits", "measures"}),
         (["check", "thm1", "--alpha", "0.5", "--variant", "literal",
           "--probs", "0.9,0.1", "--strict"], None, 1,
-         {"graph", "orbits", "measures", "inequalities"}, False),
+         {"graph", "orbits", "measures", "inequalities"}),
         (["check", "conn", "--alpha", "2", "--functional", "linear"], GRAPH_TEXT, 0,
-         {"graph", "orbits", "measures", "inequalities"}, False),
+         {"graph", "orbits", "measures", "inequalities"}),
     ],
     ids=["gen", "gen-gnp", "compute-orbits", "compute-exp", "check-thm1", "check-conn"],
 )
-def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules, numpy):
+def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules):
     """A pipe stage is a fresh interpreter, so what it imports is its cold
     start: gen loads graph alone, compute adds orbits and measures, check
-    adds inequalities, and of these stages only a G(n, p) draw loads numpy."""
+    adds inequalities. No stage loads numpy (G(n, p) draws included) or
+    dataclasses, which pulls in inspect, ast and dis."""
     loaded = _modules_after(
         "from graphent import cli\n"
         f"assert cli.dispatch({argv!r}, stdin={stdin!r})[0] == {status}"
@@ -75,7 +76,7 @@ def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules,
     assert {m for m in loaded if m.startswith("graphent.")} == {
         f"graphent.{m}" for m in modules | {"cli", "errors"}
     }
-    assert ("numpy" in loaded) == numpy
+    assert not {"numpy", "dataclasses", "inspect"} & loaded
 
 
 _LAZY_NAMESPACE = """
@@ -147,6 +148,12 @@ class TestGen:
     def test_gnp_missing_seed(self):
         code, _, err = run(["gen", "gnp", "9", "--p", "0.4"])
         assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551617"])
+    def test_gnp_negative_seed_exits_2(self, seed):
+        code, out, err = run(["gen", "gnp", "5", "--p", "0.5", "--seed", seed])
+        assert (code, out) == (2, "")
+        assert err == f"graphent: seed must be an integer >= 0 or a sequence of them, got {seed}\n"
 
     def test_invalid_class(self):
         code, _, _ = run(["gen", "blob", "4"])
@@ -703,6 +710,7 @@ class TestSweepCommand:
         [
             pytest.param(_config_text(drop="seed"), id="missing-seed"),
             pytest.param(_config_text(seed="x"), id="seed-not-int"),
+            pytest.param(_config_text(seed=-1), id="seed-negative"),
             pytest.param(_config_text(n_range=5), id="n_range-not-list"),
             pytest.param(_config_text(n_range=[3, 4, 5]), id="n_range-three"),
             pytest.param(f"[{_config_text()}]", id="top-level-list"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from graphent import (
     sphere_counts_matrix,
     write_edge_list,
 )
-from graphent.graph import _gnp_edges
+from graphent.graph import SeededStream, _gnp_edges, generate_gnp_connected
 
 
 def floyd_warshall(g):
@@ -276,6 +278,86 @@ class TestGenerators:
     def test_gnp_requires_params(self):
         with pytest.raises(DomainError):
             generate_graph("gnp", 5)
+
+    @pytest.mark.parametrize(
+        "seed", [-1, 1.5, [1, -2], [1, 2.0], "3", [[1, 2]], None, math.nan]
+    )
+    def test_gnp_bad_seed_is_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            generate_graph("gnp", 5, p=0.5, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            generate_gnp_connected(5, 0.5, seed)
+
+
+def _bits(values) -> list[int]:
+    """The IEEE-754 bit patterns of values, so equal lists are bit-equal."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _kernel_seeds(count: int) -> list:
+    """count seeds for SeededStream against numpy: edge values, then ints
+    of up to 200 bits and lists of 1 to 6 such entries."""
+    rng = np.random.default_rng(20260101)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1, [], [0], [0, 0]]
+
+    def entry():
+        words = rng.integers(0, 2**32, size=7, dtype=np.uint64).tolist()
+        value = sum(w << 32 * i for i, w in enumerate(words))
+        return value >> (224 - int(rng.integers(0, 201)))
+
+    while len(seeds) < count:
+        if rng.random() < 0.5:
+            seeds.append(entry())
+        else:
+            seeds.append([entry() for _ in range(int(rng.integers(1, 7)))])
+    return seeds
+
+
+class TestSeededStream:
+    """SeededStream is numpy.random.default_rng(seed)'s stream, bit for
+    bit; numpy is the oracle here and nowhere in the package."""
+
+    SEEDS = _kernel_seeds(2400)
+
+    def test_random_matches_numpy(self):
+        for seed in self.SEEDS:
+            k = 1 + len(str(seed)) % 9
+            want = np.random.default_rng(seed).random(k)
+            assert _bits(SeededStream(seed).random(k)) == _bits(want), seed
+
+    def test_uniform_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        for seed in self.SEEDS:
+            lo = float(rng.uniform(1e-3, 10.0))
+            hi = lo + float(rng.choice([0.0, rng.uniform(0.0, 1e3)]))
+            want = np.random.default_rng(seed).uniform(lo, hi, size=6)
+            assert _bits(SeededStream(seed).uniform(lo, hi, 6)) == _bits(want), seed
+
+    def test_calls_continue_one_stream(self):
+        for seed in self.SEEDS[:200]:
+            ours, theirs = SeededStream(seed), np.random.default_rng(seed)
+            for k in (0, 3, 1, 28, 7):
+                assert _bits(ours.random(k)) == _bits(theirs.random(k)), seed
+            assert _bits(ours.uniform(0.5, 2.0, 4)) == _bits(
+                theirs.uniform(0.5, 2.0, size=4)
+            ), seed
+
+    def test_gnp_redraws_continue_numpys_stream(self):
+        """generate_gnp_connected keeps drawing one stream across redraws,
+        as a numpy Generator would."""
+        redrawn = 0
+        for t in range(40):
+            seed, n, p = [7, 101, t], 12, 0.15
+            rng, attempts = np.random.default_rng(seed), 0
+            while True:
+                g = Graph.from_edges(n, _gnp_edges(n, p, rng))
+                if g.is_connected():
+                    break
+                attempts += 1
+            got, drawn = generate_gnp_connected(n, p, seed)
+            assert (got.edges, drawn) == (g.edges, attempts), seed
+            redrawn += attempts > 0
+        assert redrawn > 10
 
 
 class TestDistances:

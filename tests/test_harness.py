@@ -98,6 +98,7 @@ class TestConfig:
             ({"seed": float("inf")}, "seed must be a whole number, got inf"),
             ({"n_range": [3, 4.2]}, "n_range must be a whole number, got 4.2"),
             ({"trials_per_cell": 2.5}, "trials_per_cell must be a whole number"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_from_dict_rejects_malformed(self, change, match):
