@@ -29,7 +29,7 @@ ALPHA = 0.5
 g = generate_graph("star", 10)
 part = vertex_orbits(g)
 d = partition_distribution(part)
-print(f"S10 orbit distribution: p = {d.p.tolist()}  (rho = 9)\n")
+print(f"S10 orbit distribution: p = {list(d.probs)}  (rho = 9)\n")
 
 
 def show(r):
@@ -52,9 +52,9 @@ show(thm3_partition_vs_functional(g, part, fv, ALPHA))
 fv2 = functional_values(g, FunctionalSpec("linear", coeffs=(1, 2)))
 d1 = distribution_from_values(fv)
 d2 = distribution_from_values(fv2)
-psi = float(max(d1.p / d2.p))
+psi = max(a / b for a, b in zip(d1.probs, d2.probs))
 show(thm4_scaled_dominance(d1, d2, psi, ALPHA))
-phi = max(float(max(d1.p - d2.p)), 0.01)
+phi = max(max(a - b for a, b in zip(d1.probs, d2.probs)), 0.01)
 show(thm5_additive_dominance(d1, d2, phi, ALPHA, "literal"))
 show(thm5_additive_dominance(d1, d2, phi, ALPHA, "corrected"))
 show(thm6_convex_combination(g, fv, fv2, 1.0, 1.0, ALPHA, "literal"))

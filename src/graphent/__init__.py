@@ -25,7 +25,6 @@ _SUBMODULES = {
         "distance_matrix",
         "generate_graph",
         "parse_edge_list",
-        "sphere_counts_matrix",
         "write_edge_list",
     ),
     "harness": (

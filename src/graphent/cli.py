@@ -15,8 +15,9 @@ subcommand imports the graphent modules it runs inside the functions that
 run them. `gen` loads graph alone; `compute` adds orbits and measures;
 `check` adds inequalities; only `sweep` loads harness, the one module that
 uses dataclasses. The numbers are Python floats and G(n, p) draws come
-from graph.SeededStream, so of these stages only `check jensen` loads
-numpy, for its O(N**2) pair sums.
+from graph.SeededStream, so no stage but `sweep` loads numpy, and a sweep
+only for its thm5 rows (harness._thm5_pair, whose bits the benchmark
+references pin).
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ j-spheres.
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
 and safe to share across threads. Distances use an explicit ``UNREACHABLE``
 sentinel (never a large magic number) so the diameter cannot be silently
-corrupted by disconnected pairs.
+corrupted by disconnected pairs. Distances and j-sphere profiles are tuples
+of ints (``DistanceData.rows`` and ``spheres``), and seeded draws come from
+``SeededStream``, a stdlib port of numpy's generator, so nothing here loads
+numpy.
 """
 
 from __future__ import annotations
@@ -13,15 +16,9 @@ from collections import deque
 from functools import cached_property
 from itertools import chain, combinations
 from operator import eq, index
-from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
-
-# numpy is imported inside _read_only_array: only the array views of
-# distances, sphere profiles and distributions load it. G(n, p) draws come
-# from SeededStream, a stdlib port of numpy's seeded generator.
-if TYPE_CHECKING:
-    import numpy as np
 
 UNREACHABLE = -1
 
@@ -153,26 +150,12 @@ class DistanceData(_Record):
         self.eta = eta
 
     @cached_property
-    def dist(self) -> np.ndarray:
-        """The distances as a read-only (n, n) int64 array."""
-        return _read_only_array(self.rows, "int64", (len(self.rows),) * 2)
-
-    @cached_property
     def spheres(self) -> tuple[tuple[int, ...], ...]:
         """j-sphere profiles: entry [v][j-1] = |S_j(v)| for j = 1..eta,
         zero-padded up to the diameter. Built once per DistanceData, so
         every functional on one graph reads the same profiles."""
         radii = range(1, self.eta + 1)
         return tuple(tuple(map(row.count, radii)) for row in self.rows)
-
-
-def _read_only_array(values, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """values as a read-only numpy array of dtype and shape."""
-    import numpy as np
-
-    arr = np.array(values, dtype=dtype).reshape(shape)
-    arr.setflags(write=False)
-    return arr
 
 
 def parse_edge_list(text: str, n: int | None = None) -> Graph:
@@ -465,11 +448,3 @@ def distance_matrix(g: Graph) -> DistanceData:
         eta = max(eta, depth - 1)
         rows.append(tuple(row))
     return DistanceData(rows=tuple(rows), eta=eta)
-
-
-def sphere_counts_matrix(g: Graph, d: DistanceData) -> np.ndarray:
-    """d.spheres as a read-only (n, eta) int64 array. Requires a connected
-    graph."""
-    if not g.is_connected():
-        raise DomainError(DISCONNECTED)
-    return _read_only_array(d.spheres, "int64", (g.n, d.eta))

@@ -19,6 +19,10 @@ disagree:
              scaled by 1/ln(base) wherever log(1+x) was replaced by x,
              and abs(log2(beta)) so beta < 1 keeps the interval ordered.
 
+Every core runs on Python floats through ``math``, the Jensen-gap pair sum
+and the lemma oracles included, and lemma_checks draws from
+graph.SeededStream, so nothing here loads numpy.
+
 Checks are non-strict with tolerance 1e-9 (1e-12 for closed-form equality);
 holds is None, never False, when an instance's precondition fails. "log" in
 the dominance/combination bounds (thm3-thm6) defaults to base 2 but accepts
@@ -28,16 +32,22 @@ base e, under which the literal penalty forms become sound.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
-from .graph import DistanceData, Graph, _Record, distance_matrix, generate_graph
+from .graph import (
+    DistanceData,
+    Graph,
+    SeededStream,
+    _Record,
+    distance_matrix,
+    generate_graph,
+)
 from .measures import (
     LN2,
     Distribution,
     FunctionalSpec,
     FunctionalValues,
-    _exp_or_inf,
     _resolved_coeffs,
     distribution_from_values,
     distribution_stats,
@@ -50,11 +60,6 @@ from .measures import (
     shannon_entropy,
 )
 from .orbits import OrbitPartition, vertex_orbits
-
-# numpy is imported inside the lemma oracles and _pair_sums, so the bound
-# evaluations run on Python floats without loading it.
-if TYPE_CHECKING:
-    import numpy as np
 
 TOLERANCE = 1e-9
 EXACT_TOLERANCE = 1e-12
@@ -332,93 +337,96 @@ def _check_lemma1(x: float, y: float, r: float) -> LemmaCheck:
     return LemmaCheck(
         lemma_id="L1",
         inputs={"x": x, "y": y, "r": r},
-        satisfied=bool(margin > 0.0),
-        margin=float(margin),
+        satisfied=margin > 0.0,
+        margin=margin,
     )
 
 
-def _check_lemma2(rows: np.ndarray, r: float) -> LemmaCheck:
+def _check_lemma2(rows: list[list[float]], r: float) -> LemmaCheck:
     big_r = 1.0 if r <= 1.0 else 1.0 / r
-    lhs = float((rows.sum(axis=0) ** r).sum() ** big_r)
-    rhs = float(sum((row**r).sum() ** big_r for row in rows))
+    lhs = math.fsum(math.fsum(col) ** r for col in zip(*rows)) ** big_r
+    rhs = math.fsum(math.fsum(v**r for v in row) ** big_r for row in rows)
     margin = rhs - lhs
     satisfied = lhs <= rhs * (1.0 + _PRE_GUARD) + 1e-12
     return LemmaCheck(
         lemma_id="L2",
-        inputs={"vectors": rows.tolist(), "r": r, "R": big_r},
-        satisfied=bool(satisfied),
-        margin=float(margin),
+        inputs={"vectors": rows, "r": r, "R": big_r},
+        satisfied=satisfied,
+        margin=margin,
     )
 
 
-def _pair_sums(p: Sequence[float], x: np.ndarray) -> np.ndarray:
-    """Lemma 3's sum over ordered pairs (i, j) of p_i p_j (x_i - x_j)**2 /
-    (x_i x_j), for each row of x; x's last axis runs over p's atoms. The
-    one O(N**2) step of the catalog, so it stays vectorised."""
-    import numpy as np
-
-    diff = (x[..., :, None] - x[..., None, :]) ** 2
-    weight = np.outer(p, p) / (x[..., :, None] * x[..., None, :])
-    return (weight * diff).sum(axis=(-2, -1))
-
-
-def _check_lemma3(p: np.ndarray, x: np.ndarray) -> LemmaCheck:
-    import numpy as np
-
-    gap = float(np.log2(np.dot(p, x)) - np.dot(p, np.log2(x)))
-    bound = float(_pair_sums(p, x) / (2.0 * LN2))
+def _check_lemma3(p: list[float], x: list[float]) -> LemmaCheck:
+    gap = math.log2(math.fsum(pi * xi for pi, xi in zip(p, x))) - math.fsum(
+        pi * math.log2(xi) for pi, xi in zip(p, x)
+    )
+    # the sum over ordered pairs (i, j) of p_i p_j (x_i - x_j)**2 / (x_i x_j)
+    pair_sum = 2.0 * math.fsum(
+        p[i] * p[j] * (x[i] - x[j]) ** 2 / (x[i] * x[j])
+        for i in range(len(p))
+        for j in range(i + 1, len(p))
+    )
+    bound = pair_sum / (2.0 * LN2)
     margin = min(gap, bound - gap)
     satisfied = gap >= -1e-12 and gap <= bound + 1e-12 + _PRE_GUARD * abs(bound)
     return LemmaCheck(
         lemma_id="L3",
-        inputs={"p": p.tolist(), "x": x.tolist()},
-        satisfied=bool(satisfied),
-        margin=float(margin),
+        inputs={"p": p, "x": x},
+        satisfied=satisfied,
+        margin=margin,
     )
 
 
 def lemma_checks(seed: int, trials: int) -> list[LemmaCheck]:
     """Sample `trials` valid instances of each lemma and check the chains.
 
+    Draws come from graph.SeededStream(seed), so each seed gives one list.
     Lemma 1 samples keep x and y separated by at least 1% relative so the
-    strict chain cannot degenerate into a float tie.
+    strict chain cannot degenerate into a float tie. Lemma 3's p is a flat
+    Dirichlet draw: k standard exponentials -log1p(-U), normalized
+    (Devroye 1986, ch. XI), with one atom zeroed in a fifth of the draws.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    import numpy as np
+    stream = SeededStream(seed)
 
-    rng = np.random.default_rng(seed)
+    def uniform(lo: float, hi: float) -> float:
+        return stream.uniform(lo, hi, 1)[0]
+
+    def integer(lo: int, hi: int) -> int:
+        return lo + int(uniform(0.0, hi - lo))
+
     out: list[LemmaCheck] = []
     for _ in range(trials):
         # L1
         while True:
-            x, y = rng.uniform(0.05, 20.0, size=2)
+            x, y = stream.uniform(0.05, 20.0, 2)
             if abs(x - y) >= 0.01 * max(x, y):
                 break
-        branch = int(rng.integers(0, 3))
+        branch = integer(0, 3)
         if branch == 0:
-            r = float(rng.uniform(-3.0, -0.05))
+            r = uniform(-3.0, -0.05)
         elif branch == 1:
-            r = float(rng.uniform(1.05, 4.0))
+            r = uniform(1.05, 4.0)
         else:
-            r = float(rng.uniform(0.05, 0.95))
-        out.append(_check_lemma1(float(x), float(y), r))
+            r = uniform(0.05, 0.95)
+        out.append(_check_lemma1(x, y, r))
 
         # L2
-        m = int(rng.integers(2, 5))
-        length = int(rng.integers(1, 7))
-        rows = rng.uniform(0.0, 3.0, size=(m, length))
-        if rng.random() < 0.2:
-            rows[tuple(rng.integers(0, s) for s in rows.shape)] = 0.0
-        out.append(_check_lemma2(rows, float(rng.uniform(0.05, 3.95))))
+        m, length = integer(2, 5), integer(1, 7)
+        rows = [stream.uniform(0.0, 3.0, length) for _ in range(m)]
+        if uniform(0.0, 1.0) < 0.2:
+            rows[integer(0, m)][integer(0, length)] = 0.0
+        out.append(_check_lemma2(rows, uniform(0.05, 3.95)))
 
         # L3
-        k = int(rng.integers(2, 7))
-        p = rng.dirichlet(np.ones(k))
-        if rng.random() < 0.2 and k > 2:
-            p[int(rng.integers(0, k))] = 0.0
-            p = p / p.sum()
-        out.append(_check_lemma3(p, rng.uniform(0.01, 10.0, size=k)))
+        k = integer(2, 7)
+        e = [-math.log1p(-u) for u in stream.random(k)]
+        if uniform(0.0, 1.0) < 0.2 and k > 2:
+            e[integer(0, k)] = 0.0
+        total = math.fsum(e)
+        p = [v / total for v in e]
+        out.append(_check_lemma3(p, stream.uniform(0.01, 10.0, k)))
     return out
 
 
@@ -456,16 +464,7 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
 
 
 def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
-    # one (alpha, i, j) array; a tiny atom at large alpha over- or underflows
-    # x, and the NaN or inf this leaves in that alpha's sum term becomes its
-    # DomainError in _finish
-    import numpy as np
-
-    x = np.array(
-        [_exp_or_inf((alpha - 1.0) * lp) for alpha in alphas for lp in d.log_probs]
-    ).reshape(len(alphas), d.size)
-    with np.errstate(all="ignore"):
-        sum_terms = _pair_sums(d.probs, x).tolist()
+    sum_terms = _jensen_sums(d, alphas)
     n, h = d.size, shannon_entropy(d)
 
     def body(alpha: float, h_alpha: float, sum_term: float) -> Outcome:
@@ -480,6 +479,59 @@ def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
     outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas), sum_terms)
     params = {"N": n, "shannon": h, "sum_term": None}
     return Column("jensen", params, outcomes, ("sum_term",))
+
+
+# The smallest normal float: a power below it has lost digits.
+_MIN_NORMAL = 2.0**-1022
+
+
+def _jensen_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
+    """Lemma 3's sum over ordered pairs of p_i p_j (x_i - x_j)**2 / (x_i x_j),
+    x = p**(alpha-1), at each alpha: 8 * sum p_i p_j sinh(h)**2 over the
+    pairs p_i > p_j, h = (alpha-1)/2 * ln(p_i/p_j). Equal atoms add 0.
+
+    ln(p_i/p_j) is log1p of the exact p_i - p_j within a factor 2, else the
+    log of the rounded ratio (or of each atom, past float range). Where
+    |h| > 1 a rounded h would cost |h| ulps, so sinh(h) = (z - 1/z)/2 with
+    z = r_i/r_j, r = p**((alpha-1)/2) from the exact atoms: a power with an
+    exact exponent above alpha = 1, p**(alpha/2) / sqrt(p) below it. Only
+    a pair of small atoms can see r_j underflow; it keeps sinh(h). inf where
+    a sum leaves float range, which _finish makes that alpha's DomainError.
+    """
+    probs, logs = d.probs, d.log_probs
+    pairs = []
+    for a in range(d.size):
+        for b in range(a + 1, d.size):
+            if probs[a] == probs[b]:
+                continue
+            i, j = (a, b) if probs[a] > probs[b] else (b, a)
+            pi, pj = probs[i], probs[j]
+            ratio = pi / pj
+            if ratio <= 2.0:
+                log_ratio = math.log1p((pi - pj) / pj)
+            else:
+                log_ratio = math.log(ratio) if ratio < math.inf else logs[i] - logs[j]
+            pairs.append((i, j, pi * pj, log_ratio))
+    sums = []
+    for alpha in alphas:
+        half = (alpha - 1.0) / 2.0
+        try:
+            if alpha > 1.0:
+                roots = [p**half for p in probs]
+            else:
+                roots = [p ** (alpha / 2.0) / math.sqrt(p) for p in probs]
+            terms = []
+            for i, j, weight, log_ratio in pairs:
+                h = half * log_ratio
+                if abs(h) > 1.0 and roots[j] >= _MIN_NORMAL:
+                    s = (roots[i] / roots[j] - roots[j] / roots[i]) / 2.0
+                else:
+                    s = math.sinh(h)
+                terms.append(weight * s * s)
+            sums.append(8.0 * math.fsum(terms))
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
 
 
 def _thm1_bound(

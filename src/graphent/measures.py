@@ -9,30 +9,20 @@ All entropies are base 2.
 The distributions here have a few dozen atoms at most, so the numbers are
 tuples of Python floats, every transcendental is a libm call through
 ``math`` and every sum is ``math.fsum``, correctly rounded and so the same
-in any order and on any Python version. numpy is loaded only to build the
-read-only array views (``Distribution.p``, ``FunctionalValues.values``, ...)
-on first access.
+in any order and on any Python version. Each value has that one
+representation (``Distribution.probs`` and ``log_probs``,
+``FunctionalValues.logs`` and ``linear``), and nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .graph import (
-    DISCONNECTED,
-    DistanceData,
-    Graph,
-    _read_only_array,
-    _Record,
-    distance_matrix,
-)
+from .graph import DISCONNECTED, DistanceData, Graph, _Record, distance_matrix
 from .orbits import OrbitPartition
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LN2 = math.log(2.0)
 
@@ -78,16 +68,6 @@ class Distribution:
     @cached_property
     def log_probs(self) -> tuple[float, ...]:
         return tuple(map(math.log, self.probs))
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        """probs as a read-only array."""
-        return _read_only_array(self.probs, "float64", (self.size,))
-
-    @cached_property
-    def log_p(self) -> np.ndarray:
-        """Natural log of p, read-only."""
-        return _read_only_array(self.log_probs, "float64", (self.size,))
 
     @cached_property
     def _shannon(self) -> float:
@@ -153,24 +133,12 @@ class FunctionalValues:
         self.total_log = logsumexp(logs)
 
     @cached_property
-    def log_values(self) -> np.ndarray:
-        """logs as a read-only array."""
-        return _read_only_array(self.logs, "float64", (self.size,))
-
-    @cached_property
     def linear(self) -> tuple[float, ...] | None:
         """f(v) in linear space; None unless every |ln f(v)| is below
         SAFE_LOG_RANGE."""
         if max(map(abs, self.logs)) >= SAFE_LOG_RANGE:
             return None
         return tuple(map(math.exp, self.logs))
-
-    @cached_property
-    def values(self) -> np.ndarray | None:
-        """linear as a read-only array, or None."""
-        if self.linear is None:
-            return None
-        return _read_only_array(self.linear, "float64", (self.size,))
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "FunctionalValues":

@@ -61,14 +61,20 @@ GRAPH_TEXT = "0 1\n1 2\n2 3\n"
          {"graph", "orbits", "measures", "inequalities"}),
         (["check", "conn", "--alpha", "2", "--functional", "linear"], GRAPH_TEXT, 0,
          {"graph", "orbits", "measures", "inequalities"}),
+        (["check", "jensen", "--alpha", "2", "--probs", "0.5,0.3,0.2"], None, 0,
+         {"graph", "orbits", "measures", "inequalities"}),
+        (["check", "jensen", "--alpha", "2"], GRAPH_TEXT, 0,
+         {"graph", "orbits", "measures", "inequalities"}),
     ],
-    ids=["gen", "gen-gnp", "compute-orbits", "compute-exp", "check-thm1", "check-conn"],
+    ids=["gen", "gen-gnp", "compute-orbits", "compute-exp", "check-thm1", "check-conn",
+         "check-jensen-probs", "check-jensen-graph"],
 )
 def test_each_subcommand_imports_only_what_it_runs(argv, stdin, status, modules):
     """A pipe stage is a fresh interpreter, so what it imports is its cold
     start: gen loads graph alone, compute adds orbits and measures, check
-    adds inequalities. No stage loads numpy (G(n, p) draws included) or
-    dataclasses, which pulls in inspect, ast and dis."""
+    adds inequalities. No stage loads numpy (G(n, p) draws and jensen's
+    pair sums included) or dataclasses, which pulls in inspect, ast and
+    dis."""
     loaded = _modules_after(
         "from graphent import cli\n"
         f"assert cli.dispatch({argv!r}, stdin={stdin!r})[0] == {status}"

@@ -16,10 +16,10 @@ from graphent import (
     distance_matrix,
     generate_graph,
     parse_edge_list,
-    sphere_counts_matrix,
     write_edge_list,
 )
-from graphent.graph import SeededStream, _gnp_edges, generate_gnp_connected
+from graphent.graph import DISCONNECTED, SeededStream, _gnp_edges, generate_gnp_connected
+from graphent.measures import FunctionalSpec, functional_values
 
 
 def floyd_warshall(g):
@@ -364,18 +364,18 @@ class TestDistances:
     def test_path_p4(self):
         g = generate_graph("path", 4)
         d = distance_matrix(g)
-        assert d.dist[0, 3] == 3
+        assert d.rows[0][3] == 3
         assert d.eta == 3
 
     def test_star_s4(self):
         d = distance_matrix(generate_graph("star", 4))
         assert d.eta == 2
-        assert d.dist[1, 2] == 2
+        assert d.rows[1][2] == 2
 
     def test_disconnected_sentinel(self):
         g = Graph.from_edges(2, [])
         d = distance_matrix(g)
-        assert d.dist[0, 1] == UNREACHABLE
+        assert d.rows[0][1] == UNREACHABLE
         assert d.eta == 0
 
     def test_matches_floyd_warshall_oracle(self):
@@ -390,7 +390,7 @@ class TestDistances:
             for i in range(g.n):
                 for j in range(g.n):
                     expected = oracle[i][j]
-                    got = d.dist[i, j]
+                    got = d.rows[i][j]
                     if expected == float("inf"):
                         assert got == UNREACHABLE
                     else:
@@ -398,37 +398,29 @@ class TestDistances:
 
     def test_symmetry_zero_diagonal_triangle(self):
         g = generate_graph("gnp", 9, p=0.4, seed=11)
-        d = distance_matrix(g).dist
-        assert np.array_equal(d, d.T)
-        assert np.all(np.diag(d) == 0)
+        d = distance_matrix(g).rows
         n = g.n
+        assert all(d[i][j] == d[j][i] for i in range(n) for j in range(n))
+        assert all(d[i][i] == 0 for i in range(n))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert d[i, j] <= d[i, k] + d[k, j]
+                    assert d[i][j] <= d[i][k] + d[k][j]
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(17)
         g = generate_graph("gnp", 8, p=0.4, seed=3)
         for _ in range(5):
             perm = list(rng.permutation(g.n))
-            dg = distance_matrix(g).dist
-            dh = distance_matrix(g.relabel(perm)).dist
+            dg = distance_matrix(g).rows
+            dh = distance_matrix(g.relabel(perm)).rows
             for u in range(g.n):
                 for v in range(g.n):
-                    assert dh[perm[u], perm[v]] == dg[u, v]
-
-    @pytest.mark.parametrize("kind, n", [("path", 1), ("star", 5), ("cycle", 7)])
-    def test_rows_are_the_read_only_array(self, kind, n):
-        d = distance_matrix(generate_graph(kind, n))
-        assert d.dist.dtype == np.int64 and d.dist.shape == (n, n)
-        assert d.dist.tolist() == [list(row) for row in d.rows]
-        with pytest.raises(ValueError):
-            d.dist[0, 0] = 1
+                    assert dh[perm[u]][perm[v]] == dg[u][v]
 
     def test_empty_graph(self):
         d = distance_matrix(Graph.from_edges(0, []))
-        assert d.rows == () and d.eta == 0 and d.dist.shape == (0, 0)
+        assert d.rows == () and d.eta == 0
 
 
 class TestSpheres:
@@ -440,46 +432,38 @@ class TestSpheres:
                 tuple(sum(x == j for x in row) for j in range(1, d.eta + 1))
                 for row in d.rows
             )
-            counts = sphere_counts_matrix(g, d)
-            assert counts.dtype == np.int64 and counts.tolist() == [
-                list(profile) for profile in d.spheres
-            ]
-            with pytest.raises(ValueError):
-                counts[0, 0] = 0
 
     def test_single_vertex_has_empty_profile(self):
         g = generate_graph("path", 1)
         d = distance_matrix(g)
         assert d.spheres == ((),)
-        assert sphere_counts_matrix(g, d).shape == (1, 0)
 
     def test_s4_leaf(self):
         g = generate_graph("star", 4)
         d = distance_matrix(g)
-        assert tuple(sphere_counts_matrix(g, d)[1]) == (1, 2)
+        assert d.spheres[1] == (1, 2)
 
     def test_s4_center_padded(self):
         g = generate_graph("star", 4)
         d = distance_matrix(g)
-        assert tuple(sphere_counts_matrix(g, d)[0]) == (3, 0)
+        assert d.spheres[0] == (3, 0)
 
     def test_p4_endpoint(self):
         g = generate_graph("path", 4)
         d = distance_matrix(g)
-        assert tuple(sphere_counts_matrix(g, d)[0]) == (1, 1, 1)
+        assert d.spheres[0] == (1, 1, 1)
 
     def test_counts_sum_to_n_minus_1(self):
         for seed in range(8):
             g = generate_graph("gnp", 9, p=0.35, seed=seed)
             d = distance_matrix(g)
-            counts = sphere_counts_matrix(g, d)
-            assert np.all(counts.sum(axis=1) == g.n - 1)
+            assert all(sum(profile) == g.n - 1 for profile in d.spheres)
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(3, [(0, 1)])
         d = distance_matrix(g)
-        with pytest.raises(DomainError):
-            sphere_counts_matrix(g, d)
+        with pytest.raises(DomainError, match=DISCONNECTED):
+            functional_values(g, FunctionalSpec("linear"), d)
 
 
 class TestGraphInvariants:

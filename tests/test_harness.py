@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -214,18 +216,26 @@ class TestSweep:
         rep = run_sweep(small_config())
         assert rep.corpus_size > 0 and len(built) == rep.corpus_size
 
-    def test_sweep_builds_no_array_views(self, monkeypatch):
-        """The cores read the tuples; Distribution.p, DistanceData.dist and
-        the other numpy views are built only when a caller reads them."""
-        import graphent.graph as graph_module
-        import graphent.measures as measures
-
-        def refuse(*args):
-            raise AssertionError("the sweep built a numpy array view")
-
-        monkeypatch.setattr(graph_module, "_read_only_array", refuse)
-        monkeypatch.setattr(measures, "_read_only_array", refuse)
-        assert run_sweep(small_config()).corpus_size > 0
+    def test_sweep_without_thm5_loads_no_numpy(self):
+        """numpy is imported only by thm5's rows (harness._thm5_pair), so a
+        sweep over every other theorem, run in a fresh interpreter, leaves
+        it out of sys.modules."""
+        theorems = tuple(t for t in ALL_THEOREMS if t != "thm5")
+        script = f"""
+import sys
+from graphent import SweepConfig, run_sweep, summarize_report
+cfg = SweepConfig(seed=42, n_range=(3, 5), edge_probabilities=(0.5,),
+                  trials_per_cell=2, alpha_grid=(0.5, 2.0), theorems={theorems!r})
+report = run_sweep(cfg)
+assert report.corpus_size > 0 and report.aggregates["jensen|na"]["checked"] > 0
+summarize_report(report, "json")
+print("numpy" in sys.modules)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_thm5_precondition_holds_on_every_row(self):
         """phi = max(p1 - p2) is drawn from the distributions the column
@@ -861,7 +871,7 @@ def _straightline(cell, row):
         sizes = list(row.part.sizes)
         p = [size / sum(sizes) for size in sizes]
     else:
-        f1, f2 = row.fv.values.tolist(), row.fv_second.values.tolist()
+        f1, f2 = list(row.fv.linear), list(row.fv_second.linear)
         p = [f / sum(f1) for f in f1]
         p2 = [f / sum(f2) for f in f2]
     lhs = sl.sl_renyi(p, alpha)

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from graphent import (
     thm6_convex_combination,
     vertex_orbits,
 )
-from graphent.inequalities import _thm1_column
+from graphent.inequalities import _jensen_sums, _thm1_column
 
 # frozen via an independent high-precision evaluation (mpmath, 40 digits)
 L3_GAP = 0.3219280948873623
@@ -48,6 +50,20 @@ def dist(*values):
     return Distribution(p=np.array(values, dtype=float))
 
 
+def _decimal_pair_sum(probs, alpha):
+    """Lemma 3's sum over ordered pairs of p_i p_j (x_i - x_j)**2 / (x_i x_j),
+    x = p**(alpha-1), in 50-digit decimal from the exact float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = [Decimal(v) for v in probs]
+        x = [((Decimal(alpha) - 1) * v.ln()).exp() for v in p]
+        return 2 * sum(
+            p[i] * p[j] * (x[i] - x[j]) ** 2 / (x[i] * x[j])
+            for i in range(len(p))
+            for j in range(i + 1, len(p))
+        )
+
+
 def tol_ok(report):
     assert report.holds is (report.slack >= -report.tolerance)
 
@@ -63,7 +79,7 @@ class TestLemmaExamples:
     def test_l2_equality_at_disjoint_supports(self):
         from graphent.inequalities import _check_lemma2
 
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        rows = [[1.0, 0.0], [0.0, 1.0]]
         check = _check_lemma2(rows, 0.5)
         assert check.satisfied
         assert check.margin == pytest.approx(0.0, abs=1e-12)
@@ -71,7 +87,7 @@ class TestLemmaExamples:
     def test_l3_hand_example(self):
         from graphent.inequalities import _check_lemma3
 
-        check = _check_lemma3(np.array([0.5, 0.5]), np.array([1.0, 4.0]))
+        check = _check_lemma3([0.5, 0.5], [1.0, 4.0])
         assert check.satisfied
         gap = math.log2(2.5) - 1.0
         assert gap == pytest.approx(L3_GAP, abs=1e-14)
@@ -85,9 +101,21 @@ class TestLemmaExamples:
     def test_deterministic(self):
         a = lemma_checks(seed=5, trials=10)
         b = lemma_checks(seed=5, trials=10)
-        assert [(c.lemma_id, c.margin) for c in a] == [
-            (c.lemma_id, c.margin) for c in b
+        assert [(c.lemma_id, c.inputs, c.margin) for c in a] == [
+            (c.lemma_id, c.inputs, c.margin) for c in b
         ]
+        other = lemma_checks(seed=6, trials=10)
+        assert [c.inputs for c in other] != [c.inputs for c in a]
+
+    def test_dirichlet_draws_sum_to_one(self):
+        """Lemma 3's p, a zeroed atom renormalized included, is a
+        probability vector to 1e-15."""
+        l3 = [c for c in lemma_checks(seed=9, trials=2000) if c.lemma_id == "L3"]
+        assert any(0.0 in c.inputs["p"] for c in l3)
+        assert {len(c.inputs["p"]) for c in l3} == {2, 3, 4, 5, 6}
+        for c in l3:
+            assert all(x >= 0.0 for x in c.inputs["p"])
+            assert abs(math.fsum(c.inputs["p"]) - 1.0) <= 1e-15
 
     def test_trials_validation(self):
         with pytest.raises(DomainError):
@@ -118,13 +146,41 @@ class TestJensenGap:
         assert r.bound == pytest.approx(expected_bound, abs=1e-12)
         assert r.holds is True
 
-    # numpy must not warn on the way to the NaN
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_slack_is_domain_error(self):
-        # x = p**29 underflows to 0 on the 1e-20 atom, so the pair sum is NaN
+        # the 1e-20 atom's pair terms are about 1e550, past float range
         raw = np.array([0.5, 0.5 - 1e-20, 1e-20])
         with pytest.raises(DomainError):
             jensen_gap_bound(Distribution(p=raw / raw.sum()), 30.0)
+
+    @pytest.mark.parametrize("kind", ["sampled", "near_uniform", "tiny_atoms"])
+    def test_sum_term_matches_50_digit_decimal(self, kind):
+        """The sum term within 1e-14 relative of Lemma 3's sum over ordered
+        pairs, p_i p_j (x_i - x_j)**2 / (x_i x_j) with x = p**(alpha-1),
+        evaluated in 50-digit decimal on the same float inputs; inf only
+        where that sum is past float range. Near-uniform atoms make
+        x_i - x_j cancel, and atoms down to 1e-300 make h large."""
+        rng = np.random.default_rng({"sampled": 1, "near_uniform": 2, "tiny_atoms": 3}[kind])
+        alphas = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0)
+        finite = 0
+        for _ in range(25):
+            size = int(rng.integers(2, 9))
+            if kind == "sampled":
+                raw = rng.uniform(0.01, 5.0, size=size)
+            elif kind == "near_uniform":
+                raw = 1.0 + rng.uniform(-1.0, 1.0, size=size) * 10.0 ** rng.uniform(-12, -3)
+            else:
+                raw = 10.0 ** rng.uniform(-300, 0, size=size)
+            d = Distribution(p=raw / raw.sum())
+            grid = alphas + tuple((10.0 ** rng.uniform(-3, 3, size=2)).tolist())
+            for alpha, got in zip(grid, _jensen_sums(d, grid)):
+                want = _decimal_pair_sum(d.probs, alpha)
+                if math.isinf(got):
+                    assert want > Decimal(sys.float_info.max), (d.probs, alpha)
+                    continue
+                finite += 1
+                assert abs(Decimal(got) - want) <= Decimal("1e-14") * want, (d.probs, alpha)
+        assert finite >= 150
 
     def test_holds_on_random_corpus(self):
         rng = np.random.default_rng(8)
@@ -206,7 +262,7 @@ class TestThm1:
             for alpha in (0.25, 0.5, 0.9, 1.1, 2.0, 3.0):
                 for use_eps in (False, True):
                     r = thm1_refined_bound(d, alpha, "corrected", use_epsilon=use_eps)
-                    assert r.holds is True, (d.p, alpha, use_eps)
+                    assert r.holds is True, (d.probs, alpha, use_eps)
 
     def test_alpha_one_rejected(self):
         for alpha in (1.0, math.nan, math.inf, 0.0):
@@ -283,7 +339,7 @@ class TestThm3:
         for alpha in (0.25, 3.0):
             r = thm3_partition_vs_functional(g, part, fv, alpha)
             met, direction, bound = sl.sl_thm3_bound(
-                list(part.sizes), fv.values.tolist(), alpha
+                list(part.sizes), list(fv.linear), alpha
             )
             assert r.precondition_met == met and r.direction == direction
             assert r.bound == pytest.approx(bound, abs=1e-9)
@@ -354,7 +410,7 @@ class TestThm4:
             raw2 = rng.uniform(0.01, 3.0, size=n)
             d1 = Distribution(p=raw1 / raw1.sum())
             d2 = Distribution(p=raw2 / raw2.sum())
-            psi = float(np.max(d1.p / d2.p))
+            psi = max(a / b for a, b in zip(d1.probs, d2.probs))
             for alpha in (0.25, 0.75, 1.5, 3.0):
                 r = thm4_scaled_dominance(d1, d2, psi, alpha)
                 assert r.precondition_met and r.holds is True
@@ -408,7 +464,7 @@ class TestThm5:
             raw2 = rng.uniform(0.01, 3.0, size=n)
             d1 = Distribution(p=raw1 / raw1.sum())
             d2 = Distribution(p=raw2 / raw2.sum())
-            phi = max(float(np.max(d1.p - d2.p)), 0.01)
+            phi = max(max(a - b for a, b in zip(d1.probs, d2.probs)), 0.01)
             for alpha in (0.25, 0.75, 1.5, 3.0):
                 r = thm5_additive_dominance(d1, d2, phi, alpha, "corrected")
                 assert r.precondition_met and r.holds is True
@@ -434,8 +490,8 @@ class TestThm6:
         g = generate_graph("star", 4)
         fv1 = functional_values(g, FunctionalSpec("linear", coeffs=(2, 1)))
         fv2 = FunctionalValues.from_values([5.0] * 4)
-        f1 = fv1.values.tolist()
-        f2 = fv2.values.tolist()
+        f1 = list(fv1.linear)
+        f2 = list(fv2.linear)
         for alpha in (0.5, 2.0):
             for variant in ("literal", "corrected"):
                 for symmetric in (False, True):

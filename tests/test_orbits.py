@@ -140,7 +140,7 @@ class TestProperties:
                 degs = {g.degree(v) for v in block}
                 assert len(degs) == 1
                 rows = {
-                    tuple(sorted(int(x) for i, x in enumerate(d.dist[v]) if i != v))
+                    tuple(sorted(x for i, x in enumerate(d.rows[v]) if i != v))
                     for v in block
                 }
                 assert len(rows) == 1
