@@ -7,7 +7,7 @@ Subcommands compose over stdin/stdout edge lists:
     graphent sweep --config sweep.json --format text
 
 Exit status: 0 success, 1 violation found under --strict, 2 usage or
-domain errors.
+domain errors, or out of memory.
 
 Import rule: each pipe stage is a fresh interpreter, so this module imports
 only the standard library and graphent.errors at module level, and each
@@ -420,6 +420,9 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         GraphEntropyError, OSError, json.JSONDecodeError, UnicodeDecodeError
     ) as exc:
         print(f"graphent: {exc}", file=sys.stderr)
+        return 2, ""
+    except MemoryError:
+        print("graphent: out of memory", file=sys.stderr)
         return 2, ""
 
 

@@ -33,8 +33,9 @@ GNP_MAX_REDRAWS = 1000
 
 class _Record:
     """Equality, hash and repr over the attributes named in _fields, for
-    records that are immutable by convention: attributes are set once, in
-    __init__."""
+    records whose constructors validate or derive (Graph, DistanceData,
+    FunctionalSpec, OrbitPartition) and so are not NamedTuples. They are
+    immutable by convention: attributes are set once, in __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

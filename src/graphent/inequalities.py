@@ -32,17 +32,11 @@ base e, under which the literal penalty forms become sound.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
-from .graph import (
-    DistanceData,
-    Graph,
-    SeededStream,
-    _Record,
-    distance_matrix,
-    generate_graph,
-)
+from .graph import Graph, SeededStream, distance_matrix, generate_graph
 from .measures import (
     LN2,
     Distribution,
@@ -71,7 +65,7 @@ VARIANTS = ("literal", "corrected")
 _PRE_GUARD = 1e-12
 
 
-class BoundReport(_Record):
+class BoundReport(NamedTuple):
     """One evaluated theorem instance.
 
     slack is the signed distance to the bound (negative below -tolerance
@@ -80,52 +74,22 @@ class BoundReport(_Record):
     None when the precondition failed.
     """
 
-    __slots__ = (
-        "theorem_id", "variant", "alpha", "lhs", "bound", "direction",
-        "precondition_met", "holds", "slack", "tolerance", "params",
-    )
-    _fields = __slots__
-
-    def __init__(
-        self,
-        theorem_id: str,
-        variant: str,
-        alpha: float,
-        lhs: float | None,
-        bound: float | None,
-        direction: str,
-        precondition_met: bool,
-        holds: bool | None,
-        slack: float | None,
-        tolerance: float,
-        params: dict[str, Any] | None = None,
-    ):
-        self.theorem_id = theorem_id
-        self.variant = variant
-        self.alpha = alpha
-        self.lhs = lhs
-        self.bound = bound
-        self.direction = direction
-        self.precondition_met = precondition_met
-        self.holds = holds
-        self.slack = slack
-        self.tolerance = tolerance
-        self.params: dict[str, Any] = {} if params is None else params
+    theorem_id: str
+    variant: str
+    alpha: float
+    lhs: float | None
+    bound: float | None
+    direction: str
+    precondition_met: bool
+    holds: bool | None
+    slack: float | None
+    tolerance: float
+    params: Mapping[str, Any] = MappingProxyType({})
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "theorem": self.theorem_id,
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "direction": self.direction,
-            "precondition_met": self.precondition_met,
-            "holds": self.holds,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "params": dict(self.params),
-        }
+        doc = self._asdict()
+        doc["params"] = dict(self.params)
+        return {"theorem": doc.pop("theorem_id"), **doc}
 
 
 class LemmaCheck(NamedTuple):
@@ -145,7 +109,7 @@ class LemmaCheck(NamedTuple):
 Outcome = tuple
 
 
-class Column(_Record):
+class Column(NamedTuple):
     """A column core's result over one alpha grid.
 
     params holds every report param in key order; those named in varying
@@ -155,27 +119,12 @@ class Column(_Record):
     alpha failed.
     """
 
-    __slots__ = (
-        "theorem_id", "params", "outcomes", "varying", "precondition_met",
-        "tolerance",
-    )
-    _fields = __slots__
-
-    def __init__(
-        self,
-        theorem_id: str,
-        params: dict[str, Any],
-        outcomes: list[Outcome | str],
-        varying: tuple[str, ...] = (),
-        precondition_met: bool = True,
-        tolerance: float = TOLERANCE,
-    ):
-        self.theorem_id = theorem_id
-        self.params = params
-        self.outcomes = outcomes
-        self.varying = varying
-        self.precondition_met = precondition_met
-        self.tolerance = tolerance
+    theorem_id: str
+    params: dict[str, Any]
+    outcomes: list[Outcome | str]
+    varying: tuple[str, ...] = ()
+    precondition_met: bool = True
+    tolerance: float = TOLERANCE
 
     @classmethod
     def failed(cls, theorem_id: str, reason: str, size: int) -> "Column":
@@ -1068,7 +1017,6 @@ def connected_functional_bounds(
     spec: FunctionalSpec,
     alpha: float,
     variant: str,
-    distances: DistanceData | None = None,
 ) -> BoundReport:
     """Two-sided interval around log2(n) for the j-sphere functionals.
 
@@ -1081,7 +1029,7 @@ def connected_functional_bounds(
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not g.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
-    d = distances if distances is not None else distance_matrix(g)
+    d = distance_matrix(g)
     fv = functional_values(g, spec, d)
     return _report(variant, alpha, _conn_column(spec, fv, d.eta, (alpha,), variant))
 

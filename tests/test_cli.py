@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,20 @@ BASE = [sys.executable, "-m", "graphent"]
 def run(args, stdin=""):
     proc = subprocess.run(
         BASE + args, input=stdin, capture_output=True, text=True, timeout=300
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_capped(args, stdin=""):
+    """run() in a child whose address space is capped at 128 MB."""
+    limit = 128 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        BASE + args, input=stdin, capture_output=True, text=True, timeout=300,
+        preexec_fn=cap_address_space,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -169,6 +184,16 @@ class TestGen:
         code, _, err = run(["gen", "wheel", "3"])
         assert code == 2 and "wheel" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "star", "100000000"],
+         ["gen", "gnp", "5000", "--p", "0.5", "--seed", "1"]],
+        ids=["star", "gnp"],
+    )
+    def test_out_of_memory_is_one_line_and_exit_2(self, argv):
+        # neither edge set fits in 128 MB
+        assert run_capped(argv) == (2, "", "graphent: out of memory\n")
+
 
 class TestCompute:
     def test_star_orbits_alpha2(self):
@@ -297,20 +322,12 @@ class TestCompute:
     def test_huge_n_override_is_rejected_before_the_graph_is_built(
         self, argv, stdin, message
     ):
-        # A billion adjacency lists do not fit in the child's 512 MB address
-        # space, so a check made after the graph is built fails here with a
-        # MemoryError instead of exhausting the host's memory.
-        limit = 512 * 2**20
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            BASE + argv + ["--n", "1000000000"], input=stdin, capture_output=True,
-            text=True, timeout=300, preexec_fn=cap_address_space,
+        # A billion adjacency lists do not fit in the child's 128 MB address
+        # space, so a check made after the graph is built fails here with
+        # "out of memory" instead of exhausting the host's memory.
+        assert run_capped(argv + ["--n", "1000000000"], stdin) == (
+            2, "", f"graphent: {message}\n"
         )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"graphent: {message}\n"
 
 
 def _normalized(raw) -> str:
@@ -490,6 +507,30 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(out)["holds"] is True
+
+
+# Each entry is one `graphent check` invocation (argv after "check", and
+# stdin) with the exact exit status and stdout it gave when recorded; every
+# check name appears, each thm1 variant with and without --use-epsilon, thm3
+# under both log bases, thm4 with --psi and with --s1/--s2, thm6 with and
+# without --symmetric, conn on both functionals, and each class with and
+# without a functional.
+PINNED_CHECKS = json.loads(
+    (Path(__file__).parent / "check_output.json").read_text(encoding="utf-8")
+)
+
+
+def test_pinned_checks_cover_every_check_name():
+    assert {case["argv"][0] for case in PINNED_CHECKS} == set(cli._CHECKS)
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_CHECKS,
+    ids=[f"{i:02d}-{case['argv'][0]}" for i, case in enumerate(PINNED_CHECKS)],
+)
+def test_check_output_bytes_are_pinned(case):
+    status, out = cli.dispatch(["check", *case["argv"]], case["stdin"])
+    assert (status, out) == (case["status"], case["stdout"])
 
 
 def _strict_json(text: str):
