@@ -142,45 +142,12 @@ def _functional_spec(
     return FunctionalSpec(kind=kind, coeffs=coeffs, beta=beta)
 
 
-def _graph_from_stdin(
-    stdin: str | None,
-    n_override: int | None,
-    *,
-    orbits: bool = False,
-    disconnected: str | None = None,
-) -> Graph:
-    """The edge list on stdin as a Graph, its vertex count checked first.
+def _graph_from_stdin(stdin: str | None, n_override: int | None) -> Graph:
+    """The edge list on stdin as a Graph; each operation checks its own
+    domain before the graph's neighbor lists are built."""
+    from .graph import parse_edge_list
 
-    An explicit n costs n adjacency lists, so what the command cannot take
-    is rejected before the graph is built: past ORBIT_CAP when ``orbits``
-    are computed, and, when ``disconnected`` is the command's error for a
-    disconnected graph, any n that leaves vertex n - 1 without an edge or
-    that needs more than the m + 1 vertices m edges can connect.
-    """
-    from .graph import Graph, parse_edge_pairs
-
-    if stdin is None:
-        stdin = sys.stdin.read()
-    n, edges = parse_edge_pairs(stdin, n=n_override)
-    if disconnected is not None and n > 1:
-        max_id = max((v for _, v in edges), default=-1)
-        if n > max_id + 1 or n > len(edges) + 1:
-            raise DomainError(disconnected)
-    if orbits:
-        from .orbits import check_orbit_capacity
-
-        check_orbit_capacity(n)
-    return Graph(n=n, edges=edges)
-
-
-def _graph_for(stdin: str | None, n_override: int | None, dist: str) -> Graph:
-    """The graph that the --dist distribution (orbits, linear or exp) is
-    taken on."""
-    from .graph import DISCONNECTED
-
-    if dist == "orbits":
-        return _graph_from_stdin(stdin, n_override, orbits=True)
-    return _graph_from_stdin(stdin, n_override, disconnected=DISCONNECTED)
+    return parse_edge_list(sys.stdin.read() if stdin is None else stdin, n=n_override)
 
 
 def _distribution_for(g: Graph, dist_kind: str, c: str | None, beta: float | None):
@@ -257,7 +224,7 @@ def _run_gen(args) -> tuple[int, str]:
 
 
 def _run_check(args, stdin: str | None) -> tuple[int, str]:
-    from .graph import DISCONNECTED, generate_graph
+    from .graph import generate_graph
     from .inequalities import (
         class_closed_forms,
         connected_functional_bounds,
@@ -283,7 +250,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             d = _parse_probs(args.probs)
         else:
             dist = args.dist or "orbits"
-            g = _graph_for(stdin, args.n, dist)
+            g = _graph_from_stdin(stdin, args.n)
             d, _ = _distribution_for(g, dist, args.c, args.beta)
         if theorem == "ordering":
             reports.append(ordering_bound(d, args.alpha))
@@ -296,13 +263,14 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
                 )
             )
     elif theorem == "thm3":
-        g = _graph_from_stdin(
-            stdin, args.n, orbits=True, disconnected=DISCONNECTED
-        )
+        g = _graph_from_stdin(stdin, args.n)
         spec = _functional_spec(args.functional, args.c, args.beta, "thm3")
+        # orbits first: their cap rejects a large graph before its O(n^2)
+        # distance matrix is built
+        part = vertex_orbits(g)
         fv = functional_values(g, spec)
         reports.append(
-            thm3_partition_vs_functional(g, vertex_orbits(g), fv, args.alpha, base=base)
+            thm3_partition_vs_functional(g, part, fv, args.alpha, base=base)
         )
     elif theorem == "thm4":
         if args.probs1 is None or args.probs2 is None:
@@ -334,7 +302,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             )
         )
     elif theorem == "thm6":
-        g = _graph_from_stdin(stdin, args.n, disconnected=DISCONNECTED)
+        g = _graph_from_stdin(stdin, args.n)
         spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")
         spec2 = _functional_spec(
             args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)", "--f2-functional"
@@ -349,10 +317,7 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
             )
         )
     elif theorem == "conn":
-        g = _graph_from_stdin(
-            stdin, args.n,
-            disconnected="connected-graph bounds need a connected graph",
-        )
+        g = _graph_from_stdin(stdin, args.n)
         spec = _functional_spec(args.functional, args.c, args.beta, "conn")
         reports.append(
             connected_functional_bounds(g, spec, args.alpha, args.variant)
@@ -409,7 +374,7 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         if args.command == "gen":
             return _run_gen(args)
         if args.command == "compute":
-            g = _graph_for(stdin, args.n, args.dist)
+            g = _graph_from_stdin(stdin, args.n)
             return 0, emit_entropy_report(g, args) + "\n"
         if args.command == "check":
             return _run_check(args, stdin)

@@ -2,10 +2,13 @@
 j-spheres.
 
 Vertices are dense integers 0..n-1. Graphs are immutable after construction
-and safe to share across threads. Distances use an explicit ``UNREACHABLE``
-sentinel (never a large magic number) so the diameter cannot be silently
-corrupted by disconnected pairs. Distances and j-sphere profiles are tuples
-of ints (``DistanceData.rows`` and ``spheres``), and seeded draws come from
+and safe to share across threads. A graph checks its edges when built but
+makes its n neighbor lists on first use, so each operation checks its own
+domain (the orbit cap, connectivity) in O(m) before anything sized by n
+exists. Distances use an explicit ``UNREACHABLE`` sentinel (never a large
+magic number) so the diameter cannot be silently corrupted by disconnected
+pairs. Distances and j-sphere profiles are tuples of ints
+(``DistanceData.rows`` and ``spheres``), and seeded draws come from
 ``SeededStream``, a stdlib port of numpy's generator, so nothing here loads
 numpy.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from operator import eq, index
 from typing import Iterable, NoReturn, Sequence
 
@@ -22,7 +25,10 @@ from .errors import DomainError, ParseError, ValidationError
 
 UNREACHABLE = -1
 
-GRAPH_CLASSES = ("star", "path", "cycle", "wheel", "complete", "gnp")
+# Each graph class and the smallest n it is defined for.
+GRAPH_CLASSES = {
+    "star": 3, "path": 1, "cycle": 3, "wheel": 4, "complete": 1, "gnp": 1,
+}
 
 # The error of every operation that reads j-sphere profiles.
 DISCONNECTED = "j-sphere profiles are undefined on disconnected graphs"
@@ -59,9 +65,13 @@ class _Record:
 class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1.
 
-    Construction checks every edge with one chained 0 <= u < v < n test
-    while it appends to per-vertex neighbor lists; only when an edge fails
-    does a second walk over the edges word the error of the first bad one.
+    Construction checks every edge with one chained 0 <= u < v < n test;
+    only when an edge fails does a second walk over the edges word the
+    error of the first bad one. The neighbor lists are built on the first
+    read of ``adjacency``, so a graph with a huge n and few edges costs
+    O(m) until an operation that needs them runs. Like the connectivity,
+    they are a pure function of (n, edges), so a race can only build them
+    twice.
     """
 
     _fields = ("n", "edges")
@@ -71,15 +81,20 @@ class Graph(_Record):
             raise ValidationError(f"vertex count must be >= 0, got {n}")
         self.n = n
         self.edges = edges
-        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not 0 <= u < v < n:
                 self._raise_first_bad_edge()
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuples, one per vertex."""
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         for a in nbrs:
             a.sort()
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
+        return tuple(map(tuple, nbrs))
 
     def _raise_first_bad_edge(self) -> NoReturn:
         """Word the error of the first edge that fails 0 <= u < v < n."""
@@ -115,7 +130,11 @@ class Graph(_Record):
 
     @cached_property
     def _connected(self) -> bool:
-        """One BFS per graph; the graph is immutable, so the answer is kept."""
+        """One BFS per graph; the graph is immutable, so the answer is kept.
+        Fewer than n - 1 edges connect no n vertices, so such a graph is
+        answered without a BFS, and without its neighbor lists."""
+        if self.n > len(self.edges) + 1:
+            return False
         if self.n <= 1:
             return True
         seen = {0}
@@ -165,18 +184,8 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
     Lines whose first token starts with '#' and blank lines are ignored;
     duplicate edges collapse. Without an explicit ``n`` the vertex count is
     1 + max id and the id set must be dense (gaps rejected); with ``n``
-    given, ids only need to stay below it. See parse_edge_pairs for how the
-    lines are checked.
-    """
-    n, edges = parse_edge_pairs(text, n)
-    return Graph(n=n, edges=edges)
-
-
-def parse_edge_pairs(
-    text: str, n: int | None = None
-) -> tuple[int, frozenset[tuple[int, int]]]:
-    """The vertex count and normalized edge set that parse_edge_list builds
-    its Graph from, so a caller can check n before n adjacency lists exist.
+    given, ids only need to stay below it, and a huge n costs nothing until
+    an operation reads the graph's neighbor lists.
 
     The lines are checked in bulk: each is split once, every id goes
     through one ``map(int, ...)``, and negative ids and self-loops are
@@ -212,12 +221,12 @@ def parse_edge_pairs(
             )
     elif n < max_id + 1:
         raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
-    return n, edges
+    return Graph(n=n, edges=edges)
 
 
 def _raise_first_bad_line(text: str) -> NoReturn:
-    """Raise the error of the first line that fails a check of
-    parse_edge_pairs, naming its line number."""
+    """Raise the error of the first line that fails a bulk check of
+    parse_edge_list, naming its line number."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -350,9 +359,14 @@ def _mix_entropy(words: list[int]) -> list[int]:
 
 
 def _gnp_edges(n: int, p: float, rng: SeededStream) -> set[tuple[int, int]]:
-    # one draw per pair u < v, in row-major order
-    draws = rng.random(n * (n - 1) // 2)
-    return {pair for pair, x in zip(combinations(range(n), 2), draws) if x < p}
+    # one draw per pair u < v, in row-major order, drawn a row at a time so
+    # memory scales with the edges kept, not with the n(n-1)/2 pairs
+    return {
+        (u, v)
+        for u in range(n - 1)
+        for v, x in zip(range(u + 1, n), rng.random(n - 1 - u))
+        if x < p
+    }
 
 
 def generate_gnp_connected(n: int, p: float, seed) -> tuple[Graph, int]:
@@ -384,34 +398,29 @@ def generate_gnp_connected(n: int, p: float, seed) -> tuple[Graph, int]:
 def generate_graph(
     kind: str, n: int, p: float | None = None, seed=None
 ) -> Graph:
-    """Construct one of the supported graph classes.
+    """Construct one of the supported graph classes, on at least the n
+    that GRAPH_CLASSES gives for it.
 
-    star: center 0 joined to n-1 leaves (n >= 3).
-    path: edges (i, i+1) (n >= 1).
-    cycle: path plus closing edge (n >= 3).
-    wheel: hub 0 joined to every vertex of a cycle on 1..n-1 (n >= 4).
-    complete: all pairs (n >= 1).
+    star: center 0 joined to n-1 leaves.
+    path: edges (i, i+1).
+    cycle: path plus closing edge.
+    wheel: hub 0 joined to every vertex of a cycle on 1..n-1.
+    complete: all pairs.
     gnp: connected Erdos-Renyi sample, reproducible from seed.
     """
     if kind not in GRAPH_CLASSES:
         raise DomainError(f"unknown graph class {kind!r}")
-    if n < 1:
-        raise DomainError(f"{kind} requires n >= 1, got {n}")
+    if n < GRAPH_CLASSES[kind]:
+        raise DomainError(f"{kind} requires n >= {GRAPH_CLASSES[kind]}, got {n}")
 
     if kind == "star":
-        if n < 3:
-            raise DomainError(f"star requires n >= 3, got {n}")
         return Graph.from_edges(n, ((0, i) for i in range(1, n)))
     if kind == "path":
         return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if kind == "cycle":
-        if n < 3:
-            raise DomainError(f"cycle requires n >= 3, got {n}")
         edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
         return Graph.from_edges(n, edges)
     if kind == "wheel":
-        if n < 4:
-            raise DomainError(f"wheel requires n >= 4, got {n}")
         rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
         hub = [(0, i) for i in range(1, n)]
         return Graph.from_edges(n, rim + hub)

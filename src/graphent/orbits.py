@@ -185,26 +185,21 @@ def _find_automorphism(
     return (image if extend(0) else None), nodes
 
 
-def check_orbit_capacity(n: int) -> None:
-    """Raise CapacityError if n is past ORBIT_CAP, the largest vertex count
-    vertex_orbits takes."""
-    if n > ORBIT_CAP:
-        raise CapacityError(
-            f"exact orbit computation capped at n = {ORBIT_CAP}, got {n}"
-        )
-
-
 def vertex_orbits(g: Graph) -> OrbitPartition:
     """Exact orbits of the automorphism group.
 
-    Exactness is non-negotiable, so graphs beyond ORBIT_CAP (64 vertices)
-    or whose search visits more than ORBIT_NODE_BUDGET nodes raise
-    CapacityError instead of degrading to the refinement cells alone.
+    Exactness is non-negotiable, so graphs beyond ORBIT_CAP (64 vertices),
+    checked before the neighbor lists are read, or whose search visits
+    more than ORBIT_NODE_BUDGET nodes raise CapacityError instead of
+    degrading to the refinement cells alone.
     """
     n = g.n
     if n < 1:
         raise DomainError("vertex orbits need n >= 1")
-    check_orbit_capacity(n)
+    if n > ORBIT_CAP:
+        raise CapacityError(
+            f"exact orbit computation capped at n = {ORBIT_CAP}, got {n}"
+        )
     adjacency = g.adjacency
     colors = _refine(g, list(map(len, adjacency)))
     cells: dict[int, list[int]] = {}

@@ -370,6 +370,14 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["params"]["rho"] == pytest.approx(9.0)
 
+    def test_thm3_past_the_orbit_cap_builds_no_distance_matrix(self):
+        # a 5000-vertex path's distance matrix does not fit in the child's
+        # 128 MB, so the orbit cap must reject the graph before it is built
+        edges = "".join(f"{i} {i + 1}\n" for i in range(4999))
+        assert run_capped(
+            ["check", "thm3", "--alpha", "2", "--functional", "linear"], edges
+        ) == (2, "", "graphent: exact orbit computation capped at n = 64, got 5000\n")
+
     def test_thm3_pipe(self):
         _, edges, _ = run(["gen", "star", "4"])
         code, out, _ = run(

@@ -1,4 +1,8 @@
 import math
+import resource
+import subprocess
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +24,21 @@ from graphent import (
 )
 from graphent.graph import DISCONNECTED, SeededStream, _gnp_edges, generate_gnp_connected
 from graphent.measures import FunctionalSpec, functional_values
+
+
+def run_capped(code):
+    """(exit status, stdout, stderr) of ``python -c code`` in a child whose
+    address space is capped at 128 MB."""
+    limit = 128 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=300, preexec_fn=cap_address_space,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def floyd_warshall(g):
@@ -241,10 +260,16 @@ class TestGenerators:
         assert g.m == 5 and all(g.degree(v) == 2 for v in range(5))
 
     def test_class_n_mismatch(self):
-        with pytest.raises(DomainError):
-            generate_graph("star", 2)
-        with pytest.raises(DomainError):
-            generate_graph("wheel", 3)
+        # every too-small n names its own class's minimum
+        minimum = {
+            "star": 3, "path": 1, "cycle": 3, "wheel": 4, "complete": 1, "gnp": 1,
+        }
+        for kind, low in minimum.items():
+            for n in (0, low - 1):
+                message = f"^{kind} requires n >= {low}, got {n}$"
+                with pytest.raises(DomainError, match=message):
+                    generate_graph(kind, n, p=0.5, seed=1)
+            assert generate_graph(kind, low, p=0.5, seed=1).n == low
         with pytest.raises(DomainError):
             generate_graph("nonsense", 5)
 
@@ -274,6 +299,16 @@ class TestGenerators:
                     }
                     got = _gnp_edges(n, p, np.random.default_rng(seed))
                     assert got == expect, (n, p, seed)
+
+    def test_gnp_memory_scales_with_edges(self):
+        # 3000 vertices have about 4.5 million pairs: their draws, held at
+        # once, pass the child's 128 MB; the ~45,000 edges kept take a few MB
+        code = (
+            "from graphent import generate_graph\n"
+            "g = generate_graph('gnp', 3000, p=0.01, seed=1)\n"
+            "print(g.n, g.is_connected())"
+        )
+        assert run_capped(code) == (0, "3000 True\n", "")
 
     def test_gnp_requires_params(self):
         with pytest.raises(DomainError):
@@ -460,10 +495,14 @@ class TestSpheres:
             assert all(sum(profile) == g.n - 1 for profile in d.spheres)
 
     def test_disconnected_rejected(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        d = distance_matrix(g)
-        with pytest.raises(DomainError, match=DISCONNECTED):
-            functional_values(g, FunctionalSpec("linear"), d)
+        # m < n - 1, and a triangle plus an isolated vertex (m = n - 1)
+        for g in (
+            Graph.from_edges(3, [(0, 1)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+        ):
+            d = distance_matrix(g)
+            with pytest.raises(DomainError, match=DISCONNECTED):
+                functional_values(g, FunctionalSpec("linear"), d)
 
 
 class TestGraphInvariants:
@@ -478,3 +517,66 @@ class TestGraphInvariants:
             Graph.from_edges(3, [(0, 4)])
         with pytest.raises(ValidationError):
             Graph.from_edges(3, [(1, 1)])
+
+    def test_is_connected_matches_reachability(self):
+        """The edge-count shortcut and the BFS agree with a reachability
+        oracle on every labeled graph on up to 5 vertices, each also with
+        one and two isolated vertices added."""
+
+        def reaches_all(n, edges):
+            seen = {0}
+            grown = True
+            while grown:
+                grown = False
+                for u, v in edges:
+                    if (u in seen) != (v in seen):
+                        seen |= {u, v}
+                        grown = True
+            return n <= 1 or len(seen) == n
+
+        assert Graph.from_edges(0, []).is_connected()
+        for k in range(1, 6):
+            pairs = list(combinations(range(k), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+                for n in (k, k + 1, k + 2):
+                    g = Graph.from_edges(n, edges)
+                    assert g.is_connected() == reaches_all(n, edges), (n, edges)
+
+
+# Each operation checks its domain before the graph's neighbor lists exist,
+# so a billion vertices on one edge cost O(m) on every path.
+HUGE_N_SCRIPT = """
+from graphent import (
+    CapacityError, DomainError, FunctionalSpec, Graph,
+    connected_functional_bounds, functional_values, parse_edge_list,
+    vertex_orbits,
+)
+
+g = parse_edge_list("0 1\\n", n=10**9)
+print(g.n, g.m)
+spec = FunctionalSpec("linear")
+for op in (
+    lambda: vertex_orbits(g),
+    lambda: functional_values(g, spec),
+    lambda: connected_functional_bounds(g, spec, 2.0, "corrected"),
+):
+    try:
+        op()
+    except (CapacityError, DomainError) as exc:
+        print(type(exc).__name__, exc)
+print(Graph.from_edges(10**9, [(0, 1)]).is_connected())
+"""
+
+
+def test_library_huge_n_is_rejected_before_the_neighbor_lists_exist():
+    # a billion neighbor lists do not fit in the child's 128 MB
+    assert run_capped(HUGE_N_SCRIPT) == (
+        0,
+        "1000000000 1\n"
+        "CapacityError exact orbit computation capped at n = 64, got 1000000000\n"
+        f"DomainError {DISCONNECTED}\n"
+        "DomainError connected-graph bounds need a connected graph\n"
+        "False\n",
+        "",
+    )

@@ -347,10 +347,14 @@ class TestThm3:
     def test_disconnected_rejected(self):
         from graphent import Graph
 
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
         fv = FunctionalValues.from_values([2, 2, 2, 2])
-        with pytest.raises(DomainError):
-            thm3_partition_vs_functional(g, vertex_orbits(g), fv, 0.5)
+        # m < n - 1, and a triangle plus an isolated vertex (m = n - 1)
+        for g in (
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+        ):
+            with pytest.raises(DomainError, match="thm3 needs a connected graph"):
+                thm3_partition_vs_functional(g, vertex_orbits(g), fv, 0.5)
 
 
 class TestThm4:
@@ -781,6 +785,21 @@ class TestConnectedBounds:
             assert re.params["bound_lower"] == pytest.approx(lo_e, abs=1e-12)
             assert re.params["bound_upper"] == pytest.approx(hi_e, abs=1e-12)
             assert re.holds is True
+
+
+    def test_disconnected_rejected(self):
+        from graphent import Graph
+
+        spec = FunctionalSpec("linear")
+        # m < n - 1, and a triangle plus an isolated vertex (m = n - 1)
+        for g in (
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+        ):
+            with pytest.raises(
+                DomainError, match="connected-graph bounds need a connected graph"
+            ):
+                connected_functional_bounds(g, spec, 0.5, "corrected")
 
 
 class TestStraightLineRecompute:

@@ -179,9 +179,13 @@ class TestFunctionals:
     def test_disconnected_rejected(self):
         from graphent import Graph
 
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(DomainError):
-            functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
+        # m < n - 1, and a triangle plus an isolated vertex (m = n - 1)
+        for g in (
+            Graph.from_edges(3, [(0, 1)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+        ):
+            with pytest.raises(DomainError):
+                functional_values(g, FunctionalSpec("linear", coeffs=(1,)))
 
     def test_default_coefficients(self):
         assert default_coefficients(3) == (3.0, 2.0, 1.0)
