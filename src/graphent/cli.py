@@ -9,6 +9,13 @@ Subcommands compose over stdin/stdout edge lists:
 Exit status: 0 success, 1 violation found under --strict, 2 usage or
 domain errors, or out of memory.
 
+`check` turns its flags into one inequalities.BoundInputs record, picks
+its inequalities.THEOREMS id (thm1 --use-epsilon is thm1_eps, thm4
+--s1/--s2 thm4_cor, thm6 --symmetric thm6_avg) and makes one
+inequalities.evaluate call, the evaluator the public bound operations
+share; the sweep runs the same table's cores. Only the star/wheel/path
+closed forms lie outside the table.
+
 Import rule: each pipe stage is a fresh interpreter, so this module imports
 only the standard library and graphent.errors at module level, and each
 subcommand imports the graphent modules it runs inside the functions that
@@ -34,8 +41,9 @@ if TYPE_CHECKING:
     from .graph import Graph
     from .measures import Distribution, FunctionalSpec
 
-# One check per distinct harness.THEOREMS check name, plus the graph-class
-# closed forms; spelled out so that parsing `check` needs no harness import.
+# One check per distinct inequalities.THEOREMS check name, plus the
+# graph-class closed forms; spelled out so that building the parser for
+# `gen` or `compute` imports no inequalities.
 _CHECKS = (
     "ordering", "jensen", "thm1", "thm3", "thm4", "thm5", "thm6", "conn",
     "star", "wheel", "path",
@@ -223,86 +231,42 @@ def _run_gen(args) -> tuple[int, str]:
     return 0, write_edge_list(g)
 
 
-def _run_check(args, stdin: str | None) -> tuple[int, str]:
-    from .graph import generate_graph
-    from .inequalities import (
-        class_closed_forms,
-        connected_functional_bounds,
-        jensen_gap_bound,
-        ordering_bound,
-        thm1_refined_bound,
-        thm3_partition_vs_functional,
-        thm4_scaled_dominance,
-        thm5_additive_dominance,
-        thm6_convex_combination,
-    )
+def _check_inputs(args, stdin: str | None):
+    """(THEOREMS id, BoundInputs) of a check's flags; each flag's error is
+    raised in the order the check reads it."""
+    from .inequalities import BoundInputs
     from .measures import functional_values
     from .orbits import vertex_orbits
 
-    base = 2.0 if args.log_base == "2" else math.e
-    if args.log_base != "2" and args.theorem not in _BASE_CHECKS:
-        raise DomainError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
-    reports = []
     theorem = args.theorem
-
     if theorem in ("ordering", "jensen", "thm1"):
         if args.probs is not None:
             d = _parse_probs(args.probs)
         else:
-            dist = args.dist or "orbits"
             g = _graph_from_stdin(stdin, args.n)
-            d, _ = _distribution_for(g, dist, args.c, args.beta)
-        if theorem == "ordering":
-            reports.append(ordering_bound(d, args.alpha))
-        elif theorem == "jensen":
-            reports.append(jensen_gap_bound(d, args.alpha))
-        else:
-            reports.append(
-                thm1_refined_bound(
-                    d, args.alpha, args.variant, use_epsilon=args.use_epsilon
-                )
-            )
-    elif theorem == "thm3":
-        g = _graph_from_stdin(stdin, args.n)
-        spec = _functional_spec(args.functional, args.c, args.beta, "thm3")
-        # orbits first: their cap rejects a large graph before its O(n^2)
-        # distance matrix is built
-        part = vertex_orbits(g)
-        fv = functional_values(g, spec)
-        reports.append(
-            thm3_partition_vs_functional(g, part, fv, args.alpha, base=base)
-        )
-    elif theorem == "thm4":
+            d, _ = _distribution_for(g, args.dist or "orbits", args.c, args.beta)
+        if theorem == "thm1" and args.use_epsilon:
+            theorem = "thm1_eps"
+        return theorem, BoundInputs(dist=d)
+    if theorem == "thm4":
         if args.probs1 is None or args.probs2 is None:
             raise DomainError("thm4 requires --probs1 and --probs2")
         d1, d2 = _parse_probs(args.probs1), _parse_probs(args.probs2)
-        derive = None
         if args.s1 is not None or args.s2 is not None:
             if args.s1 is None or args.s2 is None:
                 raise DomainError("corollary mode requires both --s1 and --s2")
-            derive = (args.s1, args.s2)
-        elif args.psi is None:
+            totals = (args.s1, args.s2)
+            return "thm4_cor", BoundInputs(dist=d1, dominating=d2, totals=totals)
+        if args.psi is None:
             raise DomainError("thm4 requires --psi or --s1/--s2")
-        reports.append(
-            thm4_scaled_dominance(
-                d1, d2, args.psi, args.alpha, derive_psi_from=derive, base=base
-            )
-        )
-    elif theorem == "thm5":
+        return "thm4", BoundInputs(dist=d1, dist_second=d2, psi=args.psi)
+    if theorem == "thm5":
         if args.probs1 is None or args.probs2 is None or args.phi is None:
             raise DomainError("thm5 requires --probs1, --probs2 and --phi")
-        reports.append(
-            thm5_additive_dominance(
-                _parse_probs(args.probs1),
-                _parse_probs(args.probs2),
-                args.phi,
-                args.alpha,
-                args.variant,
-                base=base,
-            )
-        )
-    elif theorem == "thm6":
-        g = _graph_from_stdin(stdin, args.n)
+        pair = (_parse_probs(args.probs1), _parse_probs(args.probs2))
+        return "thm5", BoundInputs(thm5_pair=pair, phi=args.phi)
+    g = _graph_from_stdin(stdin, args.n)
+    if theorem == "thm6":
         spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")
         spec2 = _functional_spec(
             args.f2_functional, args.f2_c, args.f2_beta, "thm6 (f2)", "--f2-functional"
@@ -310,26 +274,41 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         fv1, fv2 = functional_values(g, spec1), functional_values(g, spec2)
         if args.c1 is None or args.c2 is None:
             raise DomainError("thm6 requires --c1 and --c2")
-        reports.append(
-            thm6_convex_combination(
-                g, fv1, fv2, args.c1, args.c2, args.alpha, args.variant,
-                symmetric=args.symmetric, base=base,
-            )
-        )
-    elif theorem == "conn":
-        g = _graph_from_stdin(stdin, args.n)
-        spec = _functional_spec(args.functional, args.c, args.beta, "conn")
-        reports.append(
-            connected_functional_bounds(g, spec, args.alpha, args.variant)
-        )
-    else:  # star / wheel / path closed forms
+        theorem = "thm6_avg" if args.symmetric else "thm6"
+        weights = (args.c1, args.c2)
+        return theorem, BoundInputs(graph=g, fv=fv1, fv_second=fv2, weights=weights)
+    spec = _functional_spec(args.functional, args.c, args.beta, theorem)
+    if theorem == "thm3":
+        # orbits first: their cap rejects a large graph before its O(n^2)
+        # distance matrix is built
+        part = vertex_orbits(g)
+        return "thm3", BoundInputs(graph=g, part=part, fv=functional_values(g, spec))
+    # conn_linear or conn_exp, as --functional names it; its values come
+    # once the graph is known to be connected
+    return f"conn_{args.functional}", BoundInputs(graph=g, spec=spec)
+
+
+def _run_check(args, stdin: str | None) -> tuple[int, str]:
+    from .inequalities import class_closed_forms, evaluate
+
+    base = 2.0 if args.log_base == "2" else math.e
+    if args.log_base != "2" and args.theorem not in _BASE_CHECKS:
+        raise DomainError(f"--log-base only applies to {'/'.join(_BASE_CHECKS)}")
+    theorem = args.theorem
+    if theorem in ("star", "wheel", "path"):
         if args.n is None:
             raise DomainError(f"{theorem} closed forms require --n")
         fv = None
         if args.functional is not None:
+            from .graph import generate_graph
+            from .measures import functional_values
+
             spec = _functional_spec(args.functional, args.c, args.beta)
             fv = functional_values(generate_graph(theorem, args.n), spec)
-        reports.extend(class_closed_forms(theorem, args.n, args.alpha, fv=fv))
+        reports = class_closed_forms(theorem, args.n, args.alpha, fv=fv)
+    else:
+        theorem_id, inputs = _check_inputs(args, stdin)
+        reports = [evaluate(theorem_id, inputs, args.alpha, args.variant, base)]
 
     docs = [r.to_dict() for r in reports]
     out = json.dumps(docs[0] if len(docs) == 1 else docs, allow_nan=False)

@@ -109,11 +109,21 @@ class Graph(_Record):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph, normalizing pair order and collapsing duplicates."""
-        norm = frozenset(
-            (min(int(u), int(v)), max(int(u), int(v))) for u, v in edges
-        )
-        return cls(n=n, edges=norm)
+        """Build a graph, normalizing pair order and collapsing duplicates.
+
+        Each edge is a pair of integer ids, ints or numpy integers (taken
+        through operator.index); any other edge is a ValidationError that
+        names it.
+        """
+        edges = list(edges)
+        try:
+            pairs = [
+                (u, v) if u < v else (v, u)
+                for u, v in ((index(a), index(b)) for a, b in edges)
+            ]
+        except (TypeError, ValueError):
+            _raise_first_bad_pair(edges)
+        return cls(n=n, edges=frozenset(pairs))
 
     @property
     def m(self) -> int:
@@ -176,6 +186,20 @@ class DistanceData(_Record):
         every functional on one graph reads the same profiles."""
         radii = range(1, self.eta + 1)
         return tuple(tuple(map(row.count, radii)) for row in self.rows)
+
+
+def _raise_first_bad_pair(edges: list) -> NoReturn:
+    """Raise the error of the first edge of Graph.from_edges that is not a
+    pair of integer ids."""
+    for e in edges:
+        try:
+            a, b = e
+            index(a), index(b)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"edge {e!r} is not a pair of integer vertex ids"
+            ) from None
+    raise AssertionError("an edge conversion failed on no edge")
 
 
 def parse_edge_list(text: str, n: int | None = None) -> Graph:

@@ -23,13 +23,13 @@ import json
 import math
 import time
 from array import array
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
 from .graph import (
     GNP_MAX_REDRAWS,
+    DistanceData,
     Graph,
     SeededStream,
     distance_matrix,
@@ -37,29 +37,23 @@ from .graph import (
     generate_graph,
 )
 from .inequalities import (
+    ROW_KINDS,
+    THEOREMS,
     VARIANTS,
+    BoundInputs,
     Column,
+    Theorem,
     _check_alpha,
-    _conn_column,
-    _jensen_column,
-    _ordering_column,
-    _thm1_column,
-    _thm3_column,
-    _thm4_column,
-    _thm5_column,
-    _thm6_column,
     _weighted_sum,
 )
 from .measures import (
-    FUNCTIONAL_KINDS,
     Distribution,
     FunctionalSpec,
-    FunctionalValues,
     distribution_from_values,
     functional_values,
     partition_distribution,
 )
-from .orbits import ORBIT_CAP, OrbitPartition, vertex_orbits
+from .orbits import ORBIT_CAP, vertex_orbits
 
 DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0)
 
@@ -83,61 +77,11 @@ _PURPOSE_WEIGHTS = 2
 _PHI_FLOOR = 0.01
 
 
-@dataclass
-class _FamilyData:
-    """One (graph, family) row: its distribution plus the alpha-independent
-    values its cells read, built once here instead of once per cell."""
-
-    label: str
-    # "orbit" or the template's functional kind; picks the row's theorems
-    kind: str
-    dist: Distribution | None
-    part: OrbitPartition | None
-    # partition_distribution(part)
-    pdist: Distribution | None
-    # the graph's diameter
-    eta: int
-    fv: FunctionalValues | None = None
-    fv_second: FunctionalValues | None = None
-    spec: FunctionalSpec | None = None
-    # the second functional's spec and the graph's j-sphere profiles, which
-    # thm5_pair reads
-    spec_second: FunctionalSpec | None = None
-    spheres: tuple[tuple[int, ...], ...] | None = None
-    # f + f_second, the dominating functional of thm4_cor
-    dominating: FunctionalValues | None = None
-    # thm6's sampled weights (c1, c2) and c1 f + c2 f_second; the four thm6
-    # columns of a row share combined's Renyi memo
-    weights: tuple[float, float] | None = None
-    combined: FunctionalValues | None = None
-    error: str | None = None
-
-    @cached_property
-    def thm5_pair(self) -> tuple[Distribution, Distribution]:
-        return _thm5_pair(self)
-
-
-# Evaluators take (row, alphas, variant) and call the theorem's column core
-# once for the whole grid. Corpus graphs with functional values are
-# connected and share one vertex set, and the config has checked every
-# alpha, so the public operations' input checks are skipped.
-
-
-def _thm4(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
-    d2 = distribution_from_values(row.fv_second)
-    psi = max(a / b for a, b in zip(row.dist.probs, d2.probs))
-    return _thm4_column(row.dist, d2, psi, None, alphas, 2.0)
-
-
-def _thm4_cor(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
-    d2 = distribution_from_values(row.dominating)
-    totals = (row.fv.total, row.dominating.total)
-    return _thm4_column(row.dist, d2, None, totals, alphas, 2.0)
-
-
-def _thm5_pair(row: _FamilyData) -> tuple[Distribution, Distribution]:
-    """The row's two distributions as thm5's column reads them, normalized
-    in numpy.
+def _thm5_pair(
+    distances: DistanceData, spec: FunctionalSpec, spec_second: FunctionalSpec
+) -> tuple[Distribution, Distribution]:
+    """The two functionals' distributions as thm5's column reads them,
+    normalized in numpy.
 
     thm5 draws phi = max(p1 - p2). Where the two distributions agree in
     exact arithmetic (vertex-transitive graphs, where both are uniform) that
@@ -148,7 +92,8 @@ def _thm5_pair(row: _FamilyData) -> tuple[Distribution, Distribution]:
     """
     import numpy as np
 
-    counts = np.array(row.spheres, dtype=np.int64).reshape(len(row.spheres), row.eta)
+    spheres, eta = distances.spheres, distances.eta
+    counts = np.array(spheres, dtype=np.int64).reshape(len(spheres), eta)
 
     def normalized(spec: FunctionalSpec) -> Distribution:
         raw = counts @ np.asarray(spec.coeffs, dtype=float)
@@ -157,77 +102,61 @@ def _thm5_pair(row: _FamilyData) -> tuple[Distribution, Distribution]:
         total_log = m + math.log(float(np.exp(a - m).sum()))
         return Distribution(p=np.exp(a - total_log).tolist())
 
-    return normalized(row.spec), normalized(row.spec_second)
+    return normalized(spec), normalized(spec_second)
 
 
-def _thm5(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
-    d1, d2 = row.thm5_pair
+# The BoundInputs fields that only one theorem reads, derived from a
+# functional row (its second spec and the graph's distances at hand) only
+# when that theorem is planned; a failure fails that theorem's columns
+# alone.
+
+
+def _thm4_fields(
+    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
+) -> dict[str, Any]:
+    d2 = row.fv_second.distribution
+    return {
+        "dist_second": d2,
+        "psi": max(a / b for a, b in zip(row.dist.probs, d2.probs)),
+    }
+
+
+def _thm4_cor_fields(
+    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
+) -> dict[str, Any]:
+    dominating = _weighted_sum(row.fv, row.fv_second, 1.0, 1.0)
+    return {
+        "dominating": dominating.distribution,
+        "totals": (row.fv.total, dominating.total),
+    }
+
+
+def _thm5_fields(
+    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
+) -> dict[str, Any]:
+    d1, d2 = _thm5_pair(distances, row.spec, spec_second)
     phi = max(a - b for a, b in zip(d1.probs, d2.probs))
-    if phi <= 0.0:
-        phi = _PHI_FLOOR
-    return _thm5_column(d1, d2, phi, alphas, variant, 2.0)
+    return {"thm5_pair": (d1, d2), "phi": phi if phi > 0.0 else _PHI_FLOOR}
 
 
-def _conn(row: _FamilyData, alphas: Sequence[float], variant: str) -> Column:
-    return _conn_column(row.spec, row.fv, row.eta, alphas, variant)
-
-
-ROW_KINDS = ("orbit",) + FUNCTIONAL_KINDS
-
-
-@dataclass(frozen=True)
-class Theorem:
-    """One sweep id of the bound catalog.
-
-    check is the `graphent check` subcommand that evaluates it. evaluate
-    runs its column core on one row over the alpha grid, one outcome per
-    alpha; kinds are the row kinds it applies to,
-    so a row of another kind emits no cell for it. variants marks a
-    literal/corrected split (otherwise its one variant is "na"), log_base
-    a check taking --log-base.
-    """
-
-    id: str
-    check: str
-    evaluate: Callable[[_FamilyData, Sequence[float], str], Column]
-    kinds: tuple[str, ...] = ROW_KINDS
-    variants: bool = False
-    log_base: bool = False
-
-
-THEOREMS = (
-    Theorem("ordering", "ordering",
-            lambda row, alphas, variant: _ordering_column(row.dist, alphas)),
-    Theorem("jensen", "jensen",
-            lambda row, alphas, variant: _jensen_column(row.dist, alphas)),
-    Theorem("thm1", "thm1",
-            lambda row, alphas, variant: _thm1_column(
-                row.dist, alphas, variant, False),
-            variants=True),
-    Theorem("thm1_eps", "thm1",
-            lambda row, alphas, variant: _thm1_column(
-                row.dist, alphas, variant, True),
-            variants=True),
-    Theorem("thm3", "thm3",
-            lambda row, alphas, variant: _thm3_column(
-                row.part, row.pdist, row.fv, alphas, 2.0),
-            FUNCTIONAL_KINDS, log_base=True),
-    Theorem("thm4", "thm4", _thm4, FUNCTIONAL_KINDS, log_base=True),
-    Theorem("thm4_cor", "thm4", _thm4_cor, FUNCTIONAL_KINDS, log_base=True),
-    Theorem("thm5", "thm5", _thm5, FUNCTIONAL_KINDS, variants=True, log_base=True),
-    Theorem("thm6", "thm6",
-            lambda row, alphas, variant: _thm6_column(
-                row.fv, row.fv_second, *row.weights, row.combined, alphas,
-                variant, False, 2.0),
-            FUNCTIONAL_KINDS, variants=True, log_base=True),
-    Theorem("thm6_avg", "thm6",
-            lambda row, alphas, variant: _thm6_column(
-                row.fv, row.fv_second, *row.weights, row.combined, alphas,
-                variant, True, 2.0),
-            FUNCTIONAL_KINDS, variants=True, log_base=True),
-    Theorem("conn_linear", "conn", _conn, ("linear",), variants=True),
-    Theorem("conn_exp", "conn", _conn, ("exponential",), variants=True),
+_DERIVED_FIELDS = (
+    ("thm4", _thm4_fields),
+    ("thm4_cor", _thm4_cor_fields),
+    ("thm5", _thm5_fields),
 )
+
+
+class _Family(NamedTuple):
+    """One (graph, family) row before evaluation: its label, its kind
+    ("orbit" or the template's functional kind, which picks its plan), the
+    BoundInputs its cells read, and per theorem id the reason that id's
+    columns fail; a failed row has no inputs and a reason for every id."""
+
+    label: str
+    kind: str
+    inputs: BoundInputs | None
+    reasons: dict[str, str]
+
 
 ALL_THEOREMS = tuple(t.id for t in THEOREMS)
 
@@ -524,30 +453,28 @@ def _row_cells(graph_id: str, row: _Row, alphas: Sequence[float]) -> Iterator[di
             yield _cell(theorem.id, variant, alpha, graph_id, row.family, column, i)
 
 
-def _error_rows(cfg: SweepConfig, reason: str) -> list[_FamilyData]:
+def _error_rows(cfg: SweepConfig, reason: str) -> list[_Family]:
     """The rows of a graph whose every cell fails for one reason; each row
     carries its template's kind, so it emits the cells a working row would."""
-    orbit = _FamilyData(
-        label="orbit", kind="orbit", dist=None, part=None, pdist=None, eta=0,
-        error=reason,
-    )
-    return [orbit] + [
-        replace(orbit, label=t.label, kind=t.kind) for t in cfg.functional_specs
+    reasons = dict.fromkeys(ALL_THEOREMS, reason)
+    return [_Family("orbit", "orbit", None, reasons)] + [
+        _Family(t.label, t.kind, None, reasons) for t in cfg.functional_specs
     ]
 
 
-def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_FamilyData]:
+def _family_rows(
+    cfg: SweepConfig, g: Graph, gi: int, distances: DistanceData
+) -> list[_Family]:
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
         # every cell of the graph reads the orbits
         return _error_rows(cfg, str(exc))
     pdist = partition_distribution(part)
-    orbit = _FamilyData(
-        label="orbit", kind="orbit", dist=pdist, part=part, pdist=pdist,
-        eta=distances.eta,
+    orbit = BoundInputs(
+        graph=g, dist=pdist, part=part, pdist=pdist, eta=distances.eta
     )
-    rows = [orbit]
+    rows = [_Family("orbit", "orbit", orbit, {})]
     for ti, template in enumerate(cfg.functional_specs):
         try:
             spec_a = _sample_spec(
@@ -561,43 +488,47 @@ def _family_rows(cfg: SweepConfig, g: Graph, gi: int, distances) -> list[_Family
             dist = distribution_from_values(fv_a)
         except GraphEntropyError as exc:
             rows.append(
-                replace(
-                    orbit, label=template.label, kind=template.kind, dist=None,
-                    error=str(exc),
-                )
+                _Family(template.label, template.kind, None,
+                        dict.fromkeys(ALL_THEOREMS, str(exc)))
             )
             continue
         c1, c2 = _uniform(0.5, 2.0, 2, cfg.seed, gi, ti, _PURPOSE_WEIGHTS)
+        inputs = orbit._replace(
+            dist=dist,
+            spec=spec_a,
+            fv=fv_a,
+            fv_second=fv_b,
+            weights=(c1, c2),
+            # built once per row, so the four thm6 columns share its Renyi memo
+            combined=_weighted_sum(fv_a, fv_b, c1, c2),
+        )
+        derived, reasons = {}, {}
+        for theorem_id, fields_of in _DERIVED_FIELDS:
+            if theorem_id in cfg.theorems:
+                try:
+                    derived.update(fields_of(inputs, distances, spec_b))
+                except GraphEntropyError as exc:
+                    reasons[theorem_id] = str(exc)
         rows.append(
-            replace(
-                orbit,
-                label=template.label,
-                kind=template.kind,
-                dist=dist,
-                fv=fv_a,
-                fv_second=fv_b,
-                spec=spec_a,
-                spec_second=spec_b,
-                spheres=distances.spheres,
-                dominating=_weighted_sum(fv_a, fv_b, 1.0, 1.0),
-                weights=(c1, c2),
-                combined=_weighted_sum(fv_a, fv_b, c1, c2),
-            )
+            _Family(template.label, template.kind, inputs._replace(**derived), reasons)
         )
     return rows
 
 
 def _column(
-    row: _FamilyData, theorem: Theorem, alphas: tuple[float, ...], variant: str
+    row: _Family, theorem: Theorem, alphas: tuple[float, ...], variant: str
 ) -> Column:
-    """theorem's column on row over the grid; a failed row, or a failure
-    that does not depend on alpha, gives the same reason at every alpha."""
-    if row.error is not None:
-        return Column.failed(theorem.id, row.error, len(alphas))
-    try:
-        return theorem.evaluate(row, alphas, variant)
-    except GraphEntropyError as exc:
-        return Column.failed(theorem.id, str(exc), len(alphas))
+    """theorem's column on row over the grid; a failed row or input, or a
+    failure that does not depend on alpha, gives the same reason at every
+    alpha. The row's inputs are complete, and the config has checked every
+    alpha, so the ids' input checks are skipped."""
+    reason = row.reasons.get(theorem.id)
+    if reason is None:
+        try:
+            return theorem.column(row.inputs, alphas, variant, 2.0)
+        except GraphEntropyError as exc:
+            reason = str(exc)
+    return Column.failed(theorem.id, reason, len(alphas))
 
 
 @dataclass(slots=True)

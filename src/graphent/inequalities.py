@@ -4,11 +4,13 @@ Each theorem has one column core. It takes its inputs and an alpha grid,
 computes everything that does not depend on alpha once, and returns a
 Column: the report params that do not depend on alpha, built once, and per
 alpha an outcome (verdict, numbers and the params that do depend on alpha)
-or the reason that alpha failed. The sweep keeps and renders the columns;
-each public operation evaluates one instance as a one-row call into its
-core and returns a structured BoundReport instead of asserting. Two
-variants exist wherever the printed bound and its repaired derivation
-disagree:
+or the reason that alpha failed. THEOREMS, the one theorem table, says per
+sweep id which core runs on which fields of a BoundInputs, the one record
+of every input a core reads. The sweep fills one record per row and keeps
+and renders the columns; evaluate runs one instance (the public
+operations and `graphent check` build a record and call it) and returns a
+structured BoundReport instead of asserting. Two variants exist wherever
+the printed bound and its repaired derivation disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
              below alpha=1 and divided above (thm1/thm1_eps), penalty terms
@@ -32,12 +34,14 @@ base e, under which the literal penalty forms become sound.
 from __future__ import annotations
 
 import math
+from functools import partial
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
 from .graph import Graph, SeededStream, distance_matrix, generate_graph
 from .measures import (
+    FUNCTIONAL_KINDS,
     LN2,
     Distribution,
     FunctionalSpec,
@@ -137,6 +141,38 @@ class Column(NamedTuple):
         if self.varying:
             params.update(zip(self.varying, self.outcomes[i][4:-1]))
         return params
+
+
+class BoundInputs(NamedTuple):
+    """Every input a column core reads. A caller fills the fields of the
+    theorems it evaluates (THEOREMS reads them) and leaves the rest None;
+    the sweep fills one record per (graph, family) row."""
+
+    # the graph that thm3, thm6 and conn check and conn's values come from
+    graph: Graph | None = None
+    # p of ordering, jensen and thm1, and p1 of thm4 and thm4_cor
+    dist: Distribution | None = None
+    # thm3: the orbits and partition_distribution(part)
+    part: OrbitPartition | None = None
+    pdist: Distribution | None = None
+    # conn: the functional's spec and the graph's diameter
+    spec: FunctionalSpec | None = None
+    eta: int | None = None
+    # f of thm3 and conn, f1 of thm6; and thm6's f2
+    fv: FunctionalValues | None = None
+    fv_second: FunctionalValues | None = None
+    # thm4: p2 and the dominance constant psi
+    dist_second: Distribution | None = None
+    psi: float | None = None
+    # thm4_cor: the totals (S1, S2) and the dominating functional's p2
+    totals: tuple[float, float] | None = None
+    dominating: Distribution | None = None
+    # thm5: (p1, p2) and the additive constant phi
+    thm5_pair: tuple[Distribution, Distribution] | None = None
+    phi: float | None = None
+    # thm6: the weights (c1, c2) and c1 f + c2 f_second
+    weights: tuple[float, float] | None = None
+    combined: FunctionalValues | None = None
 
 
 def _finish(
@@ -246,6 +282,11 @@ def _check_base(base: float) -> None:
         raise DomainError(f"log base must exceed 1 and be finite, got {base}")
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 def _as_float(x: float) -> float:
     """float(x), or inf for an int above float range, so that a positive
     and finite check rejects it instead of leaking OverflowError."""
@@ -267,8 +308,6 @@ def _logb(x: float, base: float) -> float:
 
 def _penalty_factor(variant: str, base: float) -> float:
     """Scale on penalties that came from replacing log(1+x) by x."""
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
     return 1.0 / math.log(base) if variant == "corrected" else 1.0
 
 
@@ -386,11 +425,11 @@ def lemma_checks(seed: int, trials: int) -> list[LemmaCheck]:
 
 def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
     """H_alpha >= H below alpha=1 and H_alpha <= H above it."""
-    _check_alpha(alpha)
-    return _report("na", alpha, _ordering_column(d, (alpha,)))
+    return evaluate("ordering", BoundInputs(dist=d), alpha)
 
 
-def _ordering_column(d: Distribution, alphas: Sequence[float]) -> Column:
+def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
+    d = r.dist
     n, h = d.size, shannon_entropy(d)
 
     def body(alpha: float, h_alpha: float) -> Outcome:
@@ -408,11 +447,11 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     The sum runs over ordered pairs with x = p**(alpha-1), exactly as the
     Jensen-gap extension instantiates it.
     """
-    _check_alpha(alpha)
-    return _report("na", alpha, _jensen_column(d, (alpha,)))
+    return evaluate("jensen", BoundInputs(dist=d), alpha)
 
 
-def _jensen_column(d: Distribution, alphas: Sequence[float]) -> Column:
+def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
+    d = r.dist
     sum_terms = _jensen_sums(d, alphas)
     n, h = d.size, shannon_entropy(d)
 
@@ -514,15 +553,15 @@ def thm1_refined_bound(
     alpha=1, divided above, epsilon**2 only below alpha=1. corrected uses
     rho**abs(alpha-2) multiplied in both regimes and epsilon**2 in both.
     """
-    _check_alpha(alpha)
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _report(variant, alpha, _thm1_column(d, (alpha,), variant, use_epsilon))
+    theorem_id = "thm1_eps" if use_epsilon else "thm1"
+    return evaluate(theorem_id, BoundInputs(dist=d), alpha, variant)
 
 
 def _thm1_column(
-    d: Distribution, alphas: Sequence[float], variant: str, use_epsilon: bool
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    use_epsilon: bool = False,
 ) -> Column:
+    d = r.dist
     stats = distribution_stats(d)
     n, h = d.size, shannon_entropy(d)
     eps_factor = stats.epsilon**2 if use_epsilon else 1.0
@@ -563,24 +602,22 @@ def thm3_partition_vs_functional(
     strictly below the k smallest f values, which yields an injection
     |X_i| < f(v_i) over distinct vertices.
     """
-    _check_alpha(alpha)
-    _check_base(base)
-    if not g.is_connected():
+    return evaluate("thm3", BoundInputs(graph=g, part=part, fv=fv), alpha, base=base)
+
+
+def _thm3_inputs(r: BoundInputs) -> BoundInputs:
+    if not r.graph.is_connected():
         raise DomainError("thm3 needs a connected graph")
-    if part.total != g.n or fv.size != g.n:
+    if r.part.total != r.graph.n or r.fv.size != r.graph.n:
         raise DomainError("partition/functional sizes must match the graph")
-    column = _thm3_column(part, partition_distribution(part), fv, (alpha,), base)
-    return _report("na", alpha, column)
+    return r._replace(pdist=partition_distribution(r.part))
 
 
 def _thm3_column(
-    part: OrbitPartition,
-    pdist: Distribution,
-    fv: FunctionalValues,
-    alphas: Sequence[float],
-    base: float,
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
     """thm3 on validated inputs; pdist is partition_distribution(part)."""
+    part, pdist, fv = r.part, r.pdist, r.fv
     n = part.total
     k = part.k
     sizes = sorted(part.sizes)
@@ -625,27 +662,32 @@ def thm4_scaled_dominance(
     Corollary mode: derive_psi_from = (S1, S2) sets psi = S2/S1, matching
     the pointwise dominance f1 <= f2. Totals and psi must be finite.
     """
-    _check_alpha(alpha)
-    _check_base(base)
+    if derive_psi_from is not None:
+        inputs = BoundInputs(dist=d1, dominating=d2, totals=derive_psi_from)
+        return evaluate("thm4_cor", inputs, alpha, base=base)
+    inputs = BoundInputs(dist=d1, dist_second=d2, psi=psi)
+    return evaluate("thm4", inputs, alpha, base=base)
+
+
+def _same_size(r: BoundInputs, d1: Distribution, d2: Distribution) -> BoundInputs:
+    """r, once its distributions d1 and d2 share a vertex set."""
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
-    column = _thm4_column(d1, d2, psi, derive_psi_from, (alpha,), base)
-    return _report("na", alpha, column)
+    return r
 
 
 def _thm4_column(
-    d1: Distribution,
-    d2: Distribution,
-    psi: float | None,
-    derive_psi_from: tuple[float, float] | None,
-    alphas: Sequence[float],
-    base: float,
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    corollary: bool = False,
 ) -> Column:
-    """thm4 on distributions over one vertex set."""
+    """thm4 on distributions over one vertex set: p1 against dist_second
+    and psi, or in the corollary against dominating with psi = S2/S1."""
+    d1, d2, psi = r.dist, r.dist_second, r.psi
     mode = "psi"
     totals: dict[str, float] = {}
-    if derive_psi_from is not None:
-        s1, s2 = _as_float(derive_psi_from[0]), _as_float(derive_psi_from[1])
+    if corollary:
+        d2 = r.dominating
+        s1, s2 = map(_as_float, r.totals)
         if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
             raise DomainError("functional totals must be positive and finite")
         psi = s2 / s1
@@ -700,25 +742,23 @@ def thm5_additive_dominance(
     The penalty terms replace log(1+x) by x in the printed derivation;
     corrected multiplies them by 1/ln(base), the valid replacement.
     """
-    _check_alpha(alpha)
-    _check_base(base)
-    if d1.size != d2.size:
-        raise DomainError("distributions must share a vertex set")
-    phi = _as_float(phi)
+    inputs = BoundInputs(thm5_pair=(d1, d2), phi=phi)
+    return evaluate("thm5", inputs, alpha, variant, base)
+
+
+def _thm5_inputs(r: BoundInputs) -> BoundInputs:
+    _same_size(r, *r.thm5_pair)
+    phi = _as_float(r.phi)
     if not 0.0 < phi < math.inf:
         raise DomainError(f"phi must be positive and finite, got {phi}")
-    return _report(variant, alpha, _thm5_column(d1, d2, phi, (alpha,), variant, base))
+    return r._replace(phi=phi)
 
 
 def _thm5_column(
-    d1: Distribution,
-    d2: Distribution,
-    phi: float,
-    alphas: Sequence[float],
-    variant: str,
-    base: float,
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
     """thm5 on distributions over one vertex set, for 0 < phi < inf."""
+    (d1, d2), phi = r.thm5_pair, r.phi
     met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
     factor = _penalty_factor(variant, base)
@@ -770,20 +810,20 @@ def thm6_convex_combination(
     symmetric=True evaluates the averaged corollary form bounding against
     (H1 + H2)/2 with both penalty ratios.
     """
-    _check_alpha(alpha)
-    _check_base(base)
-    c1, c2 = _as_float(c1), _as_float(c2)
+    inputs = BoundInputs(graph=g, fv=fv1, fv_second=fv2, weights=(c1, c2))
+    return evaluate("thm6_avg" if symmetric else "thm6", inputs, alpha, variant, base)
+
+
+def _thm6_inputs(r: BoundInputs) -> BoundInputs:
+    c1, c2 = map(_as_float, r.weights)
     if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
         raise DomainError(
             f"combination weights c1, c2 must be positive and finite, got {c1}, {c2}"
         )
-    if fv1.size != g.n or fv2.size != g.n:
+    if r.fv.size != r.graph.n or r.fv_second.size != r.graph.n:
         raise DomainError("functional value sets must live on the graph's vertices")
-    column = _thm6_column(
-        fv1, fv2, c1, c2, _weighted_sum(fv1, fv2, c1, c2), (alpha,), variant,
-        symmetric, base,
-    )
-    return _report(variant, alpha, column)
+    combined = _weighted_sum(r.fv, r.fv_second, c1, c2)
+    return r._replace(weights=(c1, c2), combined=combined)
 
 
 def _weighted_sum(
@@ -807,19 +847,13 @@ def _penalty_exp(x: float) -> float:
 
 
 def _thm6_column(
-    fv1: FunctionalValues,
-    fv2: FunctionalValues,
-    c1: float,
-    c2: float,
-    combined: FunctionalValues,
-    alphas: Sequence[float],
-    variant: str,
-    symmetric: bool,
-    base: float,
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    symmetric: bool = False,
 ) -> Column:
     """thm6 for positive finite weights c_i on one vertex set, with combined
     = _weighted_sum(fv1, fv2, c1, c2), shares A_i = c_i S_i / S and t_i =
     ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
+    fv1, fv2, (c1, c2), combined = r.fv, r.fv_second, r.weights, r.combined
     t1 = math.log(c1) + fv1.total_log
     t2 = math.log(c2) + fv2.total_log
     t_sum = logsumexp((t1, t2))
@@ -1024,25 +1058,25 @@ def connected_functional_bounds(
     variants. Exponential: half-width (alpha (n-1) X/|1-alpha|) log2(beta);
     the literal form needs beta >= 1, corrected takes abs(log2 beta).
     """
-    _check_alpha(alpha)
-    if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not g.is_connected():
+    theorem_id = "conn_linear" if spec.kind == "linear" else "conn_exp"
+    return evaluate(theorem_id, BoundInputs(graph=g, spec=spec), alpha, variant)
+
+
+def _conn_inputs(r: BoundInputs) -> BoundInputs:
+    """The spec's values and the diameter, once the graph is known to be
+    connected."""
+    if not r.graph.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
-    d = distance_matrix(g)
-    fv = functional_values(g, spec, d)
-    return _report(variant, alpha, _conn_column(spec, fv, d.eta, (alpha,), variant))
+    d = distance_matrix(r.graph)
+    return r._replace(fv=functional_values(r.graph, r.spec, d), eta=d.eta)
 
 
 def _conn_column(
-    spec: FunctionalSpec,
-    fv: FunctionalValues,
-    eta: int,
-    alphas: Sequence[float],
-    variant: str,
+    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
     """Connected-graph interval for validated inputs; fv holds spec's values
     on a connected graph of diameter eta."""
+    spec, fv, eta = r.spec, r.fv, r.eta
     if eta < 1:
         raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
     n = fv.size
@@ -1084,3 +1118,90 @@ def _conn_column(
 
     outcomes = _per_alpha(body, alphas, hs)
     return Column(theorem_id, params, outcomes, ("bound_lower", "bound_upper"), met)
+
+
+# ---------------------------------------------------------------------------
+# The theorem table and its one evaluator
+# ---------------------------------------------------------------------------
+
+# The row kinds of a sweep: the orbit distribution's and each functional's.
+ROW_KINDS = ("orbit",) + FUNCTIONAL_KINDS
+
+
+def _as_given(r: BoundInputs) -> BoundInputs:
+    return r
+
+
+class Theorem(NamedTuple):
+    """One sweep id of the bound catalog.
+
+    check is the `graphent check` subcommand that evaluates it. column runs
+    its core on a record over an alpha grid, as column(inputs, alphas,
+    variant, base), one outcome per alpha. inputs runs the id's own input
+    checks on a caller's record and returns the record the core reads,
+    completed with what the sweep's rows already carry (thm3's pdist,
+    thm6's combined functional, conn's values). kinds are the row kinds it
+    applies to, so a row of another kind emits no cell for it. variants
+    marks a literal/corrected split (otherwise its one variant is "na"),
+    log_base a check taking --log-base.
+    """
+
+    id: str
+    check: str
+    column: Callable[[BoundInputs, Sequence[float], str, float], Column]
+    inputs: Callable[[BoundInputs], BoundInputs] = _as_given
+    kinds: tuple[str, ...] = ROW_KINDS
+    variants: bool = False
+    log_base: bool = False
+
+
+THEOREMS = (
+    Theorem("ordering", "ordering", _ordering_column),
+    Theorem("jensen", "jensen", _jensen_column),
+    Theorem("thm1", "thm1", _thm1_column, variants=True),
+    Theorem("thm1_eps", "thm1", partial(_thm1_column, use_epsilon=True),
+            variants=True),
+    Theorem("thm3", "thm3", _thm3_column, _thm3_inputs, FUNCTIONAL_KINDS,
+            log_base=True),
+    Theorem("thm4", "thm4", _thm4_column,
+            lambda r: _same_size(r, r.dist, r.dist_second), FUNCTIONAL_KINDS,
+            log_base=True),
+    Theorem("thm4_cor", "thm4", partial(_thm4_column, corollary=True),
+            lambda r: _same_size(r, r.dist, r.dominating), FUNCTIONAL_KINDS,
+            log_base=True),
+    Theorem("thm5", "thm5", _thm5_column, _thm5_inputs, FUNCTIONAL_KINDS,
+            variants=True, log_base=True),
+    Theorem("thm6", "thm6", _thm6_column, _thm6_inputs, FUNCTIONAL_KINDS,
+            variants=True, log_base=True),
+    Theorem("thm6_avg", "thm6", partial(_thm6_column, symmetric=True),
+            _thm6_inputs, FUNCTIONAL_KINDS, variants=True, log_base=True),
+    Theorem("conn_linear", "conn", _conn_column, _conn_inputs, ("linear",),
+            variants=True),
+    Theorem("conn_exp", "conn", _conn_column, _conn_inputs, ("exponential",),
+            variants=True),
+)
+
+_BY_ID = {t.id: t for t in THEOREMS}
+
+
+def evaluate(
+    theorem_id: str,
+    inputs: BoundInputs,
+    alpha: float,
+    variant: str = "na",
+    base: float = 2.0,
+) -> BoundReport:
+    """One instance of a THEOREMS id: the alpha, base and variant checks,
+    then the id's own input checks, then its core at this one alpha. An id
+    without a literal/corrected split reports variant "na"."""
+    theorem = _BY_ID.get(theorem_id)
+    if theorem is None:
+        raise DomainError(f"unknown theorem id {theorem_id!r}")
+    _check_alpha(alpha)
+    _check_base(base)
+    if theorem.variants:
+        _check_variant(variant)
+    else:
+        variant = "na"
+    column = theorem.column(theorem.inputs(inputs), (alpha,), variant, base)
+    return _report(variant, alpha, column)

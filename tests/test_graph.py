@@ -518,6 +518,27 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError):
             Graph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0.7, 2), (1, 2)],
+            [(0, 1), (0, 1, 2)],
+            [(0, 1), 5],
+            [("0", "1")],
+            [(0, 1), (1, np.float64(2.0))],
+        ],
+    )
+    def test_from_edges_names_its_first_non_integer_pair(self, edges):
+        bad = next(e for e in edges if e != (0, 1))
+        with pytest.raises(ValidationError) as info:
+            Graph.from_edges(3, iter(edges))
+        assert str(info.value) == f"edge {bad!r} is not a pair of integer vertex ids"
+
+    def test_from_edges_takes_numpy_integers(self):
+        g = Graph.from_edges(3, [(np.int64(2), np.int32(0)), (True, 2)])
+        assert g.edges == {(0, 2), (1, 2)}
+        assert all(type(v) is int for e in g.edges for v in e)
+
     def test_is_connected_matches_reachability(self):
         """The edge-count shortcut and the BFS agree with a reachability
         oracle on every labeled graph on up to 5 vertices, each also with

@@ -28,7 +28,6 @@ from graphent import cli
 from graphent.graph import GNP_MAX_REDRAWS
 from graphent.harness import (
     ALL_THEOREMS,
-    THEOREMS,
     SweepReport,
     _column,
     _family_rows,
@@ -36,7 +35,7 @@ from graphent.harness import (
     _Sweep,
     stream_sweep,
 )
-from graphent.inequalities import TOLERANCE, VARIANTS, Column, _finish
+from graphent.inequalities import THEOREMS, TOLERANCE, VARIANTS, Column, _finish
 
 # marks a field to leave out of a config dict
 DROP = object()
@@ -783,6 +782,52 @@ class TestTheoremTable:
         assert {t.check for t in THEOREMS} == set(cli._CHECKS[:-3])
         assert {t.check for t in THEOREMS if t.log_base} == set(cli._BASE_CHECKS)
 
+    def test_check_agrees_with_the_sweep_bit_for_bit(self):
+        """`graphent check`, given a row's probabilities and constants as
+        repr strings, evaluates the sweep's cell to the same bits."""
+        cfg = small_config(seed=3, n_range=(4, 5), alpha_grid=(0.5, 2.0))
+        rows = {(graph_id, row.label): row.inputs for graph_id, row in _rows(cfg)}
+
+        def probs(d):
+            return ",".join(map(repr, d.probs))
+
+        compared = set()
+        for cell in run_sweep(cfg).cells:
+            theorem, variant = cell["theorem"], cell["variant"]
+            inputs = rows[cell["graph_id"], cell["params"]["family"]]
+            if cell["params"]["family"] == "orbit":
+                if theorem not in ("ordering", "jensen", "thm1", "thm1_eps"):
+                    continue
+                flags = ["--probs", probs(inputs.dist)]
+                if theorem == "thm1_eps":
+                    theorem, flags = "thm1", [*flags, "--use-epsilon"]
+            elif theorem == "thm4":
+                flags = ["--probs1", probs(inputs.dist),
+                         "--probs2", probs(inputs.dist_second),
+                         "--psi", repr(inputs.psi)]
+            elif theorem == "thm5":
+                d1, d2 = inputs.thm5_pair
+                flags = ["--probs1", probs(d1), "--probs2", probs(d2),
+                         "--phi", repr(inputs.phi)]
+            else:
+                continue
+            if variant != "na":
+                flags += ["--variant", variant]
+            status, out = cli.dispatch(
+                ["check", theorem, "--alpha", repr(cell["alpha"]), *flags]
+            )
+            where = (cell["theorem"], variant, cell["alpha"], cell["graph_id"])
+            if cell["lhs"] is None:
+                assert status == 2, where
+                continue
+            assert status == 0, where
+            doc = json.loads(out)
+            got = tuple(map(float.hex, (doc["lhs"], doc["bound"], doc["slack"])))
+            want = tuple(map(float.hex, (cell["lhs"], cell["bound"], cell["slack"])))
+            assert got == want, where
+            compared.add(cell["theorem"])
+        assert compared == {"ordering", "jensen", "thm1", "thm1_eps", "thm4", "thm5"}
+
 
 # Both sides of the Shannon band, the default grid's regimes and a large
 # alpha where tiny atoms leave float range.
@@ -842,14 +887,14 @@ class TestColumnCores:
 
     def test_sweep_matches_straightline_reference(self):
         cfg = small_config(trials_per_cell=1, alpha_grid=SweepConfig.alpha_grid)
-        rows = {(graph_id, row.label): row for graph_id, row in _rows(cfg)}
+        rows = {(graph_id, row.label): row.inputs for graph_id, row in _rows(cfg)}
         evaluated = 0
         for cell in run_sweep(cfg).cells:
             if cell["lhs"] is None:
                 continue
             evaluated += 1
-            row = rows[cell["graph_id"], cell["params"]["family"]]
-            met, lhs, bound, slack = _straightline(cell, row)
+            inputs = rows[cell["graph_id"], cell["params"]["family"]]
+            met, lhs, bound, slack = _straightline(cell, inputs)
             where = (cell["theorem"], cell["variant"], cell["alpha"], cell["graph_id"])
             for got, want in ((cell["lhs"], lhs), (cell["bound"], bound)):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), where
@@ -859,7 +904,7 @@ class TestColumnCores:
         assert evaluated > 0
 
 
-def _straightline(cell, row):
+def _straightline(cell, inputs):
     """(precondition or None when the reference has none, lhs, bound, slack)
     of one cell, from the row's raw inputs through tests/straightline.py.
 
@@ -867,11 +912,11 @@ def _straightline(cell, row):
     and p1 - p2 is 0 exactly in one float evaluation and 1e-17 in another.
     """
     theorem, variant, alpha = cell["theorem"], cell["variant"], cell["alpha"]
-    if row.kind == "orbit":
-        sizes = list(row.part.sizes)
+    if inputs.fv is None:  # the orbit row
+        sizes = list(inputs.part.sizes)
         p = [size / sum(sizes) for size in sizes]
     else:
-        f1, f2 = list(row.fv.linear), list(row.fv_second.linear)
+        f1, f2 = list(inputs.fv.linear), list(inputs.fv_second.linear)
         p = [f / sum(f1) for f in f1]
         p2 = [f / sum(f2) for f in f2]
     lhs = sl.sl_renyi(p, alpha)
@@ -886,7 +931,7 @@ def _straightline(cell, row):
     elif theorem in ("thm1", "thm1_eps"):
         direction, bound = sl.sl_thm1_bound(p, alpha, variant, theorem == "thm1_eps")
     elif theorem == "thm3":
-        sizes = list(row.part.sizes)
+        sizes = list(inputs.part.sizes)
         lhs = sl.sl_renyi([size / sum(sizes) for size in sizes], alpha)
         met, direction, bound = sl.sl_thm3_bound(sizes, f1, alpha)
     elif theorem == "thm4":
@@ -904,11 +949,12 @@ def _straightline(cell, row):
         direction, bound = sl.sl_thm5_bound(p2, phi, alpha, variant)
     elif theorem in ("thm6", "thm6_avg"):
         lhs, direction, bound = sl.sl_thm6(
-            f1, f2, *row.weights, alpha, variant, symmetric=theorem == "thm6_avg"
+            f1, f2, *inputs.weights, alpha, variant, symmetric=theorem == "thm6_avg"
         )
     else:  # conn_linear, conn_exp
         lo, hi = sl.sl_conn_interval(
-            len(p), row.spec.coeffs, alpha, row.spec.kind, row.spec.beta, variant
+            len(p), inputs.spec.coeffs, alpha, inputs.spec.kind, inputs.spec.beta,
+            variant,
         )
         for got, want in ((cell["params"]["bound_lower"], lo),
                           (cell["params"]["bound_upper"], hi)):

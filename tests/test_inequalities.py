@@ -27,7 +27,7 @@ from graphent import (
     thm6_convex_combination,
     vertex_orbits,
 )
-from graphent.inequalities import _jensen_sums, _thm1_column
+from graphent.inequalities import BoundInputs, _jensen_sums, _thm1_column
 
 # frozen via an independent high-precision evaluation (mpmath, 40 digits)
 L3_GAP = 0.3219280948873623
@@ -288,7 +288,7 @@ class TestThm1:
     def test_infinite_bound_fails_only_its_alpha_on_a_grid(self):
         raw = np.array([1.0, 1.0, 10**-10.96])
         d = Distribution(p=raw / raw.sum())
-        column = _thm1_column(d, (0.5, 2.0, 30.0), "corrected", False)
+        column = _thm1_column(BoundInputs(dist=d), (0.5, 2.0, 30.0), "corrected", 2.0)
         ok_low, ok_high, failed = column.outcomes
         for i, (alpha, outcome) in enumerate(((0.5, ok_low), (2.0, ok_high))):
             assert not isinstance(outcome, str)

@@ -326,6 +326,43 @@ class TestTwins:
             assert vertex_orbits(h).blocks == brute_force_orbits(h).blocks
 
 
+def _complement(g):
+    return Graph.from_edges(
+        g.n, [e for e in combinations(range(g.n), 2) if e not in g.edges]
+    )
+
+
+class TestDenseGraphs:
+    """A graph with more than half of all pairs as edges is searched on its
+    complement, which has the same automorphisms."""
+
+    def test_dense_gnp_draw_gets_exact_orbits(self):
+        # searched on the graph itself, this draw ran past the node budget
+        g = generate_graph("gnp", 20, p=0.95, seed=8)
+        assert vertex_orbits(g).sizes == (2, 2, 2, 4, 10)
+
+    def test_graph_and_complement_match_the_oracle(self):
+        rng = np.random.default_rng(20261019)
+        for n in range(1, 9):
+            for _ in range(6):
+                p = float(rng.uniform(0.6, 1.0))
+                g = Graph.from_edges(
+                    n, [e for e in combinations(range(n), 2) if rng.random() < p]
+                )
+                want = brute_force_orbits(g).blocks
+                assert vertex_orbits(g).blocks == want, sorted(g.edges)
+                assert vertex_orbits(_complement(g)).blocks == want, sorted(g.edges)
+
+    def test_twin_resolved_dense_graphs_build_no_complement(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a complement was built")
+
+        monkeypatch.setattr(orbits, "_searched_graph", refuse)
+        assert vertex_orbits(generate_graph("complete", 64)).sizes == (64,)
+        k6_9 = Graph.from_edges(15, [(i, 6 + j) for i in range(6) for j in range(9)])
+        assert vertex_orbits(k6_9).sizes == (6, 9)
+
+
 class TestNodeBudget:
     def test_over_budget_names_the_node_count(self, monkeypatch):
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 3)
