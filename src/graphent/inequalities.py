@@ -1068,7 +1068,13 @@ def _conn_inputs(r: BoundInputs) -> BoundInputs:
     if not r.graph.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
     d = distance_matrix(r.graph)
+    _check_diameter(d.eta)
     return r._replace(fv=functional_values(r.graph, r.spec, d), eta=d.eta)
+
+
+def _check_diameter(eta: int) -> None:
+    if eta < 1:
+        raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
 
 
 def _conn_column(
@@ -1077,8 +1083,7 @@ def _conn_column(
     """Connected-graph interval for validated inputs; fv holds spec's values
     on a connected graph of diameter eta."""
     spec, fv, eta = r.spec, r.fv, r.eta
-    if eta < 1:
-        raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
+    _check_diameter(eta)
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
     c_max, c_min = max(coeffs), min(coeffs)

@@ -242,6 +242,10 @@ def functional_values(
     if spec.kind == "exponential":
         ln_beta = math.log(spec.beta)
         return FunctionalValues(log_values=[x * ln_beta for x in raw])
+    if d.eta < 1:
+        raise DomainError(
+            "linear functional is 0 on a one-vertex graph (diameter 0, no spheres)"
+        )
     if not all(x > 0.0 for x in raw):
         raise DomainError("linear functional produced a non-positive value")
     return FunctionalValues(log_values=map(math.log, raw))

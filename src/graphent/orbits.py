@@ -1,7 +1,8 @@
 """Exact vertex orbits under the full automorphism group.
 
 The main route colors vertices by degree and refines the coloring by
-iterated neighbor-class multisets. Refinement never over-splits (cells are
+iterated neighbor-class multisets; a regular graph keeps its one color
+with no refinement pass. Refinement never over-splits (cells are
 unions of orbits) but may over-merge. Twins (equal open or equal closed
 neighborhoods) are united first, since swapping two of them is an
 automorphism, so stars, complete graphs and complete bipartite graphs need
@@ -11,7 +12,11 @@ other. The search places the most constrained vertex next (McKay &
 Piperno, "Practical graph isomorphism II", 2014), walks the complement of
 a graph with more than half of all possible edges (same automorphisms,
 fewer edges), and gives up with CapacityError past ORBIT_NODE_BUDGET
-nodes, so it is exact and bounded.
+nodes, so it is exact and bounded. It is a loop over positions with an
+explicit stack of each position's remaining candidates; the placement
+order and each position's already-placed neighbors are planned once per
+representative, and a position's candidates are the free members of its
+cell adjacent to the images of those neighbors.
 The brute-force oracle enumerates all n! permutations and is the
 independent ground truth for small graphs.
 """
@@ -25,11 +30,12 @@ from .graph import Graph, _Record
 
 ORBIT_CAP = 64
 # Search nodes (a vertex given a candidate image) one vertex_orbits call may
-# visit. Counted over 8 random relabelings each, the benchmark families need
-# at most 2,103 (chang_2) and the acceptance corpus 24, and 128 dense
-# G(n, p) draws (n 16-28, p 0.9-0.97) at most 140, searched on their
-# complements; searched on the graphs themselves, two of those draws ran
-# past this budget.
+# visit. Over the 8 relabelings by default_rng(s).permutation, s in 0..7,
+# the benchmark families need at most 3,767 (chang_0, whose natural
+# labeling needs 4,011), the acceptance corpus 24, and 128 dense G(n, p)
+# draws (n 16-28, p 0.9-0.97) at most 140, searched on their complements;
+# searched on the graphs themselves, two of those draws ran past this
+# budget.
 ORBIT_NODE_BUDGET = 500_000
 BRUTE_FORCE_CAP = 8
 
@@ -98,7 +104,14 @@ def _compress(sigs: list) -> list[int]:
 
 
 def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Iterate neighbor-class multiset refinement until stable."""
+    """Iterate neighbor-class multiset refinement of the degree coloring
+    ``colors`` until stable.
+
+    One color is one degree: every vertex of a regular graph has the same
+    signature, so a pass would return the all-zero coloring unsplit.
+    """
+    if len(set(colors)) == 1:
+        return [0] * len(colors)
     while True:
         sigs = [
             (colors[v], tuple(sorted(map(colors.__getitem__, nbrs))))
@@ -133,61 +146,72 @@ def _search_order(g: Graph, src: int, cellbits: list[int]) -> list[int]:
     return order
 
 
+def _placed_neighbors(g: Graph, order: list[int]) -> list[list[int]]:
+    """Per position of ``order``, the neighbors of its vertex placed before it."""
+    rank = [0] * g.n
+    for pos, w in enumerate(order):
+        rank[w] = pos
+    adjacency = g.adjacency
+    return [[x for x in adjacency[w] if rank[x] < pos] for pos, w in enumerate(order)]
+
+
 def _find_automorphism(
-    g: Graph, adjbits: list[int], cellbits: list[int], order: list[int],
-    dst: int, nodes: int,
+    adjbits: list[int], cellbits: list[int], order: list[int],
+    placed: list[list[int]], dst: int, nodes: int,
 ) -> tuple[list[int] | None, int]:
     """Backtracking search for an automorphism with sigma(order[0]) = dst.
 
-    Vertices are placed in ``order``, and candidate images are tried in
+    Vertices are placed in ``order``, ``placed[pos]`` holding the neighbors
+    of order[pos] placed before it, and candidate images are tried in
     ascending vertex order so discovered generators are reproducible. A
     candidate c for vertex w is viable iff c's already-used neighbors are
     exactly the images of w's already-placed neighbors. ``nodes`` counts
     the search nodes the calling vertex_orbits has visited so far; the
     automorphism (or None) is returned with the updated count.
     """
-    n = g.n
-    adjacency = g.adjacency
+    n = len(order)
     budget = ORBIT_NODE_BUDGET
     image = [-1] * n
-    mapped_nbr_bits = [0] * n
-    used_mask = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal used_mask, nodes
-        if pos == n:
-            return True
-        w = order[pos]
-        nbrs = adjacency[w]
-        want = mapped_nbr_bits[w]
-        # unused cell members, adjacent to the image of one placed neighbor
-        free = cellbits[w] & ~used_mask if pos else 1 << dst
-        if want:
-            free &= adjbits[want.bit_length() - 1]
+    # per position below the current one: its untried candidates and want
+    stack_free = [0] * n
+    stack_want = [0] * n
+    used = pos = want = 0
+    free = 1 << dst
+    while True:
         while free:
             bit = free & -free
             free ^= bit
             c = bit.bit_length() - 1
-            if adjbits[c] & used_mask != want:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError(
-                    f"exact orbit search gave up after {nodes} search nodes "
-                    f"(budget {budget})"
-                )
-            image[w] = c
-            used_mask |= bit
-            for x in nbrs:
-                mapped_nbr_bits[x] |= bit
-            if extend(pos + 1):
-                return True
-            used_mask &= ~bit
-            for x in nbrs:
-                mapped_nbr_bits[x] &= ~bit
-        return False
-
-    return (image if extend(0) else None), nodes
+            if adjbits[c] & used == want:
+                break
+        else:
+            if not pos:
+                return None, nodes
+            pos -= 1
+            free = stack_free[pos]
+            want = stack_want[pos]
+            used ^= 1 << image[order[pos]]
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise CapacityError(
+                f"exact orbit search gave up after {nodes} search nodes "
+                f"(budget {budget})"
+            )
+        image[order[pos]] = c
+        used |= bit
+        stack_free[pos] = free
+        stack_want[pos] = want
+        pos += 1
+        if pos == n:
+            return image, nodes
+        # unused cell members adjacent to the images of the placed neighbors
+        free = cellbits[order[pos]] & ~used
+        want = 0
+        for x in placed[pos]:
+            y = image[x]
+            want |= 1 << y
+            free &= adjbits[y]
 
 
 def _searched_graph(g: Graph, adjbits: list[int]) -> tuple[Graph, list[int]]:
@@ -239,7 +263,7 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
             twin = first.setdefault(key, v)
             if twin != v:
                 dsu.union(twin, v)
-    orders: dict[int, list[int]] = {}
+    plans: dict[int, tuple[list[int], list[list[int]]]] = {}
     searched = None
     nodes = 0
     for cell in cells.values():
@@ -253,10 +277,11 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
             for r in reps:
                 if searched is None:
                     searched = _searched_graph(g, adjbits)
-                if r not in orders:
-                    orders[r] = _search_order(searched[0], r, cellbits)
+                if r not in plans:
+                    order = _search_order(searched[0], r, cellbits)
+                    plans[r] = order, _placed_neighbors(searched[0], order)
                 sigma, nodes = _find_automorphism(
-                    *searched, cellbits, orders[r], v, nodes
+                    searched[1], cellbits, *plans[r], v, nodes
                 )
                 if sigma is not None:
                     for w, img in enumerate(sigma):

@@ -495,6 +495,26 @@ class TestCheck:
             "graphent: connected-graph bounds need at least one edge (diameter 0)\n"
         )
 
+    def test_linear_conn_on_one_vertex_names_the_diameter(self):
+        # the diameter is checked before the linear functional's values,
+        # which are all 0 on one vertex
+        code, out, err = run(
+            ["check", "conn", "--functional", "linear", "--alpha", "2", "--n", "1"],
+            "\n",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "graphent: connected-graph bounds need at least one edge (diameter 0)\n"
+        )
+
+    def test_linear_compute_on_one_vertex_names_the_diameter(self):
+        code, out, err = run(["compute", "--dist", "linear", "--n", "1"], "\n")
+        assert code == 2 and out == ""
+        assert err == (
+            "graphent: linear functional is 0 on a one-vertex graph "
+            "(diameter 0, no spheres)\n"
+        )
+
     def test_thm6_without_f2_functional_names_that_flag(self):
         code, out, err = run(
             ["check", "thm6", "--alpha", "2", "--functional", "linear",

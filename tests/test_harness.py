@@ -451,7 +451,8 @@ print("numpy" in sys.modules)
 
     def test_one_vertex_graphs_give_error_cells(self):
         # diameter 0: no sphere coefficients, so the linear functional is 0
-        # and the connected-graph interval has nothing to span
+        # (functional_values names that cause) and the connected-graph
+        # interval has nothing to span
         rep = run_sweep(
             SweepConfig(
                 seed=1, n_range=(1, 1), edge_probabilities=(0.5,), trials_per_cell=1
@@ -462,7 +463,8 @@ print("numpy" in sys.modules)
                    for c in rep.cells if c["lhs"] is None}
         no_edge = "connected-graph bounds need at least one edge (diameter 0)"
         assert reasons == {
-            "linear": "linear functional produced a non-positive value",
+            "linear": "linear functional is 0 on a one-vertex graph "
+            "(diameter 0, no spheres)",
             "exponential_b0.5": no_edge,
             "exponential_b2": no_edge,
         }

@@ -369,6 +369,19 @@ class TestNodeBudget:
         with pytest.raises(CapacityError, match="after 4 search nodes"):
             vertex_orbits(generate_graph("cycle", 6))
 
+    @pytest.mark.parametrize("budget", [1, 5, 12])
+    def test_paley_over_budget_names_count_and_budget(self, monkeypatch, budget):
+        # P_13 is vertex-transitive, so its first search finds an
+        # automorphism, placing all 13 vertices
+        monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", budget)
+        g = _perfbench_instances().build("paley_13")
+        with pytest.raises(CapacityError) as info:
+            vertex_orbits(g)
+        assert str(info.value) == (
+            f"exact orbit search gave up after {budget + 1} search nodes "
+            f"(budget {budget})"
+        )
+
     def test_compute_over_budget_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 3)
         edges = "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
@@ -394,6 +407,14 @@ def _cellbits(g):
     return [sum(1 << w for w in range(g.n) if colors[w] == colors[v]) for v in range(g.n)]
 
 
+def _one_refinement_pass(g, colors):
+    """One pass of the neighbor-class multiset refinement loop."""
+    return orbits._compress(
+        [(colors[v], tuple(sorted(colors[x] for x in nbrs)))
+         for v, nbrs in enumerate(g.adjacency)]
+    )
+
+
 def _reference_order(g, src, cellbits):
     """The documented rule, step by step: src, then the unplaced vertex that
     minimizes (-placed neighbors, cell size, index)."""
@@ -412,6 +433,63 @@ def _reference_order(g, src, cellbits):
     return order
 
 
+def _reference_search(g, adjbits, cellbits, order, dst):
+    """The search as a recursion that ORs each placed vertex's image bit
+    into every neighbor's mask and clears it on backtrack: (sigma or None,
+    search nodes visited)."""
+    n = g.n
+    adjacency = g.adjacency
+    image = [-1] * n
+    mapped_nbr_bits = [0] * n
+    used_mask = 0
+    nodes = 0
+
+    def extend(pos):
+        nonlocal used_mask, nodes
+        if pos == n:
+            return True
+        w = order[pos]
+        nbrs = adjacency[w]
+        want = mapped_nbr_bits[w]
+        free = cellbits[w] & ~used_mask if pos else 1 << dst
+        if want:
+            free &= adjbits[want.bit_length() - 1]
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            if adjbits[c] & used_mask != want:
+                continue
+            nodes += 1
+            image[w] = c
+            used_mask |= bit
+            for x in nbrs:
+                mapped_nbr_bits[x] |= bit
+            if extend(pos + 1):
+                return True
+            used_mask &= ~bit
+            for x in nbrs:
+                mapped_nbr_bits[x] &= ~bit
+        return False
+
+    return (image if extend(0) else None), nodes
+
+
+def _random_graphs():
+    rng = np.random.default_rng(20241018)
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 64]:
+        for p in (0.1, 0.3, 0.6):
+            pairs = combinations(range(n), 2)
+            yield Graph.from_edges(n, [e for e in pairs if rng.random() < p])
+
+
+BENCHMARK_FAMILIES = [
+    "cycle_20", "wheel_16", "star_12", "path_9", "complete_16", "torus_4x6",
+    "hypercube_5", "paley_29", "johnson_6x3", "kneser_7x3", "chang_0",
+    "chang_1", "chang_2", "kab_4x7",
+]
+
+
 class TestSearchOrder:
     """Equal orders mean the search visits the same nodes and finds the same
     generators."""
@@ -423,22 +501,53 @@ class TestSearchOrder:
             assert orbits._search_order(g, src, cellbits) == _reference_order(g, src, cellbits)
 
     def test_random_graphs(self):
-        rng = np.random.default_rng(20241018)
-        for n in [1, 2, 3, 5, 8, 13, 21, 34, 64]:
-            for p in (0.1, 0.3, 0.6):
-                pairs = combinations(range(n), 2)
-                g = Graph.from_edges(n, [e for e in pairs if rng.random() < p])
-                self._assert_every_source(g)
+        for g in _random_graphs():
+            self._assert_every_source(g)
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "cycle_20", "wheel_16", "star_12", "path_9", "complete_16", "torus_4x6",
-            "hypercube_5", "paley_29", "johnson_6x3", "kneser_7x3", "chang_0",
-            "chang_1", "chang_2", "kab_4x7",
-        ],
-    )
+    @pytest.mark.parametrize("name", BENCHMARK_FAMILIES)
     def test_benchmark_families(self, name):
         g = _perfbench_instances().build(name)
         for seed in range(3):
             self._assert_every_source(_relabeled(g, seed))
+
+
+class TestSearch:
+    """The search loop finds the same automorphism after the same number of
+    nodes as the reference recursion, from every representative to every
+    destination in its cell, on the graph vertex_orbits searches."""
+
+    @staticmethod
+    def _assert_every_pair(g):
+        cellbits = _cellbits(g)
+        adjbits = [sum(1 << x for x in nbrs) for nbrs in g.adjacency]
+        searched, bits = orbits._searched_graph(g, adjbits)
+        for src in range(g.n):
+            order = orbits._search_order(searched, src, cellbits)
+            placed = orbits._placed_neighbors(searched, order)
+            for dst in range(g.n):
+                if cellbits[src] >> dst & 1:
+                    got = orbits._find_automorphism(bits, cellbits, order, placed, dst, 0)
+                    assert got == _reference_search(searched, bits, cellbits, order, dst)
+
+    def test_random_graphs(self):
+        for g in _random_graphs():
+            self._assert_every_pair(g)
+
+    @pytest.mark.parametrize("name", BENCHMARK_FAMILIES)
+    def test_benchmark_families(self, name):
+        g = _perfbench_instances().build(name)
+        for seed in range(3):
+            self._assert_every_pair(_relabeled(g, seed))
+
+
+class TestRefine:
+    @pytest.mark.parametrize(
+        "name",
+        ["cycle_20", "complete_16", "torus_4x6", "hypercube_5", "paley_29",
+         "johnson_6x3", "kneser_7x3", "chang_2"],
+    )
+    def test_regular_graph_is_one_pass_of_the_loop(self, name):
+        g = _perfbench_instances().build(name)
+        degrees = [g.degree(v) for v in range(g.n)]
+        assert len(set(degrees)) == 1
+        assert orbits._refine(g, degrees) == _one_refinement_pass(g, degrees) == [0] * g.n
