@@ -357,29 +357,36 @@ def _seed_words(seed) -> list[int]:
 
 def _mix_entropy(words: list[int]) -> list[int]:
     """SeedSequence's 4-word pool: hash the first 4 words in, mix every
-    pool word into every other, then mix in each remaining word."""
-    hash_const = 0x43B0D7E5
+    pool word into every other, then mix in each remaining word.
 
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    A hash xors its value with the hash constant, steps the constant and
+    multiplies by it, so the constants depend on the count of hashes only
+    and one local carries them through all three stages; mixing a hash x
+    into a pool word is inline too.
+    """
+    const, pool = 0x43B0D7E5, []
+    for word in (words + [0, 0, 0, 0])[:4]:
+        x = word ^ const
+        const = const * 0x931E8875 & _MASK32
+        x = x * const & _MASK32
+        pool.append(x ^ x >> 16)
+    for src, dst in _POOL_PAIRS:
+        x = pool[src] ^ const
+        const = const * 0x931E8875 & _MASK32
+        x = x * const & _MASK32
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
     for word in words[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+            x = word ^ const
+            const = const * 0x931E8875 & _MASK32
+            x = x * const & _MASK32
+            mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16) & _MASK32
+            pool[dst] = mixed ^ mixed >> 16
     return pool
+
+
+_POOL_PAIRS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
 
 
 def _gnp_edges(n: int, p: float, rng: SeededStream) -> set[tuple[int, int]]:

@@ -8,11 +8,11 @@ dicts only when they are read, and the canonical JSON is rendered from the
 columns, each column's constant part encoded once, in the bytes json.dumps
 gives for the cell dicts. Aggregates and exemplars are folded graph by
 graph, so stream_sweep, which `graphent sweep` uses, writes each graph's
-cells as that graph finishes and keeps none: its memory does not grow with
-the corpus. Randomness is derived per cell coordinate from the config
-seed, so scheduling cannot change sampled coefficients and equal configs
-reproduce byte-identical canonical JSON (runtime is kept out of the
-canonical form).
+cells as that graph finishes and keeps none: its memory grows only by one
+8-byte slack per evaluated cell. Randomness is derived per cell coordinate
+from the config seed, so scheduling cannot change sampled coefficients and
+equal configs reproduce byte-identical canonical JSON (runtime is kept out
+of the canonical form).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import json
 import math
 import time
 from array import array
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
@@ -289,8 +290,9 @@ def _decode(cls: type, data: Any) -> Any:
     """cls(**data) for a JSON object of cls's fields; a field whose metadata
     names an "item" dataclass is a list of those, each decoded in turn.
 
-    A non-object, a missing or unknown field or a value of the wrong shape is
-    a DomainError; a GraphEntropyError from cls's own checks passes through.
+    A non-object, a missing or unknown field (each named) or a value of the
+    wrong shape is a DomainError; a GraphEntropyError from cls's own checks
+    passes through.
     """
     name = cls.__name__
     if not isinstance(data, dict):
@@ -299,6 +301,12 @@ def _decode(cls: type, data: Any) -> Any:
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise DomainError(f"unknown {name} field(s) {unknown}")
+    missing = [
+        k for k, f in known.items()
+        if k not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise DomainError(f"missing {name} field(s) {missing}")
     kwargs = dict(data)
     try:
         for k, v in data.items():
@@ -668,8 +676,7 @@ def stream_sweep(
 ) -> SweepSummary:
     """Run the sweep keeping no cells: write, when given, receives the
     canonical JSON chunk by chunk, each graph's cells as that graph
-    finishes. Memory does not grow with the corpus beyond one slack per
-    evaluated cell."""
+    finishes. Memory grows only by one 8-byte slack per evaluated cell."""
     sweep = _Sweep(cfg)
     if write is None:
         for _ in sweep.graphs():
@@ -703,16 +710,35 @@ def _literal(value: Any) -> str:
     return _ENCODE(value).replace("%", "%%")
 
 
+class _FloatTexts(dict):
+    """repr of each finite Python float looked up, kept once rendered. Zero
+    is never kept: 0.0 and -0.0 are one key but two texts."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 class _CellWriter:
-    """Renders a sweep's cells as canonical JSON text, graph by graph. It
-    keeps the text of each (theorem, variant) head and params key it has
-    rendered, so each is encoded once per sweep."""
+    """Renders a sweep's cells as canonical JSON text, graph by graph.
+
+    It keeps the text of each (theorem, variant) head and params key it has
+    rendered, so each is encoded once per sweep. Within a graph the lhs, the
+    alpha-dependent params, the constant params and the tolerances often
+    repeat a value, so each graph has one _FloatTexts that renders each of
+    them once; bound and slack repeat too seldom to gain from it.
+    """
 
     def __init__(self, alphas: Sequence[float]):
         self.alphas = alphas
         self.alpha_texts = [_literal(alpha) for alpha in alphas]
         self.heads: dict[tuple[str, str], str] = {}
         self.keys: dict[str, str] = {}
+        self.floats = _FloatTexts()
 
     def _head(self, theorem: str, variant: str) -> str:
         """The cell text up to its graph id, in %-format."""
@@ -724,56 +750,75 @@ class _CellWriter:
             )
         return head
 
+    def _constant(self, value: Any) -> str:
+        """_literal(value), through the graph's float texts for a finite
+        Python float only: 1.0, 1, True and np.float64(1.0) are one key."""
+        if value.__class__ is float and math.isfinite(value):
+            return self.floats[value]
+        return _literal(value)
+
     def _format(self, head: str, column: Column, tail: str) -> str:
         """The %-format of column's evaluated cells. Its slots take the
-        alpha text, the holds text, lhs, bound, slack, the varying params
-        (all %r of finite Python floats, as Outcome guarantees) and the
-        direction."""
+        alpha text, the holds text, the lhs text, bound and slack (%r of
+        finite Python floats, as Outcome guarantees), the varying params'
+        texts and the direction."""
         keys, varying = self.keys, column.varying
         parts = [
             head,
             "true" if column.precondition_met else "false",
-            ', "lhs": %r, "bound": %r, "slack": %r, "params": {',
+            ', "lhs": %s, "bound": %r, "slack": %r, "params": {',
         ]
         for key, value in column.params.items():
             text = keys.get(key)
             if text is None:
                 text = keys[key] = _literal(key) + ": "
             parts.append(text)
-            parts.append("%r, " if key in varying else _literal(value) + ", ")
-        parts += (tail, _literal(column.tolerance), "}}")
+            parts.append("%s, " if key in varying else self._constant(value) + ", ")
+        parts += (tail, self._constant(column.tolerance), "}}")
         return "".join(parts)
 
     def graph(self, graph_id: str, rows: list[_Row]) -> str:
-        """One graph's cells, comma-separated, in sweep order."""
+        """One graph's cells, comma-separated, in sweep order: each row's
+        columns are rendered alpha by alpha, then taken in turn."""
+        self.floats = _FloatTexts()
         graph_text = _literal(graph_id) + ', "holds": %s, "precondition_met": '
-        cells = []
+        cells: list[str] = []
         for row in rows:
             tail = (
                 '"family": ' + _literal(row.family)
                 + ', "direction": "%s", "tolerance": '
             )
-            formats = [
-                self._format(self._head(theorem.id, variant) + graph_text, column, tail)
-                if any(o.__class__ is tuple for o in column.outcomes)
-                else None
+            columns = [
+                self._cells(theorem.id, variant, graph_id, graph_text, row, column, tail)
                 for (theorem, variant), column in zip(row.plan, row.columns)
             ]
-            for i, alpha_text in enumerate(self.alpha_texts):
-                for fmt, (theorem, variant), column in zip(
-                    formats, row.plan, row.columns
-                ):
-                    outcome = column.outcomes[i]
-                    if outcome.__class__ is str:
-                        cells.append(_ENCODE(_cell(
-                            theorem.id, variant, self.alphas[i], graph_id,
-                            row.family, column, i,
-                        )))
-                    else:
-                        cells.append(
-                            fmt % (alpha_text, _HOLDS[outcome[0]], *outcome[1:])
-                        )
+            cells += chain.from_iterable(zip(*columns))
         return ", ".join(cells)
+
+    def _cells(
+        self, theorem: str, variant: str, graph_id: str, graph_text: str,
+        row: _Row, column: Column, tail: str,
+    ) -> Iterable[str]:
+        """column's cell texts in alpha order. A column evaluated at every
+        alpha is taken slot by slot: each % reads the alpha text, the holds
+        text, the lhs text, bound, slack, each varying param's text and the
+        direction. A column with a failed alpha, which is rare, goes through
+        the encoder cell by cell."""
+        outcomes = column.outcomes
+        if not outcomes or str in map(type, outcomes):
+            return [
+                _ENCODE(_cell(
+                    theorem, variant, alpha, graph_id, row.family, column, i
+                ))
+                for i, alpha in enumerate(self.alphas)
+            ]
+        fmt = self._format(self._head(theorem, variant) + graph_text, column, tail)
+        text = self.floats.__getitem__
+        holds, lhs, bound, slack, *varying, direction = zip(*outcomes)
+        return map(fmt.__mod__, zip(
+            self.alpha_texts, map(_HOLDS.__getitem__, holds), map(text, lhs),
+            bound, slack, *[map(text, v) for v in varying], direction,
+        ))
 
 
 def _json_cells(

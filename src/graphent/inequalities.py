@@ -215,10 +215,12 @@ def _finish(
             f"{theorem_id} is not finite: lhs {lhs!r}, bound {bound!r}, "
             f"slack {slack!r}"
         )
-    if varying:
-        varying = tuple(map(float, varying))
-        if not all(map(math.isfinite, varying)):
-            raise DomainError(f"{theorem_id} params are not finite: {varying!r}")
+    for value in varying:  # finite Python floats pass as they are
+        if value.__class__ is not float or not math.isfinite(value):
+            varying = tuple(map(float, varying))
+            if not all(map(math.isfinite, varying)):
+                raise DomainError(f"{theorem_id} params are not finite: {varying!r}")
+            break
     holds = bool(slack >= -tolerance) if precondition_met else None
     return (holds, float(lhs), float(bound), float(slack), *varying, direction)
 

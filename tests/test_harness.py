@@ -84,11 +84,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "change, match",
         [
-            ({"seed": DROP}, "missing 1 required"),
+            ({"seed": DROP}, "missing SweepConfig field.*'seed'"),
             ({"alpha_grdi": [0.5]}, "unknown SweepConfig field"),
             ({"n_range": 5}, "malformed"),
             ({"functional_specs": 5}, "malformed"),
-            ({"functional_specs": [{"beta": 2.0}]}, "malformed FunctionalTemplate"),
+            ({"functional_specs": [{"beta": 2.0}]},
+             "missing FunctionalTemplate field.*'kind'"),
             ({"functional_specs": [{"kind": "linear", "c": [1, 2]}]},
              "unknown FunctionalTemplate field"),
             ({"functional_specs": [[1, 2]]}, "must be a JSON object"),
@@ -679,6 +680,56 @@ class TestCanonicalWriter:
             for c in json.loads(text)["cells"]
         ]
         assert signs == [[1.0, -1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, -1.0, 1.0]]
+
+    def test_equal_keys_keep_their_own_texts(self):
+        """The writer renders each graph's floats through one dict, where
+        0.0 == -0.0 and 0.1 == np.float64(0.1) and 1.0 == 1 == True are one
+        key. Each value must keep its own text whichever comes first, in
+        one graph and in the next."""
+
+        def zeros():
+            return Column(
+                "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
+                [_finish("t", 0.0, 0.0, "equal", (-0.0,)),
+                 _finish("t", -0.0, 0.0, "equal", (0.0,))],
+                ("h",),
+            )
+
+        def ones():
+            return Column(
+                "t", {"int": 1, "bool": True, "h": None},
+                [_finish("t", 1.0, 2.0, "upper", (1.0,))] * 2, ("h",),
+            )
+
+        def numpy_tenth():
+            return Column(
+                "t", {"c": np.float64(0.1)}, [_finish("t", 0.5, 1.0, "upper")] * 2
+            )
+
+        def python_tenth():
+            return Column(
+                "t", {"c": 0.1, "h": None},
+                [_finish("t", 0.1, 1.0, "upper", (0.1,))] * 2, ("h",),
+            )
+
+        cfg = SweepConfig(seed=0, n_range=(1, 1), edge_probabilities=(),
+                          trials_per_cell=1, alpha_grid=(0.5, 2.0))
+        plan2 = [(THEOREMS[0], "na")] * 2
+        rep = SweepReport(
+            config=cfg, aggregates={}, exemplars={}, runtime_seconds=0.0,
+            corpus_size=2, gnp_redraws=0,
+            graphs=[
+                ("g1", [_Row("a", plan2, [zeros(), ones()]),
+                        _Row("b", plan2, [numpy_tenth(), python_tenth()])]),
+                ("g2", [_Row("a", plan2, [ones(), zeros()]),
+                        _Row("b", plan2, [python_tenth(), numpy_tenth()])]),
+            ],
+        )
+        text = summarize_report(rep, "json")
+        assert text == _oracle(rep)
+        cells = json.loads(text)["cells"]
+        assert {c["params"].get("int").__class__ for c in cells} == {int, type(None)}
+        assert "np.float64" not in text and "True" not in text
 
     def test_numpy_floats_render_as_floats(self):
         column = Column(
