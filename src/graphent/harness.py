@@ -316,7 +316,7 @@ def _decode(cls: type, data: Any) -> Any:
         return cls(**kwargs)
     except GraphEntropyError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {name}: {exc}") from None
 
 
@@ -526,10 +526,10 @@ def _family_rows(
 def _column(
     row: _Family, theorem: Theorem, alphas: tuple[float, ...], variant: str
 ) -> Column:
-    """theorem's column on row over the grid; a failed row or input, or a
-    failure that does not depend on alpha, gives the same reason at every
-    alpha. The row's inputs are complete, and the config has checked every
-    alpha, so the ids' input checks are skipped."""
+    """theorem's column on row over the grid: the core evaluate runs, input
+    checks included, while the config has checked every alpha. A failed
+    row or input, or a failure that does not depend on alpha, gives the
+    same reason at every alpha."""
     reason = row.reasons.get(theorem.id)
     if reason is None:
         try:

@@ -4,13 +4,14 @@ Each theorem has one column core. It takes its inputs and an alpha grid,
 computes everything that does not depend on alpha once, and returns a
 Column: the report params that do not depend on alpha, built once, and per
 alpha an outcome (verdict, numbers and the params that do depend on alpha)
-or the reason that alpha failed. THEOREMS, the one theorem table, says per
-sweep id which core runs on which fields of a BoundInputs, the one record
-of every input a core reads. The sweep fills one record per row and keeps
-and renders the columns; evaluate runs one instance (the public
-operations and `graphent check` build a record and call it) and returns a
-structured BoundReport instead of asserting. Two variants exist wherever
-the printed bound and its repaired derivation disagree:
+or the reason that alpha failed. A core checks its own inputs first and
+builds what its record leaves None. THEOREMS, the one theorem table, says
+per sweep id which core runs on which fields of a BoundInputs, the one
+record of every input a core reads. The sweep fills one record per row and
+keeps and renders the columns; evaluate runs the same core at one alpha
+(the public operations and `graphent check` build a record and call it)
+and returns a structured BoundReport instead of asserting. Two variants
+exist wherever the printed bound and its repaired derivation disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
              below alpha=1 and divided above (thm1/thm1_eps), penalty terms
@@ -46,6 +47,7 @@ from .measures import (
     Distribution,
     FunctionalSpec,
     FunctionalValues,
+    _as_float,
     _resolved_coeffs,
     distribution_from_values,
     distribution_stats,
@@ -145,8 +147,11 @@ class Column(NamedTuple):
 
 class BoundInputs(NamedTuple):
     """Every input a column core reads. A caller fills the fields of the
-    theorems it evaluates (THEOREMS reads them) and leaves the rest None;
-    the sweep fills one record per (graph, family) row."""
+    theorems it evaluates (THEOREMS reads them) and leaves the rest None.
+    pdist, combined, fv and eta are derived: a core builds them when they
+    are None. The sweep fills one record per (graph, family) row, these
+    four included, so that a row's columns share them and their Renyi
+    memos."""
 
     # the graph that thm3, thm6 and conn check and conn's values come from
     graph: Graph | None = None
@@ -275,7 +280,7 @@ def _per_alpha(
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf or alpha == 1.0:
+    if not 0.0 < _as_float(alpha) < math.inf or alpha == 1.0:
         raise DomainError(f"alpha must be positive, finite and != 1, got {alpha}")
 
 
@@ -287,15 +292,6 @@ def _check_base(base: float) -> None:
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def _as_float(x: float) -> float:
-    """float(x), or inf for an int above float range, so that a positive
-    and finite check rejects it instead of leaking OverflowError."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def _to_base(bits: list[float], base: float) -> list[float]:
@@ -607,19 +603,17 @@ def thm3_partition_vs_functional(
     return evaluate("thm3", BoundInputs(graph=g, part=part, fv=fv), alpha, base=base)
 
 
-def _thm3_inputs(r: BoundInputs) -> BoundInputs:
-    if not r.graph.is_connected():
-        raise DomainError("thm3 needs a connected graph")
-    if r.part.total != r.graph.n or r.fv.size != r.graph.n:
-        raise DomainError("partition/functional sizes must match the graph")
-    return r._replace(pdist=partition_distribution(r.part))
-
-
 def _thm3_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
-    """thm3 on validated inputs; pdist is partition_distribution(part)."""
-    part, pdist, fv = r.part, r.pdist, r.fv
+    """thm3 on a connected graph; pdist is partition_distribution(part)."""
+    g, part, pdist, fv = r.graph, r.part, r.pdist, r.fv
+    if not g.is_connected():
+        raise DomainError("thm3 needs a connected graph")
+    if part.total != g.n or fv.size != g.n:
+        raise DomainError("partition/functional sizes must match the graph")
+    if pdist is None:
+        pdist = partition_distribution(part)
     n = part.total
     k = part.k
     sizes = sorted(part.sizes)
@@ -671,24 +665,19 @@ def thm4_scaled_dominance(
     return evaluate("thm4", inputs, alpha, base=base)
 
 
-def _same_size(r: BoundInputs, d1: Distribution, d2: Distribution) -> BoundInputs:
-    """r, once its distributions d1 and d2 share a vertex set."""
-    if d1.size != d2.size:
-        raise DomainError("distributions must share a vertex set")
-    return r
-
-
 def _thm4_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
     corollary: bool = False,
 ) -> Column:
     """thm4 on distributions over one vertex set: p1 against dist_second
     and psi, or in the corollary against dominating with psi = S2/S1."""
-    d1, d2, psi = r.dist, r.dist_second, r.psi
+    d1, psi = r.dist, r.psi
+    d2 = r.dominating if corollary else r.dist_second
+    if d1.size != d2.size:
+        raise DomainError("distributions must share a vertex set")
     mode = "psi"
     totals: dict[str, float] = {}
     if corollary:
-        d2 = r.dominating
         s1, s2 = map(_as_float, r.totals)
         if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
             raise DomainError("functional totals must be positive and finite")
@@ -748,19 +737,16 @@ def thm5_additive_dominance(
     return evaluate("thm5", inputs, alpha, variant, base)
 
 
-def _thm5_inputs(r: BoundInputs) -> BoundInputs:
-    _same_size(r, *r.thm5_pair)
-    phi = _as_float(r.phi)
-    if not 0.0 < phi < math.inf:
-        raise DomainError(f"phi must be positive and finite, got {phi}")
-    return r._replace(phi=phi)
-
-
 def _thm5_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
     """thm5 on distributions over one vertex set, for 0 < phi < inf."""
-    (d1, d2), phi = r.thm5_pair, r.phi
+    d1, d2 = r.thm5_pair
+    if d1.size != d2.size:
+        raise DomainError("distributions must share a vertex set")
+    phi = _as_float(r.phi)
+    if not 0.0 < phi < math.inf:
+        raise DomainError(f"phi must be positive and finite, got {phi}")
     met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
     factor = _penalty_factor(variant, base)
@@ -780,7 +766,7 @@ def _thm5_column(
         )
 
     params = {
-        "phi": float(phi),
+        "phi": phi,
         "N": n,
         "power_sum_2": None,
         "h_other": None,
@@ -816,18 +802,6 @@ def thm6_convex_combination(
     return evaluate("thm6_avg" if symmetric else "thm6", inputs, alpha, variant, base)
 
 
-def _thm6_inputs(r: BoundInputs) -> BoundInputs:
-    c1, c2 = map(_as_float, r.weights)
-    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
-        raise DomainError(
-            f"combination weights c1, c2 must be positive and finite, got {c1}, {c2}"
-        )
-    if r.fv.size != r.graph.n or r.fv_second.size != r.graph.n:
-        raise DomainError("functional value sets must live on the graph's vertices")
-    combined = _weighted_sum(r.fv, r.fv_second, c1, c2)
-    return r._replace(weights=(c1, c2), combined=combined)
-
-
 def _weighted_sum(
     fv1: FunctionalValues, fv2: FunctionalValues, c1: float, c2: float
 ) -> FunctionalValues:
@@ -852,10 +826,19 @@ def _thm6_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
     symmetric: bool = False,
 ) -> Column:
-    """thm6 for positive finite weights c_i on one vertex set, with combined
-    = _weighted_sum(fv1, fv2, c1, c2), shares A_i = c_i S_i / S and t_i =
-    ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
-    fv1, fv2, (c1, c2), combined = r.fv, r.fv_second, r.weights, r.combined
+    """thm6 for positive finite weights c_i on the graph's vertices, with
+    combined = _weighted_sum(fv1, fv2, c1, c2), shares A_i = c_i S_i / S and
+    t_i = ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
+    fv1, fv2, combined = r.fv, r.fv_second, r.combined
+    c1, c2 = map(_as_float, r.weights)
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise DomainError(
+            f"combination weights c1, c2 must be positive and finite, got {c1}, {c2}"
+        )
+    if fv1.size != r.graph.n or fv2.size != r.graph.n:
+        raise DomainError("functional value sets must live on the graph's vertices")
+    if combined is None:
+        combined = _weighted_sum(fv1, fv2, c1, c2)
     t1 = math.log(c1) + fv1.total_log
     t2 = math.log(c2) + fv2.total_log
     t_sum = logsumexp((t1, t2))
@@ -893,8 +876,8 @@ def _thm6_column(
         )
 
     params = {
-        "c1": float(c1),
-        "c2": float(c2),
+        "c1": c1,
+        "c2": c2,
         "A1": a1,
         "A2": a2,
         "S1_log2": fv1.total_log / LN2,
@@ -1064,28 +1047,22 @@ def connected_functional_bounds(
     return evaluate(theorem_id, BoundInputs(graph=g, spec=spec), alpha, variant)
 
 
-def _conn_inputs(r: BoundInputs) -> BoundInputs:
-    """The spec's values and the diameter, once the graph is known to be
-    connected."""
-    if not r.graph.is_connected():
-        raise DomainError("connected-graph bounds need a connected graph")
-    d = distance_matrix(r.graph)
-    _check_diameter(d.eta)
-    return r._replace(fv=functional_values(r.graph, r.spec, d), eta=d.eta)
-
-
-def _check_diameter(eta: int) -> None:
-    if eta < 1:
-        raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
-
-
 def _conn_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
-    """Connected-graph interval for validated inputs; fv holds spec's values
-    on a connected graph of diameter eta."""
-    spec, fv, eta = r.spec, r.fv, r.eta
-    _check_diameter(eta)
+    """Connected-graph interval on a graph with an edge; fv holds spec's
+    values on it and eta its diameter. The diameter is checked before the
+    values are built, since a linear functional is 0 on one vertex."""
+    g, spec, fv, eta = r.graph, r.spec, r.fv, r.eta
+    if not g.is_connected():
+        raise DomainError("connected-graph bounds need a connected graph")
+    if fv is None:
+        distances = distance_matrix(g)
+        eta = distances.eta
+    if eta < 1:
+        raise DomainError("connected-graph bounds need at least one edge (diameter 0)")
+    if fv is None:
+        fv = functional_values(g, spec, distances)
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
     c_max, c_min = max(coeffs), min(coeffs)
@@ -1135,28 +1112,21 @@ def _conn_column(
 ROW_KINDS = ("orbit",) + FUNCTIONAL_KINDS
 
 
-def _as_given(r: BoundInputs) -> BoundInputs:
-    return r
-
-
 class Theorem(NamedTuple):
     """One sweep id of the bound catalog.
 
     check is the `graphent check` subcommand that evaluates it. column runs
     its core on a record over an alpha grid, as column(inputs, alphas,
-    variant, base), one outcome per alpha. inputs runs the id's own input
-    checks on a caller's record and returns the record the core reads,
-    completed with what the sweep's rows already carry (thm3's pdist,
-    thm6's combined functional, conn's values). kinds are the row kinds it
-    applies to, so a row of another kind emits no cell for it. variants
-    marks a literal/corrected split (otherwise its one variant is "na"),
-    log_base a check taking --log-base.
+    variant, base), one outcome per alpha; the core checks the id's own
+    inputs first, so evaluate and the sweep call it alike. kinds are the
+    row kinds it applies to, so a row of another kind emits no cell for it.
+    variants marks a literal/corrected split (otherwise its one variant is
+    "na"), log_base a check taking --log-base.
     """
 
     id: str
     check: str
     column: Callable[[BoundInputs, Sequence[float], str, float], Column]
-    inputs: Callable[[BoundInputs], BoundInputs] = _as_given
     kinds: tuple[str, ...] = ROW_KINDS
     variants: bool = False
     log_base: bool = False
@@ -1168,24 +1138,18 @@ THEOREMS = (
     Theorem("thm1", "thm1", _thm1_column, variants=True),
     Theorem("thm1_eps", "thm1", partial(_thm1_column, use_epsilon=True),
             variants=True),
-    Theorem("thm3", "thm3", _thm3_column, _thm3_inputs, FUNCTIONAL_KINDS,
-            log_base=True),
-    Theorem("thm4", "thm4", _thm4_column,
-            lambda r: _same_size(r, r.dist, r.dist_second), FUNCTIONAL_KINDS,
-            log_base=True),
+    Theorem("thm3", "thm3", _thm3_column, FUNCTIONAL_KINDS, log_base=True),
+    Theorem("thm4", "thm4", _thm4_column, FUNCTIONAL_KINDS, log_base=True),
     Theorem("thm4_cor", "thm4", partial(_thm4_column, corollary=True),
-            lambda r: _same_size(r, r.dist, r.dominating), FUNCTIONAL_KINDS,
+            FUNCTIONAL_KINDS, log_base=True),
+    Theorem("thm5", "thm5", _thm5_column, FUNCTIONAL_KINDS, variants=True,
             log_base=True),
-    Theorem("thm5", "thm5", _thm5_column, _thm5_inputs, FUNCTIONAL_KINDS,
-            variants=True, log_base=True),
-    Theorem("thm6", "thm6", _thm6_column, _thm6_inputs, FUNCTIONAL_KINDS,
-            variants=True, log_base=True),
+    Theorem("thm6", "thm6", _thm6_column, FUNCTIONAL_KINDS, variants=True,
+            log_base=True),
     Theorem("thm6_avg", "thm6", partial(_thm6_column, symmetric=True),
-            _thm6_inputs, FUNCTIONAL_KINDS, variants=True, log_base=True),
-    Theorem("conn_linear", "conn", _conn_column, _conn_inputs, ("linear",),
-            variants=True),
-    Theorem("conn_exp", "conn", _conn_column, _conn_inputs, ("exponential",),
-            variants=True),
+            FUNCTIONAL_KINDS, variants=True, log_base=True),
+    Theorem("conn_linear", "conn", _conn_column, ("linear",), variants=True),
+    Theorem("conn_exp", "conn", _conn_column, ("exponential",), variants=True),
 )
 
 _BY_ID = {t.id: t for t in THEOREMS}
@@ -1199,8 +1163,8 @@ def evaluate(
     base: float = 2.0,
 ) -> BoundReport:
     """One instance of a THEOREMS id: the alpha, base and variant checks,
-    then the id's own input checks, then its core at this one alpha. An id
-    without a literal/corrected split reports variant "na"."""
+    then its core, which checks the id's own inputs, at this one alpha. An
+    id without a literal/corrected split reports variant "na"."""
     theorem = _BY_ID.get(theorem_id)
     if theorem is None:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
@@ -1210,5 +1174,5 @@ def evaluate(
         _check_variant(variant)
     else:
         variant = "na"
-    column = theorem.column(theorem.inputs(inputs), (alpha,), variant, base)
+    column = theorem.column(inputs, (alpha,), variant, base)
     return _report(variant, alpha, column)

@@ -47,7 +47,7 @@ class Distribution:
     """
 
     def __init__(self, p: Iterable[float]):
-        probs = tuple(map(float, p))
+        probs = _floats(p)
         if not probs:
             raise DomainError("distribution needs at least one atom")
         if not all(x > 0.0 for x in probs):
@@ -106,11 +106,11 @@ class FunctionalSpec(_Record):
         if kind not in FUNCTIONAL_KINDS:
             raise DomainError(f"unknown functional kind {kind!r}")
         if coeffs is not None:
-            coeffs = tuple(float(c) for c in coeffs)
+            coeffs = _floats(coeffs)
             if not all(0.0 < c < math.inf for c in coeffs):
                 raise DomainError("all sphere coefficients must be positive and finite")
         if kind == "exponential":
-            if beta is None or not 0.0 < beta < math.inf:
+            if beta is None or not 0.0 < _as_float(beta) < math.inf:
                 raise DomainError("exponential functional requires 0 < beta < inf")
         elif beta is not None:
             raise DomainError("beta only applies to the exponential functional")
@@ -124,7 +124,7 @@ class FunctionalValues:
     total_log = ln(sum f)."""
 
     def __init__(self, log_values: Iterable[float]):
-        logs = tuple(map(float, log_values))
+        logs = _floats(log_values)
         if not logs:
             raise DomainError("functional values need at least one vertex")
         if not all(map(math.isfinite, logs)):
@@ -142,7 +142,7 @@ class FunctionalValues:
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "FunctionalValues":
-        linear = tuple(map(float, values))
+        linear = _floats(values)
         if not all(x > 0.0 for x in linear):
             raise DomainError("functional values must be strictly positive")
         return cls(log_values=map(math.log, linear))
@@ -167,6 +167,24 @@ class FunctionalValues:
                 f"functional values cannot be normalized at ln S = "
                 f"{total_log:g}: {exc}"
             ) from None
+
+
+def _as_float(x: float) -> float:
+    """float(x), or inf for an int above float range, so that a positive
+    and finite check rejects it instead of leaking OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _floats(values: Iterable[float]) -> tuple[float, ...]:
+    """tuple(map(float, values)), or (inf,) where one is an int above float
+    range, so that the caller's positive and finite checks reject it."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return (math.inf,)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -267,7 +285,7 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
     Powers go through log space; alpha within 1e-9 of 1 returns the
     Shannon limit.
     """
-    if not 0.0 < alpha < math.inf:
+    if not 0.0 < _as_float(alpha) < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if abs(alpha - 1.0) <= ALPHA_ONE_BAND:
         return shannon_entropy(d)

@@ -804,6 +804,14 @@ class TestSweepCommand:
             pytest.param(_config_text(alpha_grdi=[0.5]), id="unknown-field"),
             # two cells would share a (theorem, variant, alpha, graph, family) key
             pytest.param(_config_text(alpha_grid=[0.5, 0.5]), id="repeated-alpha"),
+            # a 401-digit integer is past float range
+            pytest.param(_config_text(alpha_grid=[10**400]), id="alpha-past-float"),
+            pytest.param(_config_text(edge_probabilities=[10**400]),
+                         id="p-past-float"),
+            pytest.param(_config_text(functional_specs=[
+                {"kind": "linear", "c_range": [0.5, 10**400]}]), id="c-past-float"),
+            pytest.param(_config_text(functional_specs=[
+                {"kind": "exponential", "beta": 10**400}]), id="beta-past-float"),
             # not UTF-8: a UTF-16 byte-order mark and UTF-16 text
             pytest.param(b"\xff\xfe" + _config_text().encode("utf-16-le"),
                          id="not-utf-8"),

@@ -13,29 +13,42 @@ import pytest
 
 import straightline as sl
 from graphent import (
+    Distribution,
     DomainError,
+    FunctionalSpec,
     FunctionalTemplate,
+    FunctionalValues,
     SweepConfig,
     distance_matrix,
     generate_corpus,
     generate_graph,
     run_sweep,
     summarize_report,
+    vertex_orbits,
 )
 import graphent.inequalities as inequalities
 import graphent.orbits as orbits
 from graphent import cli
-from graphent.graph import GNP_MAX_REDRAWS
+from graphent.graph import GNP_MAX_REDRAWS, Graph
 from graphent.harness import (
     ALL_THEOREMS,
     SweepReport,
     _column,
+    _Family,
     _family_rows,
     _Row,
     _Sweep,
     stream_sweep,
 )
-from graphent.inequalities import THEOREMS, TOLERANCE, VARIANTS, Column, _finish
+from graphent.inequalities import (
+    THEOREMS,
+    TOLERANCE,
+    VARIANTS,
+    BoundInputs,
+    Column,
+    _finish,
+    evaluate,
+)
 
 # marks a field to leave out of a config dict
 DROP = object()
@@ -581,6 +594,24 @@ def _oracle(report):
     return json.dumps(report.to_canonical_dict(), allow_nan=False)
 
 
+def _assert_same_text(got, want):
+    """got == want. On a mismatch, fail naming the first differing offset
+    with a short window of each side: pytest's own diff of two multi-MB
+    strings can run for minutes."""
+    if got == want:
+        return
+    at = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+        min(len(got), len(want)),
+    )
+    lo, hi = max(0, at - 80), at + 80
+    pytest.fail(
+        f"texts differ at offset {at} (lengths {len(got)} and {len(want)})\n"
+        f"got:  {got[lo:hi]!r}\nwant: {want[lo:hi]!r}",
+        pytrace=False,
+    )
+
+
 # the sweep_catalog benchmark's corpus shape
 CATALOG_SHAPE = dict(
     n_range=(3, 6), edge_probabilities=(0.3, 0.5, 0.8), trials_per_cell=1
@@ -594,13 +625,13 @@ class TestCanonicalWriter:
     @pytest.mark.parametrize("seed", range(4))
     def test_catalog_corpus_seeds(self, seed):
         rep = run_sweep(SweepConfig(seed=seed, **CATALOG_SHAPE))
-        assert summarize_report(rep, "json") == _oracle(rep)
+        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
 
     def test_orbit_budget_of_one(self, monkeypatch):
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 1)
         rep = run_sweep(small_config(trials_per_cell=1))
         assert any(c["lhs"] is None for c in rep.cells)
-        assert summarize_report(rep, "json") == _oracle(rep)
+        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -631,7 +662,7 @@ class TestCanonicalWriter:
     )
     def test_edge_configs(self, cfg):
         rep = run_sweep(cfg)
-        assert summarize_report(rep, "json") == _oracle(rep)
+        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
 
     @staticmethod
     def _report(*columns, graph_id="g", family="orbit", alphas=(0.5, 2.0)):
@@ -659,7 +690,7 @@ class TestCanonicalWriter:
             graph_id="g%s%%", family="f%r",
         )
         text = summarize_report(rep, "json")
-        assert text == _oracle(rep)
+        _assert_same_text(text, _oracle(rep))
         assert reason in {c["params"].get("reason") for c in json.loads(text)["cells"]}
 
     def test_signed_zeros_stay_apart(self):
@@ -672,7 +703,7 @@ class TestCanonicalWriter:
         )
         rep = self._report(column)
         text = summarize_report(rep, "json")
-        assert text == _oracle(rep)
+        _assert_same_text(text, _oracle(rep))
         signs = [
             [math.copysign(1.0, v) for v in
              (c["lhs"], c["slack"], c["params"]["zero"], c["params"]["minus_zero"],
@@ -726,7 +757,7 @@ class TestCanonicalWriter:
             ],
         )
         text = summarize_report(rep, "json")
-        assert text == _oracle(rep)
+        _assert_same_text(text, _oracle(rep))
         cells = json.loads(text)["cells"]
         assert {c["params"].get("int").__class__ for c in cells} == {int, type(None)}
         assert "np.float64" not in text and "True" not in text
@@ -740,7 +771,7 @@ class TestCanonicalWriter:
         )
         rep = self._report(column)
         text = summarize_report(rep, "json")
-        assert text == _oracle(rep)
+        _assert_same_text(text, _oracle(rep))
         assert "np.float64" not in text
 
     @pytest.mark.parametrize(
@@ -955,6 +986,46 @@ class TestColumnCores:
             assert cell["precondition_met"] is met, where
             assert cell["holds"] is (slack >= -TOLERANCE if met else None), where
         assert evaluated > 0
+
+
+def _broken_records():
+    """(theorem id, record) pairs, each record failing one of the id's own
+    input checks."""
+    two, three = Distribution([0.5, 0.5]), Distribution([0.2, 0.3, 0.5])
+    apart = Graph.from_edges(4, [(0, 1), (2, 3)])
+    star = generate_graph("star", 4)
+    fv = FunctionalValues.from_values([1.0, 2.0, 3.0, 4.0])
+    linear, exp = FunctionalSpec("linear"), FunctionalSpec("exponential", beta=2.0)
+    thm6 = BoundInputs(graph=star, fv=fv, fv_second=fv, weights=(0.0, 1.0))
+    return [
+        ("thm3", BoundInputs(graph=apart, part=vertex_orbits(apart), fv=fv)),
+        ("thm4", BoundInputs(dist=two, dist_second=three, psi=2.0)),
+        ("thm4_cor", BoundInputs(dist=two, dominating=three, totals=(1.0, 2.0))),
+        ("thm5", BoundInputs(thm5_pair=(two, three), phi=0.1)),
+        ("thm5", BoundInputs(thm5_pair=(two, two), phi=0.0)),
+        ("thm6", thm6),
+        ("thm6_avg", thm6),
+        ("conn_linear", BoundInputs(graph=apart, spec=linear)),
+        ("conn_exp", BoundInputs(graph=apart, spec=exp)),
+        ("conn_linear", BoundInputs(graph=Graph.from_edges(1, []), spec=linear)),
+        ("conn_exp", BoundInputs(graph=Graph.from_edges(1, []), spec=exp)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "theorem_id, record", _broken_records(),
+    ids=[f"{t}-{i}" for i, (t, _) in enumerate(_broken_records())],
+)
+def test_sweep_and_evaluate_share_each_input_check(theorem_id, record):
+    """A record that breaks an input check fails evaluate and the sweep's
+    column alike, with one text at every alpha."""
+    theorem = next(t for t in THEOREMS if t.id == theorem_id)
+    variant = "corrected" if theorem.variants else "na"
+    with pytest.raises(DomainError) as exc:
+        evaluate(theorem_id, record, 2.0, variant)
+    row = _Family("row", theorem.kinds[-1], record, {})
+    column = _column(row, theorem, COLUMN_GRID, variant)
+    assert column.outcomes == [str(exc.value)] * len(COLUMN_GRID)
 
 
 def _straightline(cell, inputs):

@@ -20,6 +20,7 @@ from graphent import (
     jensen_gap_bound,
     lemma_checks,
     ordering_bound,
+    renyi_entropy,
     thm1_refined_bound,
     thm3_partition_vs_functional,
     thm4_scaled_dominance,
@@ -603,6 +604,29 @@ def test_log_base_must_exceed_1_and_be_finite(base):
     for call in calls:
         with pytest.raises(DomainError, match="log base must exceed 1 and be finite"):
             call()
+
+
+BIG = 10**400  # an int past float range
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ordering_bound(dist(0.5, 0.5), BIG), id="ordering"),
+        pytest.param(lambda: jensen_gap_bound(dist(0.5, 0.5), BIG), id="jensen"),
+        pytest.param(lambda: thm1_refined_bound(dist(0.5, 0.5), BIG, "corrected"),
+                     id="thm1"),
+        pytest.param(lambda: renyi_entropy(dist(0.5, 0.5), BIG), id="renyi"),
+        pytest.param(lambda: class_closed_forms("star", 5, BIG), id="star"),
+        pytest.param(lambda: Distribution([BIG]), id="distribution"),
+        pytest.param(lambda: FunctionalValues.from_values([BIG]), id="values"),
+        pytest.param(lambda: FunctionalSpec("linear", coeffs=[BIG]), id="coeffs"),
+        pytest.param(lambda: FunctionalSpec("exponential", beta=BIG), id="beta"),
+    ],
+)
+def test_int_past_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestClassClosedForms:
