@@ -50,6 +50,8 @@ from .inequalities import (
 from .measures import (
     Distribution,
     FunctionalSpec,
+    _as_float,
+    _floats,
     distribution_from_values,
     functional_values,
     partition_distribution,
@@ -106,47 +108,6 @@ def _thm5_pair(
     return normalized(spec), normalized(spec_second)
 
 
-# The BoundInputs fields that only one theorem reads, derived from a
-# functional row (its second spec and the graph's distances at hand) only
-# when that theorem is planned; a failure fails that theorem's columns
-# alone.
-
-
-def _thm4_fields(
-    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
-) -> dict[str, Any]:
-    d2 = row.fv_second.distribution
-    return {
-        "dist_second": d2,
-        "psi": max(a / b for a, b in zip(row.dist.probs, d2.probs)),
-    }
-
-
-def _thm4_cor_fields(
-    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
-) -> dict[str, Any]:
-    dominating = _weighted_sum(row.fv, row.fv_second, 1.0, 1.0)
-    return {
-        "dominating": dominating.distribution,
-        "totals": (row.fv.total, dominating.total),
-    }
-
-
-def _thm5_fields(
-    row: BoundInputs, distances: DistanceData, spec_second: FunctionalSpec
-) -> dict[str, Any]:
-    d1, d2 = _thm5_pair(distances, row.spec, spec_second)
-    phi = max(a - b for a, b in zip(d1.probs, d2.probs))
-    return {"thm5_pair": (d1, d2), "phi": phi if phi > 0.0 else _PHI_FLOOR}
-
-
-_DERIVED_FIELDS = (
-    ("thm4", _thm4_fields),
-    ("thm4_cor", _thm4_cor_fields),
-    ("thm5", _thm5_fields),
-)
-
-
 class _Family(NamedTuple):
     """One (graph, family) row before evaluation: its label, its kind
     ("orbit" or the template's functional kind, which picks its plan), the
@@ -172,7 +133,7 @@ class FunctionalTemplate:
 
     def __post_init__(self):
         FunctionalSpec(kind=self.kind, beta=self.beta)  # checks kind and beta
-        lo, hi = (float(c) for c in self.c_range)
+        lo, hi = map(_as_float, self.c_range)
         if not 0.0 < lo <= hi < math.inf:
             raise DomainError(
                 f"coefficient range must be positive and finite, got {self.c_range}"
@@ -215,10 +176,10 @@ class SweepConfig:
         trials = _whole(self.trials_per_cell, "trials_per_cell")
         if trials < 1:
             raise DomainError("trials_per_cell must be >= 1")
-        alpha_grid = tuple(float(a) for a in self.alpha_grid)
+        alpha_grid = _floats(self.alpha_grid)
         for alpha in alpha_grid:
             _check_alpha(alpha)
-        edge_probabilities = tuple(float(p) for p in self.edge_probabilities)
+        edge_probabilities = _floats(self.edge_probabilities)
         if any(not 0.0 <= p <= 1.0 for p in edge_probabilities):
             raise DomainError("edge probabilities must lie in [0, 1]")
         for v in self.variants:
@@ -473,6 +434,12 @@ def _error_rows(cfg: SweepConfig, reason: str) -> list[_Family]:
 def _family_rows(
     cfg: SweepConfig, g: Graph, gi: int, distances: DistanceData
 ) -> list[_Family]:
+    """g's orbit row and one row per functional template. A row's record
+    holds what its columns share (the orbits and their distribution, the
+    diameter, the two functionals, the weights and their combination) and,
+    when thm5 is planned, thm5's pair and phi, which only the sweep derives;
+    a failure there fails thm5's columns alone. thm4's and thm4_cor's cores
+    derive their own inputs from the functionals."""
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
@@ -510,16 +477,18 @@ def _family_rows(
             # built once per row, so the four thm6 columns share its Renyi memo
             combined=_weighted_sum(fv_a, fv_b, c1, c2),
         )
-        derived, reasons = {}, {}
-        for theorem_id, fields_of in _DERIVED_FIELDS:
-            if theorem_id in cfg.theorems:
-                try:
-                    derived.update(fields_of(inputs, distances, spec_b))
-                except GraphEntropyError as exc:
-                    reasons[theorem_id] = str(exc)
-        rows.append(
-            _Family(template.label, template.kind, inputs._replace(**derived), reasons)
-        )
+        reasons = {}
+        if "thm5" in cfg.theorems:
+            try:
+                d1, d2 = _thm5_pair(distances, spec_a, spec_b)
+            except GraphEntropyError as exc:
+                reasons["thm5"] = str(exc)
+            else:
+                phi = max(a - b for a, b in zip(d1.probs, d2.probs))
+                inputs = inputs._replace(
+                    thm5_pair=(d1, d2), phi=phi if phi > 0.0 else _PHI_FLOOR
+                )
+        rows.append(_Family(template.label, template.kind, inputs, reasons))
     return rows
 
 

@@ -1,14 +1,17 @@
 """Checkable reports for every inequality in the bound catalog.
 
 Each theorem has one column core. It takes its inputs and an alpha grid,
-computes everything that does not depend on alpha once, and returns a
-Column: the report params that do not depend on alpha, built once, and per
-alpha an outcome (verdict, numbers and the params that do depend on alpha)
-or the reason that alpha failed. A core checks its own inputs first and
-builds what its record leaves None. THEOREMS, the one theorem table, says
-per sweep id which core runs on which fields of a BoundInputs, the one
-record of every input a core reads. The sweep fills one record per row and
-keeps and renders the columns; evaluate runs the same core at one alpha
+computes everything that does not depend on alpha once, builds its bound
+at every alpha, and hands the grid to _outcomes, which applies the slack,
+verdict and finiteness rules in one pass. It returns a Column: the report
+params that do not depend on alpha, built once, and per alpha an outcome
+(verdict, numbers and the params that do depend on alpha) or the reason
+that alpha failed. A core checks its own inputs first and builds what its
+record leaves None. THEOREMS, the one theorem table, says per sweep id
+which core runs on which fields of a BoundInputs, the one record of every
+input a core reads. The sweep fills one record per row with what the row's
+columns share and keeps and renders the columns; evaluate runs the same
+core at one alpha
 (the public operations and `graphent check` build a record and call it)
 and returns a structured BoundReport instead of asserting. Two variants
 exist wherever the printed bound and its repaired derivation disagree:
@@ -37,7 +40,8 @@ from __future__ import annotations
 import math
 from functools import partial
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from itertools import repeat
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
 from .graph import Graph, SeededStream, distance_matrix, generate_graph
@@ -122,7 +126,7 @@ class Column(NamedTuple):
     depend on alpha, hold None here and take each alpha's values from its
     outcome. The rest, the precondition and the tolerance are the same at
     every alpha. outcomes has per alpha its Outcome or the reason that
-    alpha failed.
+    alpha failed, as _outcomes finishes them.
     """
 
     theorem_id: str
@@ -149,9 +153,10 @@ class BoundInputs(NamedTuple):
     """Every input a column core reads. A caller fills the fields of the
     theorems it evaluates (THEOREMS reads them) and leaves the rest None.
     pdist, combined, fv and eta are derived: a core builds them when they
-    are None. The sweep fills one record per (graph, family) row, these
-    four included, so that a row's columns share them and their Renyi
-    memos."""
+    are None, and so are thm4's dist_second and psi (from fv_second) and
+    thm4_cor's dominating and totals (from fv and fv_second). The sweep
+    fills one record per (graph, family) row, pdist, combined, fv and eta
+    included, so that a row's columns share them and their Renyi memos."""
 
     # the graph that thm3, thm6 and conn check and conn's values come from
     graph: Graph | None = None
@@ -166,10 +171,12 @@ class BoundInputs(NamedTuple):
     # f of thm3 and conn, f1 of thm6; and thm6's f2
     fv: FunctionalValues | None = None
     fv_second: FunctionalValues | None = None
-    # thm4: p2 and the dominance constant psi
+    # thm4: p2 and the dominance constant psi, or None for f2's p2 and
+    # psi = max p1/p2
     dist_second: Distribution | None = None
     psi: float | None = None
-    # thm4_cor: the totals (S1, S2) and the dominating functional's p2
+    # thm4_cor: the totals (S1, S2) and the dominating functional's p2, or
+    # None for the dominating functional f1 + f2
     totals: tuple[float, float] | None = None
     dominating: Distribution | None = None
     # thm5: (p1, p2) and the additive constant phi
@@ -180,54 +187,65 @@ class BoundInputs(NamedTuple):
     combined: FunctionalValues | None = None
 
 
-def _finish(
+def _outcomes(
     theorem_id: str,
-    lhs: float,
-    bound: float | None,
-    direction: str,
-    varying: tuple[float, ...] = (),
+    lhs: Sequence[float],
+    bounds: Sequence[float | str | tuple[float, float]],
+    directions: Sequence[str],
+    varying: Iterable[tuple[float, ...]] | None = None,
     *,
     precondition_met: bool = True,
     tolerance: float = TOLERANCE,
-    interval: tuple[float, float] | None = None,
-) -> Outcome:
-    """Slack, verdict and finiteness of one evaluated instance.
+) -> list[Outcome | str]:
+    """Slack, verdict and finiteness of a column's instances, one per alpha.
 
-    varying holds the values of the column's alpha-dependent params. An
-    interval's ends follow them, as bound_lower/bound_upper, and its nearer
-    end becomes the bound. Raises DomainError when the slack, an interval
-    end or a varying value is not finite.
+    varying holds per alpha the values of the column's alpha-dependent
+    params. A str bound is that alpha's reason. An "interval" bound is
+    (lo, hi): its ends follow the varying values, as bound_lower and
+    bound_upper, and its nearer end becomes the bound. An alpha fails when
+    its slack, an interval end or a varying value is not finite.
     """
-    if interval is not None:
-        lo, hi = interval
-        varying = (*varying, lo, hi)
-        low_side, high_side = lhs - lo, hi - lhs
-        slack = min(low_side, high_side)
-        bound = lo if low_side <= high_side else hi
-        # an interval's other end is not in slack, so it is checked as well
-        finite = math.isfinite(slack) and math.isfinite(lo) and math.isfinite(hi)
-    else:
-        if direction == "upper":
-            slack = bound - lhs
-        elif direction == "lower":
-            slack = lhs - bound
-        else:  # equal
-            slack = -abs(lhs - bound)
-        # slack is finite only where lhs and bound are
-        finite = math.isfinite(slack)
-    if not finite:
-        raise DomainError(
-            f"{theorem_id} is not finite: lhs {lhs!r}, bound {bound!r}, "
-            f"slack {slack!r}"
-        )
-    for value in varying:  # finite Python floats pass as they are
-        if value.__class__ is not float or not math.isfinite(value):
-            varying = tuple(map(float, varying))
-            if not all(map(math.isfinite, varying)):
-                raise DomainError(f"{theorem_id} params are not finite: {varying!r}")
-            break
-    holds = bool(slack >= -tolerance) if precondition_met else None
-    return (holds, float(lhs), float(bound), float(slack), *varying, direction)
+    out: list[Outcome | str] = []
+    for h, bound, direction, values in zip(
+        lhs, bounds, directions, repeat(()) if varying is None else varying
+    ):
+        if bound.__class__ is str:
+            out.append(bound)
+            continue
+        if direction == "interval":
+            lo, hi = bound
+            values = (*values, lo, hi)
+            low_side, high_side = h - lo, hi - h
+            slack = min(low_side, high_side)
+            bound = lo if low_side <= high_side else hi
+            # an interval's other end is not in slack, so it is checked as well
+            finite = math.isfinite(slack) and math.isfinite(lo) and math.isfinite(hi)
+        else:
+            if direction == "upper":
+                slack = bound - h
+            elif direction == "lower":
+                slack = h - bound
+            else:  # equal
+                slack = -abs(h - bound)
+            # slack is finite only where lhs and bound are
+            finite = math.isfinite(slack)
+        if not finite:
+            out.append(
+                f"{theorem_id} is not finite: lhs {h!r}, bound {bound!r}, "
+                f"slack {slack!r}"
+            )
+            continue
+        for value in values:  # finite Python floats pass as they are
+            if value.__class__ is not float or not math.isfinite(value):
+                values = tuple(map(float, values))
+                finite = all(map(math.isfinite, values))
+                break
+        if not finite:
+            out.append(f"{theorem_id} params are not finite: {values!r}")
+            continue
+        holds = bool(slack >= -tolerance) if precondition_met else None
+        out.append((holds, float(h), float(bound), float(slack), *values, direction))
+    return out
 
 
 def _instance(
@@ -235,19 +253,20 @@ def _instance(
     alpha: float,
     theorem_id: str,
     lhs: float,
-    bound: float | None,
+    bound: float | str,
     direction: str,
     params: dict[str, Any],
     *,
     precondition_met: bool = True,
     tolerance: float = TOLERANCE,
 ) -> BoundReport:
-    """The BoundReport of one instance whose params are all known."""
-    outcome = _finish(
-        theorem_id, lhs, bound, direction,
+    """The BoundReport of one instance whose params are all known; a str
+    bound is raised as its DomainError."""
+    outcomes = _outcomes(
+        theorem_id, (lhs,), (bound,), (direction,),
         precondition_met=precondition_met, tolerance=tolerance,
     )
-    column = Column(theorem_id, params, [outcome], (), precondition_met, tolerance)
+    column = Column(theorem_id, params, outcomes, (), precondition_met, tolerance)
     return _report(variant, alpha, column)
 
 
@@ -265,18 +284,11 @@ def _report(variant: str, alpha: float, column: Column) -> BoundReport:
     )
 
 
-def _per_alpha(
-    body: Callable[..., Outcome], alphas: Sequence[float], *values: list
-) -> list[Outcome | str]:
-    """body(alpha, *that alpha's entry of each values list) at each alpha; a
-    DomainError at one alpha becomes that alpha's reason."""
-    out: list[Outcome | str] = []
-    for args in zip(alphas, *values):
-        try:
-            out.append(body(*args))
-        except DomainError as exc:
-            out.append(str(exc))
-    return out
+def _directions(alphas: Sequence[float], below: str = "upper") -> list[str]:
+    """A one-sided bound's direction at each alpha: below under alpha=1, the
+    other side above it."""
+    above = "lower" if below == "upper" else "upper"
+    return [below if alpha < 1.0 else above for alpha in alphas]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -429,12 +441,10 @@ def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
 def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
     d = r.dist
     n, h = d.size, shannon_entropy(d)
-
-    def body(alpha: float, h_alpha: float) -> Outcome:
-        direction = "lower" if alpha < 1.0 else "upper"
-        return _finish("ordering", h_alpha, h, direction)
-
-    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    outcomes = _outcomes(
+        "ordering", renyi_entropies(d, alphas), [h] * len(alphas),
+        _directions(alphas, "lower"),
+    )
     return Column("ordering", {"N": n, "shannon": h}, outcomes)
 
 
@@ -452,17 +462,14 @@ def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
     d = r.dist
     sum_terms = _jensen_sums(d, alphas)
     n, h = d.size, shannon_entropy(d)
-
-    def body(alpha: float, h_alpha: float, sum_term: float) -> Outcome:
-        return _finish(
-            "jensen",
-            h_alpha,
-            h + sum_term / (2.0 * LN2 * (1.0 - alpha)),
-            "upper" if alpha < 1.0 else "lower",
-            (sum_term,),
-        )
-
-    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas), sum_terms)
+    bounds = [
+        h + sum_term / (2.0 * LN2 * (1.0 - alpha))
+        for alpha, sum_term in zip(alphas, sum_terms)
+    ]
+    outcomes = _outcomes(
+        "jensen", renyi_entropies(d, alphas), bounds, _directions(alphas),
+        zip(sum_terms),
+    )
     params = {"N": n, "shannon": h, "sum_term": None}
     return Column("jensen", params, outcomes, ("sum_term",))
 
@@ -482,7 +489,7 @@ def _jensen_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
     z = r_i/r_j, r = p**((alpha-1)/2) from the exact atoms: a power with an
     exact exponent above alpha = 1, p**(alpha/2) / sqrt(p) below it. Only
     a pair of small atoms can see r_j underflow; it keeps sinh(h). inf where
-    a sum leaves float range, which _finish makes that alpha's DomainError.
+    a sum leaves float range, which _outcomes makes that alpha's reason.
     """
     probs, logs = d.probs, d.log_probs
     pairs = []
@@ -520,26 +527,32 @@ def _jensen_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
     return sums
 
 
-def _thm1_bound(
-    h: float, alpha: float, variant: str, pairs: int, rho: float, eps_factor: float
-) -> tuple[str, float]:
-    """(direction, bound) of thm1 in the variant thm1_refined_bound describes,
-    for Shannon entropy h, pairs = N(N-1) ordered pairs of atoms and
-    eps_factor epsilon**2 or 1."""
-    exponent = abs(alpha - 2.0) if variant == "corrected" else alpha - 2.0
-    try:
-        rho_factor = rho**exponent
-    except OverflowError:
-        rho_factor = math.inf
-    if math.isinf(rho) or math.isinf(rho_factor):
-        raise DomainError(f"rho ** {exponent:g} overflows a float at rho = {rho:g}")
-    if alpha > 1.0 and variant == "literal":
-        # the printed form divides by rho**(alpha-2) and carries no
-        # epsilon**2 in this regime even in the corollary
-        return "lower", h - (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor)
-    # (1 - alpha) carries the regime's sign, so the gap is subtracted above 1
-    gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
-    return ("upper" if alpha < 1.0 else "lower"), h + gap
+def _thm1_bounds(
+    h: float, alphas: Sequence[float], variant: str, pairs: int, rho: float,
+    eps_factor: float,
+) -> list[float | str]:
+    """thm1's bound at each alpha in the variant thm1_refined_bound
+    describes, or the reason rho's power overflows there, for Shannon
+    entropy h, pairs = N(N-1) ordered pairs of atoms and eps_factor
+    epsilon**2 or 1. It is an upper bound below alpha=1, a lower one above."""
+    bounds: list[float | str] = []
+    for alpha in alphas:
+        exponent = abs(alpha - 2.0) if variant == "corrected" else alpha - 2.0
+        try:
+            rho_factor = rho**exponent
+        except OverflowError:
+            rho_factor = math.inf
+        if math.isinf(rho) or math.isinf(rho_factor):
+            bounds.append(f"rho ** {exponent:g} overflows a float at rho = {rho:g}")
+        elif alpha > 1.0 and variant == "literal":
+            # the printed form divides by rho**(alpha-2) and carries no
+            # epsilon**2 in this regime even in the corollary
+            bounds.append(h - (alpha - 1.0) * pairs / (2.0 * LN2 * rho_factor))
+        else:
+            # 1 - alpha carries the regime's sign: the gap is subtracted above 1
+            gap = pairs * (1.0 - alpha) * eps_factor * rho_factor / (2.0 * LN2)
+            bounds.append(h + gap)
+    return bounds
 
 
 def thm1_refined_bound(
@@ -564,13 +577,7 @@ def _thm1_column(
     n, h = d.size, shannon_entropy(d)
     eps_factor = stats.epsilon**2 if use_epsilon else 1.0
     theorem_id = "thm1_eps" if use_epsilon else "thm1"
-
-    def body(alpha: float, h_alpha: float) -> Outcome:
-        direction, bound = _thm1_bound(
-            h, alpha, variant, n * (n - 1), stats.rho, eps_factor
-        )
-        return _finish(theorem_id, h_alpha, bound, direction)
-
+    bounds = _thm1_bounds(h, alphas, variant, n * (n - 1), stats.rho, eps_factor)
     params = {
         "N": n,
         "rho": stats.rho,
@@ -578,7 +585,9 @@ def _thm1_column(
         "use_epsilon": use_epsilon,
         "shannon": h,
     }
-    outcomes = _per_alpha(body, alphas, renyi_entropies(d, alphas))
+    outcomes = _outcomes(
+        theorem_id, renyi_entropies(d, alphas), bounds, _directions(alphas)
+    )
     return Column(theorem_id, params, outcomes)
 
 
@@ -623,17 +632,9 @@ def _thm3_column(
     h_fs = _to_base(renyi_entropies(distribution_from_values(fv), alphas), base)
     log_ratio = (fv.total_log - math.log(n)) / math.log(base)
     log2_s = fv.total_log / LN2
-
-    def body(alpha: float, h_gamma: float, h_f: float) -> Outcome:
-        return _finish(
-            "thm3",
-            h_gamma,
-            h_f + (alpha / (1.0 - alpha)) * log_ratio,
-            "upper" if alpha < 1.0 else "lower",
-            (h_f,),
-            precondition_met=met,
-        )
-
+    bounds = [
+        h_f + (alpha / (1.0 - alpha)) * log_ratio for alpha, h_f in zip(alphas, h_fs)
+    ]
     params = {
         "k": k,
         "X_size": n,
@@ -641,7 +642,10 @@ def _thm3_column(
         "h_functional": None,
         "log_base": base,
     }
-    outcomes = _per_alpha(body, alphas, h_gammas, h_fs)
+    outcomes = _outcomes(
+        "thm3", h_gammas, bounds, _directions(alphas), zip(h_fs),
+        precondition_met=met,
+    )
     return Column("thm3", params, outcomes, ("h_functional",), met)
 
 
@@ -670,20 +674,30 @@ def _thm4_column(
     corollary: bool = False,
 ) -> Column:
     """thm4 on distributions over one vertex set: p1 against dist_second
-    and psi, or in the corollary against dominating with psi = S2/S1."""
-    d1, psi = r.dist, r.psi
+    and psi, or in the corollary against dominating with psi = S2/S1 for
+    the totals (S1, S2). A record that leaves dist_second or dominating
+    None has them derived from fv and fv_second: p2 is f2's distribution
+    and psi = max p1/p2, or the dominating functional is f1 + f2 with
+    totals (S1, S1 + S2)."""
+    d1, psi, totals = r.dist, r.psi, r.totals
     d2 = r.dominating if corollary else r.dist_second
+    if d2 is None and corollary:
+        dominating = _weighted_sum(r.fv, r.fv_second, 1.0, 1.0)
+        d2, totals = dominating.distribution, (r.fv.total, dominating.total)
+    elif d2 is None:
+        d2 = r.fv_second.distribution
+        psi = max(a / b for a, b in zip(d1.probs, d2.probs))
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
     mode = "psi"
-    totals: dict[str, float] = {}
+    total_params: dict[str, float] = {}
     if corollary:
-        s1, s2 = map(_as_float, r.totals)
+        s1, s2 = map(_as_float, totals)
         if not (0.0 < s1 < math.inf and 0.0 < s2 < math.inf):
             raise DomainError("functional totals must be positive and finite")
         psi = s2 / s1
         mode = "corollary"
-        totals = {"S1": s1, "S2": s2}
+        total_params = {"S1": s1, "S2": s2}
     psi = math.nan if psi is None else _as_float(psi)
     if not 0.0 < psi < math.inf:
         raise DomainError("psi must be positive and finite")
@@ -692,30 +706,19 @@ def _thm4_column(
     )
     n = d1.size
     log_psi = _logb(psi, base)
-
-    def body(alpha: float, h1: float, h2: float) -> Outcome:
-        return _finish(
-            "thm4",
-            h1,
-            h2 + (alpha / (1.0 - alpha)) * log_psi,
-            "upper" if alpha < 1.0 else "lower",
-            (h2,),
-            precondition_met=met,
-        )
-
+    h1s = _to_base(renyi_entropies(d1, alphas), base)
+    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    bounds = [h2 + (alpha / (1.0 - alpha)) * log_psi for alpha, h2 in zip(alphas, h2s)]
     params = {
         "psi": psi,
         "mode": mode,
         "N": n,
         "h_other": None,
         "log_base": base,
-        **totals,
+        **total_params,
     }
-    outcomes = _per_alpha(
-        body,
-        alphas,
-        _to_base(renyi_entropies(d1, alphas), base),
-        _to_base(renyi_entropies(d2, alphas), base),
+    outcomes = _outcomes(
+        "thm4", h1s, bounds, _directions(alphas), zip(h2s), precondition_met=met
     )
     return Column("thm4", params, outcomes, ("h_other",), met)
 
@@ -750,21 +753,18 @@ def _thm5_column(
     met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
     factor = _penalty_factor(variant, base)
-
-    def body(alpha: float, h1: float, h2: float, log2_sum_2: float) -> Outcome:
-        power_sum_2 = 2.0 ** log2_sum_2
+    h1s = _to_base(renyi_entropies(d1, alphas), base)
+    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    power_sums = [2.0**log2_sum for log2_sum in log2_power_sums(d2, alphas)]
+    bounds = []
+    for alpha, h2, power_sum_2 in zip(alphas, h2s, power_sums):
         # the regime picks the power mean and its weight; 1 - alpha carries
         # the sign, so the penalty is subtracted above 1
         if alpha < 1.0:
             w, x = 1.0, n * phi**alpha / power_sum_2
         else:
             w, x = alpha, n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
-        return _finish(
-            "thm5", h1, h2 + (w / (1.0 - alpha)) * x * factor,
-            "upper" if alpha < 1.0 else "lower", (power_sum_2, h2),
-            precondition_met=met,
-        )
-
+        bounds.append(h2 + (w / (1.0 - alpha)) * x * factor)
     params = {
         "phi": phi,
         "N": n,
@@ -772,12 +772,9 @@ def _thm5_column(
         "h_other": None,
         "log_base": base,
     }
-    outcomes = _per_alpha(
-        body,
-        alphas,
-        _to_base(renyi_entropies(d1, alphas), base),
-        _to_base(renyi_entropies(d2, alphas), base),
-        log2_power_sums(d2, alphas),
+    outcomes = _outcomes(
+        "thm5", h1s, bounds, _directions(alphas), zip(power_sums, h2s),
+        precondition_met=met,
     )
     return Column("thm5", params, outcomes, ("power_sum_2", "h_other"), met)
 
@@ -814,12 +811,16 @@ def _weighted_sum(
     )
 
 
-def _penalty_exp(x: float) -> float:
-    """exp of a thm6 penalty ratio's log; DomainError when it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise DomainError(f"thm6 penalty exp({x:g}) overflows a float") from None
+def _penalty_exp(*logs: float) -> float | str:
+    """The sum of exp over thm6 penalty ratios' logs, or the reason that
+    the first to overflow does."""
+    total = 0.0
+    for x in logs:
+        try:
+            total += math.exp(x)
+        except OverflowError:
+            return f"thm6 penalty exp({x:g}) overflows a float"
+    return total
 
 
 def _thm6_column(
@@ -854,10 +855,12 @@ def _thm6_column(
     if symmetric:
         log_a, sides = log_a + _logb(a2, base), 2.0
     theorem_id = "thm6_avg" if symmetric else "thm6"
-
-    def body(
-        alpha: float, h_f: float, h1: float, h2: float, sum_1: float, sum_2: float
-    ) -> Outcome:
+    h1s = _to_base(renyi_entropies(d1, alphas), base)
+    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    bounds = []
+    for alpha, h1, h2, sum_1, sum_2 in zip(
+        alphas, h1s, h2s, log2_power_sums(d1, alphas), log2_power_sums(d2, alphas)
+    ):
         # ln(sum p2^alpha) - ln(sum p1^alpha)
         dtp = (sum_2 - sum_1) * LN2
         # the regime picks the penalty exponent of Z21 = exp(e) and its
@@ -866,15 +869,15 @@ def _thm6_column(
             w, e = 1.0, alpha * (t2 - t1) + dtp
         else:
             w, e = alpha, (t2 - t1) + dtp / alpha
-        h, z = h1, _penalty_exp(e)
         if symmetric:
-            h, z = 0.5 * (h1 + h2), z + _penalty_exp(-e)
+            h, z = 0.5 * (h1 + h2), _penalty_exp(e, -e)
+        else:
+            h, z = h1, _penalty_exp(e)
         den = sides * (1.0 - alpha)
-        return _finish(
-            theorem_id, h_f, h + (alpha / den) * log_a + (w / den) * z * factor,
-            "upper" if alpha < 1.0 else "lower", (h1, h2),
+        bounds.append(
+            z if z.__class__ is str
+            else h + (alpha / den) * log_a + (w / den) * z * factor
         )
-
     params = {
         "c1": c1,
         "c2": c2,
@@ -886,15 +889,7 @@ def _thm6_column(
         "h2": None,
         "log_base": base,
     }
-    outcomes = _per_alpha(
-        body,
-        alphas,
-        h_fs,
-        _to_base(renyi_entropies(d1, alphas), base),
-        _to_base(renyi_entropies(d2, alphas), base),
-        log2_power_sums(d1, alphas),
-        log2_power_sums(d2, alphas),
-    )
+    outcomes = _outcomes(theorem_id, h_fs, bounds, _directions(alphas), zip(h1s, h2s))
     return Column(theorem_id, params, outcomes, ("h1", "h2"))
 
 
@@ -955,9 +950,10 @@ def _star_like_reports(
     # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
     rho = float(n - 1)
     for variant in VARIANTS:
-        direction, bound = _thm1_bound(closed_shannon, alpha, variant, 2, rho, 1.0)
+        (bound,) = _thm1_bounds(closed_shannon, (alpha,), variant, 2, rho, 1.0)
         reports.append(_instance(
-            variant, alpha, "class_gamma_bound", h_alpha, bound, direction,
+            variant, alpha, "class_gamma_bound", h_alpha, bound,
+            "upper" if alpha < 1.0 else "lower",
             {**base_params, "rho": rho}, precondition_met=two_orbit,
         ))
     if fv is not None:
@@ -1088,19 +1084,16 @@ def _conn_column(
     if not met:
         params["reason"] = "literal form needs beta >= 1"
     params.update({"bound_lower": None, "bound_upper": None})
-
-    def body(alpha: float, h: float) -> Outcome:
+    bounds = []
+    for alpha in alphas:
         if linear:
             half_width = (alpha / abs(1.0 - alpha)) * log2_ratio
         else:
             half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
-        return _finish(
-            theorem_id, h, None, "interval",
-            precondition_met=met,
-            interval=(center - half_width, center + half_width),
-        )
-
-    outcomes = _per_alpha(body, alphas, hs)
+        bounds.append((center - half_width, center + half_width))
+    outcomes = _outcomes(
+        theorem_id, hs, bounds, ["interval"] * len(alphas), precondition_met=met
+    )
     return Column(theorem_id, params, outcomes, ("bound_lower", "bound_upper"), met)
 
 

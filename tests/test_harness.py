@@ -46,12 +46,18 @@ from graphent.inequalities import (
     VARIANTS,
     BoundInputs,
     Column,
-    _finish,
+    _outcomes,
+    _weighted_sum,
     evaluate,
 )
 
 # marks a field to leave out of a config dict
 DROP = object()
+
+
+def _outcome(lhs, bound, direction, varying=()):
+    """One alpha's outcome of a column "t", or the reason it failed."""
+    return _outcomes("t", [lhs], [bound], [direction], [varying])[0]
 
 
 def _cell_key(c):
@@ -515,9 +521,9 @@ print("numpy" in sys.modules)
         def column(theorem_id, outcomes):
             return Column(theorem_id, {}, outcomes)
 
-        held_zero = _finish("t", 1.0, 1.0, "upper")  # slack 0.0
-        held_minus_zero = _finish("t", 1.0, 1.0, "equal")  # slack -0.0
-        violated = _finish("t", 2.0, 1.0, "upper")
+        held_zero = _outcome(1.0, 1.0, "upper")  # slack 0.0
+        held_minus_zero = _outcome(1.0, 1.0, "equal")  # slack -0.0
+        violated = _outcome(2.0, 1.0, "upper")
         plan = [(THEOREMS[0], "na"), (THEOREMS[1], "na"), (THEOREMS[2], "na")]
         rows = [_Row("orbit", plan, [
             column("a", [held_zero, violated]),
@@ -681,8 +687,8 @@ class TestCanonicalWriter:
         reason = "100% of %s and %r and %(x)s failed"
         evaluated = Column(
             "t", {"mode": "50%", "%x": 1, "h": None}, [
-                _finish("t", 1.0, 2.0, "upper", (0.5,)),
-                _finish("t", 2.0, 1.0, "lower", (0.25,)),
+                _outcome(1.0, 2.0, "upper", (0.5,)),
+                _outcome(2.0, 1.0, "lower", (0.25,)),
             ], ("h",),
         )
         rep = self._report(
@@ -697,8 +703,8 @@ class TestCanonicalWriter:
         # slack -|0 - 0| is -0.0, and no value is merged with an equal one
         column = Column(
             "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
-            [_finish("t", 0.0, 0.0, "equal", (-0.0,)),
-             _finish("t", -0.0, 0.0, "equal", (0.0,))],
+            [_outcome(0.0, 0.0, "equal", (-0.0,)),
+             _outcome(-0.0, 0.0, "equal", (0.0,))],
             ("h",),
         )
         rep = self._report(column)
@@ -721,26 +727,26 @@ class TestCanonicalWriter:
         def zeros():
             return Column(
                 "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
-                [_finish("t", 0.0, 0.0, "equal", (-0.0,)),
-                 _finish("t", -0.0, 0.0, "equal", (0.0,))],
+                [_outcome(0.0, 0.0, "equal", (-0.0,)),
+                 _outcome(-0.0, 0.0, "equal", (0.0,))],
                 ("h",),
             )
 
         def ones():
             return Column(
                 "t", {"int": 1, "bool": True, "h": None},
-                [_finish("t", 1.0, 2.0, "upper", (1.0,))] * 2, ("h",),
+                [_outcome(1.0, 2.0, "upper", (1.0,))] * 2, ("h",),
             )
 
         def numpy_tenth():
             return Column(
-                "t", {"c": np.float64(0.1)}, [_finish("t", 0.5, 1.0, "upper")] * 2
+                "t", {"c": np.float64(0.1)}, [_outcome(0.5, 1.0, "upper")] * 2
             )
 
         def python_tenth():
             return Column(
                 "t", {"c": 0.1, "h": None},
-                [_finish("t", 0.1, 1.0, "upper", (0.1,))] * 2, ("h",),
+                [_outcome(0.1, 1.0, "upper", (0.1,))] * 2, ("h",),
             )
 
         cfg = SweepConfig(seed=0, n_range=(1, 1), edge_probabilities=(),
@@ -765,7 +771,7 @@ class TestCanonicalWriter:
     def test_numpy_floats_render_as_floats(self):
         column = Column(
             "t", {"c": np.float64(0.1), "n": 3, "h": None},
-            [_finish("t", np.float64(1.0), np.float64(2.0), "upper",
+            [_outcome(np.float64(1.0), np.float64(2.0), "upper",
                      (np.float64(1.0 / 3.0),))] * 2,
             ("h",),
         )
@@ -778,7 +784,7 @@ class TestCanonicalWriter:
         "value", [math.inf, -math.inf, math.nan, np.float64(math.inf)]
     )
     def test_non_finite_param_raises_like_json(self, value):
-        column = Column("t", {"c": value}, [_finish("t", 1.0, 2.0, "upper")] * 2)
+        column = Column("t", {"c": value}, [_outcome(1.0, 2.0, "upper")] * 2)
         rep = self._report(column)
         with pytest.raises(ValueError):
             _oracle(rep)
@@ -786,8 +792,9 @@ class TestCanonicalWriter:
             summarize_report(rep, "json")
 
     def test_non_finite_varying_param_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="params are not finite"):
-            _finish("t", 1.0, 2.0, "upper", (math.inf,))
+        assert _outcome(1.0, 2.0, "upper", (math.inf,)) == (
+            "t params are not finite: (inf,)"
+        )
 
     def test_summary_without_cells_has_no_json(self):
         summary = stream_sweep(small_config())
@@ -887,8 +894,8 @@ class TestTheoremTable:
                     theorem, flags = "thm1", [*flags, "--use-epsilon"]
             elif theorem == "thm4":
                 flags = ["--probs1", probs(inputs.dist),
-                         "--probs2", probs(inputs.dist_second),
-                         "--psi", repr(inputs.psi)]
+                         "--probs2", probs(inputs.fv_second.distribution),
+                         "--psi", repr(cell["params"]["psi"])]
             elif theorem == "thm5":
                 d1, d2 = inputs.thm5_pair
                 flags = ["--probs1", probs(d1), "--probs2", probs(d2),
@@ -986,6 +993,41 @@ class TestColumnCores:
             assert cell["precondition_met"] is met, where
             assert cell["holds"] is (slack >= -TOLERANCE if met else None), where
         assert evaluated > 0
+
+
+def test_thm4_cores_derive_what_the_record_leaves_none():
+    """thm4's p2 and psi and thm4_cor's dominating distribution and totals,
+    derived by the core from fv and fv_second, give the bits of a record
+    that carries them."""
+    cfg = small_config(trials_per_cell=1, alpha_grid=SweepConfig.alpha_grid)
+    checked = 0
+    for _, row in _rows(cfg):
+        if row.kind == "orbit" or row.inputs is None:
+            continue
+        d1, fv, fv2 = row.inputs.dist, row.inputs.fv, row.inputs.fv_second
+        d2 = fv2.distribution
+        dominating = _weighted_sum(fv, fv2, 1.0, 1.0)
+        pairs = [
+            ("thm4", BoundInputs(dist=d1, fv_second=fv2), BoundInputs(
+                dist=d1, dist_second=d2,
+                psi=max(a / b for a, b in zip(d1.probs, d2.probs)),
+            )),
+            ("thm4_cor", BoundInputs(dist=d1, fv=fv, fv_second=fv2), BoundInputs(
+                dist=d1, dominating=dominating.distribution,
+                totals=(fv.total, dominating.total),
+            )),
+        ]
+        for theorem_id, derived, explicit in pairs:
+            for alpha in SweepConfig.alpha_grid:
+                got, want = [], []
+                for record, out in ((derived, got), (explicit, want)):
+                    try:
+                        out.append(repr(evaluate(theorem_id, record, alpha)))
+                    except DomainError as exc:
+                        out.append(str(exc))
+                assert got == want, (theorem_id, alpha)
+                checked += 1
+    assert checked > 0
 
 
 def _broken_records():

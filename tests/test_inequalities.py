@@ -28,7 +28,14 @@ from graphent import (
     thm6_convex_combination,
     vertex_orbits,
 )
-from graphent.inequalities import BoundInputs, _jensen_sums, _thm1_column
+from graphent.harness import DEFAULT_ALPHA_GRID, FunctionalTemplate, SweepConfig
+from graphent.inequalities import (
+    THEOREMS,
+    BoundInputs,
+    _jensen_sums,
+    _thm1_column,
+    evaluate,
+)
 
 # frozen via an independent high-precision evaluation (mpmath, 40 digits)
 L3_GAP = 0.3219280948873623
@@ -304,6 +311,58 @@ class TestThm1:
         with pytest.raises(DomainError) as exc:
             thm1_refined_bound(d, 30.0, "corrected")
         assert str(exc.value) == failed
+
+    @pytest.mark.parametrize(
+        "theorem_id, record, reason, failing",
+        [
+            pytest.param(
+                "thm1", BoundInputs(dist=Distribution(p=[1 - 1e-200, 1e-200])),
+                "rho ** 1.75 overflows a float at rho = 1e+200", {0.25},
+                id="thm1-rho-power",
+            ),
+            *(
+                pytest.param(
+                    theorem_id,
+                    BoundInputs(
+                        graph=generate_graph("path", 3),
+                        fv=FunctionalValues(log_values=first),
+                        fv_second=FunctionalValues(log_values=second),
+                        weights=(1.0, 1.0),
+                    ),
+                    "thm6 penalty exp(735) overflows a float",
+                    {2.0, 3.0, 1.1, 1.5},
+                    id=f"{theorem_id}-{side}",
+                )
+                for theorem_id, side, first, second in (
+                    ("thm6", "exp-e", [0.0, 1.0, 0.5], [735.0, 736.0, 735.5]),
+                    ("thm6_avg", "exp-e", [0.0, 1.0, 0.5], [735.0, 736.0, 735.5]),
+                    ("thm6_avg", "exp-minus-e", [735.0, 736.0, 735.5],
+                     [0.0, 1.0, 0.5]),
+                )
+            ),
+        ],
+    )
+    def test_overflow_reasons_keep_their_alpha_on_a_grid(
+        self, theorem_id, record, reason, failing
+    ):
+        """A power or a penalty past float range fails its own alphas with
+        its own text; every other alpha of the column is evaluated and
+        equals the one-alpha evaluate."""
+        theorem = next(t for t in THEOREMS if t.id == theorem_id)
+        column = theorem.column(record, DEFAULT_ALPHA_GRID, "corrected", 2.0)
+        for i, alpha in enumerate(DEFAULT_ALPHA_GRID):
+            outcome = column.outcomes[i]
+            if alpha in failing:
+                assert outcome == reason, alpha
+                with pytest.raises(DomainError) as exc:
+                    evaluate(theorem_id, record, alpha, "corrected")
+                assert str(exc.value) == reason
+                continue
+            assert not isinstance(outcome, str), (alpha, outcome)
+            r = evaluate(theorem_id, record, alpha, "corrected")
+            varying = [r.params[key] for key in column.varying]
+            assert outcome == (r.holds, r.lhs, r.bound, r.slack, *varying, r.direction)
+            assert column.params_at(i) == r.params
 
 
 class TestThm3:
@@ -622,6 +681,18 @@ BIG = 10**400  # an int past float range
         pytest.param(lambda: FunctionalValues.from_values([BIG]), id="values"),
         pytest.param(lambda: FunctionalSpec("linear", coeffs=[BIG]), id="coeffs"),
         pytest.param(lambda: FunctionalSpec("exponential", beta=BIG), id="beta"),
+        pytest.param(
+            lambda: SweepConfig(seed=1, n_range=(3, 4), edge_probabilities=(),
+                                trials_per_cell=1, alpha_grid=(BIG,)),
+            id="config-alpha",
+        ),
+        pytest.param(
+            lambda: SweepConfig(seed=1, n_range=(3, 4), edge_probabilities=(BIG,),
+                                trials_per_cell=1),
+            id="config-p",
+        ),
+        pytest.param(lambda: FunctionalTemplate("linear", c_range=(0.5, BIG)),
+                     id="template-c"),
     ],
 )
 def test_int_past_float_range_is_a_domain_error(call):
