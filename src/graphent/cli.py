@@ -256,15 +256,15 @@ def _check_inputs(args, stdin: str | None):
             if args.s1 is None or args.s2 is None:
                 raise DomainError("corollary mode requires both --s1 and --s2")
             totals = (args.s1, args.s2)
-            return "thm4_cor", BoundInputs(dist=d1, dominating=d2, totals=totals)
+            return "thm4_cor", BoundInputs(dist=d1, dist_second=d2, totals=totals)
         if args.psi is None:
             raise DomainError("thm4 requires --psi or --s1/--s2")
         return "thm4", BoundInputs(dist=d1, dist_second=d2, psi=args.psi)
     if theorem == "thm5":
         if args.probs1 is None or args.probs2 is None or args.phi is None:
             raise DomainError("thm5 requires --probs1, --probs2 and --phi")
-        pair = (_parse_probs(args.probs1), _parse_probs(args.probs2))
-        return "thm5", BoundInputs(thm5_pair=pair, phi=args.phi)
+        d1, d2 = _parse_probs(args.probs1), _parse_probs(args.probs2)
+        return "thm5", BoundInputs(dist=d1, dist_second=d2, phi=args.phi)
     g = _graph_from_stdin(stdin, args.n)
     if theorem == "thm6":
         spec1 = _functional_spec(args.functional, args.c, args.beta, "thm6 (f1)")

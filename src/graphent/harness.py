@@ -111,13 +111,13 @@ def _thm5_pair(
 class _Family(NamedTuple):
     """One (graph, family) row before evaluation: its label, its kind
     ("orbit" or the template's functional kind, which picks its plan), the
-    BoundInputs its cells read, and per theorem id the reason that id's
-    columns fail; a failed row has no inputs and a reason for every id."""
+    BoundInputs its cells read or the reason the row failed, and per
+    theorem id a record or reason of that id's own in its place."""
 
     label: str
     kind: str
-    inputs: BoundInputs | None
-    reasons: dict[str, str]
+    inputs: BoundInputs | str
+    own: dict[str, BoundInputs | str]
 
 
 ALL_THEOREMS = tuple(t.id for t in THEOREMS)
@@ -425,9 +425,8 @@ def _row_cells(graph_id: str, row: _Row, alphas: Sequence[float]) -> Iterator[di
 def _error_rows(cfg: SweepConfig, reason: str) -> list[_Family]:
     """The rows of a graph whose every cell fails for one reason; each row
     carries its template's kind, so it emits the cells a working row would."""
-    reasons = dict.fromkeys(ALL_THEOREMS, reason)
-    return [_Family("orbit", "orbit", None, reasons)] + [
-        _Family(t.label, t.kind, None, reasons) for t in cfg.functional_specs
+    return [_Family("orbit", "orbit", reason, {})] + [
+        _Family(t.label, t.kind, reason, {}) for t in cfg.functional_specs
     ]
 
 
@@ -436,10 +435,11 @@ def _family_rows(
 ) -> list[_Family]:
     """g's orbit row and one row per functional template. A row's record
     holds what its columns share (the orbits and their distribution, the
-    diameter, the two functionals, the weights and their combination) and,
-    when thm5 is planned, thm5's pair and phi, which only the sweep derives;
-    a failure there fails thm5's columns alone. thm4's and thm4_cor's cores
-    derive their own inputs from the functionals."""
+    diameter, the two functionals, the weights and their combination).
+    When thm5 is planned, thm5 gets its own record, the row's with p1, p2
+    and phi from _thm5_pair, which only the sweep derives; a failure there
+    is thm5's own reason, so it fails thm5's columns alone. thm4's and
+    thm4_cor's cores derive their own inputs from the functionals."""
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
@@ -462,10 +462,7 @@ def _family_rows(
             fv_b = functional_values(g, spec_b, distances)
             dist = distribution_from_values(fv_a)
         except GraphEntropyError as exc:
-            rows.append(
-                _Family(template.label, template.kind, None,
-                        dict.fromkeys(ALL_THEOREMS, str(exc)))
-            )
+            rows.append(_Family(template.label, template.kind, str(exc), {}))
             continue
         c1, c2 = _uniform(0.5, 2.0, 2, cfg.seed, gi, ti, _PURPOSE_WEIGHTS)
         inputs = orbit._replace(
@@ -477,18 +474,18 @@ def _family_rows(
             # built once per row, so the four thm6 columns share its Renyi memo
             combined=_weighted_sum(fv_a, fv_b, c1, c2),
         )
-        reasons = {}
+        own: dict[str, BoundInputs | str] = {}
         if "thm5" in cfg.theorems:
             try:
-                d1, d2 = _thm5_pair(distances, spec_a, spec_b)
+                p1, p2 = _thm5_pair(distances, spec_a, spec_b)
             except GraphEntropyError as exc:
-                reasons["thm5"] = str(exc)
+                own["thm5"] = str(exc)
             else:
-                phi = max(a - b for a, b in zip(d1.probs, d2.probs))
-                inputs = inputs._replace(
-                    thm5_pair=(d1, d2), phi=phi if phi > 0.0 else _PHI_FLOOR
+                phi = max(a - b for a, b in zip(p1.probs, p2.probs))
+                own["thm5"] = inputs._replace(
+                    dist=p1, dist_second=p2, phi=phi if phi > 0.0 else _PHI_FLOOR
                 )
-        rows.append(_Family(template.label, template.kind, inputs, reasons))
+        rows.append(_Family(template.label, template.kind, inputs, own))
     return rows
 
 
@@ -496,16 +493,16 @@ def _column(
     row: _Family, theorem: Theorem, alphas: tuple[float, ...], variant: str
 ) -> Column:
     """theorem's column on row over the grid: the core evaluate runs, input
-    checks included, while the config has checked every alpha. A failed
-    row or input, or a failure that does not depend on alpha, gives the
-    same reason at every alpha."""
-    reason = row.reasons.get(theorem.id)
-    if reason is None:
+    checks included, on the id's own record or else the row's, while the
+    config has checked every alpha. A failed row or input, or a failure
+    that does not depend on alpha, gives the same reason at every alpha."""
+    inputs = row.own.get(theorem.id, row.inputs)  # a record or a reason
+    if not isinstance(inputs, str):
         try:
-            return theorem.column(row.inputs, alphas, variant, 2.0)
+            return theorem.column(inputs, alphas, variant, 2.0)
         except GraphEntropyError as exc:
-            reason = str(exc)
-    return Column.failed(theorem.id, reason, len(alphas))
+            inputs = str(exc)
+    return Column.failed(theorem.id, inputs, len(alphas))
 
 
 @dataclass(slots=True)

@@ -9,12 +9,13 @@ params that do not depend on alpha, built once, and per alpha an outcome
 that alpha failed. A core checks its own inputs first and builds what its
 record leaves None. THEOREMS, the one theorem table, says per sweep id
 which core runs on which fields of a BoundInputs, the one record of every
-input a core reads. The sweep fills one record per row with what the row's
-columns share and keeps and renders the columns; evaluate runs the same
-core at one alpha
-(the public operations and `graphent check` build a record and call it)
-and returns a structured BoundReport instead of asserting. Two variants
-exist wherever the printed bound and its repaired derivation disagree:
+input a core reads, with one field per role: the dominance bounds thm4,
+thm4_cor and thm5 all read p1 from dist and p2 from dist_second. The sweep
+fills one record per row with what the row's columns share and keeps and
+renders the columns; evaluate runs the same core at one alpha (the public
+operations and `graphent check` build a record and call it) and returns a
+structured BoundReport instead of asserting. Two variants exist wherever
+the printed bound and its repaired derivation disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
              below alpha=1 and divided above (thm1/thm1_eps), penalty terms
@@ -150,17 +151,17 @@ class Column(NamedTuple):
 
 
 class BoundInputs(NamedTuple):
-    """Every input a column core reads. A caller fills the fields of the
-    theorems it evaluates (THEOREMS reads them) and leaves the rest None.
-    pdist, combined, fv and eta are derived: a core builds them when they
-    are None, and so are thm4's dist_second and psi (from fv_second) and
-    thm4_cor's dominating and totals (from fv and fv_second). The sweep
+    """Every input a column core reads, one field per role; a caller fills
+    those of the theorems it evaluates and leaves the rest None. pdist,
+    combined, fv and eta are derived: a core builds them when they are
+    None, and so are thm4's dist_second and psi (from fv_second) and
+    thm4_cor's dist_second and totals (from fv and fv_second). The sweep
     fills one record per (graph, family) row, pdist, combined, fv and eta
     included, so that a row's columns share them and their Renyi memos."""
 
     # the graph that thm3, thm6 and conn check and conn's values come from
     graph: Graph | None = None
-    # p of ordering, jensen and thm1, and p1 of thm4 and thm4_cor
+    # p of ordering, jensen and thm1, and p1 of thm4, thm4_cor and thm5
     dist: Distribution | None = None
     # thm3: the orbits and partition_distribution(part)
     part: OrbitPartition | None = None
@@ -171,16 +172,14 @@ class BoundInputs(NamedTuple):
     # f of thm3 and conn, f1 of thm6; and thm6's f2
     fv: FunctionalValues | None = None
     fv_second: FunctionalValues | None = None
-    # thm4: p2 and the dominance constant psi, or None for f2's p2 and
-    # psi = max p1/p2
+    # p2 of thm4, thm4_cor and thm5; thm4 reads None as f2's distribution
+    # and thm4_cor as that of the dominating functional f1 + f2
     dist_second: Distribution | None = None
+    # thm4's dominance constant, or None for psi = max p1/p2
     psi: float | None = None
-    # thm4_cor: the totals (S1, S2) and the dominating functional's p2, or
-    # None for the dominating functional f1 + f2
+    # thm4_cor's totals (S1, S2), or None for those of f1 and f1 + f2
     totals: tuple[float, float] | None = None
-    dominating: Distribution | None = None
-    # thm5: (p1, p2) and the additive constant phi
-    thm5_pair: tuple[Distribution, Distribution] | None = None
+    # thm5's additive constant
     phi: float | None = None
     # thm6: the weights (c1, c2) and c1 f + c2 f_second
     weights: tuple[float, float] | None = None
@@ -663,7 +662,7 @@ def thm4_scaled_dominance(
     the pointwise dominance f1 <= f2. Totals and psi must be finite.
     """
     if derive_psi_from is not None:
-        inputs = BoundInputs(dist=d1, dominating=d2, totals=derive_psi_from)
+        inputs = BoundInputs(dist=d1, dist_second=d2, totals=derive_psi_from)
         return evaluate("thm4_cor", inputs, alpha, base=base)
     inputs = BoundInputs(dist=d1, dist_second=d2, psi=psi)
     return evaluate("thm4", inputs, alpha, base=base)
@@ -673,14 +672,13 @@ def _thm4_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
     corollary: bool = False,
 ) -> Column:
-    """thm4 on distributions over one vertex set: p1 against dist_second
-    and psi, or in the corollary against dominating with psi = S2/S1 for
-    the totals (S1, S2). A record that leaves dist_second or dominating
-    None has them derived from fv and fv_second: p2 is f2's distribution
-    and psi = max p1/p2, or the dominating functional is f1 + f2 with
-    totals (S1, S1 + S2)."""
-    d1, psi, totals = r.dist, r.psi, r.totals
-    d2 = r.dominating if corollary else r.dist_second
+    """thm4 on distributions over one vertex set: p1 = dist against
+    p2 = dist_second and psi, or in the corollary with psi = S2/S1 for the
+    totals (S1, S2). A record that leaves dist_second None has it derived
+    from fv and fv_second: p2 is f2's distribution and psi = max p1/p2,
+    or in the corollary p2 is that of the dominating functional f1 + f2
+    with totals (S1, S1 + S2)."""
+    d1, d2, psi, totals = r.dist, r.dist_second, r.psi, r.totals
     if d2 is None and corollary:
         dominating = _weighted_sum(r.fv, r.fv_second, 1.0, 1.0)
         d2, totals = dominating.distribution, (r.fv.total, dominating.total)
@@ -736,15 +734,15 @@ def thm5_additive_dominance(
     The penalty terms replace log(1+x) by x in the printed derivation;
     corrected multiplies them by 1/ln(base), the valid replacement.
     """
-    inputs = BoundInputs(thm5_pair=(d1, d2), phi=phi)
+    inputs = BoundInputs(dist=d1, dist_second=d2, phi=phi)
     return evaluate("thm5", inputs, alpha, variant, base)
 
 
 def _thm5_column(
     r: BoundInputs, alphas: Sequence[float], variant: str, base: float
 ) -> Column:
-    """thm5 on distributions over one vertex set, for 0 < phi < inf."""
-    d1, d2 = r.thm5_pair
+    """thm5 on p1 = dist, p2 = dist_second on one vertex set, 0 < phi < inf."""
+    d1, d2 = r.dist, r.dist_second
     if d1.size != d2.size:
         raise DomainError("distributions must share a vertex set")
     phi = _as_float(r.phi)
@@ -759,7 +757,10 @@ def _thm5_column(
     bounds = []
     for alpha, h2, power_sum_2 in zip(alphas, h2s, power_sums):
         # the regime picks the power mean and its weight; 1 - alpha carries
-        # the sign, so the penalty is subtracted above 1
+        # the sign, so the penalty is subtracted above 1; a sum underflowing
+        if power_sum_2 == 0.0:  # to 0, above 1 only, leaves no power mean
+            bounds.append(f"thm5 power_sum_2 underflows a float at alpha = {alpha:g}")
+            continue
         if alpha < 1.0:
             w, x = 1.0, n * phi**alpha / power_sum_2
         else:
@@ -1114,7 +1115,7 @@ class Theorem(NamedTuple):
     inputs first, so evaluate and the sweep call it alike. kinds are the
     row kinds it applies to, so a row of another kind emits no cell for it.
     variants marks a literal/corrected split (otherwise its one variant is
-    "na"), log_base a check taking --log-base.
+    "na"), log_base an id taking a base other than 2 (check's --log-base).
     """
 
     id: str
@@ -1157,12 +1158,17 @@ def evaluate(
 ) -> BoundReport:
     """One instance of a THEOREMS id: the alpha, base and variant checks,
     then its core, which checks the id's own inputs, at this one alpha. An
-    id without a literal/corrected split reports variant "na"."""
+    id without a literal/corrected split reports variant "na". A base other
+    than 2 without log_base, or a spec of a kind outside kinds, is refused."""
     theorem = _BY_ID.get(theorem_id)
     if theorem is None:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
     _check_alpha(alpha)
     _check_base(base)
+    if base != 2.0 and not theorem.log_base:
+        raise DomainError(f"{theorem_id} reports base 2 only, got log base {base!r}")
+    if inputs.spec is not None and inputs.spec.kind not in theorem.kinds:
+        raise DomainError(f"{theorem_id} takes no {inputs.spec.kind} functional")
     if theorem.variants:
         _check_variant(variant)
     else:

@@ -298,16 +298,7 @@ def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
     grid = tuple(alphas)
     values = d._renyi_grids.get(grid)
     if values is None:
-        sums, values = d._log2_power_sums, []
-        for alpha in grid:
-            if not 0.0 < alpha < math.inf or abs(alpha - 1.0) <= ALPHA_ONE_BAND:
-                values.append(renyi_entropy(d, alpha))  # its error, or the Shannon limit
-                continue
-            value = sums.get(alpha)
-            if value is None:  # log2_power_sum's miss, inline
-                value = sums[alpha] = logsumexp([alpha * x for x in d.log_probs]) / LN2
-            values.append(value / (1.0 - alpha) + 0.0)
-        values = d._renyi_grids[grid] = tuple(values)
+        values = d._renyi_grids[grid] = tuple(renyi_entropy(d, a) for a in grid)
     return list(values)
 
 

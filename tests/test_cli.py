@@ -438,6 +438,9 @@ class TestCheck:
             ["path", "--n", "5", "--alpha", "1000"],
             # a finite rho power, but the gap overflows: bound -inf
             ["thm1", "--alpha", "30", "--probs", THM1_INFINITE_BOUND_PROBS],
+            # sum p2**2000 underflows to 0 under thm5's power mean
+            ["thm5", "--alpha", "2000", "--probs1", "0.5,0.5", "--probs2", "0.5,0.5",
+             "--phi", "0.1"],
         ],
     )
     def test_non_finite_arithmetic_exits_2(self, args):

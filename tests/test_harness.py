@@ -26,6 +26,7 @@ from graphent import (
     summarize_report,
     vertex_orbits,
 )
+import graphent.harness as harness
 import graphent.inequalities as inequalities
 import graphent.orbits as orbits
 from graphent import cli
@@ -492,6 +493,42 @@ print("numpy" in sys.modules)
         assert len(rep.cells) == 8 * (6 + 3 * 17)
         json.loads(summarize_report(rep, "json"))
 
+    def test_thm5_power_sum_underflow_fails_only_its_alpha(self):
+        # sum p2**2000 underflows to 0 on every row, so thm5's power mean
+        # has nothing to divide by at alpha 2000 alone
+        big = run_sweep(small_config(alpha_grid=(2.0, 2000.0), theorems=("thm5",)))
+        two = run_sweep(small_config(alpha_grid=(2.0,), theorems=("thm5",)))
+        assert [c for c in big.cells if c["alpha"] == 2.0] == two.cells
+        at_2000 = [c for c in big.cells if c["alpha"] == 2000.0]
+        assert len(at_2000) == len(two.cells)
+        for cell in at_2000:
+            assert (cell["holds"], cell["precondition_met"]) == (None, False)
+            assert cell["params"]["reason"] == (
+                "thm5 power_sum_2 underflows a float at alpha = 2000"
+            )
+        json.loads(summarize_report(big, "json"))
+
+    def test_thm5_pair_failure_fails_only_thm5_cells(self, monkeypatch):
+        cfg = small_config(n_range=(3, 4), trials_per_cell=1)
+        full = run_sweep(cfg)
+
+        def refuse(*args):
+            raise DomainError("x")
+
+        monkeypatch.setattr(harness, "_thm5_pair", refuse)
+        rep = run_sweep(cfg)
+        assert [_cell_key(c) for c in rep.cells] == [_cell_key(c) for c in full.cells]
+        thm5 = 0
+        for cell, expected in zip(rep.cells, full.cells):
+            if cell["theorem"] == "thm5":
+                thm5 += 1
+                assert (cell["holds"], cell["precondition_met"]) == (None, False)
+                assert cell["params"] == {"family": cell["params"]["family"],
+                                          "reason": "x"}
+            else:
+                assert cell == expected
+        assert thm5 > 0
+
     def test_extreme_config_completes_with_strict_json(self):
         cfg = SweepConfig(
             seed=1,
@@ -877,7 +914,7 @@ class TestTheoremTable:
         """`graphent check`, given a row's probabilities and constants as
         repr strings, evaluates the sweep's cell to the same bits."""
         cfg = small_config(seed=3, n_range=(4, 5), alpha_grid=(0.5, 2.0))
-        rows = {(graph_id, row.label): row.inputs for graph_id, row in _rows(cfg)}
+        rows = {(graph_id, row.label): row for graph_id, row in _rows(cfg)}
 
         def probs(d):
             return ",".join(map(repr, d.probs))
@@ -885,7 +922,8 @@ class TestTheoremTable:
         compared = set()
         for cell in run_sweep(cfg).cells:
             theorem, variant = cell["theorem"], cell["variant"]
-            inputs = rows[cell["graph_id"], cell["params"]["family"]]
+            row = rows[cell["graph_id"], cell["params"]["family"]]
+            inputs = row.own.get(theorem, row.inputs)
             if cell["params"]["family"] == "orbit":
                 if theorem not in ("ordering", "jensen", "thm1", "thm1_eps"):
                     continue
@@ -897,8 +935,8 @@ class TestTheoremTable:
                          "--probs2", probs(inputs.fv_second.distribution),
                          "--psi", repr(cell["params"]["psi"])]
             elif theorem == "thm5":
-                d1, d2 = inputs.thm5_pair
-                flags = ["--probs1", probs(d1), "--probs2", probs(d2),
+                flags = ["--probs1", probs(inputs.dist),
+                         "--probs2", probs(inputs.dist_second),
                          "--phi", repr(inputs.phi)]
             else:
                 continue
@@ -996,13 +1034,13 @@ class TestColumnCores:
 
 
 def test_thm4_cores_derive_what_the_record_leaves_none():
-    """thm4's p2 and psi and thm4_cor's dominating distribution and totals,
-    derived by the core from fv and fv_second, give the bits of a record
-    that carries them."""
+    """thm4's p2 and psi and thm4_cor's p2 (the dominating functional's
+    distribution) and totals, derived by the core from fv and fv_second,
+    give the bits of a record that carries them."""
     cfg = small_config(trials_per_cell=1, alpha_grid=SweepConfig.alpha_grid)
     checked = 0
     for _, row in _rows(cfg):
-        if row.kind == "orbit" or row.inputs is None:
+        if row.kind == "orbit" or isinstance(row.inputs, str):
             continue
         d1, fv, fv2 = row.inputs.dist, row.inputs.fv, row.inputs.fv_second
         d2 = fv2.distribution
@@ -1013,7 +1051,7 @@ def test_thm4_cores_derive_what_the_record_leaves_none():
                 psi=max(a / b for a, b in zip(d1.probs, d2.probs)),
             )),
             ("thm4_cor", BoundInputs(dist=d1, fv=fv, fv_second=fv2), BoundInputs(
-                dist=d1, dominating=dominating.distribution,
+                dist=d1, dist_second=dominating.distribution,
                 totals=(fv.total, dominating.total),
             )),
         ]
@@ -1042,9 +1080,9 @@ def _broken_records():
     return [
         ("thm3", BoundInputs(graph=apart, part=vertex_orbits(apart), fv=fv)),
         ("thm4", BoundInputs(dist=two, dist_second=three, psi=2.0)),
-        ("thm4_cor", BoundInputs(dist=two, dominating=three, totals=(1.0, 2.0))),
-        ("thm5", BoundInputs(thm5_pair=(two, three), phi=0.1)),
-        ("thm5", BoundInputs(thm5_pair=(two, two), phi=0.0)),
+        ("thm4_cor", BoundInputs(dist=two, dist_second=three, totals=(1.0, 2.0))),
+        ("thm5", BoundInputs(dist=two, dist_second=three, phi=0.1)),
+        ("thm5", BoundInputs(dist=two, dist_second=two, phi=0.0)),
         ("thm6", thm6),
         ("thm6_avg", thm6),
         ("conn_linear", BoundInputs(graph=apart, spec=linear)),

@@ -520,6 +520,15 @@ class TestThm5:
                     dist(0.5, 0.5), dist(0.5, 0.5), phi, 0.5, "literal"
                 )
 
+    def test_power_sum_underflow_is_domain_error(self):
+        # sum p2**2000 = 2**-1999 underflows to 0, so the power mean's
+        # division has no finite answer
+        d = dist(0.5, 0.5)
+        for variant in ("literal", "corrected"):
+            with pytest.raises(DomainError) as exc:
+                thm5_additive_dominance(d, d, 0.1, 2000.0, variant)
+            assert str(exc.value) == "thm5 power_sum_2 underflows a float at alpha = 2000"
+
     def test_corrected_holds_when_applicable(self):
         rng = np.random.default_rng(31)
         for _ in range(60):
@@ -663,6 +672,29 @@ def test_log_base_must_exceed_1_and_be_finite(base):
     for call in calls:
         with pytest.raises(DomainError, match="log base must exceed 1 and be finite"):
             call()
+
+
+@pytest.mark.parametrize("theorem", [t for t in THEOREMS if not t.log_base],
+                         ids=lambda t: t.id)
+def test_evaluate_refuses_a_log_base_its_id_ignores(theorem):
+    g = generate_graph("star", 5)
+    kind = theorem.kinds[-1]
+    spec = FunctionalSpec(kind, beta=2.0 if kind == "exponential" else None)
+    record = BoundInputs(graph=g, dist=dist(0.5, 0.3, 0.2), spec=spec)
+    variant = "corrected" if theorem.variants else "na"
+    assert evaluate(theorem.id, record, 2.0, variant).theorem_id == theorem.id
+    with pytest.raises(DomainError, match=f"{theorem.id} reports base 2 only"):
+        evaluate(theorem.id, record, 2.0, variant, base=math.e)
+
+
+@pytest.mark.parametrize("theorem_id, kind", [
+    ("conn_linear", "exponential"), ("conn_exp", "linear"),
+])
+def test_evaluate_refuses_a_conn_spec_of_the_other_kind(theorem_id, kind):
+    spec = FunctionalSpec(kind, beta=2.0 if kind == "exponential" else None)
+    record = BoundInputs(graph=generate_graph("star", 5), spec=spec)
+    with pytest.raises(DomainError, match=f"{theorem_id} takes no {kind} functional"):
+        evaluate(theorem_id, record, 2.0, "corrected")
 
 
 BIG = 10**400  # an int past float range
