@@ -31,8 +31,13 @@ if key in report.exemplars:
         f"bound={ex['cell']['bound']:.6f}, slack={ex['cell']['slack']:.6f}"
     )
 
-# equal configs reproduce byte-identical canonical JSON
+# equal configs reproduce byte-identical canonical JSON; it holds one
+# object per (graph, family, theorem, variant) column, with a list over the
+# alpha grid for each value that varies
 again = summarize_report(run_sweep(cfg), "json")
 print(f"\nreproducible: {again == summarize_report(report, 'json')}")
-print(f"canonical report size: {len(again)} bytes")
-print(f"cells: {len(json.loads(again)['cells'])}")
+columns = json.loads(again)["columns"]
+cells = len(columns) * len(cfg.alpha_grid)
+assert cells == len(report.cells)
+print(f"canonical report: {len(columns)} columns, {cells} cells, "
+      f"{len(again.encode())} bytes")

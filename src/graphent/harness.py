@@ -4,15 +4,15 @@ A sweep walks (graph, family, alpha, theorem, variant) cells in a fixed
 order, emitting exactly one report per cell. Each (graph, family, theorem,
 variant) column is evaluated over the whole alpha grid in one call and
 kept in that shape: run_sweep's report holds the columns and builds cell
-dicts only when they are read, and the canonical JSON is rendered from the
-columns, each column's constant part encoded once, in the bytes json.dumps
-gives for the cell dicts. Aggregates and exemplars are folded graph by
+dicts only when they are read, and the canonical JSON holds one object per
+column, with one list over the alpha grid per value that varies, written
+by the standard encoder. Aggregates and exemplars are folded graph by
 graph, so stream_sweep, which `graphent sweep` uses, writes each graph's
-cells as that graph finishes and keeps none: its memory grows only by one
-8-byte slack per evaluated cell. Randomness is derived per cell coordinate
-from the config seed, so scheduling cannot change sampled coefficients and
-equal configs reproduce byte-identical canonical JSON (runtime is kept out
-of the canonical form).
+columns as that graph finishes and keeps none: its memory grows only by
+one 8-byte slack per evaluated cell. Randomness is derived per cell
+coordinate from the config seed, so scheduling cannot change sampled
+coefficients and equal configs reproduce byte-identical canonical JSON
+(runtime is kept out of the canonical form).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from array import array
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
@@ -51,7 +51,6 @@ from .measures import (
     Distribution,
     FunctionalSpec,
     _as_float,
-    _floats,
     distribution_from_values,
     functional_values,
     partition_distribution,
@@ -62,13 +61,7 @@ DEFAULT_ALPHA_GRID = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0)
 
 EXEMPLAR_CAP = 5
 
-_BATTERY = (
-    ("star", 3),
-    ("path", 2),
-    ("cycle", 3),
-    ("wheel", 4),
-    ("complete", 2),
-)
+_BATTERY = (("star", 3), ("path", 2), ("cycle", 3), ("wheel", 4), ("complete", 2))
 
 # Fixed tags keeping per-cell RNG streams disjoint.
 _TAG_GNP = 101
@@ -123,6 +116,38 @@ class _Family(NamedTuple):
 ALL_THEOREMS = tuple(t.id for t in THEOREMS)
 
 
+def _listed(values: Any, name: str) -> tuple:
+    """values as a tuple, refusing anything but a list or a tuple: a str
+    would otherwise be read one character at a time."""
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(
+            f"malformed {name}: expected a list, got {type(values).__name__}"
+        )
+    return tuple(values)
+
+
+def _reals(values: Any, name: str) -> tuple[float, ...]:
+    """A list of numbers as floats, an int past float range as inf; a str
+    or a bool in it is refused rather than coerced."""
+    values = _listed(values, name)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must hold numbers, got {value!r}")
+    return tuple(map(_as_float, values))
+
+
+def _whole(value: Any, name: str) -> int:
+    """int(value) of an int or a whole float. A str, a bool and a float with
+    a fractional part (or no finite value) are refused, not coerced."""
+    if isinstance(value, float):
+        whole = value.is_integer()
+    else:
+        whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not whole:
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FunctionalTemplate:
     """Sampling rule for one functional family in a sweep."""
@@ -133,7 +158,7 @@ class FunctionalTemplate:
 
     def __post_init__(self):
         FunctionalSpec(kind=self.kind, beta=self.beta)  # checks kind and beta
-        lo, hi = map(_as_float, self.c_range)
+        lo, hi = _reals(self.c_range, "c_range")
         if not 0.0 < lo <= hi < math.inf:
             raise DomainError(
                 f"coefficient range must be positive and finite, got {self.c_range}"
@@ -168,7 +193,7 @@ class SweepConfig:
     theorems: tuple[str, ...] = ALL_THEOREMS
 
     def __post_init__(self):
-        lo, hi = (_whole(n, "n_range") for n in self.n_range)
+        lo, hi = (_whole(n, "n_range") for n in _listed(self.n_range, "n_range"))
         if not 1 <= lo <= hi:
             raise DomainError(f"bad n_range {self.n_range}")
         if hi > ORBIT_CAP:
@@ -176,26 +201,28 @@ class SweepConfig:
         trials = _whole(self.trials_per_cell, "trials_per_cell")
         if trials < 1:
             raise DomainError("trials_per_cell must be >= 1")
-        alpha_grid = _floats(self.alpha_grid)
+        alpha_grid = _reals(self.alpha_grid, "alpha_grid")
         for alpha in alpha_grid:
             _check_alpha(alpha)
-        edge_probabilities = _floats(self.edge_probabilities)
+        edge_probabilities = _reals(self.edge_probabilities, "edge_probabilities")
         if any(not 0.0 <= p <= 1.0 for p in edge_probabilities):
             raise DomainError("edge probabilities must lie in [0, 1]")
-        for v in self.variants:
+        variants = _listed(self.variants, "variants")
+        for v in variants:
             if v not in VARIANTS:
                 raise DomainError(f"unknown variant {v!r}")
-        for t in self.theorems:
+        theorems = _listed(self.theorems, "theorems")
+        for t in theorems:
             if t not in ALL_THEOREMS:
                 raise DomainError(f"unknown theorem id {t!r}")
+        templates = _listed(self.functional_specs, "functional_specs")
         # every cell key (theorem, variant, alpha, graph id, family) is unique
         _distinct("alpha_grid", "alpha", alpha_grid)
-        _distinct("variants", "variant", self.variants)
-        _distinct("theorems", "theorem id", self.theorems)
+        _distinct("variants", "variant", variants)
+        _distinct("theorems", "theorem id", theorems)
         _distinct("edge_probabilities", "graph id part",
                   [f"p{p:g}" for p in edge_probabilities])
-        _distinct("functional_specs", "family label",
-                  [t.label for t in self.functional_specs])
+        _distinct("functional_specs", "family label", [t.label for t in templates])
         seed = _whole(self.seed, "seed")
         if seed < 0:
             raise DomainError(f"seed must be >= 0, got {seed}")
@@ -204,9 +231,9 @@ class SweepConfig:
         object.__setattr__(self, "edge_probabilities", edge_probabilities)
         object.__setattr__(self, "trials_per_cell", trials)
         object.__setattr__(self, "alpha_grid", alpha_grid)
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "theorems", tuple(self.theorems))
-        object.__setattr__(self, "functional_specs", tuple(self.functional_specs))
+        object.__setattr__(self, "variants", variants)
+        object.__setattr__(self, "theorems", theorems)
+        object.__setattr__(self, "functional_specs", templates)
 
     def to_dict(self) -> dict[str, Any]:
         return _encode(self)
@@ -227,14 +254,6 @@ def _distinct(field_name: str, what: str, labels: Iterable[Any]) -> None:
                 f"sweep cell key must be unique"
             )
         seen.add(label)
-
-
-def _whole(value: Any, name: str) -> int:
-    """int(value), refusing a float with a fractional part (or no finite
-    value) instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _encode(value: Any) -> Any:
@@ -306,8 +325,8 @@ class _Row(NamedTuple):
 @dataclass
 class SweepReport(SweepSummary):
     """A sweep with its cells kept as columns: graphs holds per corpus graph
-    its id and rows. cells and the canonical document are built from the
-    columns on each read."""
+    its id and rows. cells (one dict per cell) and the canonical document
+    (one dict per column) are built from the columns on each read."""
 
     graphs: list[tuple[str, list[_Row]]] = field(default_factory=list, repr=False)
 
@@ -326,7 +345,11 @@ class SweepReport(SweepSummary):
         """Stable-keyed document; runtime and corpus stats stay out of it."""
         return {
             "config": self.config.to_dict(),
-            "cells": self.cells,
+            "columns": [
+                column
+                for graph_id, rows in self.graphs
+                for column in _graph_columns(graph_id, rows)
+            ],
             "aggregates": self.aggregates,
             "exemplars": self.exemplars,
         }
@@ -370,21 +393,9 @@ def _uniform(
     return tuple(rng.uniform(lo, hi, size))
 
 
-def _sample_spec(
-    template: FunctionalTemplate, eta: int, cfg_seed: int, gi: int, ti: int, purpose: int
-) -> FunctionalSpec:
-    coeffs = _uniform(*template.c_range, eta, cfg_seed, gi, ti, purpose)
-    return FunctionalSpec(kind=template.kind, coeffs=coeffs, beta=template.beta)
-
-
 def _cell(
-    theorem: str,
-    variant: str,
-    alpha: float,
-    graph_id: str,
-    family: str,
-    column: Column,
-    i: int,
+    theorem: str, variant: str, alpha: float, graph_id: str, family: str,
+    column: Column, i: int,
 ) -> dict[str, Any]:
     """The cell of column at alpha index i, in the fixed key order of the
     canonical JSON.
@@ -452,11 +463,11 @@ def _family_rows(
     rows = [_Family("orbit", "orbit", orbit, {})]
     for ti, template in enumerate(cfg.functional_specs):
         try:
-            spec_a = _sample_spec(
-                template, distances.eta, cfg.seed, gi, ti, _PURPOSE_COEFFS_A
-            )
-            spec_b = _sample_spec(
-                template, distances.eta, cfg.seed, gi, ti, _PURPOSE_COEFFS_B
+            spec_a, spec_b = (
+                FunctionalSpec(template.kind, _uniform(
+                    *template.c_range, distances.eta, cfg.seed, gi, ti, purpose
+                ), template.beta)
+                for purpose in (_PURPOSE_COEFFS_A, _PURPOSE_COEFFS_B)
             )
             fv_a = functional_values(g, spec_a, distances)
             fv_b = functional_values(g, spec_b, distances)
@@ -641,14 +652,14 @@ def stream_sweep(
     cfg: SweepConfig, write: Callable[[str], Any] | None = None
 ) -> SweepSummary:
     """Run the sweep keeping no cells: write, when given, receives the
-    canonical JSON chunk by chunk, each graph's cells as that graph
+    canonical JSON chunk by chunk, each graph's columns as that graph
     finishes. Memory grows only by one 8-byte slack per evaluated cell."""
     sweep = _Sweep(cfg)
     if write is None:
         for _ in sweep.graphs():
             pass
         return SweepSummary(**sweep.summary())
-    for chunk in _json_cells(cfg, sweep.graphs()):
+    for chunk in _json_columns(cfg, sweep.graphs()):
         write(chunk)
     summary = SweepSummary(**sweep.summary())
     write(_json_tail(summary))
@@ -656,147 +667,56 @@ def stream_sweep(
 
 
 # The canonical JSON is json.dumps(report.to_canonical_dict(),
-# allow_nan=False), written from the columns instead: each column renders
-# its constant part once into a %-format, and each evaluated cell is one %
-# of that format with its alpha, verdict, numbers and direction.
+# allow_nan=False), written graph by graph: one encode of each graph's
+# column dicts.
 
 _ENCODE = json.JSONEncoder(allow_nan=False).encode
 
-_HOLDS = {True: "true", False: "false", None: "null"}
+
+def _column_dict(
+    graph_id: str, family: str, theorem: str, variant: str, column: Column
+) -> dict[str, Any]:
+    """column as the canonical JSON holds it: what its cells share, once,
+    then one list over the alpha grid per verdict, number and direction. A
+    varying param holds such a list in place of its value. At a failed
+    alpha every list holds null and reason holds the reason, which is null
+    at each evaluated alpha."""
+    outcomes, varying = column.outcomes, column.varying
+    width = 5 + len(varying)  # an Outcome's length
+    reasons = [o if o.__class__ is str else None for o in outcomes]
+    if str in map(type, outcomes):
+        outcomes = [o if r is None else (None,) * width for o, r in zip(outcomes, reasons)]
+    lists = [list(x) for x in zip(*outcomes)] or [[] for _ in range(width)]
+    holds, lhs, bound, slack, *values, direction = lists
+    params = dict(column.params)
+    params.update(zip(varying, values))
+    return {
+        "graph_id": graph_id, "family": family, "theorem": theorem, "variant": variant,
+        "precondition_met": column.precondition_met, "tolerance": column.tolerance,
+        "params": params, "varying": list(varying),
+        "holds": holds, "lhs": lhs, "bound": bound, "slack": slack,
+        "direction": direction, "reason": reasons,
+    }
 
 
-def _literal(value: Any) -> str:
-    """json.dumps(value, allow_nan=False), escaped for use in a %-format. A
-    finite float, an int and a bool skip the encoder's set-up."""
-    cls = value.__class__
-    if (cls is float and math.isfinite(value)) or cls is int:
-        return repr(value)
-    if cls is bool:
-        return "true" if value else "false"
-    return _ENCODE(value).replace("%", "%%")
+def _graph_columns(graph_id: str, rows: list[_Row]) -> list[dict[str, Any]]:
+    """One graph's column dicts in sweep order: row by row, then the plan's."""
+    return [
+        _column_dict(graph_id, row.family, theorem.id, variant, column)
+        for row in rows
+        for (theorem, variant), column in zip(row.plan, row.columns)
+    ]
 
 
-class _FloatTexts(dict):
-    """repr of each finite Python float looked up, kept once rendered. Zero
-    is never kept: 0.0 and -0.0 are one key but two texts."""
-
-    __slots__ = ()
-
-    def __missing__(self, x: float) -> str:
-        text = repr(x)
-        if x:
-            self[x] = text
-        return text
-
-
-class _CellWriter:
-    """Renders a sweep's cells as canonical JSON text, graph by graph.
-
-    It keeps the text of each (theorem, variant) head and params key it has
-    rendered, so each is encoded once per sweep. Within a graph the lhs, the
-    alpha-dependent params, the constant params and the tolerances often
-    repeat a value, so each graph has one _FloatTexts that renders each of
-    them once; bound and slack repeat too seldom to gain from it.
-    """
-
-    def __init__(self, alphas: Sequence[float]):
-        self.alphas = alphas
-        self.alpha_texts = [_literal(alpha) for alpha in alphas]
-        self.heads: dict[tuple[str, str], str] = {}
-        self.keys: dict[str, str] = {}
-        self.floats = _FloatTexts()
-
-    def _head(self, theorem: str, variant: str) -> str:
-        """The cell text up to its graph id, in %-format."""
-        head = self.heads.get((theorem, variant))
-        if head is None:
-            head = self.heads[theorem, variant] = (
-                '{"theorem": ' + _literal(theorem) + ', "variant": '
-                + _literal(variant) + ', "alpha": %s, "graph_id": '
-            )
-        return head
-
-    def _constant(self, value: Any) -> str:
-        """_literal(value), through the graph's float texts for a finite
-        Python float only: 1.0, 1, True and np.float64(1.0) are one key."""
-        if value.__class__ is float and math.isfinite(value):
-            return self.floats[value]
-        return _literal(value)
-
-    def _format(self, head: str, column: Column, tail: str) -> str:
-        """The %-format of column's evaluated cells. Its slots take the
-        alpha text, the holds text, the lhs text, bound and slack (%r of
-        finite Python floats, as Outcome guarantees), the varying params'
-        texts and the direction."""
-        keys, varying = self.keys, column.varying
-        parts = [
-            head,
-            "true" if column.precondition_met else "false",
-            ', "lhs": %s, "bound": %r, "slack": %r, "params": {',
-        ]
-        for key, value in column.params.items():
-            text = keys.get(key)
-            if text is None:
-                text = keys[key] = _literal(key) + ": "
-            parts.append(text)
-            parts.append("%s, " if key in varying else self._constant(value) + ", ")
-        parts += (tail, self._constant(column.tolerance), "}}")
-        return "".join(parts)
-
-    def graph(self, graph_id: str, rows: list[_Row]) -> str:
-        """One graph's cells, comma-separated, in sweep order: each row's
-        columns are rendered alpha by alpha, then taken in turn."""
-        self.floats = _FloatTexts()
-        graph_text = _literal(graph_id) + ', "holds": %s, "precondition_met": '
-        cells: list[str] = []
-        for row in rows:
-            tail = (
-                '"family": ' + _literal(row.family)
-                + ', "direction": "%s", "tolerance": '
-            )
-            columns = [
-                self._cells(theorem.id, variant, graph_id, graph_text, row, column, tail)
-                for (theorem, variant), column in zip(row.plan, row.columns)
-            ]
-            cells += chain.from_iterable(zip(*columns))
-        return ", ".join(cells)
-
-    def _cells(
-        self, theorem: str, variant: str, graph_id: str, graph_text: str,
-        row: _Row, column: Column, tail: str,
-    ) -> Iterable[str]:
-        """column's cell texts in alpha order. A column evaluated at every
-        alpha is taken slot by slot: each % reads the alpha text, the holds
-        text, the lhs text, bound, slack, each varying param's text and the
-        direction. A column with a failed alpha, which is rare, goes through
-        the encoder cell by cell."""
-        outcomes = column.outcomes
-        if not outcomes or str in map(type, outcomes):
-            return [
-                _ENCODE(_cell(
-                    theorem, variant, alpha, graph_id, row.family, column, i
-                ))
-                for i, alpha in enumerate(self.alphas)
-            ]
-        fmt = self._format(self._head(theorem, variant) + graph_text, column, tail)
-        text = self.floats.__getitem__
-        holds, lhs, bound, slack, *varying, direction = zip(*outcomes)
-        return map(fmt.__mod__, zip(
-            self.alpha_texts, map(_HOLDS.__getitem__, holds), map(text, lhs),
-            bound, slack, *[map(text, v) for v in varying], direction,
-        ))
-
-
-def _json_cells(
+def _json_columns(
     cfg: SweepConfig, graphs: Iterable[tuple[str, list[_Row]]]
 ) -> Iterator[str]:
-    """The canonical JSON up to the end of its cells, in chunks: the config,
-    then each graph's cells."""
-    yield '{"config": ' + _ENCODE(cfg.to_dict()) + ', "cells": ['
-    writer = _CellWriter(cfg.alpha_grid)
+    """The canonical JSON up to the end of its columns, in chunks: the
+    config, then each graph's columns, with a ", " chunk between graphs."""
+    yield '{"config": ' + _ENCODE(cfg.to_dict()) + ', "columns": ['
     separator = ""
     for graph_id, rows in graphs:
-        text = writer.graph(graph_id, rows)
+        text = _ENCODE(_graph_columns(graph_id, rows))[1:-1]  # the list's items
         if text:
             if separator:
                 yield separator
@@ -805,7 +725,7 @@ def _json_cells(
 
 
 def _json_tail(summary: SweepSummary) -> str:
-    """The canonical JSON after its cells."""
+    """The canonical JSON after its columns."""
     return (
         '], "aggregates": ' + _ENCODE(summary.aggregates)
         + ', "exemplars": ' + _ENCODE(summary.exemplars) + "}"
@@ -818,36 +738,17 @@ def summarize_report(report: SweepSummary, format: str = "json") -> str:
     if format == "json":
         if not isinstance(report, SweepReport):
             raise DomainError("canonical JSON needs a sweep report that kept its cells")
-        return "".join([*_json_cells(report.config, report.graphs), _json_tail(report)])
+        chunks = _json_columns(report.config, report.graphs)
+        return "".join([*chunks, _json_tail(report)])
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "theorem",
-                "variant",
-                "checked",
-                "held",
-                "violated",
-                "not_applicable",
-                "min_slack",
-                "mean_slack",
-            ]
-        )
+        keys = ("checked", "held", "violated", "not_applicable",
+                "min_slack", "mean_slack")
+        writer.writerow(["theorem", "variant", *keys])
         for key, agg in report.aggregates.items():
-            theorem, variant = key.split("|", 1)
-            writer.writerow(
-                [
-                    theorem,
-                    variant,
-                    agg["checked"],
-                    agg["held"],
-                    agg["violated"],
-                    agg["not_applicable"],
-                    "" if agg["min_slack"] is None else repr(agg["min_slack"]),
-                    "" if agg["mean_slack"] is None else repr(agg["mean_slack"]),
-                ]
-            )
+            # csv writes None as an empty field and a float as its repr
+            writer.writerow([*key.split("|", 1), *(agg[k] for k in keys)])
         return buf.getvalue()
     if format == "text":
         lines = [
@@ -868,8 +769,7 @@ def summarize_report(report: SweepSummary, format: str = "json") -> str:
                 f"{agg['violated']:>9} {agg['not_applicable']:>6} {min_s:>14} {mean_s:>14}"
             )
         if report.exemplars:
-            lines.append("")
-            lines.append("violation exemplars:")
+            lines += ["", "violation exemplars:"]
             for key, items in report.exemplars.items():
                 first = items[0]["cell"]
                 lines.append(

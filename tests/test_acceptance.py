@@ -8,9 +8,11 @@ Criteria 3, 5 and 7 share one full sweep over a 500+ graph seeded corpus
 import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from canonical import expand_cells, first_difference, strict_loads
 
 from graphent import (
     DEFAULT_ALPHA_GRID,
@@ -231,9 +233,9 @@ def test_criterion_7_thm5_thm6_reporting(corpus_sweep):
     assert exemplar_ok
 
 
-# sha256 of the acceptance corpus's canonical JSON (241,224 cells, 4,790
-# violations); a change to any bit of any cell changes it
-ACCEPTANCE_SHA256 = "be4fae9233b5b554737161e6f374327b1cad03b3f86d867702e5d849731932bd"
+# sha256 of the acceptance corpus's canonical JSON (30,153 columns holding
+# 241,224 cells, 4,790 violations); a change to any bit of any cell changes it
+ACCEPTANCE_SHA256 = "318b697f53a8864250a7d7d3e20b394c49e12cc2201c95dd1650d780615d1c0d"
 
 
 def test_acceptance_canonical_bytes_are_pinned(corpus_sweep):
@@ -241,6 +243,26 @@ def test_acceptance_canonical_bytes_are_pinned(corpus_sweep):
     ok = digest == ACCEPTANCE_SHA256
     _line(8, ok, f"acceptance canonical JSON sha256 {digest[:8]}...{digest[-5:]}")
     assert digest == ACCEPTANCE_SHA256
+
+
+def test_acceptance_columns_expand_to_the_cells(corpus_sweep):
+    """The column layout loses nothing: expanding the parsed canonical JSON
+    over the alpha grid gives every cell dict, as json.dumps text."""
+    text = summarize_report(corpus_sweep, "json")
+    size = len(text.encode())
+    doc = strict_loads(text)
+    del text
+    # report.cells one graph at a time, so 241k cell dicts are never held
+    cells = (
+        cell
+        for graph in corpus_sweep.graphs
+        for cell in replace(corpus_sweep, graphs=[graph]).cells
+    )
+    difference = first_difference(expand_cells(doc), cells)
+    ok = difference is None and size <= 40_000_000
+    _line(8, ok, f"{len(doc['columns'])} columns in {size} bytes expand to the cells")
+    assert difference is None
+    assert size <= 40_000_000
 
 
 def test_criterion_8_reproducibility():

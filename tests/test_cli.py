@@ -710,7 +710,14 @@ class TestSweepCommand:
         code, out, _ = run(["sweep", "--config", config_file])
         assert code == 0
         doc = json.loads(out)
-        assert set(doc.keys()) == {"config", "cells", "aggregates", "exemplars"}
+        assert set(doc.keys()) == {"config", "columns", "aggregates", "exemplars"}
+        # each column holds one entry per alpha of the grid in each list
+        alphas = doc["config"]["alpha_grid"]
+        assert doc["columns"] and all(
+            len(c[key]) == len(alphas)
+            for c in doc["columns"]
+            for key in ("holds", "lhs", "bound", "slack", "direction", "reason")
+        )
 
     def test_byte_identical_runs(self, config_file):
         a = run(["sweep", "--config", config_file])
@@ -782,48 +789,62 @@ class TestSweepCommand:
         path.write_text(_config_text(edge_probabilities=[0.0], alpha_grid=[0.5]))
         code, out, err = run(["sweep", "--config", str(path)])
         assert (code, err) == (0, "")
-        failed = [c for c in json.loads(out)["cells"]
+        failed = [c for c in json.loads(out)["columns"]
                   if c["graph_id"].startswith("gnp_")]
         assert failed and all(
-            "no connected sample within" in c["params"]["reason"] for c in failed
+            "no connected sample within" in reason
+            for c in failed for reason in c["reason"]
         )
 
     @pytest.mark.parametrize(
-        "text",
+        "text, names",
         [
-            pytest.param(_config_text(drop="seed"), id="missing-seed"),
-            pytest.param(_config_text(seed="x"), id="seed-not-int"),
-            pytest.param(_config_text(seed=-1), id="seed-negative"),
-            pytest.param(_config_text(n_range=5), id="n_range-not-list"),
-            pytest.param(_config_text(n_range=[3, 4, 5]), id="n_range-three"),
-            pytest.param(f"[{_config_text()}]", id="top-level-list"),
+            pytest.param(_config_text(drop="seed"), None, id="missing-seed"),
+            pytest.param(_config_text(seed="x"), None, id="seed-not-int"),
+            # a str or a bool is refused, not coerced or read char by char
+            pytest.param(_config_text(seed="7"), "seed", id="seed-numeric-str"),
+            pytest.param(_config_text(seed=True), "seed", id="seed-bool"),
+            pytest.param(_config_text(trials_per_cell="2"), "trials_per_cell",
+                         id="trials-str"),
+            pytest.param(_config_text(n_range="34"), "n_range", id="n_range-str"),
+            pytest.param(_config_text(edge_probabilities=[0.5, "0.8"]),
+                         "edge_probabilities", id="p-str"),
+            pytest.param(_config_text(theorems="thm1"), "theorems", id="theorems-str"),
+            pytest.param(_config_text(seed=-1), None, id="seed-negative"),
+            pytest.param(_config_text(n_range=5), None, id="n_range-not-list"),
+            pytest.param(_config_text(n_range=[3, 4, 5]), None, id="n_range-three"),
+            pytest.param(f"[{_config_text()}]", None, id="top-level-list"),
             pytest.param(_config_text(functional_specs=[{"beta": 2.0}]),
-                         id="template-without-kind"),
-            pytest.param(_config_text(functional_specs=5), id="templates-not-list"),
-            pytest.param(_config_text(alpha_grid=["a"]), id="alpha-not-number"),
-            pytest.param(_config_text(alpha_grid=[math.nan]), id="alpha-nan"),
-            pytest.param(_config_text(alpha_grid=[math.inf]), id="alpha-inf"),
+                         None, id="template-without-kind"),
+            pytest.param(_config_text(functional_specs=5), None,
+                         id="templates-not-list"),
+            pytest.param(_config_text(alpha_grid=["a"]), None, id="alpha-not-number"),
+            pytest.param(_config_text(alpha_grid=[math.nan]), None, id="alpha-nan"),
+            pytest.param(_config_text(alpha_grid=[math.inf]), None, id="alpha-inf"),
             # a mistyped field name is not a silent default
-            pytest.param(_config_text(alpha_grdi=[0.5]), id="unknown-field"),
+            pytest.param(_config_text(alpha_grdi=[0.5]), None, id="unknown-field"),
             # two cells would share a (theorem, variant, alpha, graph, family) key
-            pytest.param(_config_text(alpha_grid=[0.5, 0.5]), id="repeated-alpha"),
+            pytest.param(_config_text(alpha_grid=[0.5, 0.5]), None,
+                         id="repeated-alpha"),
             # a 401-digit integer is past float range
-            pytest.param(_config_text(alpha_grid=[10**400]), id="alpha-past-float"),
+            pytest.param(_config_text(alpha_grid=[10**400]), None, id="alpha-past-float"),
             pytest.param(_config_text(edge_probabilities=[10**400]),
-                         id="p-past-float"),
+                         None, id="p-past-float"),
             pytest.param(_config_text(functional_specs=[
-                {"kind": "linear", "c_range": [0.5, 10**400]}]), id="c-past-float"),
+                {"kind": "linear", "c_range": [0.5, 10**400]}]), None, id="c-past-float"),
             pytest.param(_config_text(functional_specs=[
-                {"kind": "exponential", "beta": 10**400}]), id="beta-past-float"),
+                {"kind": "exponential", "beta": 10**400}]), None, id="beta-past-float"),
             # not UTF-8: a UTF-16 byte-order mark and UTF-16 text
             pytest.param(b"\xff\xfe" + _config_text().encode("utf-16-le"),
-                         id="not-utf-8"),
+                         None, id="not-utf-8"),
         ],
     )
-    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, names):
+        """names, where given, is the field the error line must name."""
         path = tmp_path / "cfg.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out = cli.dispatch(["sweep", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("graphent: ") and err.count("\n") == 1
+        assert names is None or names in err

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import straightline as sl
+from canonical import expand_cells, first_difference, strict_loads
 from graphent import (
     Distribution,
     DomainError,
@@ -98,7 +99,9 @@ class TestConfig:
 
     def test_from_dict_coerces_numbers(self):
         doc = small_config().to_dict()
-        doc.update(seed="42", trials_per_cell="2", n_range=[3.0, 5])
+        doc.update(
+            seed=42.0, trials_per_cell=2.0, n_range=[3.0, 5], alpha_grid=[0.5, 2]
+        )
         assert SweepConfig.from_dict(doc) == small_config()
 
     @pytest.mark.parametrize(
@@ -121,6 +124,19 @@ class TestConfig:
             ({"n_range": [3, 4.2]}, "n_range must be a whole number, got 4.2"),
             ({"trials_per_cell": 2.5}, "trials_per_cell must be a whole number"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            # a str or a bool is refused, not coerced or read char by char
+            ({"n_range": "34"}, "malformed n_range: expected a list, got str"),
+            ({"seed": "7"}, "seed must be a whole number, got '7'"),
+            ({"seed": True}, "seed must be a whole number, got True"),
+            ({"trials_per_cell": "2"}, "trials_per_cell must be a whole number"),
+            ({"n_range": [3, "4"]}, "n_range must be a whole number, got '4'"),
+            ({"edge_probabilities": [0.5, "0.8"]},
+             "edge_probabilities must hold numbers, got '0.8'"),
+            ({"alpha_grid": [0.5, True]}, "alpha_grid must hold numbers, got True"),
+            ({"theorems": "thm1"}, "malformed theorems: expected a list, got str"),
+            ({"variants": "literal"}, "malformed variants: expected a list, got str"),
+            ({"functional_specs": [{"kind": "linear", "c_range": ["0.5", 2.0]}]},
+             "c_range must hold numbers, got '0.5'"),
         ],
     )
     def test_from_dict_rejects_malformed(self, change, match):
@@ -637,6 +653,17 @@ def _oracle(report):
     return json.dumps(report.to_canonical_dict(), allow_nan=False)
 
 
+def _round_trip(report):
+    """report's canonical JSON, checked three ways: it is the oracle's text,
+    it parses strictly, and expanding its columns gives report.cells, as
+    json.dumps text. Returns the text and the expanded cells."""
+    text = summarize_report(report, "json")
+    _assert_same_text(text, _oracle(report))
+    cells = list(expand_cells(strict_loads(text)))
+    assert first_difference(cells, report.cells) is None
+    return text, cells
+
+
 def _assert_same_text(got, want):
     """got == want. On a mismatch, fail naming the first differing offset
     with a short window of each side: pytest's own diff of two multi-MB
@@ -662,19 +689,19 @@ CATALOG_SHAPE = dict(
 
 
 class TestCanonicalWriter:
-    """summarize_report renders the canonical JSON from the columns; it must
-    give the bytes of json.dumps over the document built from them."""
+    """summarize_report writes the canonical JSON graph by graph; it must
+    give the bytes of json.dumps over the document built from the columns,
+    and expanding its columns must give back every cell."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_catalog_corpus_seeds(self, seed):
-        rep = run_sweep(SweepConfig(seed=seed, **CATALOG_SHAPE))
-        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
+        _round_trip(run_sweep(SweepConfig(seed=seed, **CATALOG_SHAPE)))
 
     def test_orbit_budget_of_one(self, monkeypatch):
         monkeypatch.setattr(orbits, "ORBIT_NODE_BUDGET", 1)
         rep = run_sweep(small_config(trials_per_cell=1))
         assert any(c["lhs"] is None for c in rep.cells)
-        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
+        _round_trip(rep)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -704,8 +731,7 @@ class TestCanonicalWriter:
         ],
     )
     def test_edge_configs(self, cfg):
-        rep = run_sweep(cfg)
-        _assert_same_text(summarize_report(rep, "json"), _oracle(rep))
+        _round_trip(run_sweep(cfg))
 
     @staticmethod
     def _report(*columns, graph_id="g", family="orbit", alphas=(0.5, 2.0)):
@@ -732,9 +758,8 @@ class TestCanonicalWriter:
             Column.failed("t", reason, 2), evaluated,
             graph_id="g%s%%", family="f%r",
         )
-        text = summarize_report(rep, "json")
-        _assert_same_text(text, _oracle(rep))
-        assert reason in {c["params"].get("reason") for c in json.loads(text)["cells"]}
+        _, cells = _round_trip(rep)
+        assert reason in {c["params"].get("reason") for c in cells}
 
     def test_signed_zeros_stay_apart(self):
         # slack -|0 - 0| is -0.0, and no value is merged with an equal one
@@ -744,21 +769,18 @@ class TestCanonicalWriter:
              _outcome(-0.0, 0.0, "equal", (0.0,))],
             ("h",),
         )
-        rep = self._report(column)
-        text = summarize_report(rep, "json")
-        _assert_same_text(text, _oracle(rep))
+        _, cells = _round_trip(self._report(column))
         signs = [
             [math.copysign(1.0, v) for v in
              (c["lhs"], c["slack"], c["params"]["zero"], c["params"]["minus_zero"],
               c["params"]["h"])]
-            for c in json.loads(text)["cells"]
+            for c in cells
         ]
         assert signs == [[1.0, -1.0, 1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, -1.0, 1.0]]
 
     def test_equal_keys_keep_their_own_texts(self):
-        """The writer renders each graph's floats through one dict, where
-        0.0 == -0.0 and 0.1 == np.float64(0.1) and 1.0 == 1 == True are one
-        key. Each value must keep its own text whichever comes first, in
+        """0.0 == -0.0, 0.1 == np.float64(0.1) and 1.0 == 1 == True compare
+        equal. Each value must keep its own text whichever comes first, in
         one graph and in the next."""
 
         def zeros():
@@ -799,9 +821,7 @@ class TestCanonicalWriter:
                         _Row("b", plan2, [python_tenth(), numpy_tenth()])]),
             ],
         )
-        text = summarize_report(rep, "json")
-        _assert_same_text(text, _oracle(rep))
-        cells = json.loads(text)["cells"]
+        text, cells = _round_trip(rep)
         assert {c["params"].get("int").__class__ for c in cells} == {int, type(None)}
         assert "np.float64" not in text and "True" not in text
 
@@ -812,9 +832,7 @@ class TestCanonicalWriter:
                      (np.float64(1.0 / 3.0),))] * 2,
             ("h",),
         )
-        rep = self._report(column)
-        text = summarize_report(rep, "json")
-        _assert_same_text(text, _oracle(rep))
+        text, _ = _round_trip(self._report(column))
         assert "np.float64" not in text
 
     @pytest.mark.parametrize(
@@ -849,7 +867,7 @@ class TestCanonicalWriter:
         assert "".join(chunks) == summarize_report(rep, "json")
         assert summary.aggregates == rep.aggregates
         assert summary.exemplars == rep.exemplars
-        # the config, one chunk of cells per graph with a separator between
+        # the config, one chunk of columns per graph with a separator between
         # graphs, and the aggregates and exemplars
         assert len(chunks) == 1 + (2 * len(rep.graphs) - 1) + 1
 
@@ -863,11 +881,11 @@ class TestSummaries:
 
     def test_json_round_trip_byte_identical(self, report):
         text = summarize_report(report, "json")
-        assert json.dumps(json.loads(text)) == text
+        _assert_same_text(json.dumps(strict_loads(text)), text)
 
     def test_json_schema_keys(self, report):
         doc = json.loads(summarize_report(report, "json"))
-        assert list(doc.keys()) == ["config", "cells", "aggregates", "exemplars"]
+        assert list(doc.keys()) == ["config", "columns", "aggregates", "exemplars"]
         assert doc["config"] == report.config.to_dict()
 
     def test_csv_one_row_per_cell(self, report):
