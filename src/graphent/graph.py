@@ -67,11 +67,13 @@ class Graph(_Record):
 
     Construction checks every edge with one chained 0 <= u < v < n test;
     only when an edge fails does a second walk over the edges word the
-    error of the first bad one. The neighbor lists are built on the first
-    read of ``adjacency``, so a graph with a huge n and few edges costs
-    O(m) until an operation that needs them runs. Like the connectivity,
-    they are a pure function of (n, edges), so a race can only build them
-    twice.
+    error of the first bad one. parse_edge_list and the orbit search's
+    complement have checked their edges already and build through
+    ``_checked``, which skips that test. The neighbor lists are built on
+    the first read of ``adjacency``, so a graph with a huge n and few
+    edges costs O(m) until an operation that needs them runs. Like the
+    connectivity, they are a pure function of (n, edges), so a race can
+    only build them twice.
     """
 
     _fields = ("n", "edges")
@@ -84,6 +86,13 @@ class Graph(_Record):
         for u, v in edges:
             if not 0 <= u < v < n:
                 self._raise_first_bad_edge()
+
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
+        """The graph on edges its caller has shown to satisfy 0 <= u < v < n."""
+        g = cls.__new__(cls)
+        g.n, g.edges = n, edges
+        return g
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -211,26 +220,34 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
     given, ids only need to stay below it, and a huge n costs nothing until
     an operation reads the graph's neighbor lists.
 
-    The lines are checked in bulk: each is split once, every id goes
-    through one ``map(int, ...)``, and negative ids and self-loops are
-    found with builtins over all pairs. Only when a bulk check fails does
-    a walk over the lines run, to raise the error of the first bad line
-    with its line number.
+    The lines are checked in bulk: each is split once, each distinct id
+    token goes through ``int`` once and every token is mapped through the
+    resulting dict, and negative ids and self-loops are found with builtins
+    over all pairs. Only when a bulk check fails does a walk over the lines
+    run, to raise the error of the first bad line with its line number.
+    Those checks and the one against n establish 0 <= u < v < n for every
+    edge, so the Graph is built without walking its edges again.
     """
-    rows = [r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#"]
+    rows = map(str.split, text.splitlines())
+    if "#" in text:
+        rows = [r for r in rows if r and r[0][0] != "#"]
+    else:
+        rows = list(filter(None, rows))
     ids = None
     if all(len(r) == 2 for r in rows):
+        tokens = list(chain.from_iterable(rows))
         try:
-            ids = list(map(int, chain.from_iterable(rows)))
+            id_of = {t: int(t) for t in set(tokens)}
+            ids = list(map(id_of.__getitem__, tokens))
+            seen_ids = set(id_of.values())
         except ValueError:
             pass
-    if ids is None or (ids and min(ids) < 0) or any(map(eq, ids[::2], ids[1::2])):
+    if ids is None or (ids and min(seen_ids) < 0) or any(map(eq, ids[::2], ids[1::2])):
         _raise_first_bad_line(text)
     edges = frozenset(
         [(u, v) if u < v else (v, u) for u, v in zip(ids[::2], ids[1::2])]
     )
 
-    seen_ids = set(ids)
     max_id = max(seen_ids) if seen_ids else -1
     if n is None:
         n = max_id + 1
@@ -245,7 +262,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             )
     elif n < max_id + 1:
         raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
-    return Graph(n=n, edges=edges)
+    return Graph._checked(n, edges)
 
 
 def _raise_first_bad_line(text: str) -> NoReturn:

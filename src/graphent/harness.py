@@ -157,7 +157,10 @@ class FunctionalTemplate:
     beta: float | None = None
 
     def __post_init__(self):
-        FunctionalSpec(kind=self.kind, beta=self.beta)  # checks kind and beta
+        beta = self.beta  # a str or a bool is refused, not coerced
+        if isinstance(beta, bool) or not isinstance(beta, (numbers.Real, type(None))):
+            raise DomainError(f"beta must be a number, got {beta!r}")
+        FunctionalSpec(kind=self.kind, beta=beta)  # checks kind and beta's range
         lo, hi = _reals(self.c_range, "c_range")
         if not 0.0 < lo <= hi < math.inf:
             raise DomainError(

@@ -16,9 +16,9 @@ nodes, so it is exact and bounded. It is a loop over positions with an
 explicit stack of each position's remaining candidates; the placement
 order and each position's already-placed neighbors are planned once per
 representative, and a position's candidates are the free members of its
-cell adjacent to the images of those neighbors.
-The brute-force oracle enumerates all n! permutations and is the
-independent ground truth for small graphs.
+cell adjacent to the images of those neighbors. Orbits are merged inline,
+as trees of one parent list rooted at their smallest vertices. The n!
+oracle (brute_force_orbits) is the independent ground truth for small graphs.
 """
 
 from __future__ import annotations
@@ -73,29 +73,19 @@ class OrbitPartition(_Record):
         return tuple(len(b) for b in self.blocks)
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def partition(self) -> OrbitPartition:
-        groups: dict[int, list[int]] = {}
-        for v in range(len(self.parent)):
-            groups.setdefault(self.find(v), []).append(v)
-        blocks = sorted(map(tuple, groups.values()), key=lambda b: (len(b), b[0]))
-        return OrbitPartition(blocks=tuple(blocks))
+def _partition(parent: list[int]) -> OrbitPartition:
+    """The blocks of a forest rooted at each block's smallest vertex, which
+    flattens parent in place: off the roots parent[v] < v, so parent[v]
+    points at its root by the time v is reached. The blocks are a partition
+    by construction, so OrbitPartition's cover and overlap check is skipped."""
+    groups: dict[int, list[int]] = {}
+    for v, up in enumerate(parent):
+        parent[v] = root = parent[up]
+        groups.setdefault(root, []).append(v)
+    blocks = sorted(map(tuple, groups.values()), key=lambda b: (len(b), b[0]))
+    part = OrbitPartition.__new__(OrbitPartition)
+    part.blocks = tuple(blocks)
+    return part
 
 
 def _compress(sigs: list) -> list[int]:
@@ -225,7 +215,7 @@ def _searched_graph(g: Graph, adjbits: list[int]) -> tuple[Graph, list[int]]:
     full = (1 << n) - 1
     bits = [full ^ b ^ 1 << v for v, b in enumerate(adjbits)]
     edges = [(u, v) for u, b in enumerate(bits) for v in range(u + 1, n) if b >> v & 1]
-    return Graph(n, frozenset(edges)), bits
+    return Graph._checked(n, frozenset(edges)), bits
 
 
 def vertex_orbits(g: Graph) -> OrbitPartition:
@@ -252,27 +242,30 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
     cellbits = [bits[color] for color in colors]
     adjbits = [sum(map(_bit, nbrs)) for nbrs in adjacency]
 
-    dsu = _DisjointSet(n)
-    find = dsu.find
-    # Twins, vertices with equal open (false twins) or equal closed (true
-    # twins) neighborhoods, are swapped by an automorphism: join them
-    # without a search.
-    for keys in (adjbits, [b | 1 << v for v, b in enumerate(adjbits)]):
-        first: dict[int, int] = {}
-        for v, key in enumerate(keys):
-            twin = first.setdefault(key, v)
-            if twin != v:
-                dsu.union(twin, v)
+    # The orbits found so far are the trees of parent, each rooted at its
+    # smallest vertex. Twins, vertices with equal open (false twins) or equal
+    # closed (true twins) neighborhoods, are swapped by an automorphism, so
+    # each starts under the first vertex of its twin class. No vertex has
+    # both kinds (u's open twin would be adjacent to u's closed twin, so a
+    # neighbor of u, but open twins are never adjacent), so the smaller first
+    # vertex is its class's.
+    open_twin: dict[int, int] = {}
+    closed_twin: dict[int, int] = {}
+    parent = [
+        min(open_twin.setdefault(b, v), closed_twin.setdefault(b | 1 << v, v))
+        for v, b in enumerate(adjbits)
+    ]
     plans: dict[int, tuple[list[int], list[list[int]]]] = {}
     searched = None
     nodes = 0
     for cell in cells.values():
         # A cell may hold several orbits: each vertex joins the orbit of the
         # first representative an automorphism maps to it, or starts its own.
+        # A vertex off the roots shares an orbit with a smaller vertex of
+        # its cell, so with a representative.
         reps: list[int] = []
         for v in cell:
-            root = find(v)
-            if any(root == find(r) for r in reps):
+            if parent[v] != v:
                 continue
             for r in reps:
                 if searched is None:
@@ -284,17 +277,23 @@ def vertex_orbits(g: Graph) -> OrbitPartition:
                     searched[1], cellbits, *plans[r], v, nodes
                 )
                 if sigma is not None:
-                    for w, img in enumerate(sigma):
-                        if w != img:
-                            dsu.union(w, img)
+                    # join the trees of each vertex and its image
+                    for a, b in enumerate(sigma):
+                        while parent[a] != a:
+                            a = parent[a]
+                        while parent[b] != b:
+                            b = parent[b]
+                        if a != b:
+                            parent[max(a, b)] = min(a, b)
                     break
             else:
                 reps.append(v)
-    return dsu.partition()
+    return _partition(parent)
 
 
 def brute_force_orbits(g: Graph) -> OrbitPartition:
-    """Oracle: join vertices related by any of the n! candidate permutations."""
+    """Oracle: the automorphisms are the n! permutations that keep every
+    edge, and each vertex's orbit is its set of images under them."""
     if g.n < 1:
         raise DomainError("vertex orbits need n >= 1")
     if g.n > BRUTE_FORCE_CAP:
@@ -302,12 +301,13 @@ def brute_force_orbits(g: Graph) -> OrbitPartition:
             f"brute-force orbits capped at n = {BRUTE_FORCE_CAP}, got {g.n}"
         )
     edges = g.edges
-    dsu = _DisjointSet(g.n)
+    images: list[set[int]] = [set() for _ in range(g.n)]
     for perm in permutations(range(g.n)):
         if all(
             (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges
             for u, v in edges
         ):
-            for w in range(g.n):
-                dsu.union(w, perm[w])
-    return dsu.partition()
+            for image, w in zip(images, perm):
+                image.add(w)
+    blocks = {tuple(sorted(image)) for image in images}
+    return OrbitPartition(tuple(sorted(blocks, key=lambda b: (len(b), b[0]))))

@@ -834,6 +834,10 @@ class TestSweepCommand:
                 {"kind": "linear", "c_range": [0.5, 10**400]}]), None, id="c-past-float"),
             pytest.param(_config_text(functional_specs=[
                 {"kind": "exponential", "beta": 10**400}]), None, id="beta-past-float"),
+            pytest.param(_config_text(functional_specs=[
+                {"kind": "exponential", "beta": True}]), "beta", id="beta-bool"),
+            pytest.param(_config_text(functional_specs=[
+                {"kind": "exponential", "beta": "2"}]), "beta", id="beta-str"),
             # not UTF-8: a UTF-16 byte-order mark and UTF-16 text
             pytest.param(b"\xff\xfe" + _config_text().encode("utf-16-le"),
                          None, id="not-utf-8"),

@@ -216,6 +216,12 @@ def _package_parse(text, n):
     return g.n, g.edges, g.adjacency
 
 
+# a relabeled dense list: K_9 on shuffled ids, each id in 8 of its lines
+_RELABELED_K9 = "".join(
+    f"{u} {v}\n" for u, v in combinations([5, 2, 8, 0, 3, 6, 1, 7, 4], 2)
+)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=_edge_list())
 @example(case=("0 1\n1 2\n2 0\n", None))
@@ -228,6 +234,13 @@ def _package_parse(text, n):
 @example(case=("0 1\n1 x\n", None))
 @example(case=("0 1\n0 4\n0 9\n", None))
 @example(case=("0 5\n", 3))
+@example(case=(_RELABELED_K9, None))
+# one id in every spelling int() takes, each a distinct token
+@example(case=("1 0\n01 2\n+1 3\n0_1 4\n\u0661 5\n 001\t6\n", None))
+# one list with a '#' comment, a '#' inside a line, and without any
+@example(case=("# K_3\n0 1\n\n1 2\n2 0\n", None))
+@example(case=("0 1\n1 2 # c\n2 0\n", None))
+@example(case=("0 1\n\n1 2\n2 0\n", None))
 def test_parse_matches_straightline_reference(case):
     """The bulk checks give the line loop's graph, or its first error with
     the same type, message and line number."""
@@ -503,6 +516,40 @@ class TestSpheres:
             d = distance_matrix(g)
             with pytest.raises(DomainError, match=DISCONNECTED):
                 functional_values(g, FunctionalSpec("linear"), d)
+
+
+def _error(build):
+    """The type and message of the GraphEntropyError build() raises."""
+    with pytest.raises(GraphEntropyError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "n, edges, message, parse_error",
+    [
+        (3, [(0, 1), (2, 2)], "self-loop at vertex 2",
+         (ValidationError, "line 2: self-loop at vertex 2")),
+        (3, [(0, 1), (1, 3)], "edge (1, 3) outside 0..2",
+         (ValidationError, "n=3 is below 1 + max vertex id (3)")),
+        (0, [(0, 1)], "edge (0, 1) outside 0..-1",
+         (ValidationError, "n=0 is below 1 + max vertex id (1)")),
+        (3, [(-1, 2)], "edge (-1, 2) outside 0..2",
+         (ParseError, "line 1: negative vertex id in '-1 2'")),
+        (-1, [], "vertex count must be >= 0, got -1",
+         (ValidationError, "n=-1 is below 1 + max vertex id (-1)")),
+    ],
+    ids=["self_loop", "past_n", "n_zero", "negative_id", "negative_n"],
+)
+def test_bad_edge_or_n_is_refused_on_every_path(n, edges, message, parse_error):
+    """Graph(...) and Graph.from_edges give one error for a bad edge or n.
+    parse_edge_list builds its Graph without that check, so its own checks
+    must refuse the same input: with the line-numbered or n-worded error
+    they have always given."""
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    assert _error(lambda: Graph(n, frozenset(edges))) == (ValidationError, message)
+    assert _error(lambda: Graph.from_edges(n, edges)) == (ValidationError, message)
+    assert _error(lambda: parse_edge_list(text, n=n)) == parse_error
 
 
 class TestGraphInvariants:

@@ -137,6 +137,10 @@ class TestConfig:
             ({"variants": "literal"}, "malformed variants: expected a list, got str"),
             ({"functional_specs": [{"kind": "linear", "c_range": ["0.5", 2.0]}]},
              "c_range must hold numbers, got '0.5'"),
+            ({"functional_specs": [{"kind": "exponential", "beta": True}]},
+             "beta must be a number, got True"),
+            ({"functional_specs": [{"kind": "exponential", "beta": "2"}]},
+             "beta must be a number, got '2'"),
         ],
     )
     def test_from_dict_rejects_malformed(self, change, match):

@@ -9,6 +9,7 @@ import graphent.orbits as orbits
 from graphent import (
     CapacityError,
     Graph,
+    OrbitPartition,
     brute_force_orbits,
     cli,
     distance_matrix,
@@ -275,6 +276,44 @@ class TestRelabeledSymmetricGraphs:
         g = build()
         for seed in range(6):
             assert vertex_orbits(_relabeled(g, seed)).sizes == sizes
+
+
+def _rebuilt(part):
+    """part, after checking that the public OrbitPartition(...) accepts its
+    blocks, equal, and that they are sorted and ordered by (size, first
+    member): vertex_orbits builds its partition without that check."""
+    assert OrbitPartition(part.blocks) == part
+    assert all(list(b) == sorted(b) for b in part.blocks)
+    assert list(part.blocks) == sorted(part.blocks, key=lambda b: (len(b), b[0]))
+    return part
+
+
+class TestPartitionInvariant:
+    def test_relabeled_battery(self):
+        for i, g in enumerate(_battery()):
+            for seed in range(3):
+                _rebuilt(vertex_orbits(_relabeled(g, 100 * i + seed)))
+
+    def test_random_connected(self):
+        rng = np.random.default_rng(2024)
+        for i in range(40):
+            n = int(rng.integers(3, 8))
+            g = generate_graph("gnp", n, p=float(rng.uniform(0.3, 0.9)), seed=3000 + i)
+            assert _rebuilt(vertex_orbits(g)).blocks == brute_force_orbits(g).blocks
+
+    def test_cell_holding_two_orbits(self):
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        for seed in range(6):
+            assert _rebuilt(vertex_orbits(_relabeled(g, seed))).sizes == (3, 4)
+
+    @pytest.mark.parametrize(
+        "g, sizes",
+        [(generate_graph("complete", 48), (48,)), (_hypercube(6), (64,))],
+        ids=["complete_48", "hypercube_6"],
+    )
+    def test_relabeled_large_transitive(self, g, sizes):
+        for seed in range(3):
+            assert _rebuilt(vertex_orbits(_relabeled(g, seed))).sizes == sizes
 
 
 def _threshold(steps):
