@@ -16,7 +16,7 @@ numpy.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import eq, index
 from typing import Iterable, NoReturn, Sequence
@@ -307,14 +307,23 @@ class SeededStream:
     methods of those names, and successive calls continue one stream.
 
     seed is an int >= 0 or a sequence of them; anything else is a
-    DomainError. Each draw is about 1 us of Python integer arithmetic.
+    DomainError. Each draw is about 1 us of Python integer arithmetic; a
+    small bounded cache keeps the mix of a seed's first 4 words per head.
     """
 
     __slots__ = ("_state", "_inc")
 
     def __init__(self, seed):
         words = _seed_words(seed)
-        pool = _mix_entropy(words)
+        # SeedSequence's pool: the head's, then each later word mixed in
+        *pool, const = _head_pool(tuple(words[:4]))
+        for word in words[4:]:
+            for dst in range(4):
+                x = word ^ const
+                const = const * 0x931E8875 & _MASK32
+                x = x * const & _MASK32
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
         # SeedSequence.generate_state(4, uint64): 8 hashed words read as 4
         # little-endian u64, which give the 128-bit seed and stream
         hash_const = 0x8B51F9DD
@@ -372,17 +381,18 @@ def _seed_words(seed) -> list[int]:
     return words
 
 
-def _mix_entropy(words: list[int]) -> list[int]:
-    """SeedSequence's 4-word pool: hash the first 4 words in, mix every
-    pool word into every other, then mix in each remaining word.
+@lru_cache(maxsize=64)
+def _head_pool(head: tuple[int, ...]) -> tuple[int, ...]:
+    """SeedSequence's 4 pool words, then the hash constant, once the first 4
+    words (zero-padded) are hashed in and each pool word mixed into the rest.
 
     A hash xors its value with the hash constant, steps the constant and
     multiplies by it, so the constants depend on the count of hashes only
-    and one local carries them through all three stages; mixing a hash x
-    into a pool word is inline too.
+    and the last one carries on into mixing the later words; mixing a hash
+    x into a pool word is inline too.
     """
     const, pool = 0x43B0D7E5, []
-    for word in (words + [0, 0, 0, 0])[:4]:
+    for word in (head + (0, 0, 0, 0))[:4]:
         x = word ^ const
         const = const * 0x931E8875 & _MASK32
         x = x * const & _MASK32
@@ -393,14 +403,7 @@ def _mix_entropy(words: list[int]) -> list[int]:
         x = x * const & _MASK32
         mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16) & _MASK32
         pool[dst] = mixed ^ mixed >> 16
-    for word in words[4:]:
-        for dst in range(4):
-            x = word ^ const
-            const = const * 0x931E8875 & _MASK32
-            x = x * const & _MASK32
-            mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16) & _MASK32
-            pool[dst] = mixed ^ mixed >> 16
-    return pool
+    return (*pool, const)
 
 
 _POOL_PAIRS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)

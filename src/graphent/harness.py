@@ -24,6 +24,7 @@ import math
 import numbers
 import time
 from array import array
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -452,8 +453,9 @@ def _family_rows(
     diameter, the two functionals, the weights and their combination).
     When thm5 is planned, thm5 gets its own record, the row's with p1, p2
     and phi from _thm5_pair, which only the sweep derives; a failure there
-    is thm5's own reason, so it fails thm5's columns alone. thm4's and
-    thm4_cor's cores derive their own inputs from the functionals."""
+    is thm5's own reason, so it fails thm5's columns alone; a p1 or p2 with
+    the probs of dist or of fv_second's distribution is that object. thm4's
+    and thm4_cor's cores derive their own inputs from the functionals."""
     try:
         part = vertex_orbits(g)
     except GraphEntropyError as exc:
@@ -496,8 +498,12 @@ def _family_rows(
                 own["thm5"] = str(exc)
             else:
                 phi = max(a - b for a, b in zip(p1.probs, p2.probs))
+                with suppress(GraphEntropyError):  # keep p2 if f2 cannot normalize
+                    if fv_b.distribution.probs == p2.probs:
+                        p2 = fv_b.distribution
                 own["thm5"] = inputs._replace(
-                    dist=p1, dist_second=p2, phi=phi if phi > 0.0 else _PHI_FLOOR
+                    dist=dist if dist.probs == p1.probs else p1, dist_second=p2,
+                    phi=phi if phi > 0.0 else _PHI_FLOOR,
                 )
         rows.append(_Family(template.label, template.kind, inputs, own))
     return rows
@@ -671,9 +677,9 @@ def stream_sweep(
 
 # The canonical JSON is json.dumps(report.to_canonical_dict(),
 # allow_nan=False), written graph by graph: one encode of each graph's
-# column dicts.
-
-_ENCODE = json.JSONEncoder(allow_nan=False).encode
+# column dicts. Cycle tracking is off: what is encoded is built fresh from
+# lists, dicts, str, numbers, bools and None, so it cannot hold a cycle.
+_ENCODE = json.JSONEncoder(allow_nan=False, check_circular=False).encode
 
 
 def _column_dict(

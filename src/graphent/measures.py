@@ -4,7 +4,7 @@ Two routes induce distributions: orbit partitions (p_i = |X_i|/n) and
 strictly positive vertex functionals (p(v) = f(v)/sum f). Functional values
 are carried in natural-log space so the exponential j-sphere functional
 cannot overflow; normalization goes through log-sum-exp.
-All entropies are base 2.
+All entropies are base 2; power sums are filled an alpha grid at a time.
 
 The distributions here have a few dozen atoms at most, so the numbers are
 tuples of Python floats, every transcendental is a libm call through
@@ -41,9 +41,9 @@ class Distribution:
     """Strictly positive probability vector, held as the tuple probs.
 
     Everything derived from p alone (log p, Shannon entropy, rho/epsilon)
-    is computed on first use and kept, power sums are memoized per alpha
-    and Renyi entropies per alpha grid. Each is a pure function of probs,
-    so concurrent first uses can only store equal values.
+    is computed on first use and kept: power sums per alpha, filled a grid
+    at a time, and Renyi entropies per grid. Each is a pure function of
+    probs, so concurrent first uses can only store equal values.
     """
 
     def __init__(self, p: Iterable[float]):
@@ -289,34 +289,35 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if abs(alpha - 1.0) <= ALPHA_ONE_BAND:
         return shannon_entropy(d)
-    return log2_power_sum(d, alpha) / (1.0 - alpha) + 0.0
+    return log2_power_sums(d, (alpha,))[0] / (1.0 - alpha) + 0.0
 
 
-def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> list[float]:
-    """renyi_entropy at each of alphas. Kept on d per grid, so the cores
-    reading one distribution over one grid compute it once."""
+def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> tuple[float, ...]:
+    """renyi_entropy at each of alphas, from one power-sum fill; the tuple
+    kept on d per grid is returned, so cores reading one grid share it."""
     grid = tuple(alphas)
     values = d._renyi_grids.get(grid)
     if values is None:
-        values = d._renyi_grids[grid] = tuple(renyi_entropy(d, a) for a in grid)
-    return list(values)
-
-
-def log2_power_sum(d: Distribution, alpha: float) -> float:
-    """log2(sum p^alpha), the quantity the bound catalog keeps reusing.
-
-    Memoized on d per alpha.
-    """
-    value = d._log2_power_sums.get(alpha)
-    if value is None:
-        value = logsumexp([alpha * x for x in d.log_probs]) / LN2
-        d._log2_power_sums[alpha] = value
-    return value
+        for alpha in grid:
+            if not 0.0 < _as_float(alpha) < math.inf:
+                renyi_entropy(d, alpha)  # raises its DomainError
+        values = d._renyi_grids[grid] = tuple([
+            d._shannon if abs(a - 1.0) <= ALPHA_ONE_BAND else s / (1.0 - a) + 0.0
+            for a, s in zip(grid, log2_power_sums(d, grid))
+        ])
+    return values
 
 
 def log2_power_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
-    """log2_power_sum at each of alphas."""
-    return [log2_power_sum(d, alpha) for alpha in alphas]
+    """log2(sum p^alpha) at each of alphas, memoized on d: the one fill of
+    that memo, one logsumexp per alpha not yet in it."""
+    memo, out = d._log2_power_sums, []
+    for alpha in alphas:
+        value = memo.get(alpha)
+        if value is None:
+            value = memo[alpha] = logsumexp([alpha * x for x in d.log_probs]) / LN2
+        out.append(value)
+    return out
 
 
 def distribution_stats(d: Distribution) -> DistributionStats:

@@ -390,6 +390,30 @@ class TestSeededStream:
                 theirs.uniform(0.5, 2.0, size=4)
             ), seed
 
+    def test_streams_sharing_a_seed_head_match_numpy(self):
+        """Seeds that share their zero-padded first four words, and so one
+        cached head pool, but differ past them: the sweep's [s, 7, g, t, p]
+        for p = 0, 1, 2, interleaved and repeated, short heads of 0 to 3
+        words, and seeds of 6 or more words. Each stream is numpy's, and a
+        stream made after another of its head has drawn is unchanged, so no
+        stream mutates the cached pool."""
+        heads = [[5, 7, 3, 1], [2**40 + 9, 7, 3], [], [5], [5, 0], [5, 7, 3]]
+        tails = [[0], [1], [2], [1], [0], [2, 2**35 + 1], [0, 1, 2, 3], [2]]
+        for head in heads:
+            for tail in tails + tails[::-1]:
+                seed = head + tail
+                ours = SeededStream(seed)
+                want = np.random.default_rng(seed).random(40)
+                assert _bits(ours.random(40)) == _bits(want), seed
+                assert _bits(ours.random(3)) == _bits(
+                    np.random.default_rng(seed).random(43)[40:]
+                ), seed
+            for size in range(4):  # a seed that is all head
+                seed = head[:size]
+                assert _bits(SeededStream(seed).random(5)) == _bits(
+                    np.random.default_rng(seed).random(5)
+                ), seed
+
     def test_gnp_redraws_continue_numpys_stream(self):
         """generate_gnp_connected keeps drawing one stream across redraws,
         as a numpy Generator would."""

@@ -345,6 +345,27 @@ print("numpy" in sys.modules)
         b = summarize_report(run_sweep(cfg), "json")
         assert a == b
 
+    def test_process_wide_caches_do_not_leak_between_sweeps(self):
+        """A, then B, then A again in one interpreter: the seed-head cache
+        warmed by one sweep leaves the next one's bytes alone, and A's bytes
+        are those of a fresh interpreter."""
+        a = small_config()
+        b = small_config(seed=7, n_range=(3, 6), alpha_grid=(0.25, 0.5, 1.5, 3.0))
+        first = summarize_report(run_sweep(a), "json")
+        summarize_report(run_sweep(b), "json")
+        assert summarize_report(run_sweep(a), "json") == first
+        script = (
+            "import json, sys; from graphent import SweepConfig, run_sweep, "
+            "summarize_report; cfg = SweepConfig.from_dict(json.loads(sys.argv[1])); "
+            "sys.stdout.write(summarize_report(run_sweep(cfg), 'json'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(a.to_dict())],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == first
+
     def test_cell_schema(self):
         rep = run_sweep(small_config(n_range=(4, 4), alpha_grid=(0.5,)))
         keys = [
@@ -574,25 +595,35 @@ print("numpy" in sys.modules)
     def test_fold_follows_cell_order_within_a_graph(self):
         # the first column violates only at the second alpha and the second
         # only at the first, so the second column's key comes first; slacks
-        # 0.0 and -0.0 tie, and the first in cell order is the minimum
+        # 0.0 and -0.0 tie, and the first in cell order is the minimum. The
+        # fourth column's alphas give a reason, a not-applicable outcome, a
+        # held one and a violated one, in that order
         def column(theorem_id, outcomes):
             return Column(theorem_id, {}, outcomes)
 
         held_zero = _outcome(1.0, 1.0, "upper")  # slack 0.0
         held_minus_zero = _outcome(1.0, 1.0, "equal")  # slack -0.0
         violated = _outcome(2.0, 1.0, "upper")
-        plan = [(THEOREMS[0], "na"), (THEOREMS[1], "na"), (THEOREMS[2], "na")]
+        not_applicable = _outcomes(
+            "t", [2.0], [5.0], ["upper"], [()], precondition_met=False
+        )[0]
+        plan = [(THEOREMS[i], "na") for i in range(4)]
         rows = [_Row("orbit", plan, [
-            column("a", [held_zero, violated]),
-            column("b", [violated, held_minus_zero]),
-            column("c", [held_zero, held_minus_zero]),
+            column("a", [held_zero, violated, held_zero, held_zero]),
+            column("b", [violated, held_minus_zero, held_zero, held_zero]),
+            column("c", [held_zero, held_minus_zero, held_zero, held_zero]),
+            column("d", ["d failed here", not_applicable, held_zero, violated]),
         ])]
-        cfg = small_config(alpha_grid=(0.5, 2.0))
+        cfg = small_config(alpha_grid=(0.5, 2.0, 3.0, 4.0))
         sweep = _Sweep(cfg)
         sweep._fold("g", generate_graph("path", 3), rows)
         rep = SweepReport(graphs=[("g", rows)], **sweep.summary())
-        assert list(rep.exemplars) == ["jensen|na", "ordering|na"]
+        assert list(rep.exemplars) == ["jensen|na", "ordering|na", "thm1_eps|na"]
         assert repr(rep.aggregates["thm1|na"]["min_slack"]) == "0.0"
+        mixed = rep.aggregates["thm1_eps|na"]
+        assert (mixed["checked"], mixed["held"], mixed["violated"]) == (4, 1, 1)
+        assert mixed["not_applicable"] == 2 and mixed["min_slack"] == -1.0
+        assert mixed["mean_slack"] == -0.5  # the held 0.0 and the violated -1.0
         assert _ordered(_cell_pass(rep.cells)) == _ordered(
             (rep.aggregates, rep.exemplars)
         )
@@ -1028,6 +1059,49 @@ class TestColumnCores:
                     checked.add((theorem.id, isinstance(want, str)))
         evaluated = {t for t, failed in checked if not failed}
         assert evaluated == set(ALL_THEOREMS)
+
+    def test_thm5_reads_the_rows_own_distributions(self, monkeypatch):
+        """thm5's record holds the row's dist and fv_second's distribution
+        exactly where numpy's p1 and p2 have their probs bit for bit, and
+        its columns, read after the row's other columns filled those memos,
+        equal columns on fresh copies of p1 and p2."""
+        cfg = small_config()
+        thm5 = next(t for t in THEOREMS if t.id == "thm5")
+        swept = {
+            (graph_id, row.family, variant): column
+            for graph_id, rows in run_sweep(cfg).graphs
+            for row in rows
+            for (theorem, variant), column in zip(row.plan, row.columns)
+            if theorem is thm5
+        }
+        pairs, pair = [], harness._thm5_pair
+        monkeypatch.setattr(
+            harness, "_thm5_pair", lambda *args: pairs.append(pair(*args)) or pairs[-1]
+        )
+        shared = [0, 0]
+        for gi, (graph_id, g) in enumerate(generate_corpus(cfg)):
+            for fam in _family_rows(cfg, g, gi, distance_matrix(g)):
+                if fam.kind == "orbit":
+                    continue
+                p1, p2 = pairs.pop(0)
+                record, row = fam.own["thm5"], fam.inputs
+                for i, (got, numpy_p, own) in enumerate([
+                    (record.dist, p1, row.dist),
+                    (record.dist_second, p2, row.fv_second.distribution),
+                ]):
+                    assert got is (own if own.probs == numpy_p.probs else numpy_p)
+                    shared[i] += got is own
+                fresh = fam._replace(own={"thm5": record._replace(
+                    dist=Distribution(p1.probs), dist_second=Distribution(p2.probs)
+                )})
+                for variant in cfg.variants:
+                    want = _column(fresh, thm5, cfg.alpha_grid, variant)
+                    got = swept[graph_id, fam.label, variant]
+                    assert repr(got.outcomes) == repr(want.outcomes)
+                    assert (got.params, got.precondition_met) == (
+                        want.params, want.precondition_met
+                    )
+        assert not pairs and shared[0] > 0 and shared[1] > 0
 
     def test_sweep_builds_no_bound_report(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphent import (
@@ -23,7 +23,7 @@ from graphent import (
 )
 import graphent.measures as measures
 from graphent.measures import (
-    log2_power_sum,
+    ALPHA_ONE_BAND,
     log2_power_sums,
     logsumexp,
     renyi_entropies,
@@ -126,11 +126,12 @@ class TestMemoizedDerivedValues:
             raw = 10 ** rng.uniform(-12, 0, size=int(rng.integers(1, 65)))
             p = raw / raw.sum()
             d = Distribution(p=p)
-            assert renyi_entropies(d, grid) == [
+            assert renyi_entropies(d, grid) == tuple(
                 renyi_entropy(Distribution(p=p.copy()), alpha) for alpha in grid
-            ]
+            )
             assert log2_power_sums(d, grid) == [
-                log2_power_sum(Distribution(p=p.copy()), alpha) for alpha in grid
+                log2_power_sums(Distribution(p=p.copy()), [alpha])[0]
+                for alpha in grid
             ]
 
     def test_renyi_grid_is_computed_once(self, monkeypatch):
@@ -142,8 +143,51 @@ class TestMemoizedDerivedValues:
             raise AssertionError("the grid's Renyi entropies were computed again")
 
         monkeypatch.setattr(measures, "renyi_entropy", refuse)
+        monkeypatch.setattr(measures, "log2_power_sums", refuse)
         again = renyi_entropies(d, list(grid))
-        assert again == first and again is not first
+        assert again is first  # the memo itself, a tuple no caller can change
+        assert isinstance(again, tuple)
+
+    @settings(max_examples=150, deadline=None)
+    @given(positive_lists, st.data())
+    @example(values=[3.0, 1.0, 4.0], data=None)
+    def test_grid_fill_matches_fresh_one_alpha_calls(self, values, data):
+        """Grid fills give per-alpha renyi_entropy's bits on fresh copies:
+        repeated alphas, alphas inside the Shannon band, power sums far
+        below float range and two overlapping grids on one Distribution."""
+        d = probs(values)
+        if data is None:  # alphas whose power sum 2**log2_sum underflows
+            first, second = [5000.0, 0.5, 1 + ALPHA_ONE_BAND / 2], [0.5, 1e4, 1e4]
+        else:
+            alphas = st.one_of(
+                st.floats(0.01, 50.0),
+                st.floats(-ALPHA_ONE_BAND, ALPHA_ONE_BAND).map(lambda e: 1.0 + e),
+                st.floats(2000.0, 1e5),
+            )
+            first = data.draw(st.lists(alphas, min_size=1, max_size=9))
+            second = data.draw(st.lists(
+                st.one_of(st.sampled_from(first), alphas), min_size=1, max_size=9
+            ))
+        for grid in (first, second, first):
+            fresh = [Distribution(p=d.probs) for _ in grid]
+            want = tuple(renyi_entropy(f, a) for f, a in zip(fresh, grid))
+            assert renyi_entropies(d, grid) == want
+            assert log2_power_sums(d, grid) == [
+                log2_power_sums(Distribution(p=d.probs), [a])[0] for a in grid
+            ]
+        if data is None:
+            assert max(log2_power_sums(d, [5000.0, 1e4])) < -1100  # past 2**-1074
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 10**400])
+    def test_grid_with_a_bad_alpha_memoizes_nothing(self, bad):
+        d = probs([3, 1, 4, 1, 5])
+        grid = (0.5, 2.0, bad, 3.0)
+        with pytest.raises(DomainError) as want:
+            renyi_entropy(Distribution(p=d.probs), bad)
+        with pytest.raises(DomainError) as got:
+            renyi_entropies(d, grid)
+        assert str(got.value) == str(want.value)
+        assert d._renyi_grids == {} and d._log2_power_sums == {}
 
     def test_functional_distribution_built_once(self):
         fv = FunctionalValues.from_values([6, 4, 4, 4])
