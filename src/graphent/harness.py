@@ -1,12 +1,12 @@
 """Seeded graph corpora and full-grid sweeps over the bound catalog.
 
 A sweep walks (graph, family, alpha, theorem, variant) cells in a fixed
-order, emitting exactly one report per cell. Each (graph, family, theorem,
-variant) column is evaluated over the whole alpha grid in one call and
-kept in that shape: run_sweep's report holds the columns and builds cell
-dicts only when they are read, and the canonical JSON holds one object per
-column, with one list over the alpha grid per value that varies, written
-by the standard encoder. Aggregates and exemplars are folded graph by
+order, emitting exactly one report per cell. Each (graph, family, theorem)
+is evaluated over the whole alpha grid in one call, which gives one column
+per variant, kept in that shape: run_sweep's report holds the columns and
+builds cell dicts only when they are read, and the canonical JSON holds
+one object per column, pointing at the column's lists over the alpha
+grid, written by the standard encoder. Aggregates and exemplars are folded graph by
 graph, so stream_sweep, which `graphent sweep` uses, writes each graph's
 columns as that graph finishes and keeps none: its memory grows only by
 one 8-byte slack per evaluated cell. Randomness is derived per cell
@@ -407,15 +407,19 @@ def _cell(
     theorem is the sweep grid's id (which distinguishes e.g. thm4's psi and
     corollary modes on top of the operation's own id).
     """
-    outcome = column.outcomes[i]
-    if isinstance(outcome, str):
+    reason = column.reason[i]
+    if reason is not None:
         holds, met, lhs, bound, slack = None, False, None, None, None
-        params = {"family": family, "reason": outcome}
+        params = {"family": family, "reason": reason}
     else:
-        holds, lhs, bound, slack = outcome[:4]
+        holds, lhs, bound, slack = (
+            column.holds[i], column.lhs[i], column.bound[i], column.slack[i]
+        )
         met = column.precondition_met
         params = column.params_at(i)
-        params.update(family=family, direction=outcome[-1], tolerance=column.tolerance)
+        params.update(
+            family=family, direction=column.direction[i], tolerance=column.tolerance
+        )
     return {
         "theorem": theorem,
         "variant": variant,
@@ -510,19 +514,20 @@ def _family_rows(
 
 
 def _column(
-    row: _Family, theorem: Theorem, alphas: tuple[float, ...], variant: str
-) -> Column:
-    """theorem's column on row over the grid: the core evaluate runs, input
-    checks included, on the id's own record or else the row's, while the
-    config has checked every alpha. A failed row or input, or a failure
-    that does not depend on alpha, gives the same reason at every alpha."""
+    row: _Family, theorem: Theorem, alphas: tuple[float, ...], variants: tuple[str, ...]
+) -> list[Column]:
+    """theorem's columns on row over the grid, one per variant, from one
+    call of the core evaluate runs, input checks included, on the id's own
+    record or else the row's, while the config has checked every alpha. A
+    failed row or input, or a failure that does not depend on alpha, gives
+    the same reason at every alpha of every variant."""
     inputs = row.own.get(theorem.id, row.inputs)  # a record or a reason
     if not isinstance(inputs, str):
         try:
-            return theorem.column(inputs, alphas, variant, 2.0)
+            return theorem.column(inputs, alphas, variants, 2.0)
         except GraphEntropyError as exc:
             inputs = str(exc)
-    return Column.failed(theorem.id, inputs, len(alphas))
+    return [Column.failed(theorem.id, inputs, len(alphas))] * len(variants)
 
 
 @dataclass(slots=True)
@@ -570,15 +575,17 @@ class _Sweep:
         before it is yielded."""
         cfg, alphas = self.cfg, self.cfg.alpha_grid
         by_id = {t.id: t for t in THEOREMS}
-        theorems = [by_id[t] for t in cfg.theorems]
-        plans = {
+        calls = {  # per row kind, each theorem with a column and its variants
             kind: [
-                (theorem, variant)
-                for theorem in theorems
-                if kind in theorem.kinds
-                for variant in (cfg.variants if theorem.variants else ("na",))
+                (t, cfg.variants if t.variants else ("na",))
+                for t in map(by_id.get, cfg.theorems)
+                if kind in t.kinds and (cfg.variants or not t.variants)
             ]
             for kind in ROW_KINDS
+        }
+        plans = {
+            kind: [(theorem, v) for theorem, variants in kind_calls for v in variants]
+            for kind, kind_calls in calls.items()
         }
         for gi, (graph_id, g, drawn) in enumerate(_corpus(cfg)):
             self.redraws += drawn
@@ -589,41 +596,45 @@ class _Sweep:
                 fams = _family_rows(cfg, g, gi, distance_matrix(g))
             rows = []
             for fam in fams:
-                plan = plans[fam.kind]
-                columns = [
-                    _column(fam, theorem, alphas, variant) for theorem, variant in plan
-                ]
-                rows.append(_Row(fam.label, plan, columns))
+                columns = []
+                for theorem, variants in calls[fam.kind]:
+                    columns += _column(fam, theorem, alphas, variants)
+                rows.append(_Row(fam.label, plans[fam.kind], columns))
             self._fold(graph_id, g, rows)
             yield graph_id, rows
 
     def _fold(self, graph_id: str, g: Graph | str, rows: list[_Row]) -> None:
-        """Add one graph's cells to the tallies and the exemplars."""
+        """Add one graph's cells to the tallies and the exemplars, counting
+        each column's holds list; only a column with a violation is walked
+        alpha by alpha."""
         tallies = self.tallies
         violations = []
         for ri, row in enumerate(rows):
             for ci, ((theorem, variant), column) in enumerate(
                 zip(row.plan, row.columns)
             ):
-                outcomes = column.outcomes
-                if not outcomes:
+                holds = column.holds
+                if not holds:
                     continue
                 key = f"{theorem.id}|{variant}"
                 tally = tallies.get(key)
                 if tally is None:
                     tally = tallies[key] = _Tally()
-                tally.checked += len(outcomes)
-                for ai, outcome in enumerate(outcomes):
-                    holds = None if outcome.__class__ is str else outcome[0]
-                    if holds is None:
-                        tally.not_applicable += 1
-                        continue
-                    tally.slacks.append(outcome[3])
-                    if holds:
-                        tally.held += 1
-                    else:
-                        tally.violated += 1
-                        violations.append((ri, ai, ci))
+                held, violated = holds.count(True), holds.count(False)
+                tally.checked += len(holds)
+                tally.held += held
+                tally.violated += violated
+                tally.not_applicable += len(holds) - held - violated
+                if held + violated == len(holds):
+                    tally.slacks.extend(column.slack)
+                elif held or violated:  # a failed alpha's slack is None
+                    tally.slacks.extend(
+                        s for h, s in zip(holds, column.slack) if h is not None
+                    )
+                if violated:
+                    violations += [
+                        (ri, ai, ci) for ai, h in enumerate(holds) if h is False
+                    ]
         # a graph's cells run row by row, then alpha by alpha, then column
         for ri, ai, ci in sorted(violations):
             row = rows[ri]
@@ -689,22 +700,14 @@ def _column_dict(
     then one list over the alpha grid per verdict, number and direction. A
     varying param holds such a list in place of its value. At a failed
     alpha every list holds null and reason holds the reason, which is null
-    at each evaluated alpha."""
-    outcomes, varying = column.outcomes, column.varying
-    width = 5 + len(varying)  # an Outcome's length
-    reasons = [o if o.__class__ is str else None for o in outcomes]
-    if str in map(type, outcomes):
-        outcomes = [o if r is None else (None,) * width for o, r in zip(outcomes, reasons)]
-    lists = [list(x) for x in zip(*outcomes)] or [[] for _ in range(width)]
-    holds, lhs, bound, slack, *values, direction = lists
-    params = dict(column.params)
-    params.update(zip(varying, values))
+    at each evaluated alpha. The Column already holds these lists, so the
+    dict points at them."""
+    _, params, varying, holds, lhs, bound, slack, direction, reason, met, tol = column
     return {
         "graph_id": graph_id, "family": family, "theorem": theorem, "variant": variant,
-        "precondition_met": column.precondition_met, "tolerance": column.tolerance,
-        "params": params, "varying": list(varying),
-        "holds": holds, "lhs": lhs, "bound": bound, "slack": slack,
-        "direction": direction, "reason": reasons,
+        "precondition_met": met, "tolerance": tol, "params": params,
+        "varying": list(varying), "holds": holds, "lhs": lhs, "bound": bound,
+        "slack": slack, "direction": direction, "reason": reason,
     }
 
 

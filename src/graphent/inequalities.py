@@ -1,13 +1,14 @@
 """Checkable reports for every inequality in the bound catalog.
 
-Each theorem has one column core. It takes its inputs and an alpha grid,
-computes everything that does not depend on alpha once, builds its bound
-at every alpha, and hands the grid to _outcomes, which applies the slack,
-verdict and finiteness rules in one pass. It returns a Column: the report
-params that do not depend on alpha, built once, and per alpha an outcome
-(verdict, numbers and the params that do depend on alpha) or the reason
-that alpha failed. A core checks its own inputs first and builds what its
-record leaves None. THEOREMS, the one theorem table, says per sweep id
+Each theorem has one column core. It takes its inputs, an alpha grid and
+the variants asked for, computes everything that does not depend on alpha
+or on the variant once, builds each variant's bound at every alpha, and
+hands each grid to _outcomes, which applies the slack, verdict and
+finiteness rules in one pass. It returns one Column per variant, in the
+canonical JSON's shape: the report params, built once, with one list over
+the grid for each that depends on alpha, and one list per verdict, number,
+direction and reason. A core checks its own inputs first and builds what
+its record leaves None. THEOREMS, the one theorem table, says per sweep id
 which core runs on which fields of a BoundInputs, the one record of every
 input a core reads, with one field per role: the dominance bounds thm4,
 thm4_cor and thm5 all read p1 from dist and p2 from dist_second. The sweep
@@ -41,8 +42,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from types import MappingProxyType
-from itertools import repeat
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, GraphEntropyError
 from .graph import Graph, SeededStream, distance_matrix, generate_graph
@@ -112,41 +112,40 @@ class LemmaCheck(NamedTuple):
     margin: float
 
 
-# One alpha's finished instance, in the order the sweep's cell text reads
-# it: (holds, lhs, bound, slack, *the column's alpha-dependent params,
-# direction). Every number is a finite Python float and direction is one
-# of "upper", "lower", "equal" and "interval". A plain tuple, since the
-# sweep makes one per cell.
-Outcome = tuple
-
-
 class Column(NamedTuple):
-    """A column core's result over one alpha grid.
+    """A column core's result over one alpha grid, in the canonical JSON's
+    shape: one list over the grid per verdict, number and direction.
 
     params holds every report param in key order; those named in varying
-    depend on alpha, hold None here and take each alpha's values from its
-    outcome. The rest, the precondition and the tolerance are the same at
-    every alpha. outcomes has per alpha its Outcome or the reason that
-    alpha failed, as _outcomes finishes them.
+    depend on alpha and hold their list over the grid. reason holds per
+    alpha None or the reason that alpha failed, where every other list
+    holds None. The precondition and the tolerance hold at every alpha.
     """
 
     theorem_id: str
     params: dict[str, Any]
-    outcomes: list[Outcome | str]
-    varying: tuple[str, ...] = ()
+    varying: tuple[str, ...]
+    holds: list[bool | None]
+    lhs: list[float | None]
+    bound: list[float | None]
+    slack: list[float | None]
+    direction: Sequence[str | None]
+    reason: list[str | None]
     precondition_met: bool = True
     tolerance: float = TOLERANCE
 
     @classmethod
     def failed(cls, theorem_id: str, reason: str, size: int) -> "Column":
         """A column whose every alpha fails for one reason."""
-        return cls(theorem_id, {}, [reason] * size, precondition_met=False)
+        nones = [None] * size
+        return cls(theorem_id, {}, (), nones, nones, nones, nones, nones,
+                   [reason] * size, precondition_met=False)
 
     def params_at(self, i: int) -> dict[str, Any]:
-        """The full params of the evaluated outcome at alpha index i."""
+        """The full params of the evaluated alpha at index i."""
         params = dict(self.params)
-        if self.varying:
-            params.update(zip(self.varying, self.outcomes[i][4:-1]))
+        for name in self.varying:
+            params[name] = params[name][i]
         return params
 
 
@@ -187,99 +186,99 @@ class BoundInputs(NamedTuple):
 
 
 def _outcomes(
-    theorem_id: str,
-    lhs: Sequence[float],
-    bounds: Sequence[float | str | tuple[float, float]],
-    directions: Sequence[str],
-    varying: Iterable[tuple[float, ...]] | None = None,
-    *,
-    precondition_met: bool = True,
+    theorem_id: str, params: dict[str, Any], varying: tuple[str, ...],
+    lhs: Sequence[float], bounds: Sequence[float | str | tuple[float, float]],
+    directions: Sequence[str], *, precondition_met: bool = True,
     tolerance: float = TOLERANCE,
-) -> list[Outcome | str]:
-    """Slack, verdict and finiteness of a column's instances, one per alpha.
+) -> Column:
+    """The Column of one variant: slack, verdict and finiteness per alpha.
 
-    varying holds per alpha the values of the column's alpha-dependent
-    params. A str bound is that alpha's reason. An "interval" bound is
-    (lo, hi): its ends follow the varying values, as bound_lower and
-    bound_upper, and its nearer end becomes the bound. An alpha fails when
-    its slack, an interval end or a varying value is not finite.
+    params holds each param named in varying as its list over the grid. A
+    str bound is that alpha's reason. An "interval" bound is (lo, hi), which
+    varying holds too, and its nearer end becomes the bound. An alpha fails
+    when its slack, an interval end or a varying value is not finite, and
+    every list holds None there. Unless one fails, the varying lists and
+    directions are kept as they are, so a core's variants share them.
     """
-    out: list[Outcome | str] = []
-    for h, bound, direction, values in zip(
-        lhs, bounds, directions, repeat(()) if varying is None else varying
-    ):
-        if bound.__class__ is str:
-            out.append(bound)
-            continue
-        if direction == "interval":
-            lo, hi = bound
-            values = (*values, lo, hi)
-            low_side, high_side = h - lo, hi - h
-            slack = min(low_side, high_side)
-            bound = lo if low_side <= high_side else hi
-            # an interval's other end is not in slack, so it is checked as well
-            finite = math.isfinite(slack) and math.isfinite(lo) and math.isfinite(hi)
-        else:
-            if direction == "upper":
+    lhs, n, failed = list(map(float, lhs)), len(directions), {}
+    try:  # most grids: a number bound on one side at every alpha
+        slacks = [
+            b - h if d == "upper" else h - b for h, b, d in zip(lhs, bounds, directions)
+        ]
+        # a sum of floats is finite only where every one of them is
+        one_sided = "equal" not in directions and math.isfinite(sum(slacks))
+        nearest = bounds
+    except TypeError:  # a reason or an interval
+        one_sided = False
+    if not one_sided:
+        nearest, slacks = [], []
+        for i, (h, bound, direction) in enumerate(zip(lhs, bounds, directions)):
+            finite = True
+            if bound.__class__ is str:
+                failed[i], bound, slack = bound, 0.0, 0.0
+            elif direction == "interval":
+                lo, hi = bound
+                low_side, high_side = h - lo, hi - h
+                slack = min(low_side, high_side)
+                bound = lo if low_side <= high_side else hi
+                # an interval's other end is not in slack, so it is checked too
+                finite = math.isfinite(lo) and math.isfinite(hi)
+            elif direction == "upper":
                 slack = bound - h
             elif direction == "lower":
                 slack = h - bound
             else:  # equal
                 slack = -abs(h - bound)
             # slack is finite only where lhs and bound are
-            finite = math.isfinite(slack)
-        if not finite:
-            out.append(
-                f"{theorem_id} is not finite: lhs {h!r}, bound {bound!r}, "
-                f"slack {slack!r}"
-            )
-            continue
-        for value in values:  # finite Python floats pass as they are
-            if value.__class__ is not float or not math.isfinite(value):
-                values = tuple(map(float, values))
-                finite = all(map(math.isfinite, values))
-                break
-        if not finite:
-            out.append(f"{theorem_id} params are not finite: {values!r}")
-            continue
-        holds = bool(slack >= -tolerance) if precondition_met else None
-        out.append((holds, float(h), float(bound), float(slack), *values, direction))
-    return out
+            if not (finite and math.isfinite(slack)):
+                failed[i] = (
+                    f"{theorem_id} is not finite: lhs {h!r}, bound {bound!r}, "
+                    f"slack {slack!r}"
+                )
+            nearest.append(bound)
+            slacks.append(slack)
+    bound_out, slacks = list(map(float, nearest)), list(map(float, slacks))
+    values = [params[name] for name in varying]
+    if values and not math.isfinite(sum(map(sum, values))):
+        for i, row in enumerate(zip(*values)):
+            if i not in failed and not all(map(math.isfinite, row)):
+                failed[i] = f"{theorem_id} params are not finite: {row!r}"
+    negative = -tolerance
+    holds = [s >= negative for s in slacks] if precondition_met else [None] * n
+    reasons = [None] * n
+    if failed:
+        reasons = [failed.get(i) for i in range(n)]
+        def cut(xs: Sequence[Any]) -> list[Any]:
+            return [x if r is None else None for x, r in zip(xs, reasons)]
+        holds, lhs, bound_out, slacks, directions = map(
+            cut, (holds, lhs, bound_out, slacks, directions)
+        )
+        params = {**params, **dict(zip(varying, map(cut, values)))}
+    return Column(
+        theorem_id, params, varying, holds, lhs, bound_out, slacks, directions,
+        reasons, precondition_met, tolerance,
+    )
 
 
 def _instance(
-    variant: str,
-    alpha: float,
-    theorem_id: str,
-    lhs: float,
-    bound: float | str,
-    direction: str,
-    params: dict[str, Any],
-    *,
-    precondition_met: bool = True,
-    tolerance: float = TOLERANCE,
+    variant: str, alpha: float, theorem_id: str, lhs: float, bound: float | str,
+    direction: str, params: dict[str, Any], **flags: Any,
 ) -> BoundReport:
     """The BoundReport of one instance whose params are all known; a str
-    bound is raised as its DomainError."""
-    outcomes = _outcomes(
-        theorem_id, (lhs,), (bound,), (direction,),
-        precondition_met=precondition_met, tolerance=tolerance,
-    )
-    column = Column(theorem_id, params, outcomes, (), precondition_met, tolerance)
+    bound is raised as its DomainError. flags are _outcomes' keywords."""
+    column = _outcomes(theorem_id, params, (), (lhs,), (bound,), (direction,), **flags)
     return _report(variant, alpha, column)
 
 
 def _report(variant: str, alpha: float, column: Column) -> BoundReport:
     """The BoundReport of a one-alpha column; a reason is raised as the
     DomainError it came from."""
-    outcome = column.outcomes[0]
-    if isinstance(outcome, str):
-        raise DomainError(outcome)
-    holds, lhs, bound, slack = outcome[:4]
+    if column.reason[0] is not None:
+        raise DomainError(column.reason[0])
     return BoundReport(
-        column.theorem_id, variant, float(alpha), lhs, bound, outcome[-1],
-        column.precondition_met, holds, slack, column.tolerance,
-        column.params_at(0),
+        column.theorem_id, variant, float(alpha), column.lhs[0], column.bound[0],
+        column.direction[0], column.precondition_met, column.holds[0],
+        column.slack[0], column.tolerance, column.params_at(0),
     )
 
 
@@ -315,9 +314,22 @@ def _logb(x: float, base: float) -> float:
     return math.log(x) / math.log(base)
 
 
-def _penalty_factor(variant: str, base: float) -> float:
-    """Scale on penalties that came from replacing log(1+x) by x."""
-    return 1.0 / math.log(base) if variant == "corrected" else 1.0
+def _penalized(
+    theorem_id: str, params: dict[str, Any], varying: tuple[str, ...],
+    lhs: list[float], alphas: Sequence[float], heads: list[float],
+    tails: list[float | str], variants: Sequence[str], base: float, met: bool = True,
+) -> list[Column]:
+    """One Column per variant of the bound head + tail * factor at each
+    alpha, or the reason a str tail holds. The factor scales penalties that
+    came from replacing log(1+x) by x: 1/ln(base) when corrected, else 1."""
+    directions = _directions(alphas)
+    factors = [1.0 / math.log(base) if v == "corrected" else 1.0 for v in variants]
+    return [
+        _outcomes(theorem_id, params, varying, lhs, [
+            t if t.__class__ is str else h + t * factor for h, t in zip(heads, tails)
+        ], directions, precondition_met=met)
+        for factor in factors
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +449,13 @@ def ordering_bound(d: Distribution, alpha: float) -> BoundReport:
     return evaluate("ordering", BoundInputs(dist=d), alpha)
 
 
-def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
+def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column]:
     d = r.dist
     n, h = d.size, shannon_entropy(d)
-    outcomes = _outcomes(
-        "ordering", renyi_entropies(d, alphas), [h] * len(alphas),
-        _directions(alphas, "lower"),
-    )
-    return Column("ordering", {"N": n, "shannon": h}, outcomes)
+    return [_outcomes(
+        "ordering", {"N": n, "shannon": h}, (), renyi_entropies(d, alphas),
+        [h] * len(alphas), _directions(alphas, "lower"),
+    )]
 
 
 def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
@@ -457,7 +468,7 @@ def jensen_gap_bound(d: Distribution, alpha: float) -> BoundReport:
     return evaluate("jensen", BoundInputs(dist=d), alpha)
 
 
-def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
+def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column]:
     d = r.dist
     sum_terms = _jensen_sums(d, alphas)
     n, h = d.size, shannon_entropy(d)
@@ -465,12 +476,11 @@ def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> Column:
         h + sum_term / (2.0 * LN2 * (1.0 - alpha))
         for alpha, sum_term in zip(alphas, sum_terms)
     ]
-    outcomes = _outcomes(
-        "jensen", renyi_entropies(d, alphas), bounds, _directions(alphas),
-        zip(sum_terms),
-    )
-    params = {"N": n, "shannon": h, "sum_term": None}
-    return Column("jensen", params, outcomes, ("sum_term",))
+    params = {"N": n, "shannon": h, "sum_term": sum_terms}
+    return [_outcomes(
+        "jensen", params, ("sum_term",), renyi_entropies(d, alphas), bounds,
+        _directions(alphas),
+    )]
 
 
 # The smallest normal float: a power below it has lost digits.
@@ -568,15 +578,14 @@ def thm1_refined_bound(
 
 
 def _thm1_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float,
     use_epsilon: bool = False,
-) -> Column:
+) -> list[Column]:
     d = r.dist
     stats = distribution_stats(d)
     n, h = d.size, shannon_entropy(d)
     eps_factor = stats.epsilon**2 if use_epsilon else 1.0
     theorem_id = "thm1_eps" if use_epsilon else "thm1"
-    bounds = _thm1_bounds(h, alphas, variant, n * (n - 1), stats.rho, eps_factor)
     params = {
         "N": n,
         "rho": stats.rho,
@@ -584,10 +593,10 @@ def _thm1_column(
         "use_epsilon": use_epsilon,
         "shannon": h,
     }
-    outcomes = _outcomes(
-        theorem_id, renyi_entropies(d, alphas), bounds, _directions(alphas)
-    )
-    return Column(theorem_id, params, outcomes)
+    hs, directions, pairs = renyi_entropies(d, alphas), _directions(alphas), n * (n - 1)
+    return [_outcomes(theorem_id, params, (), hs, _thm1_bounds(
+        h, alphas, variant, pairs, stats.rho, eps_factor
+    ), directions) for variant in variants]
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +621,8 @@ def thm3_partition_vs_functional(
 
 
 def _thm3_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
-) -> Column:
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float
+) -> list[Column]:
     """thm3 on a connected graph; pdist is partition_distribution(part)."""
     g, part, pdist, fv = r.graph, r.part, r.pdist, r.fv
     if not g.is_connected():
@@ -638,14 +647,13 @@ def _thm3_column(
         "k": k,
         "X_size": n,
         "log2_S": log2_s,
-        "h_functional": None,
+        "h_functional": h_fs,
         "log_base": base,
     }
-    outcomes = _outcomes(
-        "thm3", h_gammas, bounds, _directions(alphas), zip(h_fs),
+    return [_outcomes(
+        "thm3", params, ("h_functional",), h_gammas, bounds, _directions(alphas),
         precondition_met=met,
-    )
-    return Column("thm3", params, outcomes, ("h_functional",), met)
+    )]
 
 
 def thm4_scaled_dominance(
@@ -669,9 +677,9 @@ def thm4_scaled_dominance(
 
 
 def _thm4_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float,
     corollary: bool = False,
-) -> Column:
+) -> list[Column]:
     """thm4 on distributions over one vertex set: p1 = dist against
     p2 = dist_second and psi, or in the corollary with psi = S2/S1 for the
     totals (S1, S2). A record that leaves dist_second None has it derived
@@ -711,14 +719,14 @@ def _thm4_column(
         "psi": psi,
         "mode": mode,
         "N": n,
-        "h_other": None,
+        "h_other": h2s,
         "log_base": base,
         **total_params,
     }
-    outcomes = _outcomes(
-        "thm4", h1s, bounds, _directions(alphas), zip(h2s), precondition_met=met
-    )
-    return Column("thm4", params, outcomes, ("h_other",), met)
+    return [_outcomes(
+        "thm4", params, ("h_other",), h1s, bounds, _directions(alphas),
+        precondition_met=met,
+    )]
 
 
 def thm5_additive_dominance(
@@ -739,8 +747,8 @@ def thm5_additive_dominance(
 
 
 def _thm5_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
-) -> Column:
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float
+) -> list[Column]:
     """thm5 on p1 = dist, p2 = dist_second on one vertex set, 0 < phi < inf."""
     d1, d2 = r.dist, r.dist_second
     if d1.size != d2.size:
@@ -750,34 +758,32 @@ def _thm5_column(
         raise DomainError(f"phi must be positive and finite, got {phi}")
     met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
-    factor = _penalty_factor(variant, base)
     h1s = _to_base(renyi_entropies(d1, alphas), base)
     h2s = _to_base(renyi_entropies(d2, alphas), base)
     power_sums = [2.0**log2_sum for log2_sum in log2_power_sums(d2, alphas)]
-    bounds = []
-    for alpha, h2, power_sum_2 in zip(alphas, h2s, power_sums):
+    tails: list[float | str] = []
+    for alpha, power_sum_2 in zip(alphas, power_sums):
         # the regime picks the power mean and its weight; 1 - alpha carries
         # the sign, so the penalty is subtracted above 1; a sum underflowing
         if power_sum_2 == 0.0:  # to 0, above 1 only, leaves no power mean
-            bounds.append(f"thm5 power_sum_2 underflows a float at alpha = {alpha:g}")
+            tails.append(f"thm5 power_sum_2 underflows a float at alpha = {alpha:g}")
             continue
         if alpha < 1.0:
             w, x = 1.0, n * phi**alpha / power_sum_2
         else:
             w, x = alpha, n ** (1.0 / alpha) * phi / power_sum_2 ** (1.0 / alpha)
-        bounds.append(h2 + (w / (1.0 - alpha)) * x * factor)
+        tails.append((w / (1.0 - alpha)) * x)
     params = {
         "phi": phi,
         "N": n,
-        "power_sum_2": None,
-        "h_other": None,
+        "power_sum_2": power_sums,
+        "h_other": h2s,
         "log_base": base,
     }
-    outcomes = _outcomes(
-        "thm5", h1s, bounds, _directions(alphas), zip(power_sums, h2s),
-        precondition_met=met,
+    return _penalized(
+        "thm5", params, ("power_sum_2", "h_other"), h1s, alphas, h2s, tails,
+        variants, base, met,
     )
-    return Column("thm5", params, outcomes, ("power_sum_2", "h_other"), met)
 
 
 def thm6_convex_combination(
@@ -825,9 +831,9 @@ def _penalty_exp(*logs: float) -> float | str:
 
 
 def _thm6_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float,
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float,
     symmetric: bool = False,
-) -> Column:
+) -> list[Column]:
     """thm6 for positive finite weights c_i on the graph's vertices, with
     combined = _weighted_sum(fv1, fv2, c1, c2), shares A_i = c_i S_i / S and
     t_i = ln(c_i S_i). The averaged form is the mean of f1's and f2's side."""
@@ -850,7 +856,6 @@ def _thm6_column(
     h_fs = _to_base(renyi_entropies(distribution_from_values(combined), alphas), base)
     d1 = distribution_from_values(fv1)
     d2 = distribution_from_values(fv2)
-    factor = _penalty_factor(variant, base)
     log_a = _logb(a1, base)
     sides = 1.0
     if symmetric:
@@ -858,7 +863,7 @@ def _thm6_column(
     theorem_id = "thm6_avg" if symmetric else "thm6"
     h1s = _to_base(renyi_entropies(d1, alphas), base)
     h2s = _to_base(renyi_entropies(d2, alphas), base)
-    bounds = []
+    heads, tails = [], []  # a bound is head + tail * the variant's factor
     for alpha, h1, h2, sum_1, sum_2 in zip(
         alphas, h1s, h2s, log2_power_sums(d1, alphas), log2_power_sums(d2, alphas)
     ):
@@ -875,10 +880,8 @@ def _thm6_column(
         else:
             h, z = h1, _penalty_exp(e)
         den = sides * (1.0 - alpha)
-        bounds.append(
-            z if z.__class__ is str
-            else h + (alpha / den) * log_a + (w / den) * z * factor
-        )
+        heads.append(h + (alpha / den) * log_a)
+        tails.append(z if z.__class__ is str else (w / den) * z)
     params = {
         "c1": c1,
         "c2": c2,
@@ -886,12 +889,13 @@ def _thm6_column(
         "A2": a2,
         "S1_log2": fv1.total_log / LN2,
         "S2_log2": fv2.total_log / LN2,
-        "h1": None,
-        "h2": None,
+        "h1": h1s,
+        "h2": h2s,
         "log_base": base,
     }
-    outcomes = _outcomes(theorem_id, h_fs, bounds, _directions(alphas), zip(h1s, h2s))
-    return Column(theorem_id, params, outcomes, ("h1", "h2"))
+    return _penalized(
+        theorem_id, params, ("h1", "h2"), h_fs, alphas, heads, tails, variants, base
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1045,11 +1049,13 @@ def connected_functional_bounds(
 
 
 def _conn_column(
-    r: BoundInputs, alphas: Sequence[float], variant: str, base: float
-) -> Column:
+    r: BoundInputs, alphas: Sequence[float], variants: Sequence[str], base: float
+) -> list[Column]:
     """Connected-graph interval on a graph with an edge; fv holds spec's
     values on it and eta its diameter. The diameter is checked before the
-    values are built, since a linear functional is 0 on one vertex."""
+    values are built, since a linear functional is 0 on one vertex. Variants
+    with one half-width scale and precondition share one Column: both
+    linear ones, and both exponential ones where beta >= 1."""
     g, spec, fv, eta = r.graph, r.spec, r.fv, r.eta
     if not g.is_connected():
         raise DomainError("connected-graph bounds need a connected graph")
@@ -1063,39 +1069,38 @@ def _conn_column(
     n = fv.size
     coeffs = _resolved_coeffs(spec, eta)
     c_max, c_min = max(coeffs), min(coeffs)
-    linear = spec.kind == "linear"
-    if linear:
-        theorem_id = "conn_linear"
-        log2_ratio = math.log2(c_max / c_min)
-        met = True
-        params: dict[str, Any] = {}
+    if spec.kind == "linear":
+        theorem_id, head = "conn_linear", {}
+        widths = [alpha / abs(1.0 - alpha) for alpha in alphas]
+        settings = [(math.log2(c_max / c_min), True)] * len(variants)
     else:
         theorem_id = "conn_exp"
         spread = c_max - c_min
+        head = {"X": spread, "beta": spec.beta}
+        widths = [alpha * (n - 1) * spread / abs(1.0 - alpha) for alpha in alphas]
         log2_beta = math.log2(spec.beta)
-        if variant == "corrected":
-            log2_beta = abs(log2_beta)
-            met = True
-        else:
-            met = spec.beta >= 1.0
-        params = {"X": spread, "beta": spec.beta}
+        settings = [
+            (abs(log2_beta), True) if variant == "corrected"
+            else (log2_beta, spec.beta >= 1.0)
+            for variant in variants
+        ]
     hs = renyi_entropies(distribution_from_values(fv), alphas)
     center = math.log2(n)
-    params.update({"n": n, "eta": eta, "c_max": c_max, "c_min": c_min})
-    if not met:
-        params["reason"] = "literal form needs beta >= 1"
-    params.update({"bound_lower": None, "bound_upper": None})
-    bounds = []
-    for alpha in alphas:
-        if linear:
-            half_width = (alpha / abs(1.0 - alpha)) * log2_ratio
-        else:
-            half_width = (alpha * (n - 1) * spread / abs(1.0 - alpha)) * log2_beta
-        bounds.append((center - half_width, center + half_width))
-    outcomes = _outcomes(
-        theorem_id, hs, bounds, ["interval"] * len(alphas), precondition_met=met
-    )
-    return Column(theorem_id, params, outcomes, ("bound_lower", "bound_upper"), met)
+    made: dict[tuple[float, bool], Column] = {}
+    for scale, met in settings:
+        if (scale, met) in made:
+            continue
+        params = {**head, "n": n, "eta": eta, "c_max": c_max, "c_min": c_min}
+        if not met:
+            params["reason"] = "literal form needs beta >= 1"
+        lows = [center - width * scale for width in widths]
+        highs = [center + width * scale for width in widths]
+        params.update({"bound_lower": lows, "bound_upper": highs})
+        made[scale, met] = _outcomes(
+            theorem_id, params, ("bound_lower", "bound_upper"), hs,
+            list(zip(lows, highs)), ["interval"] * len(alphas), precondition_met=met,
+        )
+    return [made[setting] for setting in settings]
 
 
 # ---------------------------------------------------------------------------
@@ -1111,8 +1116,10 @@ class Theorem(NamedTuple):
 
     check is the `graphent check` subcommand that evaluates it. column runs
     its core on a record over an alpha grid, as column(inputs, alphas,
-    variant, base), one outcome per alpha; the core checks the id's own
-    inputs first, so evaluate and the sweep call it alike. kinds are the
+    variants, base), and returns one Column per variant asked for: what the
+    variants share runs once, and only each one's bound tail and
+    _outcomes run per variant. The core checks the id's own inputs first,
+    so evaluate and the sweep call it alike. kinds are the
     row kinds it applies to, so a row of another kind emits no cell for it.
     variants marks a literal/corrected split (otherwise its one variant is
     "na"), log_base an id taking a base other than 2 (check's --log-base).
@@ -1120,7 +1127,9 @@ class Theorem(NamedTuple):
 
     id: str
     check: str
-    column: Callable[[BoundInputs, Sequence[float], str, float], Column]
+    column: Callable[
+        [BoundInputs, Sequence[float], Sequence[str], float], list[Column]
+    ]
     kinds: tuple[str, ...] = ROW_KINDS
     variants: bool = False
     log_base: bool = False
@@ -1173,5 +1182,5 @@ def evaluate(
         _check_variant(variant)
     else:
         variant = "na"
-    column = theorem.column(inputs, (alpha,), variant, base)
+    (column,) = theorem.column(inputs, (alpha,), (variant,), base)
     return _report(variant, alpha, column)

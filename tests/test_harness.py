@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -58,8 +59,37 @@ DROP = object()
 
 
 def _outcome(lhs, bound, direction, varying=()):
-    """One alpha's outcome of a column "t", or the reason it failed."""
-    return _outcomes("t", [lhs], [bound], [direction], [varying])[0]
+    """One alpha's (holds, lhs, bound, slack, *varying, direction) in a
+    column "t", or the reason it failed."""
+    names = tuple(f"v{k}" for k in range(len(varying)))
+    params = {name: [value] for name, value in zip(names, varying)}
+    return _outcome_at(
+        _outcomes("t", params, names, [lhs], [bound], [direction]), 0
+    )
+
+
+def _outcome_at(column, i):
+    """column's alpha i as (holds, lhs, bound, slack, *varying, direction),
+    or the reason it failed."""
+    if column.reason[i] is not None:
+        return column.reason[i]
+    return (
+        column.holds[i], column.lhs[i], column.bound[i], column.slack[i],
+        *(column.params[name][i] for name in column.varying), column.direction[i],
+    )
+
+
+def _column_of(theorem_id, params, outcomes, varying=()):
+    """A hand-built Column holding per alpha an _outcome tuple or a reason;
+    params holds None for each varying param."""
+    width = 5 + len(varying)
+    reasons = [o if isinstance(o, str) else None for o in outcomes]
+    rows = [(None,) * width if isinstance(o, str) else o for o in outcomes]
+    holds, lhs, bound, slack, *values, direction = map(list, zip(*rows))
+    return Column(
+        theorem_id, {**params, **dict(zip(varying, values))}, tuple(varying),
+        holds, lhs, bound, slack, direction, reasons,
+    )
 
 
 def _cell_key(c):
@@ -599,14 +629,14 @@ print("numpy" in sys.modules)
         # fourth column's alphas give a reason, a not-applicable outcome, a
         # held one and a violated one, in that order
         def column(theorem_id, outcomes):
-            return Column(theorem_id, {}, outcomes)
+            return _column_of(theorem_id, {}, outcomes)
 
         held_zero = _outcome(1.0, 1.0, "upper")  # slack 0.0
         held_minus_zero = _outcome(1.0, 1.0, "equal")  # slack -0.0
         violated = _outcome(2.0, 1.0, "upper")
-        not_applicable = _outcomes(
-            "t", [2.0], [5.0], ["upper"], [()], precondition_met=False
-        )[0]
+        not_applicable = _outcome_at(_outcomes(
+            "t", {}, (), [2.0], [5.0], ["upper"], precondition_met=False
+        ), 0)
         plan = [(THEOREMS[i], "na") for i in range(4)]
         rows = [_Row("orbit", plan, [
             column("a", [held_zero, violated, held_zero, held_zero]),
@@ -783,7 +813,7 @@ class TestCanonicalWriter:
 
     def test_percent_signs_are_literal(self):
         reason = "100% of %s and %r and %(x)s failed"
-        evaluated = Column(
+        evaluated = _column_of(
             "t", {"mode": "50%", "%x": 1, "h": None}, [
                 _outcome(1.0, 2.0, "upper", (0.5,)),
                 _outcome(2.0, 1.0, "lower", (0.25,)),
@@ -798,7 +828,7 @@ class TestCanonicalWriter:
 
     def test_signed_zeros_stay_apart(self):
         # slack -|0 - 0| is -0.0, and no value is merged with an equal one
-        column = Column(
+        column = _column_of(
             "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
             [_outcome(0.0, 0.0, "equal", (-0.0,)),
              _outcome(-0.0, 0.0, "equal", (0.0,))],
@@ -819,7 +849,7 @@ class TestCanonicalWriter:
         one graph and in the next."""
 
         def zeros():
-            return Column(
+            return _column_of(
                 "t", {"zero": 0.0, "minus_zero": -0.0, "h": None},
                 [_outcome(0.0, 0.0, "equal", (-0.0,)),
                  _outcome(-0.0, 0.0, "equal", (0.0,))],
@@ -827,18 +857,18 @@ class TestCanonicalWriter:
             )
 
         def ones():
-            return Column(
+            return _column_of(
                 "t", {"int": 1, "bool": True, "h": None},
                 [_outcome(1.0, 2.0, "upper", (1.0,))] * 2, ("h",),
             )
 
         def numpy_tenth():
-            return Column(
+            return _column_of(
                 "t", {"c": np.float64(0.1)}, [_outcome(0.5, 1.0, "upper")] * 2
             )
 
         def python_tenth():
-            return Column(
+            return _column_of(
                 "t", {"c": 0.1, "h": None},
                 [_outcome(0.1, 1.0, "upper", (0.1,))] * 2, ("h",),
             )
@@ -861,7 +891,7 @@ class TestCanonicalWriter:
         assert "np.float64" not in text and "True" not in text
 
     def test_numpy_floats_render_as_floats(self):
-        column = Column(
+        column = _column_of(
             "t", {"c": np.float64(0.1), "n": 3, "h": None},
             [_outcome(np.float64(1.0), np.float64(2.0), "upper",
                      (np.float64(1.0 / 3.0),))] * 2,
@@ -874,7 +904,7 @@ class TestCanonicalWriter:
         "value", [math.inf, -math.inf, math.nan, np.float64(math.inf)]
     )
     def test_non_finite_param_raises_like_json(self, value):
-        column = Column("t", {"c": value}, [_outcome(1.0, 2.0, "upper")] * 2)
+        column = _column_of("t", {"c": value}, [_outcome(1.0, 2.0, "upper")] * 2)
         rep = self._report(column)
         with pytest.raises(ValueError):
             _oracle(rep)
@@ -1034,7 +1064,128 @@ def _plan():
     ]
 
 
+# A grid whose alpha 5000 takes thm1's rho power and thm5's power sum past
+# float range on some rows of this corpus, each variant on its own rows.
+WIDE_CONFIG = dict(
+    seed=3, n_range=(3, 6), trials_per_cell=1, alpha_grid=(0.5, 2.0, 5000.0)
+)
+
+
+def _assert_same_column(got, want, where):
+    """got and want hold the same lists and values, bit for bit."""
+    for name in Column._fields:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), (name, where)
+
+
 class TestColumnCores:
+    def test_fused_cores_equal_one_variant_calls(self):
+        """An id with a literal/corrected split gives, from one core call
+        over both variants, each variant's one-variant Column, list for
+        list, including the alphas whose reasons differ by variant."""
+        cfg = small_config(**WIDE_CONFIG)
+        fused_rows = _rows(cfg)
+        single_rows = {variant: _rows(cfg) for variant in VARIANTS}
+        reasons = Counter()
+        for theorem in THEOREMS:
+            if not theorem.variants:
+                continue
+            for i, (graph_id, row) in enumerate(fused_rows):
+                if row.kind not in theorem.kinds:
+                    continue
+                record = row.own.get(theorem.id, row.inputs)
+                fused = theorem.column(record, cfg.alpha_grid, VARIANTS, 2.0)
+                assert len(fused) == len(VARIANTS)
+                for variant, got in zip(VARIANTS, fused):
+                    single = single_rows[variant][i][1]
+                    (want,) = theorem.column(
+                        single.own.get(theorem.id, single.inputs), cfg.alpha_grid,
+                        (variant,), 2.0,
+                    )
+                    _assert_same_column(got, want, (theorem.id, variant, graph_id))
+                    reasons[theorem.id, variant] += sum(
+                        reason is not None for reason in got.reason
+                    )
+        assert (reasons["thm1", "literal"], reasons["thm1", "corrected"]) == (44, 45)
+        assert reasons["thm5", "literal"] == reasons["thm5", "corrected"] == 69
+
+    def test_conn_exp_precondition_is_per_variant(self):
+        """beta < 1 fails the literal precondition and not the corrected
+        one, from one fused call as from two one-variant calls."""
+        conn_exp = next(t for t in THEOREMS if t.id == "conn_exp")
+        spec = FunctionalSpec("exponential", coeffs=(1.0, 2.0, 0.5), beta=0.5)
+        record = BoundInputs(graph=generate_graph("path", 4), spec=spec)
+        fused = conn_exp.column(record, COLUMN_GRID, VARIANTS, 2.0)
+        assert [column.precondition_met for column in fused] == [False, True]
+        assert fused[0].params["reason"] == "literal form needs beta >= 1"
+        assert "reason" not in fused[1].params
+        assert all(h is None for h in fused[0].holds)
+        assert None not in fused[1].holds
+        for variant, got in zip(VARIANTS, fused):
+            (want,) = conn_exp.column(record, COLUMN_GRID, (variant,), 2.0)
+            _assert_same_column(got, want, variant)
+
+    def test_sweep_calls_each_core_once_per_row_and_theorem(self, monkeypatch):
+        calls = Counter()
+
+        def counted(theorem):
+            def column(inputs, alphas, variants, base):
+                calls[theorem.id] += 1
+                return theorem.column(inputs, alphas, variants, base)
+
+            return theorem._replace(column=column)
+
+        monkeypatch.setattr(harness, "THEOREMS", tuple(map(counted, THEOREMS)))
+        rep = run_sweep(small_config())
+        rows = [row for _, rows in rep.graphs for row in rows]
+        assert calls == Counter(
+            theorem_id for row in rows for theorem_id in {t.id for t, _ in row.plan}
+        )
+        assert sum(len(row.plan) for row in rows) > sum(calls.values())
+
+    def test_every_list_spans_the_grid(self):
+        """Every list of every swept Column holds one entry per alpha; at a
+        failed alpha each holds None and reason the reason."""
+        cfg = small_config(**WIDE_CONFIG)
+        failed = 0
+        for _, rows in run_sweep(cfg).graphs:
+            for row in rows:
+                for column in row.columns:
+                    lists = [
+                        column.holds, column.lhs, column.bound, column.slack,
+                        column.direction,
+                        *(column.params[name] for name in column.varying),
+                    ]
+                    assert len(column.reason) == len(cfg.alpha_grid)
+                    assert all(len(x) == len(cfg.alpha_grid) for x in lists)
+                    for i, reason in enumerate(column.reason):
+                        if reason is None:
+                            assert None not in [x[i] for x in lists[1:]]
+                            continue
+                        assert isinstance(reason, str)
+                        assert all(x[i] is None for x in lists)
+                        failed += 1
+        assert failed == 360
+
+    def test_variants_come_in_config_order(self):
+        rep = run_sweep(small_config(variants=("corrected", "literal")))
+        reference = run_sweep(small_config())
+        for (graph_id, rows), (_, ref_rows) in zip(rep.graphs, reference.graphs):
+            for row, ref_row in zip(rows, ref_rows):
+                ref = {
+                    (t.id, v): c for (t, v), c in zip(ref_row.plan, ref_row.columns)
+                }
+                keys = [(t.id, v) for t, v in row.plan]
+                assert sorted(keys) == sorted(ref)
+                for (theorem_id, variant), column in zip(keys, row.columns):
+                    if variant != "na":
+                        order = [v for t, v in keys if t == theorem_id]
+                        assert order == ["corrected", "literal"]
+                    where = (graph_id, row.family, theorem_id, variant)
+                    _assert_same_column(column, ref[theorem_id, variant], where)
+        doc = strict_loads(summarize_report(rep, "json"))
+        variants = [c["variant"] for c in doc["columns"] if c["theorem"] == "thm1"]
+        assert variants[:2] == ["corrected", "literal"]
+
     def test_grid_column_equals_one_row_calls(self):
         cfg = small_config(trials_per_cell=1, alpha_grid=COLUMN_GRID)
         grid_rows = _rows(cfg)
@@ -1044,13 +1195,15 @@ class TestColumnCores:
             for i, (graph_id, row) in enumerate(grid_rows):
                 if row.kind not in theorem.kinds:
                     continue
-                column = _column(row, theorem, COLUMN_GRID, variant)
-                assert len(column.outcomes) == len(COLUMN_GRID)
+                (column,) = _column(row, theorem, COLUMN_GRID, (variant,))
+                assert len(column.reason) == len(COLUMN_GRID)
                 for ai, alpha in enumerate(COLUMN_GRID):
-                    single = _column(one_row[ai][i][1], theorem, (alpha,), variant)
+                    (single,) = _column(
+                        one_row[ai][i][1], theorem, (alpha,), (variant,)
+                    )
                     # an outcome tuple (holds, lhs, bound, slack, ...) with the
                     # same params, or the same error message
-                    got, want = column.outcomes[ai], single.outcomes[0]
+                    got, want = _outcome_at(column, ai), _outcome_at(single, 0)
                     where = (theorem.id, variant, graph_id, alpha)
                     assert got == want, where
                     if not isinstance(want, str):
@@ -1094,13 +1247,9 @@ class TestColumnCores:
                 fresh = fam._replace(own={"thm5": record._replace(
                     dist=Distribution(p1.probs), dist_second=Distribution(p2.probs)
                 )})
-                for variant in cfg.variants:
-                    want = _column(fresh, thm5, cfg.alpha_grid, variant)
-                    got = swept[graph_id, fam.label, variant]
-                    assert repr(got.outcomes) == repr(want.outcomes)
-                    assert (got.params, got.precondition_met) == (
-                        want.params, want.precondition_met
-                    )
+                wants = _column(fresh, thm5, cfg.alpha_grid, cfg.variants)
+                for variant, want in zip(cfg.variants, wants):
+                    assert repr(swept[graph_id, fam.label, variant]) == repr(want)
         assert not pairs and shared[0] > 0 and shared[1] > 0
 
     def test_sweep_builds_no_bound_report(self, monkeypatch):
@@ -1200,8 +1349,9 @@ def test_sweep_and_evaluate_share_each_input_check(theorem_id, record):
     with pytest.raises(DomainError) as exc:
         evaluate(theorem_id, record, 2.0, variant)
     row = _Family("row", theorem.kinds[-1], record, {})
-    column = _column(row, theorem, COLUMN_GRID, variant)
-    assert column.outcomes == [str(exc.value)] * len(COLUMN_GRID)
+    (column,) = _column(row, theorem, COLUMN_GRID, (variant,))
+    assert column.reason == [str(exc.value)] * len(COLUMN_GRID)
+    assert column.holds == column.slack == [None] * len(COLUMN_GRID)
 
 
 def _straightline(cell, inputs):

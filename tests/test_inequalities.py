@@ -296,12 +296,17 @@ class TestThm1:
     def test_infinite_bound_fails_only_its_alpha_on_a_grid(self):
         raw = np.array([1.0, 1.0, 10**-10.96])
         d = Distribution(p=raw / raw.sum())
-        column = _thm1_column(BoundInputs(dist=d), (0.5, 2.0, 30.0), "corrected", 2.0)
-        ok_low, ok_high, failed = column.outcomes
-        for i, (alpha, outcome) in enumerate(((0.5, ok_low), (2.0, ok_high))):
-            assert not isinstance(outcome, str)
+        (column,) = _thm1_column(
+            BoundInputs(dist=d), (0.5, 2.0, 30.0), ("corrected",), 2.0
+        )
+        assert column.reason[:2] == [None, None]
+        failed = column.reason[2]
+        for i, alpha in enumerate((0.5, 2.0)):
             r = thm1_refined_bound(d, alpha, "corrected")
-            assert outcome == (r.holds, r.lhs, r.bound, r.slack, r.direction)
+            assert (
+                column.holds[i], column.lhs[i], column.bound[i], column.slack[i],
+                column.direction[i],
+            ) == (r.holds, r.lhs, r.bound, r.slack, r.direction)
             assert (
                 column.theorem_id, column.precondition_met, column.tolerance,
                 column.params_at(i),
@@ -349,19 +354,20 @@ class TestThm1:
         its own text; every other alpha of the column is evaluated and
         equals the one-alpha evaluate."""
         theorem = next(t for t in THEOREMS if t.id == theorem_id)
-        column = theorem.column(record, DEFAULT_ALPHA_GRID, "corrected", 2.0)
+        (column,) = theorem.column(record, DEFAULT_ALPHA_GRID, ("corrected",), 2.0)
         for i, alpha in enumerate(DEFAULT_ALPHA_GRID):
-            outcome = column.outcomes[i]
             if alpha in failing:
-                assert outcome == reason, alpha
+                assert column.reason[i] == reason, alpha
                 with pytest.raises(DomainError) as exc:
                     evaluate(theorem_id, record, alpha, "corrected")
                 assert str(exc.value) == reason
                 continue
-            assert not isinstance(outcome, str), (alpha, outcome)
+            assert column.reason[i] is None, (alpha, column.reason[i])
             r = evaluate(theorem_id, record, alpha, "corrected")
-            varying = [r.params[key] for key in column.varying]
-            assert outcome == (r.holds, r.lhs, r.bound, r.slack, *varying, r.direction)
+            assert (
+                column.holds[i], column.lhs[i], column.bound[i], column.slack[i],
+                column.direction[i],
+            ) == (r.holds, r.lhs, r.bound, r.slack, r.direction)
             assert column.params_at(i) == r.params
 
 
