@@ -32,12 +32,13 @@ if key in report.exemplars:
     )
 
 # equal configs reproduce byte-identical canonical JSON; it holds one
-# object per (graph, family, theorem, variant) column, with a list over the
-# alpha grid for each value that varies
+# object per (graph, family, theorem): the lists its variants share once,
+# then each variant's own lists side by side, one entry per alpha
 again = summarize_report(run_sweep(cfg), "json")
 print(f"\nreproducible: {again == summarize_report(report, 'json')}")
-columns = json.loads(again)["columns"]
-cells = len(columns) * len(cfg.alpha_grid)
+objects = json.loads(again)["columns"]
+columns = sum(len(obj["variants"]) for obj in objects)
+cells = columns * len(cfg.alpha_grid)
 assert cells == len(report.cells)
-print(f"canonical report: {len(columns)} columns, {cells} cells, "
+print(f"canonical report: {len(objects)} objects, {columns} columns, {cells} cells, "
       f"{len(again.encode())} bytes")

@@ -7,7 +7,8 @@ Subcommands compose over stdin/stdout edge lists:
     graphent sweep --config sweep.json --format text
 
 Exit status: 0 success, 1 violation found under --strict, 2 usage or
-domain errors, or out of memory.
+domain errors, or out of memory, 141 (128 + SIGPIPE, as a shell reports a
+stage SIGPIPE ended) when the reader closes stdout early: nothing printed.
 
 `check` turns its flags into one inequalities.BoundInputs record, picks
 its inequalities.THEOREMS id (thm1 --use-epsilon is thm1_eps, thm4
@@ -360,6 +361,8 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
         if args.command == "sweep":
             return _run_sweep(args)
         raise DomainError(f"unknown command {args.command!r}")
+    except BrokenPipeError:
+        raise  # main's to handle: it is no domain error
     except (
         GraphEntropyError, OSError, json.JSONDecodeError, UnicodeDecodeError
     ) as exc:
@@ -371,9 +374,17 @@ def dispatch(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    status, out = dispatch(sys.argv[1:] if argv is None else argv)
-    if out:
+    try:
+        status, out = dispatch(sys.argv[1:] if argv is None else argv)
         sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: end as SIGPIPE would, with stdout on the
+        # null device so that the flush at exit raises nothing
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return status
 
 

@@ -5,14 +5,15 @@ order, emitting exactly one report per cell. Each (graph, family, theorem)
 is evaluated over the whole alpha grid in one call, which gives one column
 per variant, kept in that shape: run_sweep's report holds the columns and
 builds cell dicts only when they are read, and the canonical JSON holds
-one object per column, pointing at the column's lists over the alpha
-grid, written by the standard encoder. Aggregates and exemplars are folded graph by
-graph, so stream_sweep, which `graphent sweep` uses, writes each graph's
-columns as that graph finishes and keeps none: its memory grows only by
-one 8-byte slack per evaluated cell. Randomness is derived per cell
-coordinate from the config seed, so scheduling cannot change sampled
-coefficients and equal configs reproduce byte-identical canonical JSON
-(runtime is kept out of the canonical form).
+one object per (graph, family, theorem), written by the standard encoder:
+what its variants share once, then each variant's own lists side by side,
+all pointing at the columns' lists over the alpha grid. Aggregates and
+exemplars are folded graph by graph, so stream_sweep, which `graphent
+sweep` uses, writes each graph's objects as that graph finishes and keeps
+none: its memory grows only by one 8-byte slack per evaluated cell.
+Randomness is derived per cell coordinate from the config seed, so
+scheduling cannot change sampled coefficients and equal configs reproduce
+byte-identical canonical JSON (runtime is kept out of the canonical form).
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ class _Row(NamedTuple):
 class SweepReport(SweepSummary):
     """A sweep with its cells kept as columns: graphs holds per corpus graph
     its id and rows. cells (one dict per cell) and the canonical document
-    (one dict per column) are built from the columns on each read."""
+    (one object per graph, family and theorem) are built on each read."""
 
     graphs: list[tuple[str, list[_Row]]] = field(default_factory=list, repr=False)
 
@@ -672,7 +673,7 @@ def stream_sweep(
     cfg: SweepConfig, write: Callable[[str], Any] | None = None
 ) -> SweepSummary:
     """Run the sweep keeping no cells: write, when given, receives the
-    canonical JSON chunk by chunk, each graph's columns as that graph
+    canonical JSON chunk by chunk, each graph's objects as that graph
     finishes. Memory grows only by one 8-byte slack per evaluated cell."""
     sweep = _Sweep(cfg)
     if write is None:
@@ -688,43 +689,49 @@ def stream_sweep(
 
 # The canonical JSON is json.dumps(report.to_canonical_dict(),
 # allow_nan=False), written graph by graph: one encode of each graph's
-# column dicts. Cycle tracking is off: what is encoded is built fresh from
-# lists, dicts, str, numbers, bools and None, so it cannot hold a cycle.
+# objects. Cycle tracking is off: what is encoded is built fresh from lists,
+# tuples, dicts, str, numbers, bools and None, so it cannot hold a cycle.
 _ENCODE = json.JSONEncoder(allow_nan=False, check_circular=False).encode
 
 
-def _column_dict(
-    graph_id: str, family: str, theorem: str, variant: str, column: Column
-) -> dict[str, Any]:
-    """column as the canonical JSON holds it: what its cells share, once,
-    then one list over the alpha grid per verdict, number and direction. A
-    varying param holds such a list in place of its value. At a failed
-    alpha every list holds null and reason holds the reason, which is null
-    at each evaluated alpha. The Column already holds these lists, so the
-    dict points at them."""
-    _, params, varying, holds, lhs, bound, slack, direction, reason, met, tol = column
-    return {
-        "graph_id": graph_id, "family": family, "theorem": theorem, "variant": variant,
-        "precondition_met": met, "tolerance": tol, "params": params,
-        "varying": list(varying), "holds": holds, "lhs": lhs, "bound": bound,
-        "slack": slack, "direction": direction, "reason": reason,
-    }
+_SHARED = ("tolerance", "params", "varying", "lhs", "direction")
 
 
 def _graph_columns(graph_id: str, rows: list[_Row]) -> list[dict[str, Any]]:
-    """One graph's column dicts in sweep order: row by row, then the plan's."""
-    return [
-        _column_dict(graph_id, row.family, theorem.id, variant, column)
-        for row in rows
-        for (theorem, variant), column in zip(row.plan, row.columns)
-    ]
+    """One graph's canonical objects in sweep order, one per (row, theorem):
+    the _SHARED fields of its first variant's Column once, then per variant
+    its own lists and any _SHARED field that is not the first one's very
+    object. Identity, not equality, decides, so -0.0 and 0.0, or 1, 1.0 and
+    True, are never merged. The lists are the Columns' own."""
+    objects: list[dict[str, Any]] = []
+    for row in rows:
+        current = first = variants = None
+        for (theorem, variant), column in zip(row.plan, row.columns):
+            # a plan lists each theorem's variants in a run; a repeated one
+            # starts a new object rather than overwrite a column
+            if theorem is not current or variant in variants:
+                current, first, variants = theorem, column, {}
+                objects.append({
+                    "graph_id": graph_id, "family": row.family, "theorem": theorem.id,
+                    **{name: getattr(column, name) for name in _SHARED},
+                    "variants": variants,
+                })
+            entry = variants[variant] = {
+                "precondition_met": column.precondition_met, "holds": column.holds,
+                "bound": column.bound, "slack": column.slack, "reason": column.reason,
+            }
+            if column is not first:
+                entry.update((name, value) for name in _SHARED if (
+                    value := getattr(column, name)) is not getattr(first, name))
+    return objects
 
 
 def _json_columns(
     cfg: SweepConfig, graphs: Iterable[tuple[str, list[_Row]]]
 ) -> Iterator[str]:
-    """The canonical JSON up to the end of its columns, in chunks: the
-    config, then each graph's columns, with a ", " chunk between graphs."""
+    """The canonical JSON up to the end of its columns list, in chunks:
+    the config, then each graph's objects, with a ", " chunk between
+    graphs."""
     yield '{"config": ' + _ENCODE(cfg.to_dict()) + ', "columns": ['
     separator = ""
     for graph_id, rows in graphs:

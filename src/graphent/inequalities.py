@@ -187,7 +187,7 @@ class BoundInputs(NamedTuple):
 
 def _outcomes(
     theorem_id: str, params: dict[str, Any], varying: tuple[str, ...],
-    lhs: Sequence[float], bounds: Sequence[float | str | tuple[float, float]],
+    lhs: list[float], bounds: Sequence[float | str | tuple[float, float]],
     directions: Sequence[str], *, precondition_met: bool = True,
     tolerance: float = TOLERANCE,
 ) -> Column:
@@ -197,10 +197,11 @@ def _outcomes(
     str bound is that alpha's reason. An "interval" bound is (lo, hi), which
     varying holds too, and its nearer end becomes the bound. An alpha fails
     when its slack, an interval end or a varying value is not finite, and
-    every list holds None there. Unless one fails, the varying lists and
-    directions are kept as they are, so a core's variants share them.
+    every list holds None there. lhs is a list of floats. Unless an alpha
+    fails, lhs, the varying lists and directions are kept as they are, so
+    a core's variants share them and the canonical JSON writes them once.
     """
-    lhs, n, failed = list(map(float, lhs)), len(directions), {}
+    n, failed = len(directions), {}
     try:  # most grids: a number bound on one side at every alpha
         slacks = [
             b - h if d == "upper" else h - b for h, b, d in zip(lhs, bounds, directions)
@@ -266,7 +267,7 @@ def _instance(
 ) -> BoundReport:
     """The BoundReport of one instance whose params are all known; a str
     bound is raised as its DomainError. flags are _outcomes' keywords."""
-    column = _outcomes(theorem_id, params, (), (lhs,), (bound,), (direction,), **flags)
+    column = _outcomes(theorem_id, params, (), [lhs], (bound,), (direction,), **flags)
     return _report(variant, alpha, column)
 
 
@@ -453,7 +454,7 @@ def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column
     d = r.dist
     n, h = d.size, shannon_entropy(d)
     return [_outcomes(
-        "ordering", {"N": n, "shannon": h}, (), renyi_entropies(d, alphas),
+        "ordering", {"N": n, "shannon": h}, (), list(renyi_entropies(d, alphas)),
         [h] * len(alphas), _directions(alphas, "lower"),
     )]
 
@@ -478,7 +479,7 @@ def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column]:
     ]
     params = {"N": n, "shannon": h, "sum_term": sum_terms}
     return [_outcomes(
-        "jensen", params, ("sum_term",), renyi_entropies(d, alphas), bounds,
+        "jensen", params, ("sum_term",), list(renyi_entropies(d, alphas)), bounds,
         _directions(alphas),
     )]
 
@@ -593,7 +594,8 @@ def _thm1_column(
         "use_epsilon": use_epsilon,
         "shannon": h,
     }
-    hs, directions, pairs = renyi_entropies(d, alphas), _directions(alphas), n * (n - 1)
+    hs, directions = list(renyi_entropies(d, alphas)), _directions(alphas)
+    pairs = n * (n - 1)
     return [_outcomes(theorem_id, params, (), hs, _thm1_bounds(
         h, alphas, variant, pairs, stats.rho, eps_factor
     ), directions) for variant in variants]
@@ -1084,8 +1086,8 @@ def _conn_column(
             else (log2_beta, spec.beta >= 1.0)
             for variant in variants
         ]
-    hs = renyi_entropies(distribution_from_values(fv), alphas)
-    center = math.log2(n)
+    hs = list(renyi_entropies(distribution_from_values(fv), alphas))
+    center, directions = math.log2(n), ["interval"] * len(alphas)
     made: dict[tuple[float, bool], Column] = {}
     for scale, met in settings:
         if (scale, met) in made:
@@ -1098,7 +1100,7 @@ def _conn_column(
         params.update({"bound_lower": lows, "bound_upper": highs})
         made[scale, met] = _outcomes(
             theorem_id, params, ("bound_lower", "bound_upper"), hs,
-            list(zip(lows, highs)), ["interval"] * len(alphas), precondition_met=met,
+            list(zip(lows, highs)), directions, precondition_met=met,
         )
     return [made[setting] for setting in settings]
 

@@ -1,6 +1,7 @@
-"""The per-cell view of a canonical sweep document, rebuilt from its columns.
+"""The per-cell view of a canonical sweep document, rebuilt from its objects.
 
-Written from the column layout README describes, without the package's
+Written from the layout README describes (one object per graph, family and
+theorem, its variants side by side), without the package's
 code, so that tests can check that the layout loses nothing: expanding the
 parsed document must give the report's cell dicts, key order, -0.0,
 1/1.0/True and reasons included.
@@ -20,15 +21,21 @@ def strict_loads(text):
 
 
 def expand_cells(doc):
-    """doc's cell dicts in sweep order: the columns of one (graph, family)
-    row are consecutive, and a row's cells run alpha by alpha, then column
-    by column."""
+    """doc's cell dicts in sweep order. The objects of one (graph, family)
+    row are consecutive, one per theorem; each variant's column is its
+    object's shared fields overlaid with the variant's own entry. A row's
+    cells run alpha by alpha, then object by object, then variant by
+    variant."""
     alphas = doc["config"]["alpha_grid"]
     rows = itertools.groupby(doc["columns"], lambda c: (c["graph_id"], c["family"]))
-    for _, row in rows:
-        row = list(row)
+    for _, objects in rows:
+        columns = [
+            {**obj, **entry, "variant": variant}
+            for obj in objects
+            for variant, entry in obj["variants"].items()
+        ]
         for i, alpha in enumerate(alphas):
-            for column in row:
+            for column in columns:
                 yield _cell(column, i, alpha)
 
 

@@ -140,6 +140,9 @@ class Sink:
         if text != ", ":
             gc.collect()
 
+    def flush(self):
+        pass
+
 def streamed(path, trace=True):
     sink, stdout = Sink(), sys.stdout
     sys.stdout = sink
@@ -711,11 +714,15 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(out)
         assert set(doc.keys()) == {"config", "columns", "aggregates", "exemplars"}
-        # each column holds one entry per alpha of the grid in each list
+        # each variant's column (its object's shared lists overlaid with its
+        # own) holds one entry per alpha of the grid in each list
         alphas = doc["config"]["alpha_grid"]
-        assert doc["columns"] and all(
+        columns = [
+            {**obj, **entry} for obj in doc["columns"] for entry in obj["variants"].values()
+        ]
+        assert columns and all(
             len(c[key]) == len(alphas)
-            for c in doc["columns"]
+            for c in columns
             for key in ("holds", "lhs", "bound", "slack", "direction", "reason")
         )
 
@@ -723,6 +730,23 @@ class TestSweepCommand:
         a = run(["sweep", "--config", config_file])
         b = run(["sweep", "--config", config_file])
         assert a == b
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        """A reader that closes the pipe after the first chunk ends the stage
+        as SIGPIPE would end it in a shell: status 141, nothing on stderr.
+        The document is far larger than a pipe's buffer, so the sweep is
+        still writing when the pipe closes."""
+        path = tmp_path / "cfg.json"
+        path.write_text(_config_text(n_range=[3, 6], edge_probabilities=[0.3, 0.5, 0.8]))
+        proc = subprocess.Popen(
+            BASE + ["sweep", "--config", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{"config":'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=300), err) == (141, b"")
 
     def test_strict_flags_violations(self, config_file):
         code, out, _ = run(["sweep", "--config", config_file, "--strict"])
@@ -793,7 +817,8 @@ class TestSweepCommand:
                   if c["graph_id"].startswith("gnp_")]
         assert failed and all(
             "no connected sample within" in reason
-            for c in failed for reason in c["reason"]
+            for c in failed for entry in c["variants"].values()
+            for reason in entry["reason"]
         )
 
     @pytest.mark.parametrize(

@@ -890,6 +890,56 @@ class TestCanonicalWriter:
         assert {c["params"].get("int").__class__ for c in cells} == {int, type(None)}
         assert "np.float64" not in text and "True" not in text
 
+    def test_variants_share_lists_by_identity_only(self):
+        """A variant's entry omits a shared field only where its Column holds
+        the first variant's very object. thm1's variants hold lhs lists and
+        params that are equal under == but not as text (0.0 and -0.0; 1, 1.0
+        and True), so each is written and expands to its own values; thm5's
+        second variant holds the first one's objects, so only its own lists
+        are written."""
+        by_id = {t.id: t for t in THEOREMS}
+        literal = _column_of(
+            "thm1", {"c": 1, "h": None},
+            [_outcome(0.0, 1.0, "upper", (1,)), _outcome(1, 2.0, "upper", (True,))],
+            ("h",),
+        )
+        corrected = _column_of(
+            "thm1", {"c": 1.0, "h": None},
+            [_outcome(-0.0, 1.0, "upper", (1.0,)), _outcome(True, 2.0, "upper", (1,))],
+            ("h",),
+        )
+        first = _column_of("thm5", {"c": True}, [_outcome(1.0, 2.0, "upper")] * 2)
+        second = first._replace(bound=[3.0, 3.0], slack=[2.0, 2.0])
+        plan = [(by_id[t], v) for t in ("thm1", "thm5") for v in VARIANTS]
+        cfg = SweepConfig(seed=0, n_range=(1, 1), edge_probabilities=(),
+                          trials_per_cell=1, alpha_grid=(0.5, 2.0))
+        rep = SweepReport(
+            config=cfg, aggregates={}, exemplars={}, runtime_seconds=0.0,
+            corpus_size=1, gnp_redraws=0,
+            graphs=[("g", [_Row("orbit", plan, [literal, corrected, first, second])])],
+        )
+        text, cells = _round_trip(rep)
+        thm1, thm5 = strict_loads(text)["columns"]
+        own = {"precondition_met", "holds", "bound", "slack", "reason"}
+        assert list(thm1["variants"]) == list(VARIANTS)
+        assert set(thm1["variants"]["corrected"]) == own | {"lhs", "params", "direction"}
+        assert set(thm5["variants"]["corrected"]) == own
+
+        def texts(key, variant):
+            return json.dumps([
+                c[key] for c in cells if (c["theorem"], c["variant"]) == ("thm1", variant)
+            ])
+
+        assert texts("lhs", "literal") == "[0.0, 1]"
+        assert texts("lhs", "corrected") == "[-0.0, true]"
+        tail = '"family": "orbit", "direction": "upper", "tolerance": 1e-09}'
+        assert texts("params", "literal") == (
+            '[{"c": 1, "h": 1, ' + tail + ', {"c": 1, "h": true, ' + tail + "]"
+        )
+        assert texts("params", "corrected") == (
+            '[{"c": 1.0, "h": 1.0, ' + tail + ', {"c": 1.0, "h": 1, ' + tail + "]"
+        )
+
     def test_numpy_floats_render_as_floats(self):
         column = _column_of(
             "t", {"c": np.float64(0.1), "n": 3, "h": None},
@@ -1183,8 +1233,8 @@ class TestColumnCores:
                     where = (graph_id, row.family, theorem_id, variant)
                     _assert_same_column(column, ref[theorem_id, variant], where)
         doc = strict_loads(summarize_report(rep, "json"))
-        variants = [c["variant"] for c in doc["columns"] if c["theorem"] == "thm1"]
-        assert variants[:2] == ["corrected", "literal"]
+        variants = [list(c["variants"]) for c in doc["columns"] if c["theorem"] == "thm1"]
+        assert variants and all(v == ["corrected", "literal"] for v in variants)
 
     def test_grid_column_equals_one_row_calls(self):
         cfg = small_config(trials_per_cell=1, alpha_grid=COLUMN_GRID)
