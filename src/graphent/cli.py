@@ -14,8 +14,10 @@ stage SIGPIPE ended) when the reader closes stdout early: nothing printed.
 its inequalities.THEOREMS id (thm1 --use-epsilon is thm1_eps, thm4
 --s1/--s2 thm4_cor, thm6 --symmetric thm6_avg) and makes one
 inequalities.evaluate call, the evaluator the public bound operations
-share; the sweep runs the same table's cores. Only the star/wheel/path
-closed forms lie outside the table.
+share; the sweep runs the same table's cores. The star/wheel/path closed
+forms are a column core too, read at one alpha by
+inequalities.class_closed_forms; they are no sweep ids, since the
+benchmark's committed reference fixes a sweep's aggregate keys.
 
 Import rule: each pipe stage is a fresh interpreter, so this module imports
 only the standard library and graphent.errors at module level, and each
@@ -303,9 +305,14 @@ def _run_check(args, stdin: str | None) -> tuple[int, str]:
         if args.functional is not None:
             from .graph import generate_graph
             from .measures import functional_values
+            from .orbits import vertex_orbits
 
             spec = _functional_spec(args.functional, args.c, args.beta)
-            fv = functional_values(generate_graph(theorem, args.n), spec)
+            g = generate_graph(theorem, args.n)
+            # orbits first, as for thm3: their cap refuses a large graph
+            # before its O(n^2) distance matrix is built
+            vertex_orbits(g)
+            fv = functional_values(g, spec)
         reports = class_closed_forms(theorem, args.n, args.alpha, fv=fv)
     else:
         theorem_id, inputs = _check_inputs(args, stdin)

@@ -15,7 +15,11 @@ thm4_cor and thm5 all read p1 from dist and p2 from dist_second. The sweep
 fills one record per row with what the row's columns share and keeps and
 renders the columns; evaluate runs the same core at one alpha (the public
 operations and `graphent check` build a record and call it) and returns a
-structured BoundReport instead of asserting. Two variants exist wherever
+structured BoundReport instead of asserting. The star/wheel/path closed
+forms are one more core, _class_columns, which class_closed_forms reads at
+one alpha through the same _report, so every report comes from a Column.
+They are no sweep ids, since the benchmark's committed sweep reference
+fixes a sweep's aggregate keys. Two variants exist wherever
 the printed bound and its repaired derivation disagree:
 
   literal    the formula exactly as printed: rho**(alpha-2) multiplied
@@ -42,9 +46,9 @@ from __future__ import annotations
 import math
 from functools import partial
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, GraphEntropyError
+from .errors import DomainError
 from .graph import Graph, SeededStream, distance_matrix, generate_graph
 from .measures import (
     FUNCTIONAL_KINDS,
@@ -61,7 +65,6 @@ from .measures import (
     logsumexp,
     partition_distribution,
     renyi_entropies,
-    renyi_entropy,
     shannon_entropy,
 )
 from .orbits import OrbitPartition, vertex_orbits
@@ -259,16 +262,6 @@ def _outcomes(
         theorem_id, params, varying, holds, lhs, bound_out, slacks, directions,
         reasons, precondition_met, tolerance,
     )
-
-
-def _instance(
-    variant: str, alpha: float, theorem_id: str, lhs: float, bound: float | str,
-    direction: str, params: dict[str, Any], **flags: Any,
-) -> BoundReport:
-    """The BoundReport of one instance whose params are all known; a str
-    bound is raised as its DomainError. flags are _outcomes' keywords."""
-    column = _outcomes(theorem_id, params, (), [lhs], (bound,), (direction,), **flags)
-    return _report(variant, alpha, column)
 
 
 def _report(variant: str, alpha: float, column: Column) -> BoundReport:
@@ -905,113 +898,104 @@ def _thm6_column(
 # ---------------------------------------------------------------------------
 
 
-def _class_functional_report(
-    alpha: float,
-    fv: FunctionalValues,
-    head: float,
-    offset: float,
-    met: bool,
-    params: dict[str, Any],
-    extra: dict[str, Any],
-) -> BoundReport:
-    """The class bound head - (alpha/(1-alpha)) log2 S - offset on the
-    functional's H_alpha: a lower bound below alpha=1, an upper one above."""
-    log2_s = fv.total_log / LN2
-    return _instance(
-        "na",
-        alpha,
-        "class_functional_bound",
-        renyi_entropy(distribution_from_values(fv), alpha),
-        head - (alpha / (1.0 - alpha)) * log2_s - offset,
-        "lower" if alpha < 1.0 else "upper",
-        {**params, "log2_S": log2_s, **extra},
-        precondition_met=met,
-    )
+def _class_columns(
+    kind: str, n: int, alphas: Sequence[float], part: OrbitPartition,
+    fv: FunctionalValues | None,
+) -> Iterator[tuple[str, Column]]:
+    """The closed forms of the star, wheel or path on n vertices with orbits
+    part, as (variant, Column) pairs over the grid: class_renyi_exact; for
+    stars and wheels class_shannon_exact, then class_gamma_bound literal and
+    corrected; with fv, class_functional_bound, the class's head minus
+    (alpha/(1-alpha)) log2 S minus its offset (1 on a path), a lower bound
+    on the functional's H_alpha below alpha=1 and an upper one above. Each
+    pair is built as it is taken, so a one-alpha caller raises a column's
+    reason before the next column is built. Where a closed form leaves float
+    range, that is the alpha's reason in each column that reads it.
 
-
-def _star_like_reports(
-    kind: str, n: int, alpha: float, part: OrbitPartition, fv: FunctionalValues | None
-) -> list[BoundReport]:
-    """Closed forms shared by stars and wheels (two orbits of sizes 1, n-1)."""
+    Stars and wheels share the two-orbit profile (1, n-1); W4 collapses to
+    K4 and is reported with precondition_met=False rather than patched.
+    """
     pdist = partition_distribution(part)
-    h_alpha = renyi_entropy(pdist, alpha)
-    h_shannon = shannon_entropy(pdist)
-    two_orbit = part.sizes == (1, n - 1)
-    base_params = {"graph_class": kind, "n": n}
-    if not two_orbit:
-        base_params["reason"] = "orbit profile is not (1, n-1)"
-
-    log2_sum = math.log2(1.0 + (n - 1) ** alpha)
-    closed_renyi = (log2_sum - alpha * math.log2(n)) / (1.0 - alpha)
-    closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
-    reports = [
-        _instance(
-            "na", alpha, "class_renyi_exact", h_alpha, closed_renyi, "equal",
-            dict(base_params), precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
-        ),
-        _instance(
-            "na", alpha, "class_shannon_exact", h_shannon, closed_shannon, "equal",
-            dict(base_params), precondition_met=two_orbit, tolerance=EXACT_TOLERANCE,
-        ),
-    ]
-    # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
-    rho = float(n - 1)
-    for variant in VARIANTS:
-        (bound,) = _thm1_bounds(closed_shannon, (alpha,), variant, 2, rho, 1.0)
-        reports.append(_instance(
-            variant, alpha, "class_gamma_bound", h_alpha, bound,
-            "upper" if alpha < 1.0 else "lower",
-            {**base_params, "rho": rho}, precondition_met=two_orbit,
-        ))
-    if fv is not None:
-        ordered = sorted(fv.logs, reverse=True)
-        met = two_orbit and ordered[0] > math.log(n - 1) and ordered[1] > 0.0
-        head = log2_sum / (1.0 - alpha)
-        reports.append(
-            _class_functional_report(alpha, fv, head, 0.0, met, base_params, {})
-        )
-    return reports
-
-
-def _path_reports(
-    n: int, alpha: float, part: OrbitPartition, fv: FunctionalValues | None
-) -> list[BoundReport]:
-    pdist = partition_distribution(part)
-    h_alpha = renyi_entropy(pdist, alpha)
-    even = n % 2 == 0
-    params = {"graph_class": "path", "n": n, "even": even}
-    if even:
-        closed = math.log2(n / 2)
+    h_alphas = list(renyi_entropies(pdist, alphas))
+    params: dict[str, Any] = {"graph_class": kind, "n": n}
+    out_of_range = f"{kind} closed forms leave float range at n = {n}, alpha = {{:g}}"
+    path, two_orbit = kind == "path", part.sizes == (1, n - 1)
+    if path:
+        even = n % 2 == 0
+        params["even"] = even
+        closed: list[float | str] = [math.log2(n / 2)] * len(alphas)
+        if not even:
+            # two-vertex orbits and the center; the sum underflows to 0 at a
+            # large alpha
+            sums = [(n - 1) // 2 * (2.0 / n) ** a + (1.0 / n) ** a for a in alphas]
+            closed = [
+                math.log2(s) / (1.0 - alpha) if s else out_of_range.format(alpha)
+                for alpha, s in zip(alphas, sums)
+            ]
+        heads: list[float | str] = [math.log2(n) / (1.0 - alpha) for alpha in alphas]
     else:
-        m = (n - 1) // 2
-        closed = math.log2(m * (2.0 / n) ** alpha + (1.0 / n) ** alpha) / (1.0 - alpha)
-    reports = [
-        _instance(
-            "na", alpha, "class_renyi_exact", h_alpha, closed, "equal", dict(params),
-            tolerance=EXACT_TOLERANCE,
+        if not two_orbit:
+            params["reason"] = "orbit profile is not (1, n-1)"
+        closed, heads = [], []
+        for alpha in alphas:
+            try:
+                log2_sum = math.log2(1.0 + (n - 1) ** alpha)
+            except OverflowError:
+                closed.append(out_of_range.format(alpha))
+                heads.append(out_of_range.format(alpha))
+                continue
+            closed.append((log2_sum - alpha * math.log2(n)) / (1.0 - alpha))
+            heads.append(log2_sum / (1.0 - alpha))
+    exact = partial(
+        _outcomes, params=params, varying=(), directions=["equal"] * len(alphas),
+        precondition_met=path or two_orbit, tolerance=EXACT_TOLERANCE,
+    )
+    yield "na", exact("class_renyi_exact", lhs=h_alphas, bounds=closed)
+    if not path:
+        closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
+        yield "na", exact(
+            "class_shannon_exact", lhs=[shannon_entropy(pdist)] * len(alphas),
+            bounds=[closed_shannon] * len(alphas),
         )
-    ]
-    if fv is not None:
+        # thm1 on the two-orbit distribution: 2 ordered pairs, rho = n-1
+        rho = float(n - 1)
+        for variant in VARIANTS:
+            yield variant, _outcomes(
+                "class_gamma_bound", {**params, "rho": rho}, (), h_alphas,
+                _thm1_bounds(closed_shannon, alphas, variant, 2, rho, 1.0),
+                _directions(alphas), precondition_met=two_orbit,
+            )
+    if fv is None:
+        return
+    extra: dict[str, Any] = {}
+    if path:
         above_two = sum(x > LN2 for x in fv.logs)
-        met = even and above_two >= n // 2
-        extra: dict[str, Any] = {"vertices_above_two": above_two}
+        met, offset = even and above_two >= n // 2, 1.0
+        extra["vertices_above_two"] = above_two
         if not even:
             extra["reason"] = "stated for the even orbit structure"
-        head = math.log2(n) / (1.0 - alpha)
-        reports.append(
-            _class_functional_report(alpha, fv, head, 1.0, met, params, extra)
-        )
-    return reports
+    else:
+        ordered = sorted(fv.logs, reverse=True)
+        met = two_orbit and ordered[0] > math.log(n - 1) and ordered[1] > 0.0
+        offset = 0.0
+    log2_s = fv.total_log / LN2
+    bounds = [
+        head if head.__class__ is str
+        else head - (alpha / (1.0 - alpha)) * log2_s - offset
+        for alpha, head in zip(alphas, heads)
+    ]
+    yield "na", _outcomes(
+        "class_functional_bound", {**params, "log2_S": log2_s, **extra}, (),
+        list(renyi_entropies(fv.distribution, alphas)), bounds,
+        _directions(alphas, "lower"), precondition_met=met,
+    )
 
 
 def class_closed_forms(
     kind: str, n: int, alpha: float, fv: FunctionalValues | None = None
 ) -> list[BoundReport]:
-    """Exact-value and bound reports for stars, wheels and paths.
-
-    Stars and wheels share the two-orbit profile (1, n-1); W4 collapses to
-    K4 and is reported with precondition_met=False rather than patched.
-    """
+    """Exact-value and bound reports for stars, wheels and paths: the class
+    core _class_columns at one alpha, one report per column."""
     _check_alpha(alpha)
     if kind not in ("star", "wheel", "path"):
         raise DomainError(f"no closed forms for class {kind!r}")
@@ -1021,17 +1005,10 @@ def class_closed_forms(
     if fv is not None and fv.size != n:
         raise DomainError("functional values must live on the class graph")
     part = vertex_orbits(generate_graph(kind, n))
-    try:
-        if kind == "path":
-            return _path_reports(n, alpha, part, fv)
-        return _star_like_reports(kind, n, alpha, part, fv)
-    except GraphEntropyError:
-        raise
-    except (OverflowError, ValueError):
-        # (n-1)**alpha overflows, or an odd path's power sum underflows to 0
-        raise DomainError(
-            f"{kind} closed forms leave float range at n = {n}, alpha = {alpha:g}"
-        ) from None
+    return [
+        _report(variant, alpha, column)
+        for variant, column in _class_columns(kind, n, (alpha,), part, fv)
+    ]
 
 
 def connected_functional_bounds(

@@ -386,6 +386,17 @@ class TestCheck:
             ["check", "thm3", "--alpha", "2", "--functional", "linear"], edges
         ) == (2, "", "graphent: exact orbit computation capped at n = 64, got 5000\n")
 
+    @pytest.mark.parametrize("kind", ["star", "path"])
+    def test_class_functional_past_the_orbit_cap_builds_no_distance_matrix(
+        self, kind
+    ):
+        # a 100000-vertex class graph's distance matrix does not fit in the
+        # child's 128 MB, so the orbit cap must reject it before the
+        # functional's values are built
+        assert run_capped(
+            ["check", kind, "--n", "100000", "--alpha", "2", "--functional", "linear"]
+        ) == (2, "", "graphent: exact orbit computation capped at n = 64, got 100000\n")
+
     def test_thm3_pipe(self):
         _, edges, _ = run(["gen", "star", "4"])
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -32,7 +33,10 @@ from graphent.harness import DEFAULT_ALPHA_GRID, FunctionalTemplate, SweepConfig
 from graphent.inequalities import (
     THEOREMS,
     BoundInputs,
+    Column,
+    _class_columns,
     _jensen_sums,
+    _report,
     _thm1_column,
     evaluate,
 )
@@ -860,6 +864,74 @@ class TestClassClosedForms:
             class_closed_forms("star", 2, 0.5)
         with pytest.raises(DomainError):
             class_closed_forms("cycle", 5, 0.5)
+
+    @pytest.mark.parametrize("kind", ["star", "path"])
+    def test_a_functionals_own_error_passes_through(self, kind):
+        # exp(-800) is 0 in a float, so the values cannot be normalized;
+        # that error is the functional's, not a closed form's float range
+        fv = FunctionalValues([0.0, -800.0, -800.0])
+        with pytest.raises(
+            DomainError, match="^functional values cannot be normalized at ln S = 0: "
+        ):
+            class_closed_forms(kind, 3, 0.5, fv=fv)
+
+    def test_a_reason_is_raised_before_later_columns_are_built(self):
+        # alpha * ln(1/3) is -inf at alpha 1.7e308, so the even path's
+        # H_alpha is not finite; the functional's own error would come later
+        fv = FunctionalValues([0.0] + [-800.0] * 5)
+        with pytest.raises(DomainError, match="^class_renyi_exact is not finite: "):
+            class_closed_forms("path", 6, 1.7e308, fv=fv)
+
+    @staticmethod
+    def _at(column: Column, i: int) -> Column:
+        """The one-alpha Column of column's alpha index i."""
+        return column._replace(
+            params=column.params_at(i), varying=(), holds=[column.holds[i]],
+            lhs=[column.lhs[i]], bound=[column.bound[i]], slack=[column.slack[i]],
+            direction=[column.direction[i]], reason=[column.reason[i]],
+        )
+
+    @pytest.mark.parametrize(
+        "kind, sizes",
+        [("star", range(3, 13)), ("wheel", range(4, 13)), ("path", range(2, 13))],
+        ids=["star", "wheel", "path"],
+    )
+    def test_grid_core_equals_the_one_alpha_call(self, kind, sizes):
+        """Each alpha of the class core over a grid, read through _report,
+        is the report class_closed_forms gives at that alpha."""
+        specs = [None, FunctionalSpec("linear"), FunctionalSpec("exponential", beta=2.0)]
+        for n in sizes:
+            g = generate_graph(kind, n)
+            part = vertex_orbits(g)
+            for spec in specs:
+                fv = None if spec is None else functional_values(g, spec)
+                pairs = list(_class_columns(kind, n, DEFAULT_ALPHA_GRID, part, fv))
+                for i, alpha in enumerate(DEFAULT_ALPHA_GRID):
+                    grid = [
+                        json.dumps(_report(variant, alpha, self._at(column, i)).to_dict())
+                        for variant, column in pairs
+                    ]
+                    one = [
+                        json.dumps(r.to_dict())
+                        for r in class_closed_forms(kind, n, alpha, fv)
+                    ]
+                    assert grid == one, (kind, n, spec and spec.kind, alpha)
+
+    def test_float_range_fails_only_its_own_alpha_and_columns(self):
+        """(n-1)**400 and rho**398 overflow: alpha 400 holds each column's
+        own reason, Shannon's none, and every other alpha is evaluated."""
+        g = generate_graph("star", 10)
+        fv = functional_values(g, FunctionalSpec("linear"))
+        closed = "star closed forms leave float range at n = 10, alpha = 400"
+        gamma = "rho ** 398 overflows a float at rho = 9"
+        reasons = {
+            "class_renyi_exact": closed, "class_shannon_exact": None,
+            "class_gamma_bound": gamma, "class_functional_bound": closed,
+        }
+        pairs = _class_columns("star", 10, (2.0, 400.0), vertex_orbits(g), fv)
+        for _, column in pairs:
+            assert column.reason == [None, reasons[column.theorem_id]]
+            assert column.holds[0] is True
 
 
 class TestConnectedBounds:
