@@ -7,10 +7,13 @@ per variant, kept in that shape: run_sweep's report holds the columns and
 builds cell dicts only when they are read, and the canonical JSON holds
 one object per (graph, family, theorem), written by the standard encoder:
 what its variants share once, then each variant's own lists side by side,
-all pointing at the columns' lists over the alpha grid. Aggregates and
-exemplars are folded graph by graph, so stream_sweep, which `graphent
-sweep` uses, writes each graph's objects as that graph finishes and keeps
-none: its memory grows only by one 8-byte slack per evaluated cell.
+all pointing at the columns' lists over the alpha grid. A list that
+objects of one (graph, family) row share, such as the Renyi list of one
+distribution, is written once per row by the first of them and named by
+the others. Aggregates and exemplars are folded graph by graph, so
+stream_sweep, which `graphent sweep` uses, writes each graph's objects as
+that graph finishes and keeps none: its memory grows only by one 8-byte
+slack per evaluated cell.
 Randomness is derived per cell coordinate from the config seed, so
 scheduling cannot change sampled coefficients and equal configs reproduce
 byte-identical canonical JSON (runtime is kept out of the canonical form).
@@ -702,19 +705,28 @@ def _graph_columns(graph_id: str, rows: list[_Row]) -> list[dict[str, Any]]:
     the _SHARED fields of its first variant's Column once, then per variant
     its own lists and any _SHARED field that is not the first one's very
     object. Identity, not equality, decides, so -0.0 and 0.0, or 1, 1.0 and
-    True, are never merged. The lists are the Columns' own."""
+    True, are never merged. The lists are the Columns' own.
+
+    Within a row, an object's lhs and varying param lists are written once
+    too (cores reading one distribution in one base hold one list): the
+    first object of the row to hold a list writes it, and a later object
+    holding that very list writes its name instead, see _row_lists."""
     objects: list[dict[str, Any]] = []
     for row in rows:
         current = first = variants = None
+        written: dict[int, str] = {}  # id of a list the row wrote -> its name
+        names: set[str] = set()
         for (theorem, variant), column in zip(row.plan, row.columns):
             # a plan lists each theorem's variants in a run; a repeated one
             # starts a new object rather than overwrite a column
             if theorem is not current or variant in variants:
                 current, first, variants = theorem, column, {}
+                lhs, params = _row_lists(theorem.id, column, written, names)
                 objects.append({
                     "graph_id": graph_id, "family": row.family, "theorem": theorem.id,
-                    **{name: getattr(column, name) for name in _SHARED},
-                    "variants": variants,
+                    "tolerance": column.tolerance, "params": params,
+                    "varying": column.varying, "lhs": lhs,
+                    "direction": column.direction, "variants": variants,
                 })
             entry = variants[variant] = {
                 "precondition_met": column.precondition_met, "holds": column.holds,
@@ -724,6 +736,31 @@ def _graph_columns(graph_id: str, rows: list[_Row]) -> list[dict[str, Any]]:
                 entry.update((name, value) for name in _SHARED if (
                     value := getattr(column, name)) is not getattr(first, name))
     return objects
+
+
+def _row_lists(
+    theorem_id: str, column: Column, written: dict[int, str], names: set[str]
+) -> tuple[Any, dict[str, Any]]:
+    """column's lhs and params as its object writes them: its lhs, then each
+    varying param's list in varying order, is written as the name of the
+    object that wrote that very list earlier in the row, where written (the
+    id of each list the row wrote, to its name) has one. Else the list is
+    written, and takes the name "<theorem id>.lhs" or "<theorem id>.<param>"
+    unless the row has used that name, so that each name means one list."""
+
+    def ref(value: Any, field: str) -> str | None:
+        if value.__class__ is not list:
+            return None
+        name = written.get(id(value))
+        if name is None and (own := f"{theorem_id}.{field}") not in names:
+            names.add(own)
+            written[id(value)] = own
+        return name
+
+    lhs, params = column.lhs, column.params
+    lhs = ref(lhs, "lhs") or lhs
+    refs = {n: name for n in column.varying if (name := ref(params[n], n))}
+    return lhs, {**params, **refs} if refs else params
 
 
 def _json_columns(

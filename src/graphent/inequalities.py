@@ -31,6 +31,11 @@ the printed bound and its repaired derivation disagree:
              scaled by 1/ln(base) wherever log(1+x) was replaced by x,
              and abs(log2(beta)) so beta < 1 keeps the interval ordered.
 
+A core takes its Renyi entropies from measures.renyi_entropies, which keeps
+one list per distribution, grid and base and hands out that list itself:
+the cores of a sweep row that read one distribution in one base hold one
+list, which the canonical JSON writes once per row. No core changes one.
+
 Every core runs on Python floats through ``math``, the Jensen-gap pair sum
 and the lemma oracles included, and lemma_checks draws from
 graph.SeededStream, so nothing here loads numpy.
@@ -57,6 +62,7 @@ from .measures import (
     FunctionalSpec,
     FunctionalValues,
     _as_float,
+    _check_base,
     _resolved_coeffs,
     distribution_from_values,
     distribution_stats,
@@ -288,20 +294,9 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be positive, finite and != 1, got {alpha}")
 
 
-def _check_base(base: float) -> None:
-    if not 1.0 < base < math.inf:
-        raise DomainError(f"log base must exceed 1 and be finite, got {base}")
-
-
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-def _to_base(bits: list[float], base: float) -> list[float]:
-    """Convert base-2 information values to the requested log base."""
-    ln_base = math.log(base)
-    return [b * LN2 / ln_base for b in bits]
 
 
 def _logb(x: float, base: float) -> float:
@@ -447,7 +442,7 @@ def _ordering_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column
     d = r.dist
     n, h = d.size, shannon_entropy(d)
     return [_outcomes(
-        "ordering", {"N": n, "shannon": h}, (), list(renyi_entropies(d, alphas)),
+        "ordering", {"N": n, "shannon": h}, (), renyi_entropies(d, alphas),
         [h] * len(alphas), _directions(alphas, "lower"),
     )]
 
@@ -472,7 +467,7 @@ def _jensen_column(r: BoundInputs, alphas: Sequence[float], *_) -> list[Column]:
     ]
     params = {"N": n, "shannon": h, "sum_term": sum_terms}
     return [_outcomes(
-        "jensen", params, ("sum_term",), list(renyi_entropies(d, alphas)), bounds,
+        "jensen", params, ("sum_term",), renyi_entropies(d, alphas), bounds,
         _directions(alphas),
     )]
 
@@ -587,7 +582,7 @@ def _thm1_column(
         "use_epsilon": use_epsilon,
         "shannon": h,
     }
-    hs, directions = list(renyi_entropies(d, alphas)), _directions(alphas)
+    hs, directions = renyi_entropies(d, alphas), _directions(alphas)
     pairs = n * (n - 1)
     return [_outcomes(theorem_id, params, (), hs, _thm1_bounds(
         h, alphas, variant, pairs, stats.rho, eps_factor
@@ -631,8 +626,8 @@ def _thm3_column(
     sizes = sorted(part.sizes)
     smallest_logs = sorted(fv.logs)[:k]
     met = all(math.log(size) < x for size, x in zip(sizes, smallest_logs))
-    h_gammas = _to_base(renyi_entropies(pdist, alphas), base)
-    h_fs = _to_base(renyi_entropies(distribution_from_values(fv), alphas), base)
+    h_gammas = renyi_entropies(pdist, alphas, base)
+    h_fs = renyi_entropies(distribution_from_values(fv), alphas, base)
     log_ratio = (fv.total_log - math.log(n)) / math.log(base)
     log2_s = fv.total_log / LN2
     bounds = [
@@ -707,8 +702,8 @@ def _thm4_column(
     )
     n = d1.size
     log_psi = _logb(psi, base)
-    h1s = _to_base(renyi_entropies(d1, alphas), base)
-    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    h1s = renyi_entropies(d1, alphas, base)
+    h2s = renyi_entropies(d2, alphas, base)
     bounds = [h2 + (alpha / (1.0 - alpha)) * log_psi for alpha, h2 in zip(alphas, h2s)]
     params = {
         "psi": psi,
@@ -753,8 +748,8 @@ def _thm5_column(
         raise DomainError(f"phi must be positive and finite, got {phi}")
     met = all(a <= b + phi + 1e-15 for a, b in zip(d1.probs, d2.probs))
     n = d1.size
-    h1s = _to_base(renyi_entropies(d1, alphas), base)
-    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    h1s = renyi_entropies(d1, alphas, base)
+    h2s = renyi_entropies(d2, alphas, base)
     power_sums = [2.0**log2_sum for log2_sum in log2_power_sums(d2, alphas)]
     tails: list[float | str] = []
     for alpha, power_sum_2 in zip(alphas, power_sums):
@@ -848,7 +843,7 @@ def _thm6_column(
     a1, a2 = math.exp(t1 - t_sum), math.exp(t2 - t_sum)
     if a1 == 0.0 or a2 == 0.0:
         raise DomainError(f"a share A_i underflows to 0 (A1 = {a1!r}, A2 = {a2!r})")
-    h_fs = _to_base(renyi_entropies(distribution_from_values(combined), alphas), base)
+    h_fs = renyi_entropies(distribution_from_values(combined), alphas, base)
     d1 = distribution_from_values(fv1)
     d2 = distribution_from_values(fv2)
     log_a = _logb(a1, base)
@@ -856,8 +851,8 @@ def _thm6_column(
     if symmetric:
         log_a, sides = log_a + _logb(a2, base), 2.0
     theorem_id = "thm6_avg" if symmetric else "thm6"
-    h1s = _to_base(renyi_entropies(d1, alphas), base)
-    h2s = _to_base(renyi_entropies(d2, alphas), base)
+    h1s = renyi_entropies(d1, alphas, base)
+    h2s = renyi_entropies(d2, alphas, base)
     heads, tails = [], []  # a bound is head + tail * the variant's factor
     for alpha, h1, h2, sum_1, sum_2 in zip(
         alphas, h1s, h2s, log2_power_sums(d1, alphas), log2_power_sums(d2, alphas)
@@ -916,7 +911,7 @@ def _class_columns(
     K4 and is reported with precondition_met=False rather than patched.
     """
     pdist = partition_distribution(part)
-    h_alphas = list(renyi_entropies(pdist, alphas))
+    h_alphas = renyi_entropies(pdist, alphas)
     params: dict[str, Any] = {"graph_class": kind, "n": n}
     out_of_range = f"{kind} closed forms leave float range at n = {n}, alpha = {{:g}}"
     path, two_orbit = kind == "path", part.sizes == (1, n - 1)
@@ -986,7 +981,7 @@ def _class_columns(
     ]
     yield "na", _outcomes(
         "class_functional_bound", {**params, "log2_S": log2_s, **extra}, (),
-        list(renyi_entropies(fv.distribution, alphas)), bounds,
+        renyi_entropies(fv.distribution, alphas), bounds,
         _directions(alphas, "lower"), precondition_met=met,
     )
 
@@ -1063,7 +1058,7 @@ def _conn_column(
             else (log2_beta, spec.beta >= 1.0)
             for variant in variants
         ]
-    hs = list(renyi_entropies(distribution_from_values(fv), alphas))
+    hs = renyi_entropies(distribution_from_values(fv), alphas)
     center, directions = math.log2(n), ["interval"] * len(alphas)
     made: dict[tuple[float, bool], Column] = {}
     for scale, met in settings:

@@ -4,7 +4,8 @@ Two routes induce distributions: orbit partitions (p_i = |X_i|/n) and
 strictly positive vertex functionals (p(v) = f(v)/sum f). Functional values
 are carried in natural-log space so the exponential j-sphere functional
 cannot overflow; normalization goes through log-sum-exp.
-All entropies are base 2; power sums are filled an alpha grid at a time.
+Entropies are in bits, and renyi_entropies also gives a grid's in another
+log base; power sums are filled an alpha grid at a time.
 
 The distributions here have a few dozen atoms at most, so the numbers are
 tuples of Python floats, every transcendental is a libm call through
@@ -42,8 +43,10 @@ class Distribution:
 
     Everything derived from p alone (log p, Shannon entropy, rho/epsilon)
     is computed on first use and kept: power sums per alpha, filled a grid
-    at a time, and Renyi entropies per grid. Each is a pure function of
-    probs, so concurrent first uses can only store equal values.
+    at a time, and one Renyi list per (alpha grid, base), which
+    renyi_entropies hands out itself, so its readers share it and none may
+    change it. Each is a pure function of probs, so concurrent first uses
+    can only store equal values.
     """
 
     def __init__(self, p: Iterable[float]):
@@ -59,7 +62,8 @@ class Distribution:
             )
         self.probs = probs
         self._log2_power_sums: dict[float, float] = {}
-        self._renyi_grids: dict[tuple[float, ...], tuple[float, ...]] = {}
+        # (alpha grid, log base, None for bits) -> the Renyi list
+        self._renyi_lists: dict[tuple, list[float]] = {}
 
     @property
     def size(self) -> int:
@@ -187,6 +191,11 @@ def _floats(values: Iterable[float]) -> tuple[float, ...]:
         return (math.inf,)
 
 
+def _check_base(base: float) -> None:
+    if not 1.0 < base < math.inf:
+        raise DomainError(f"log base must exceed 1 and be finite, got {base}")
+
+
 def _exp_or_inf(x: float) -> float:
     """math.exp(x), or inf where it overflows a float."""
     try:
@@ -292,19 +301,34 @@ def renyi_entropy(d: Distribution, alpha: float) -> float:
     return log2_power_sums(d, (alpha,))[0] / (1.0 - alpha) + 0.0
 
 
-def renyi_entropies(d: Distribution, alphas: Sequence[float]) -> tuple[float, ...]:
-    """renyi_entropy at each of alphas, from one power-sum fill; the tuple
-    kept on d per grid is returned, so cores reading one grid share it."""
-    grid = tuple(alphas)
-    values = d._renyi_grids.get(grid)
+def renyi_entropies(
+    d: Distribution, alphas: Sequence[float], base: float | None = None
+) -> list[float]:
+    """renyi_entropy at each of alphas from one power-sum fill, in bits, or
+    with a base each of those times ln 2 / ln(base).
+
+    The list is kept on d per (grid, base) and returned itself, never a
+    copy, so every core that reads one distribution on one grid in one base
+    holds the same list; no caller may change it. base 2 is an entry of its
+    own, apart from the bits: b * ln 2 / ln 2 is not always b.
+    """
+    key = (tuple(alphas), base)
+    values = d._renyi_lists.get(key)
     if values is None:
-        for alpha in grid:
-            if not 0.0 < _as_float(alpha) < math.inf:
-                renyi_entropy(d, alpha)  # raises its DomainError
-        values = d._renyi_grids[grid] = tuple([
-            d._shannon if abs(a - 1.0) <= ALPHA_ONE_BAND else s / (1.0 - a) + 0.0
-            for a, s in zip(grid, log2_power_sums(d, grid))
-        ])
+        grid = key[0]
+        if base is None:
+            for alpha in grid:
+                if not 0.0 < _as_float(alpha) < math.inf:
+                    renyi_entropy(d, alpha)  # raises its DomainError
+            values = [
+                d._shannon if abs(a - 1.0) <= ALPHA_ONE_BAND else s / (1.0 - a) + 0.0
+                for a, s in zip(grid, log2_power_sums(d, grid))
+            ]
+        else:
+            _check_base(base)
+            ln_base = math.log(base)
+            values = [b * LN2 / ln_base for b in renyi_entropies(d, grid)]
+        d._renyi_lists[key] = values
     return values
 
 

@@ -234,9 +234,9 @@ def test_criterion_7_thm5_thm6_reporting(corpus_sweep):
 
 
 # sha256 of the acceptance corpus's canonical JSON (19,573 objects holding
-# 30,153 columns, 241,224 cells, 4,790 violations); a change to any bit of
-# any cell changes it
-ACCEPTANCE_SHA256 = "631d2d3367c4cd0d982b2d908d205b797886b5b0e5c65e5793b5e24af0720cf0"
+# 30,153 columns, 241,224 cells, 4,790 violations, and 20,895 lists written
+# as the name of the row's list); a change to any bit of any cell changes it
+ACCEPTANCE_SHA256 = "7a5da360fed81e32e2f592236488270d099664458193ad6071f0df3c761fef09"
 
 
 def test_acceptance_canonical_bytes_are_pinned(corpus_sweep):
@@ -249,7 +249,10 @@ def test_acceptance_canonical_bytes_are_pinned(corpus_sweep):
 def test_acceptance_columns_expand_to_the_cells(corpus_sweep):
     """The layout loses nothing: expanding the parsed canonical JSON's
     objects, variant by variant, over the alpha grid gives every cell dict,
-    as json.dumps text."""
+    as json.dumps text. The expander resolves a name only to a list that an
+    earlier object of the same row wrote, so every name points backward
+    within its row. A row's shared lists written once keep the document
+    under 26 MB, about 105 bytes per cell."""
     text = summarize_report(corpus_sweep, "json")
     size = len(text.encode())
     doc = strict_loads(text)
@@ -261,10 +264,10 @@ def test_acceptance_columns_expand_to_the_cells(corpus_sweep):
         for cell in replace(corpus_sweep, graphs=[graph]).cells
     )
     difference = first_difference(expand_cells(doc), cells)
-    ok = difference is None and size <= 29_000_000
+    ok = difference is None and size <= 26_000_000
     _line(8, ok, f"{len(doc['columns'])} objects in {size} bytes expand to the cells")
     assert difference is None
-    assert size <= 29_000_000
+    assert size <= 26_000_000
 
 
 def test_criterion_8_reproducibility():

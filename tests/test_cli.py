@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from canonical import resolved_objects
 
 from graphent import SweepConfig, cli, run_sweep, summarize_report
 
@@ -725,11 +726,17 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(out)
         assert set(doc.keys()) == {"config", "columns", "aggregates", "exemplars"}
-        # each variant's column (its object's shared lists overlaid with its
-        # own) holds one entry per alpha of the grid in each list
+        # thm1 reads ordering's Renyi list, so its object names that list
+        assert {obj["lhs"] for obj in doc["columns"] if obj["theorem"] == "thm1"} == {
+            "ordering.lhs"
+        }
+        # each variant's column (its object's shared lists, names resolved,
+        # overlaid with its own) holds one entry per alpha in each list
         alphas = doc["config"]["alpha_grid"]
         columns = [
-            {**obj, **entry} for obj in doc["columns"] for entry in obj["variants"].values()
+            {**obj, **entry}
+            for obj in resolved_objects(doc["columns"])
+            for entry in obj["variants"].values()
         ]
         assert columns and all(
             len(c[key]) == len(alphas)

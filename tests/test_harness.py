@@ -14,6 +14,7 @@ import pytest
 
 import straightline as sl
 from canonical import expand_cells, first_difference, strict_loads
+from relabeling import label_drift
 from graphent import (
     Distribution,
     DomainError,
@@ -940,6 +941,46 @@ class TestCanonicalWriter:
             '[{"c": 1.0, "h": 1.0, ' + tail + ', {"c": 1.0, "h": 1, ' + tail + "]"
         )
 
+    def test_a_row_writes_a_shared_list_once(self):
+        """In one row, an object's lhs or varying list that is the very list
+        an earlier object of the row wrote is written as that writer's
+        name; a list equal to it under == (0.0 and -0.0, 1 and True
+        included) but another object is written in full and expands to its
+        own values. The next row writes the same list again."""
+        by_id = {t.id: t for t in THEOREMS}
+        shared = [0.0, 1]
+
+        def holding(theorem_id, lhs, **varying):
+            column = _column_of(
+                theorem_id, dict.fromkeys(varying),
+                [_outcome(0.0, 1.0, "upper", (0.5,) * len(varying))] * 2,
+                tuple(varying),
+            )
+            return column._replace(lhs=lhs, params={**column.params, **varying})
+
+        equal = holding("jensen", [0.0, 1])
+        row = [holding("ordering", shared), equal,
+               holding("thm1", shared, h=equal.lhs), holding("thm1_eps", [-0.0, True])]
+        plan = [(by_id[c.theorem_id], "na") for c in row]
+        cfg = SweepConfig(seed=0, n_range=(1, 1), edge_probabilities=(),
+                          trials_per_cell=1, alpha_grid=(0.5, 2.0))
+        rep = SweepReport(
+            config=cfg, aggregates={}, exemplars={}, runtime_seconds=0.0,
+            corpus_size=1, gnp_redraws=0,
+            graphs=[("g", [_Row("a", plan, row),
+                           _Row("b", plan[:1], [holding("ordering", shared)])])],
+        )
+        text, cells = _round_trip(rep)
+        objects = strict_loads(text)["columns"]
+        assert json.dumps([obj["lhs"] for obj in objects]) == (
+            '[[0.0, 1], [0.0, 1], "ordering.lhs", [-0.0, true], [0.0, 1]]'
+        )
+        assert objects[2]["params"] == {"h": "jensen.lhs"}
+        thm1 = [c for c in cells if c["theorem"] == "thm1"]
+        assert json.dumps([(c["lhs"], c["params"]["h"]) for c in thm1]) == (
+            "[[0.0, 0.0], [1, 1]]"
+        )
+
     def test_numpy_floats_render_as_floats(self):
         column = _column_of(
             "t", {"c": np.float64(0.1), "n": 3, "h": None},
@@ -985,6 +1026,76 @@ class TestCanonicalWriter:
         # the config, one chunk of columns per graph with a separator between
         # graphs, and the aggregates and exemplars
         assert len(chunks) == 1 + (2 * len(rep.graphs) - 1) + 1
+
+
+class TestRowSharing:
+    def test_cores_of_a_row_share_each_renyi_list(self):
+        """Cores that read one distribution in one base hold one list: in
+        each swept row, ordering's, jensen's, thm1's and thm1_eps's lhs; in
+        each functional row, thm4's lhs and thm6's h1 (f1's distribution in
+        base 2), and where thm5's p2 is f2's distribution, thm4's and
+        thm5's h_other and thm6's h2."""
+        cfg = SweepConfig(seed=1, n_range=(3, 6), edge_probabilities=(),
+                          trials_per_cell=1)
+        rep = run_sweep(cfg)
+        shared_p2 = 0
+        for gi, ((graph_id, rows), (_, g)) in enumerate(
+            zip(rep.graphs, generate_corpus(cfg), strict=True)
+        ):
+            records = _family_rows(cfg, g, gi, distance_matrix(g))
+            for row, record in zip(rows, records, strict=True):
+                by_id = {t.id: c for (t, _), c in zip(row.plan, row.columns)}
+                lhs = by_id["ordering"].lhs
+                for theorem_id in ("jensen", "thm1", "thm1_eps"):
+                    assert by_id[theorem_id].lhs is lhs, (graph_id, row.family)
+                if record.kind == "orbit":
+                    continue
+                assert by_id["thm4"].lhs is by_id["thm6"].params["h1"]
+                fv_second = record.inputs.fv_second
+                if record.own["thm5"].dist_second is fv_second.distribution:
+                    shared_p2 += 1
+                    h_other = by_id["thm4"].params["h_other"]
+                    assert by_id["thm5"].params["h_other"] is h_other
+                    assert by_id["thm6"].params["h2"] is h_other
+        assert shared_p2 > 0
+
+
+class TestMetamorphic:
+    def test_isomorph_duplicates_have_equal_orbit_rows(self):
+        """The battery's isomorphic pairs have equal orbit rows, column by
+        column, and equal canonical orbit-row objects apart from graph_id,
+        names of shared lists included."""
+        cfg = SweepConfig(seed=1, n_range=(3, 4), edge_probabilities=(),
+                          trials_per_cell=1)
+        rep = run_sweep(cfg)
+        orbit_rows = {graph_id: rows[0] for graph_id, rows in rep.graphs}
+        objects = strict_loads(summarize_report(rep, "json"))["columns"]
+
+        def orbit_objects(graph_id):
+            return json.dumps([
+                {**obj, "graph_id": None} for obj in objects
+                if (obj["graph_id"], obj["family"]) == (graph_id, "orbit")
+            ])
+
+        for a, b in (("star_3", "path_3"), ("complete_3", "cycle_3"),
+                     ("wheel_4", "complete_4")):
+            row_a, row_b = orbit_rows[a], orbit_rows[b]
+            assert row_a.family == row_b.family == "orbit"
+            assert len(row_a.columns) == len(row_b.columns) > 0
+            for got, want in zip(row_a.columns, row_b.columns):
+                _assert_same_column(got, want, (a, b))
+            assert "ordering.lhs" in orbit_objects(a)
+            assert orbit_objects(a) == orbit_objects(b)
+
+    def test_verdicts_do_not_depend_on_vertex_labels(self):
+        """A sweep of every graph relabeled by a seeded permutation gives
+        each cell's verdict, and its slack within 1e-12 (tests/relabeling.py,
+        which also runs on the acceptance corpus)."""
+        cfg = SweepConfig(seed=3, n_range=(3, 6), edge_probabilities=(0.3, 0.8),
+                          trials_per_cell=2)
+        cells, moved, _, first = label_drift(cfg)
+        assert first is None
+        assert cells > 0 and moved > 0
 
 
 @pytest.fixture(scope="module")

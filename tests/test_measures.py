@@ -126,9 +126,9 @@ class TestMemoizedDerivedValues:
             raw = 10 ** rng.uniform(-12, 0, size=int(rng.integers(1, 65)))
             p = raw / raw.sum()
             d = Distribution(p=p)
-            assert renyi_entropies(d, grid) == tuple(
+            assert renyi_entropies(d, grid) == [
                 renyi_entropy(Distribution(p=p.copy()), alpha) for alpha in grid
-            )
+            ]
             assert log2_power_sums(d, grid) == [
                 log2_power_sums(Distribution(p=p.copy()), [alpha])[0]
                 for alpha in grid
@@ -145,8 +145,10 @@ class TestMemoizedDerivedValues:
         monkeypatch.setattr(measures, "renyi_entropy", refuse)
         monkeypatch.setattr(measures, "log2_power_sums", refuse)
         again = renyi_entropies(d, list(grid))
-        assert again is first  # the memo itself, a tuple no caller can change
-        assert isinstance(again, tuple)
+        assert again is first  # the memo itself, shared by every reader
+        assert isinstance(again, list)
+        converted = renyi_entropies(d, grid, 2.0)
+        assert renyi_entropies(d, list(grid), 2.0) is converted is not first
 
     @settings(max_examples=150, deadline=None)
     @given(positive_lists, st.data())
@@ -170,7 +172,7 @@ class TestMemoizedDerivedValues:
             ))
         for grid in (first, second, first):
             fresh = [Distribution(p=d.probs) for _ in grid]
-            want = tuple(renyi_entropy(f, a) for f, a in zip(fresh, grid))
+            want = [renyi_entropy(f, a) for f, a in zip(fresh, grid)]
             assert renyi_entropies(d, grid) == want
             assert log2_power_sums(d, grid) == [
                 log2_power_sums(Distribution(p=d.probs), [a])[0] for a in grid
@@ -187,7 +189,37 @@ class TestMemoizedDerivedValues:
         with pytest.raises(DomainError) as got:
             renyi_entropies(d, grid)
         assert str(got.value) == str(want.value)
-        assert d._renyi_grids == {} and d._log2_power_sums == {}
+        with pytest.raises(DomainError) as got:
+            renyi_entropies(d, grid, 2.0)
+        assert str(got.value) == str(want.value)
+        assert d._renyi_lists == {} and d._log2_power_sums == {}
+
+    @pytest.mark.parametrize("base", [1.0, 0.5, -2.0, math.inf, math.nan])
+    def test_bad_base_memoizes_nothing(self, base):
+        d = probs([3, 1, 4, 1, 5])
+        with pytest.raises(DomainError, match="log base must exceed 1"):
+            renyi_entropies(d, (0.5, 2.0), base)
+        assert d._renyi_lists == {} and d._log2_power_sums == {}
+
+    def test_base_entries_are_the_converted_bits(self):
+        """A base entry is the bits entry times ln 2 / ln(base), bit for bit,
+        as the cores used to convert each list they built. At base 2 that
+        product moves some values by an ulp, so the entry is its own."""
+        rng = np.random.default_rng(29)
+        grid = (0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0)
+        moved = 0
+        for _ in range(100):
+            raw = 10 ** rng.uniform(-6, 0, size=int(rng.integers(2, 13)))
+            d = Distribution(p=raw / raw.sum())
+            bits = renyi_entropies(d, grid)
+            for base in (2.0, math.e):
+                want = [b * math.log(2.0) / math.log(base) for b in bits]
+                got = renyi_entropies(d, grid, base)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+                assert renyi_entropies(d, grid, base) is got
+            moved += sum(a != b for a, b in zip(bits, renyi_entropies(d, grid, 2.0)))
+            assert renyi_entropies(d, grid) is bits
+        assert moved > 0
 
     def test_functional_distribution_built_once(self):
         fv = FunctionalValues.from_values([6, 4, 4, 4])
