@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import eq, index
+from operator import eq, index, lt
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import DomainError, ParseError, ValidationError
@@ -73,7 +73,13 @@ class Graph(_Record):
     the first read of ``adjacency``, so a graph with a huge n and few
     edges costs O(m) until an operation that needs them runs. Like the
     connectivity, they are a pure function of (n, edges), so a race can
-    only build them twice.
+    only build them twice. Those two builders may also hand over their
+    pairs in the order they found them, each edge once (parse_edge_list's
+    two id lists in text order, when its text repeats no pair): the
+    neighbor lists are built from those and the pairs dropped, which is
+    about twice as fast as walking the edge frozenset in hash order. The
+    pairs are kept outside ``_fields``, so equality, hash and repr do not
+    see them.
     """
 
     _fields = ("n", "edges")
@@ -88,17 +94,27 @@ class Graph(_Record):
                 self._raise_first_bad_edge()
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[tuple[int, int]]) -> "Graph":
-        """The graph on edges its caller has shown to satisfy 0 <= u < v < n."""
+    def _checked(
+        cls, n: int, edges: frozenset[tuple[int, int]],
+        pairs: Iterable[tuple[int, int]] | None = None,
+    ) -> "Graph":
+        """The graph on edges its caller has shown to satisfy 0 <= u < v < n.
+
+        ``pairs``, when given, yields each edge exactly once, in either
+        orientation; the first read of ``adjacency`` consumes it instead
+        of walking ``edges``.
+        """
         g = cls.__new__(cls)
         g.n, g.edges = n, edges
+        if pairs is not None:
+            g._pairs = pairs
         return g
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, one per vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.__dict__.pop("_pairs", self.edges):
             nbrs[u].append(v)
             nbrs[v].append(u)
         for a in nbrs:
@@ -220,33 +236,50 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
     given, ids only need to stay below it, and a huge n costs nothing until
     an operation reads the graph's neighbor lists.
 
-    The lines are checked in bulk: each is split once, each distinct id
-    token goes through ``int`` once and every token is mapped through the
-    resulting dict, and negative ids and self-loops are found with builtins
-    over all pairs. Only when a bulk check fails does a walk over the lines
-    run, to raise the error of the first bad line with its line number.
-    Those checks and the one against n establish 0 <= u < v < n for every
-    edge, so the Graph is built without walking its edges again.
+    Text in write_edge_list's shape (no '#', and equal to its tokens
+    joined two to a line by one space, each line ended by a newline) is
+    split with one ``str.split`` of the whole text; any other text is split
+    line by line, its comment and blank lines dropped. Either way the
+    tokens are checked in bulk: each distinct id token goes through
+    ``int`` once and every token is mapped through the resulting dict, and
+    negative ids and self-loops are found with builtins over all pairs.
+    Only when a bulk check fails does a walk over the lines run, to raise
+    the error of the first bad line with its line number. Those checks and
+    the one against n establish 0 <= u < v < n for every edge, so the
+    Graph is built without walking its edges again; when every pair is
+    already (min, max) the edges are the pairs themselves. When no pair
+    repeats, the Graph is handed the two id lists in text order, and its
+    neighbor lists are built from them on first use.
     """
-    rows = map(str.split, text.splitlines())
-    if "#" in text:
-        rows = [r for r in rows if r and r[0][0] != "#"]
-    else:
-        rows = list(filter(None, rows))
+    tokens = text.split()
+    if "#" in text or text != "\n".join(
+        map(" ".join, zip(tokens[::2], tokens[1::2]))
+    ) + "\n":
+        rows = map(str.split, text.splitlines())
+        if "#" in text:
+            rows = [r for r in rows if r and r[0][0] != "#"]
+        else:
+            rows = list(filter(None, rows))
+        tokens = None
+        if all(len(r) == 2 for r in rows):
+            tokens = list(chain.from_iterable(rows))
     ids = None
-    if all(len(r) == 2 for r in rows):
-        tokens = list(chain.from_iterable(rows))
+    if tokens is not None:
         try:
             id_of = {t: int(t) for t in set(tokens)}
             ids = list(map(id_of.__getitem__, tokens))
             seen_ids = set(id_of.values())
         except ValueError:
             pass
-    if ids is None or (ids and min(seen_ids) < 0) or any(map(eq, ids[::2], ids[1::2])):
+    if ids is None or (ids and min(seen_ids) < 0):
         _raise_first_bad_line(text)
-    edges = frozenset(
-        [(u, v) if u < v else (v, u) for u, v in zip(ids[::2], ids[1::2])]
-    )
+    us, vs = ids[::2], ids[1::2]
+    if any(map(eq, us, vs)):
+        _raise_first_bad_line(text)
+    if all(map(lt, us, vs)):
+        edges = frozenset(zip(us, vs))
+    else:
+        edges = frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
 
     max_id = max(seen_ids) if seen_ids else -1
     if n is None:
@@ -262,7 +295,7 @@ def parse_edge_list(text: str, n: int | None = None) -> Graph:
             )
     elif n < max_id + 1:
         raise ValidationError(f"n={n} is below 1 + max vertex id ({max_id})")
-    return Graph._checked(n, edges)
+    return Graph._checked(n, edges, zip(us, vs) if len(edges) == len(us) else None)
 
 
 def _raise_first_bad_line(text: str) -> NoReturn:

@@ -208,14 +208,16 @@ def _searched_graph(g: Graph, adjbits: list[int]) -> tuple[Graph, list[int]]:
     """The graph the search walks, and its neighbor bitmasks: g, or its
     complement when g has more than half of all vertex pairs as edges.
     Both have one automorphism group and one refinement, and the sparser
-    one constrains each placed vertex through fewer neighbors."""
+    one constrains each placed vertex through fewer neighbors. The
+    complement's pairs are listed once each, in ascending order, so its
+    neighbor lists are built from that list."""
     n = g.n
     if 4 * g.m <= n * (n - 1):
         return g, adjbits
     full = (1 << n) - 1
     bits = [full ^ b ^ 1 << v for v, b in enumerate(adjbits)]
     edges = [(u, v) for u, b in enumerate(bits) for v in range(u + 1, n) if b >> v & 1]
-    return Graph._checked(n, frozenset(edges)), bits
+    return Graph._checked(n, frozenset(edges), edges), bits
 
 
 def vertex_orbits(g: Graph) -> OrbitPartition:

@@ -241,11 +241,76 @@ _RELABELED_K9 = "".join(
 @example(case=("# K_3\n0 1\n\n1 2\n2 0\n", None))
 @example(case=("0 1\n1 2 # c\n2 0\n", None))
 @example(case=("0 1\n\n1 2\n2 0\n", None))
+# write_edge_list's shape, or one step off it, on each side of the
+# whole-text split: a reversed pair, a repeated pair, a self-loop, a
+# negative id, an id gap, n below the ids, no final newline, a double
+# space or a tab, other spellings of an id, a comment, and no pairs at all
+@example(case=("1 0\n0 2\n", None))
+@example(case=("0 1\n1 2\n0 1\n", None))
+@example(case=("0 1\n2 2\n", None))
+@example(case=("0 1\n0 -2\n", None))
+@example(case=("0 1\n0 3\n", None))
+@example(case=("0 1\n1 5\n", 3))
+@example(case=("0 1\n1 2", None))
+@example(case=("0 1\n1  2\n", None))
+@example(case=("0 1\n1\t2\n", None))
+@example(case=("0 \u0661\n1 2\n", None))
+@example(case=("0 +1\n0_1 2\n", None))
+@example(case=("0 1\n# 2\n", None))
+@example(case=("", None))
+@example(case=("\n", None))
 def test_parse_matches_straightline_reference(case):
     """The bulk checks give the line loop's graph, or its first error with
     the same type, message and line number."""
     text, n = case
     assert _parsed(_package_parse, text, n) == _parsed(sl.sl_parse_edge_list, text, n)
+
+
+@st.composite
+def _graph(draw):
+    """A graph on up to 12 vertices, some of them often isolated."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=_graph())
+def test_written_list_parses_to_its_graph(g):
+    """A written list takes the whole-text split and gives back its graph,
+    with the neighbor lists built from the id lists equal to those built
+    from the edges."""
+    parsed = parse_edge_list(write_edge_list(g), n=g.n)
+    assert parsed == g and parsed.adjacency == g.adjacency
+
+
+class TestParsedGraphIdentity:
+    """A parsed graph carries its id lists outside _fields until the first
+    read of its neighbor lists, which consumes them."""
+
+    TEXT = "0 1\n1 3\n2 3\n0 3\n"
+    PAIRS = [(0, 1), (1, 3), (2, 3), (0, 3)]
+
+    def test_equal_to_from_edges(self):
+        g = parse_edge_list(self.TEXT)
+        built = Graph.from_edges(4, self.PAIRS)
+        assert "_pairs" in g.__dict__ and "_pairs" not in built.__dict__
+        assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+
+    def test_adjacency_from_the_id_lists(self):
+        g = parse_edge_list(self.TEXT)
+        assert g.adjacency == Graph.from_edges(4, self.PAIRS).adjacency
+        assert "_pairs" not in g.__dict__
+        assert g.adjacency == ((1, 3), (0, 3), (3,), (0, 1, 2))
+
+    @pytest.mark.parametrize("text", ["0 1\n1 0\n", "0 1\n0 1\n", "0 1\n# c\n0 1\n"])
+    def test_repeated_pair_carries_no_id_lists(self, text):
+        g = parse_edge_list(text)
+        assert "_pairs" not in g.__dict__ and g.adjacency == ((1,), (0,))
+
+    def test_huge_n_builds_nothing(self):
+        g = parse_edge_list("0 1\n", n=10**9)
+        assert "adjacency" not in g.__dict__ and g.m == 1
 
 
 class TestGenerators:

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +15,7 @@ from graphent import (
     cli,
     distance_matrix,
     generate_graph,
+    parse_edge_list,
     vertex_orbits,
 )
 
@@ -577,6 +579,49 @@ class TestSearch:
         g = _perfbench_instances().build(name)
         for seed in range(3):
             self._assert_every_pair(_relabeled(g, seed))
+
+
+def test_search_nodes_on_orbit_entropy_lists(monkeypatch):
+    """orbit_entropy's seed-1 lists, parsed as the benchmark parses them,
+    some searched on their complements, take the same searches with the
+    same node counts as when no graph is handed its pairs, so that every
+    neighbor list is built from the edge frozenset. cycle_28 and
+    hypercube_6 run past the node budget and are left out."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    state = importlib.import_module("orbit_entropy").generate(1)
+    texts = [
+        text for labeling in state.labelings for name, _, text in labeling
+        if name not in ("cycle_28", "hypercube_6")
+    ]
+    searched, nodes = [], []
+    find, pick = orbits._find_automorphism, orbits._searched_graph
+
+    def counted_find(*args):
+        sigma, total = find(*args)
+        nodes.append(total - args[-1])
+        return sigma, total
+
+    def noted_pick(g, adjbits):
+        graph, bits = pick(g, adjbits)
+        searched.append(graph is not g)
+        return graph, bits
+
+    monkeypatch.setattr(orbits, "_find_automorphism", counted_find)
+    monkeypatch.setattr(orbits, "_searched_graph", noted_pick)
+    for text in texts:
+        vertex_orbits(parse_edge_list(text))
+    with_pairs = nodes[:]
+    assert any(searched) and len(texts) == 256
+
+    checked = Graph._checked.__func__
+    monkeypatch.setattr(
+        Graph, "_checked",
+        classmethod(lambda cls, n, edges, pairs=None: checked(cls, n, edges)),
+    )
+    nodes.clear()
+    for text in texts:
+        vertex_orbits(parse_edge_list(text))
+    assert nodes == with_pairs
 
 
 class TestRefine:
