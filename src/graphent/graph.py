@@ -16,7 +16,7 @@ numpy.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from operator import eq, index, lt
 from typing import Iterable, NoReturn, Sequence
@@ -60,6 +60,28 @@ class _Record:
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({args})"
+
+
+class _cached:
+    """A value computed on the first read of an attribute and then kept in
+    the instance's __dict__, where later reads find it without calling
+    this descriptor: functools.cached_property without its per-attribute
+    lock, which Python 3.10 and 3.11 take on every first read. The values
+    kept are pure functions of immutable objects, so a race can only
+    compute one twice. Once requires-python is >= 3.12, whose
+    cached_property takes no lock, this can go."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Graph(_Record):
@@ -110,7 +132,7 @@ class Graph(_Record):
             g._pairs = pairs
         return g
 
-    @cached_property
+    @_cached
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples, one per vertex."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -163,7 +185,7 @@ class Graph(_Record):
     def is_connected(self) -> bool:
         return self._connected
 
-    @cached_property
+    @_cached
     def _connected(self) -> bool:
         """One BFS per graph; the graph is immutable, so the answer is kept.
         Fewer than n - 1 edges connect no n vertices, so such a graph is
@@ -204,7 +226,7 @@ class DistanceData(_Record):
         self.rows = rows
         self.eta = eta
 
-    @cached_property
+    @_cached
     def spheres(self) -> tuple[tuple[int, ...], ...]:
         """j-sphere profiles: entry [v][j-1] = |S_j(v)| for j = 1..eta,
         zero-padded up to the diameter. Built once per DistanceData, so

@@ -49,13 +49,14 @@ base e, under which the literal penalty forms become sound.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 from .graph import Graph, SeededStream, distance_matrix, generate_graph
 from .measures import (
+    ALPHA_ONE_BAND,
     FUNCTIONAL_KINDS,
     LN2,
     Distribution,
@@ -282,9 +283,12 @@ def _report(variant: str, alpha: float, column: Column) -> BoundReport:
     )
 
 
-def _directions(alphas: Sequence[float], below: str = "upper") -> list[str]:
-    """A one-sided bound's direction at each alpha: below under alpha=1, the
-    other side above it."""
+@lru_cache(maxsize=16)
+def _directions(alphas: tuple[float, ...], below: str = "upper") -> list[str]:
+    """A one-sided bound's direction at each alpha of a tuple grid: below
+    under alpha=1, the other side above it. One list per (grid, side) is
+    kept and handed out itself, as the Renyi lists are, so no core may
+    change it."""
     above = "lower" if below == "upper" else "upper"
     return [below if alpha < 1.0 else above for alpha in alphas]
 
@@ -905,7 +909,9 @@ def _class_columns(
     on the functional's H_alpha below alpha=1 and an upper one above. Each
     pair is built as it is taken, so a one-alpha caller raises a column's
     reason before the next column is built. Where a closed form leaves float
-    range, that is the alpha's reason in each column that reads it.
+    range, that is the alpha's reason in each column that reads it. Within
+    ALPHA_ONE_BAND of 1 the Renyi closed form is its Shannon limit, as its
+    lhs is: the alpha form divides a cancelled difference by 1 - alpha.
 
     Stars and wheels share the two-orbit profile (1, n-1); W4 collapses to
     K4 and is reported with precondition_met=False rather than patched.
@@ -915,6 +921,7 @@ def _class_columns(
     params: dict[str, Any] = {"graph_class": kind, "n": n}
     out_of_range = f"{kind} closed forms leave float range at n = {n}, alpha = {{:g}}"
     path, two_orbit = kind == "path", part.sizes == (1, n - 1)
+    near_one = [abs(alpha - 1.0) <= ALPHA_ONE_BAND for alpha in alphas]
     if path:
         even = n % 2 == 0
         params["even"] = even
@@ -923,23 +930,28 @@ def _class_columns(
             # two-vertex orbits and the center; the sum underflows to 0 at a
             # large alpha
             sums = [(n - 1) // 2 * (2.0 / n) ** a + (1.0 / n) ** a for a in alphas]
+            limit = -((n - 1) / n) * math.log2(2 / n) - (1 / n) * math.log2(1 / n)
             closed = [
+                limit if one else
                 math.log2(s) / (1.0 - alpha) if s else out_of_range.format(alpha)
-                for alpha, s in zip(alphas, sums)
+                for alpha, s, one in zip(alphas, sums, near_one)
             ]
         heads: list[float | str] = [math.log2(n) / (1.0 - alpha) for alpha in alphas]
     else:
         if not two_orbit:
             params["reason"] = "orbit profile is not (1, n-1)"
+        closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
         closed, heads = [], []
-        for alpha in alphas:
+        for alpha, one in zip(alphas, near_one):
             try:
                 log2_sum = math.log2(1.0 + (n - 1) ** alpha)
             except OverflowError:
                 closed.append(out_of_range.format(alpha))
                 heads.append(out_of_range.format(alpha))
                 continue
-            closed.append((log2_sum - alpha * math.log2(n)) / (1.0 - alpha))
+            closed.append(closed_shannon if one else (
+                (log2_sum - alpha * math.log2(n)) / (1.0 - alpha)
+            ))
             heads.append(log2_sum / (1.0 - alpha))
     exact = partial(
         _outcomes, params=params, varying=(), directions=["equal"] * len(alphas),
@@ -947,7 +959,6 @@ def _class_columns(
     )
     yield "na", exact("class_renyi_exact", lhs=h_alphas, bounds=closed)
     if not path:
-        closed_shannon = math.log2(n) - (n - 1) / n * math.log2(n - 1)
         yield "na", exact(
             "class_shannon_exact", lhs=[shannon_entropy(pdist)] * len(alphas),
             bounds=[closed_shannon] * len(alphas),

@@ -3,9 +3,10 @@
 Two routes induce distributions: orbit partitions (p_i = |X_i|/n) and
 strictly positive vertex functionals (p(v) = f(v)/sum f). Functional values
 are carried in natural-log space so the exponential j-sphere functional
-cannot overflow; normalization goes through log-sum-exp.
-Entropies are in bits, and renyi_entropies also gives a grid's in another
-log base; power sums are filled an alpha grid at a time.
+cannot overflow. One scaled log-sum-exp kernel, logsumexp(a, scale),
+serves normalization, weighted sums and every power sum (alpha is the
+scale of log p). Entropies are in bits, and renyi_entropies also gives a
+grid's in another log base; power sums are filled an alpha grid at a time.
 
 The distributions here have a few dozen atoms at most, so the numbers are
 tuples of Python floats, every transcendental is a libm call through
@@ -18,11 +19,12 @@ representation (``Distribution.probs`` and ``log_probs``,
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .graph import DISCONNECTED, DistanceData, Graph, _Record, distance_matrix
+from .graph import (
+    DISCONNECTED, DistanceData, Graph, _cached, _Record, distance_matrix,
+)
 from .orbits import OrbitPartition
 
 LN2 = math.log(2.0)
@@ -69,15 +71,15 @@ class Distribution:
     def size(self) -> int:
         return len(self.probs)
 
-    @cached_property
+    @_cached
     def log_probs(self) -> tuple[float, ...]:
         return tuple(map(math.log, self.probs))
 
-    @cached_property
+    @_cached
     def _shannon(self) -> float:
         return -math.fsum(x * math.log2(x) for x in self.probs) + 0.0
 
-    @cached_property
+    @_cached
     def _stats(self) -> "DistributionStats":
         hi, lo = max(self.probs), min(self.probs)
         # rho is inf once the smallest atom is subnormal against the largest
@@ -136,7 +138,7 @@ class FunctionalValues:
         self.logs = logs
         self.total_log = logsumexp(logs)
 
-    @cached_property
+    @_cached
     def linear(self) -> tuple[float, ...] | None:
         """f(v) in linear space; None unless every |ln f(v)| is below
         SAFE_LOG_RANGE."""
@@ -160,7 +162,7 @@ class FunctionalValues:
         """sum f(v) in linear space; inf when it overflows a float."""
         return _exp_or_inf(self.total_log)
 
-    @cached_property
+    @_cached
     def distribution(self) -> Distribution:
         """p(v) = exp(ln f(v) - ln sum f), validated once and kept."""
         total_log = self.total_log
@@ -213,16 +215,29 @@ def _fsum_or_inf(values: Iterable[float]) -> float:
         return math.inf
 
 
-def logsumexp(a: Sequence[float]) -> float:
-    """ln(sum exp(a)) for a non-empty a, shifted by the max so no term
-    overflows (Blanchard, Higham & Higham 2021).
+def logsumexp(a: Sequence[float], scale: float = 1.0) -> float:
+    """ln(sum exp(scale * a)) for a non-empty a and scale > 0, shifted by
+    the max so no term overflows (Blanchard, Higham & Higham 2021).
 
-    A non-finite max (an inf entry, or all entries -inf) is returned as is.
+    The shift is m = scale * max(a): x -> scale * x is monotone in floats,
+    so that is the max of the scaled terms, and each term is formed as
+    exp(scale * x - m), so the bits are those of scaling a first. Two terms
+    take m + log(1 + exp(lo - m)): the max term is exp(0) = 1, and the
+    correctly rounded sum of two floats is their rounded sum. A non-finite
+    max (an inf entry, or all entries -inf) is returned as is.
     """
-    m = float(max(a))
+    if len(a) == 2:
+        hi, lo = a
+        if hi < lo:
+            hi, lo = lo, hi
+        m = float(scale * hi)
+        if not math.isfinite(m):
+            return m
+        return m + math.log(1.0 + math.exp(scale * lo - m))
+    m = float(scale * max(a))
     if not math.isfinite(m):
         return m
-    return m + math.log(math.fsum([math.exp(x - m) for x in a]))
+    return m + math.log(math.fsum([math.exp(scale * x - m) for x in a]))
 
 
 def default_coefficients(eta: int) -> tuple[float, ...]:
@@ -334,12 +349,13 @@ def renyi_entropies(
 
 def log2_power_sums(d: Distribution, alphas: Sequence[float]) -> list[float]:
     """log2(sum p^alpha) at each of alphas, memoized on d: the one fill of
-    that memo, one logsumexp per alpha not yet in it."""
+    that memo, one logsumexp of log p scaled by alpha per alpha not yet in
+    it."""
     memo, out = d._log2_power_sums, []
     for alpha in alphas:
         value = memo.get(alpha)
         if value is None:
-            value = memo[alpha] = logsumexp([alpha * x for x in d.log_probs]) / LN2
+            value = memo[alpha] = logsumexp(d.log_probs, alpha) / LN2
         out.append(value)
     return out
 

@@ -3,7 +3,8 @@ edge-list parsing.
 
 Used to cross-check BoundReport values and parse_edge_list. Deliberately
 avoids the package's code paths: plain ``math`` plus explicit loops, no
-numpy, no log-sum-exp; only the error types come from the package.
+numpy, and no log-sum-exp but ``sl_logsumexp``, the bit-level oracle of
+``measures.logsumexp``; only the error types come from the package.
 """
 
 import math
@@ -11,6 +12,17 @@ import math
 from graphent.errors import ParseError, ValidationError
 
 LN2 = math.log(2.0)
+
+
+def sl_logsumexp(a, scale=1.0):
+    """ln(sum exp(scale * x)) by the plain recipe: scale every entry into a
+    new list, shift by its max, fsum the exponentials. A non-finite max is
+    returned as is."""
+    b = [scale * x for x in a]
+    m = float(max(b))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(math.fsum([math.exp(x - m) for x in b]))
 
 
 def sl_shannon(p):

@@ -22,8 +22,12 @@ from graphent import (
     parse_edge_list,
     write_edge_list,
 )
-from graphent.graph import DISCONNECTED, SeededStream, _gnp_edges, generate_gnp_connected
-from graphent.measures import FunctionalSpec, functional_values
+from graphent.graph import (
+    DISCONNECTED, DistanceData, SeededStream, _gnp_edges, generate_gnp_connected,
+)
+from graphent.measures import (
+    Distribution, FunctionalSpec, FunctionalValues, functional_values,
+)
 
 
 def run_capped(code):
@@ -737,3 +741,42 @@ def test_library_huge_n_is_rejected_before_the_neighbor_lists_exist():
         "False\n",
         "",
     )
+
+
+def _cached_owners():
+    """(class, attribute, a fresh instance maker) for every cached value."""
+    owners = [
+        (Graph, "adjacency", lambda: Graph.from_edges(3, [(0, 1), (1, 2)])),
+        (Graph, "_connected", lambda: Graph.from_edges(3, [(0, 1), (1, 2)])),
+        (DistanceData, "spheres", lambda: DistanceData(((0, 1), (1, 0)), 1)),
+        (Distribution, "log_probs", lambda: Distribution([0.25, 0.75])),
+        (Distribution, "_shannon", lambda: Distribution([0.25, 0.75])),
+        (Distribution, "_stats", lambda: Distribution([0.25, 0.75])),
+        (FunctionalValues, "linear", lambda: FunctionalValues([0.0, 1.0])),
+        (FunctionalValues, "distribution", lambda: FunctionalValues([0.0, 1.0])),
+    ]
+    return [pytest.param(*o, id=f"{o[0].__name__}.{o[1]}") for o in owners]
+
+
+@pytest.mark.parametrize("cls, name, make", _cached_owners())
+def test_cached_value_is_computed_once_per_object(monkeypatch, cls, name, make):
+    """The first read runs the function and keeps its value in that
+    instance's __dict__, where every later read finds it; the class and
+    other instances hold nothing, and class access gives the descriptor."""
+    descriptor = vars(cls)[name]
+    assert getattr(cls, name) is descriptor
+    calls = []
+
+    def counted(obj, func=descriptor.func):
+        calls.append(obj)
+        return func(obj)
+
+    monkeypatch.setattr(descriptor, "func", counted)
+    first, other = make(), make()
+    value = getattr(first, name)
+    assert getattr(first, name) is value and getattr(first, name) is value
+    assert calls == [first]
+    assert first.__dict__[name] is value and name not in other.__dict__
+    assert vars(cls)[name] is descriptor
+    assert getattr(other, name) is other.__dict__[name]
+    assert calls == [first, other]

@@ -35,6 +35,7 @@ from graphent.inequalities import (
     BoundInputs,
     Column,
     _class_columns,
+    _directions,
     _jensen_sums,
     _report,
     _thm1_column,
@@ -201,6 +202,17 @@ class TestJensenGap:
             d = Distribution(p=raw / raw.sum())
             for alpha in (0.25, 0.5, 0.9, 1.1, 2.0, 3.0):
                 assert jensen_gap_bound(d, alpha).holds is True
+
+
+def test_one_direction_list_per_grid_and_side():
+    """Each (grid, side) gets one list, handed out itself; the two sides
+    get different lists."""
+    grid = (0.25, 0.5, 2.0)
+    upper, lower = _directions(grid), _directions(grid, "lower")
+    assert upper == ["upper", "upper", "lower"]
+    assert lower == ["lower", "lower", "upper"]
+    assert _directions(grid) is upper and _directions(tuple(list(grid))) is upper
+    assert _directions(grid, "lower") is lower and lower is not upper
 
 
 class TestOrdering:
@@ -916,6 +928,28 @@ class TestClassClosedForms:
                         for r in class_closed_forms(kind, n, alpha, fv)
                     ]
                     assert grid == one, (kind, n, spec and spec.kind, alpha)
+
+    @pytest.mark.parametrize("alpha", [
+        1 - 1e-13, 1 + 1e-13, 1 - 1e-10, 1 + 1e-10,
+    ])
+    @pytest.mark.parametrize(
+        "kind, sizes",
+        [("star", range(3, 13)), ("wheel", range(4, 13)), ("path", range(2, 13))],
+        ids=["star", "wheel", "path"],
+    )
+    def test_renyi_exact_holds_next_to_alpha_one(self, kind, sizes, alpha):
+        """Within ALPHA_ONE_BAND the closed form is the Shannon limit, as the
+        lhs is, so class_renyi_exact holds wherever its precondition is met
+        (W4 is K4, which it is not)."""
+        for n in sizes:
+            (report,) = [
+                r for r in class_closed_forms(kind, n, alpha)
+                if r.theorem_id == "class_renyi_exact"
+            ]
+            assert report.holds is (True if report.precondition_met else None)
+            assert report.precondition_met is not (kind == "wheel" and n == 4)
+            if report.precondition_met:
+                assert abs(report.slack) <= 1e-14, (kind, n, alpha, report.slack)
 
     def test_float_range_fails_only_its_own_alpha_and_columns(self):
         """(n-1)**400 and rho**398 overflow: alpha 400 holds each column's

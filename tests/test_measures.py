@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import straightline as sl
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,11 @@ from graphent import (
     vertex_orbits,
 )
 import graphent.measures as measures
+from graphent.harness import DEFAULT_ALPHA_GRID
+from graphent.inequalities import _weighted_sum
 from graphent.measures import (
     ALPHA_ONE_BAND,
+    LN2,
     log2_power_sums,
     logsumexp,
     renyi_entropies,
@@ -77,12 +81,6 @@ class TestDistribution:
         assert k4.probs == (1.0,)
 
 
-def lse_reference(values):
-    """ln(sum exp(x)) with an exactly rounded sum of the shifted terms."""
-    m = max(values)
-    return m + math.log(math.fsum(math.exp(x - m) for x in values))
-
-
 class TestLogSumExp:
     @pytest.mark.parametrize("center", [0.0, 700.0, -700.0, 1e5, -1e5])
     def test_matches_fsum_reference(self, center):
@@ -92,7 +90,7 @@ class TestLogSumExp:
             # spread keeps the result at least 1 away from zero when centered
             # at 0, so the relative tolerance is meaningful
             a = center + rng.uniform(1.0, 40.0, size=size)
-            want = lse_reference(a.tolist())
+            want = sl.sl_logsumexp(a.tolist())
             assert math.isclose(logsumexp(a), want, rel_tol=1e-15, abs_tol=0.0)
 
     def test_single_element_is_identity(self):
@@ -108,6 +106,56 @@ class TestLogSumExp:
     def test_non_finite_max_returned_unchanged(self):
         assert logsumexp(np.array([1.0, math.inf])) == math.inf
         assert logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+
+    # the default grid's alphas, the unscaled sum and three far scales
+    SCALES = DEFAULT_ALPHA_GRID + (1.0, 1e-3, 400.0, 1000.0)
+
+    @given(
+        a=st.lists(
+            st.one_of(
+                st.floats(min_value=-745.0, max_value=709.0),
+                # repeated values give ties; -inf entries add nothing
+                st.sampled_from([0.0, -0.0, -math.inf, 1.5, -3.25, 709.0, -745.0]),
+            ),
+            min_size=1, max_size=12,
+        ),
+        scale=st.sampled_from(SCALES),
+    )
+    @example(a=[0.0, -0.0], scale=1.0)
+    @example(a=[-0.0, 0.0], scale=2.0)
+    @example(a=[-math.inf, -math.inf], scale=0.5)
+    @example(a=[-math.inf, 3.0], scale=1000.0)
+    @example(a=[1.5, 1.5, 1.5], scale=1e-3)
+    @example(a=[709.0, -745.0], scale=1000.0)
+    @settings(max_examples=400, deadline=None)
+    def test_scaled_bits_match_the_plain_recipe(self, a, scale):
+        """logsumexp(a, scale) has the bits of scaling a into a new list and
+        summing that, on the general and the two-term path alike."""
+        assert logsumexp(a, scale).hex() == sl.sl_logsumexp(a, scale).hex()
+
+    def test_callers_have_the_plain_recipes_bits(self):
+        """log2_power_sums, a weighted sum's logs and its total give the
+        oracle's bits on random distributions and weights."""
+        rng = np.random.default_rng(17)
+        grid = self.SCALES
+        for _ in range(200):
+            size = int(rng.integers(1, 13))
+            raw = 10 ** rng.uniform(-12, 0, size=size)
+            d = Distribution(p=raw / raw.sum())
+            logs = [math.log(x) for x in d.probs]
+            assert [x.hex() for x in log2_power_sums(d, grid)] == [
+                (sl.sl_logsumexp(logs, a) / LN2).hex() for a in grid
+            ]
+            fv1 = FunctionalValues(rng.uniform(-30.0, 30.0, size=size))
+            fv2 = FunctionalValues(rng.uniform(-30.0, 30.0, size=size))
+            c1, c2 = 10 ** rng.uniform(-3, 3, size=2)
+            combined = _weighted_sum(fv1, fv2, c1, c2)
+            want = [
+                sl.sl_logsumexp([math.log(c1) + x1, math.log(c2) + x2])
+                for x1, x2 in zip(fv1.logs, fv2.logs)
+            ]
+            assert [x.hex() for x in combined.logs] == [x.hex() for x in want]
+            assert combined.total_log.hex() == sl.sl_logsumexp(want).hex()
 
 
 class TestMemoizedDerivedValues:
